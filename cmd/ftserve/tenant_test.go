@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fattree"
 )
@@ -397,7 +398,9 @@ func TestRunRingCapacity(t *testing.T) {
 }
 
 // TestTenantRunsEndpoint checks /runs tenant-mode semantics: total counts
-// served requests.
+// served requests. The dispatcher adds a round's requests to the total when
+// the round ends, which can be after their clients were answered, so the
+// test polls until the total settles.
 func TestTenantRunsEndpoint(t *testing.T) {
 	srv := tenantServer(t)
 	for i := 0; i < 3; i++ {
@@ -408,8 +411,13 @@ func TestTenantRunsEndpoint(t *testing.T) {
 	var doc struct {
 		Total int `json:"total"`
 	}
-	if err := json.Unmarshal(get(t, srv, "/runs").Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if err := json.Unmarshal(get(t, srv, "/runs").Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Total >= 3 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if doc.Total != 3 {
 		t.Fatalf("/runs total = %d, want 3 served requests", doc.Total)

@@ -14,8 +14,11 @@ import (
 // capacity table, bucket lists, injection counters) are replaced by a fixed
 // set of subtree shards that stream the active flights level by level, so
 // engine memory is O(messages × path length + shards) — independent of the
-// processor count. A 2^20-endpoint network simulates in a few hundred
-// megabytes where the dense engine would need per-node gigabytes.
+// processor count. The per-shard wire guards are bitsets, one bit per wire of
+// the widest channel a shard routes, so even the 2^18-wire root channel of a
+// 2^20-endpoint universal tree costs 32 KiB. That network — topology plus a
+// warmed engine — retains about 9 bytes per endpoint, where the dense engine
+// would need per-node gigabytes.
 //
 // Equivalence with the dense engine is structural, not coincidental:
 //
@@ -109,12 +112,78 @@ type streamShard struct {
 	// reqs is the reusable request list for special-switch routing.
 	reqs []concentrator.Request
 
-	// Generation-stamped wire guards, grown to the largest capacity routed by
-	// this shard. They check the same hardware invariant as the dense
-	// nodeScratch guards: no channel wire assigned twice in one sweep.
-	upStamp   []int64
-	downStamp [2][]int64
-	gen       int64
+	// Per-run wire guards, one bit per wire, grown to the widest channel this
+	// shard routes. They check the same hardware invariant as the dense
+	// nodeScratch guards: no channel wire assigned twice in one sweep. A node
+	// run sets the bit of each wire it assigns and clears them again by
+	// walking its winners (releaseRun), so every bit is clear between runs
+	// and the cost is O(run), not O(channel width).
+	upUsed   wireSet
+	downUsed [2]wireSet // indexed by the child's side: 0 left, 1 right
+}
+
+// wireSet is a bitset over the wires of one channel.
+type wireSet []uint64
+
+// fit returns s with room for width wires. Growth happens only between
+// runs, when every bit is clear, so nothing needs copying.
+func (s wireSet) fit(width int) wireSet {
+	if words := (width + 63) >> 6; words > len(s) {
+		return make(wireSet, words)
+	}
+	return s
+}
+
+// add marks wire w and reports whether it was already marked.
+//
+//ftlint:hotpath
+func (s wireSet) add(w int) bool {
+	word, bit := w>>6, uint64(1)<<(uint(w)&63)
+	had := s[word]&bit != 0
+	s[word] |= bit
+	return had
+}
+
+// claimUp guards wire w of the up channel above the routed node: it must lie
+// inside the channel (width wires) and must not already be assigned in this
+// run.
+//
+//ftlint:hotpath
+func (sh *streamShard) claimUp(w, width int) {
+	if w >= width || sh.upUsed.add(w) {
+		panic("sim: up-channel wire oversubscribed (switch bug)")
+	}
+}
+
+// claimDown is claimUp for the down channel into the child on side (0 left,
+// 1 right).
+//
+//ftlint:hotpath
+func (sh *streamShard) claimDown(side, w, width int) {
+	if w >= width || sh.downUsed[side].add(w) {
+		panic("sim: down-channel wire oversubscribed (switch bug)")
+	}
+}
+
+// releaseRun clears the guard bits a node run set. Every flight of the run
+// that was not dropped holds the wire it won in f.wire: on the up channel in
+// an upward sweep, otherwise on the down channel into child f.node. Every set
+// bit belongs to this run, so zeroing a winner's whole word clears exactly
+// this run's bits in it.
+//
+//ftlint:hotpath
+func (sh *streamShard) releaseRun(flights []flight, run []uint64, upSweep bool) {
+	for _, k := range run {
+		f := &flights[int(uint32(k))]
+		if f.state == flightLost {
+			continue
+		}
+		s := sh.upUsed
+		if !upSweep {
+			s = sh.downUsed[f.node&1]
+		}
+		s[f.wire>>6] = 0
+	}
 }
 
 // streamRun is one node's routed key range within a shard's sorted keys.
@@ -494,11 +563,12 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 	drops0 := sh.drops
 	var dRounds, dFaults int64
 
-	sh.gen++
-	gen := sh.gen
-	sh.upStamp = growInt64s(sh.upStamp, capParent)
-	sh.downStamp[0] = growInt64s(sh.downStamp[0], capChild)
-	sh.downStamp[1] = growInt64s(sh.downStamp[1], capChild)
+	if upSweep {
+		sh.upUsed = sh.upUsed.fit(capParent)
+	} else {
+		sh.downUsed[0] = sh.downUsed[0].fit(capChild)
+		sh.downUsed[1] = sh.downUsed[1].fit(st.capAt(2*v + 1))
+	}
 
 	if st.kind == concentrator.KindIdeal && !st.lossOn {
 		if upSweep {
@@ -523,7 +593,7 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 				} else if j < capParent {
 					w = j
 				}
-				st.applyUp(sh, f, v, w, gen, capParent)
+				st.applyUp(sh, f, v, w, capParent)
 			}
 		} else {
 			// toLeft and toRight are always Ideal (a down port is narrower
@@ -547,7 +617,7 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 				if w >= capChild {
 					w = -1
 				}
-				st.applyDown(sh, f, v, w, right, gen, vLevel, leafLevel)
+				st.applyDown(sh, f, v, w, right, vLevel, leafLevel)
 			}
 		}
 	} else {
@@ -592,14 +662,15 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 		for j, k := range run {
 			f := &flights[int(uint32(k))]
 			if upSweep {
-				st.applyUp(sh, f, v, outWires[j], gen, capParent)
+				st.applyUp(sh, f, v, outWires[j], capParent)
 				continue
 			}
 			right := reqs[j].Out == concentrator.Right
-			st.applyDown(sh, f, v, outWires[j], right, gen, vLevel, leafLevel)
+			st.applyDown(sh, f, v, outWires[j], right, vLevel, leafLevel)
 		}
 	}
 
+	sh.releaseRun(flights, run, upSweep)
 	if obs {
 		sh.runs = append(sh.runs, streamRun{
 			v: v, start: start, end: end,
@@ -613,16 +684,13 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 // Parent-port winner path.
 //
 //ftlint:hotpath
-func (st *streamState) applyUp(sh *streamShard, f *flight, v, w int, gen int64, capParent int) {
+func (st *streamState) applyUp(sh *streamShard, f *flight, v, w, capParent int) {
 	if w < 0 {
 		f.state = flightLost
 		sh.drops++
 		return
 	}
-	if w >= capParent || sh.upStamp[w] == gen {
-		panic("sim: up-channel wire oversubscribed (switch bug)")
-	}
-	sh.upStamp[w] = gen
+	sh.claimUp(w, capParent)
 	f.wire = w
 	st.e.scr.histArena[f.histOff+f.histLen] = w
 	f.histLen++
@@ -639,7 +707,7 @@ func (st *streamState) applyUp(sh *streamShard, f *flight, v, w int, gen int64, 
 // engine does.
 //
 //ftlint:hotpath
-func (st *streamState) applyDown(sh *streamShard, f *flight, v, w int, right bool, gen int64, vLevel, leafLevel int) {
+func (st *streamState) applyDown(sh *streamShard, f *flight, v, w int, right bool, vLevel, leafLevel int) {
 	if w < 0 {
 		f.state = flightLost
 		sh.drops++
@@ -649,10 +717,7 @@ func (st *streamState) applyDown(sh *streamShard, f *flight, v, w int, right boo
 	if right {
 		side, child = 1, 2*v+1
 	}
-	if w >= st.capAt(child) || sh.downStamp[side][w] == gen {
-		panic("sim: down-channel wire oversubscribed (switch bug)")
-	}
-	sh.downStamp[side][w] = gen
+	sh.claimDown(side, w, st.capAt(child))
 	f.wire = w
 	st.e.scr.histArena[f.histOff+f.histLen] = w
 	f.histLen++

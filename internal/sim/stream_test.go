@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fattree/internal/concentrator"
@@ -207,7 +208,11 @@ func compileFor(t *testing.T, tree core.Topology, ms core.MessageSet) (Stats, *S
 
 // TestStreamEngineReuse runs shrinking and growing message sets through one
 // streaming engine and checks each against a fresh engine: the shard scratch
-// (keys, stamps, runs) must not leak state between cycles or runs.
+// (keys, wire-guard bitsets, runs) must not leak state between cycles or
+// runs. Every stream scenario is reused as well, so each contested node
+// assigns the same wires again and a guard bit left over from an earlier run
+// would panic. Injected loss draws from a stream that runs on across reuse,
+// so lossy scenarios are checked for that panic only.
 func TestStreamEngineReuse(t *testing.T) {
 	_, imp := mirrorTrees(32, 4, nil)
 	ms := randomMessages(32, 96, 21, true)
@@ -218,6 +223,82 @@ func TestStreamEngineReuse(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rep %d: reused stream engine diverges\nreused %+v\nfresh  %+v", rep, got, want)
 		}
+	}
+	for _, sc := range streamScenarios() {
+		reused := sc.engine(sc.imp, 1)
+		for rep := 0; rep < 3; rep++ {
+			got := reused.Run(sc.ms)
+			if sc.loss > 0 {
+				continue
+			}
+			if want := sc.engine(sc.imp, 1).Run(sc.ms); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s rep %d: reused stream engine diverges\nreused %+v\nfresh  %+v", sc.name, rep, got, want)
+			}
+		}
+	}
+}
+
+// TestStreamWireGuard drives a shard's per-run wire guards directly. A wire
+// assigned twice in one run must panic, on the up side and on each down side.
+// The same wire assigned in consecutive runs must not panic: releaseRun has
+// to clear every bit the run set, walking winners only.
+func TestStreamWireGuard(t *testing.T) {
+	const width, w = 130, 129 // three words; w sits in the last
+	sides := []struct {
+		name   string
+		upward bool
+		node   int // the winner's f.node after the claim
+		claim  func(sh *streamShard, w int)
+	}{
+		{"up", true, 5, func(sh *streamShard, w int) { sh.claimUp(w, width) }},
+		{"down-left", false, 10, func(sh *streamShard, w int) { sh.claimDown(0, w, width) }},
+		{"down-right", false, 11, func(sh *streamShard, w int) { sh.claimDown(1, w, width) }},
+	}
+	newShard := func() *streamShard {
+		sh := &streamShard{}
+		sh.upUsed = sh.upUsed.fit(width)
+		sh.downUsed[0] = sh.downUsed[0].fit(width)
+		sh.downUsed[1] = sh.downUsed[1].fit(width)
+		return sh
+	}
+	mustPanic := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "wire oversubscribed") {
+				t.Fatalf("%s: recovered %v, want a wire oversubscribed panic", what, r)
+			}
+		}()
+		fn()
+	}
+	for _, sd := range sides {
+		t.Run(sd.name, func(t *testing.T) {
+			mustPanic(t, "twice in one run", func() {
+				sh := newShard()
+				sd.claim(sh, w)
+				sd.claim(sh, w)
+			})
+
+			// A winner on w, reused by consecutive runs, and a dropped flight
+			// whose stale wire lies beyond every bitset: releaseRun must skip it.
+			sh := newShard()
+			flights := []flight{
+				{state: flightUp, node: sd.node, wire: w},
+				{state: flightLost, node: sd.node, wire: 1 << 20},
+			}
+			run := []uint64{0, 1}
+			for rep := 0; rep < 3; rep++ {
+				sd.claim(sh, w)
+				sh.releaseRun(flights, run, sd.upward)
+				for _, s := range [][]uint64{sh.upUsed, sh.downUsed[0], sh.downUsed[1]} {
+					for i, word := range s {
+						if word != 0 {
+							t.Fatalf("rep %d: word %d = %#x after releaseRun, want 0", rep, i, word)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -68,7 +68,7 @@ func TestSoakLargeUniversality(t *testing.T) {
 // the CI memory-guard: a 2^20-endpoint implicit fat-tree simulated to
 // completion in bounded time, with three pinned properties. First, the
 // retained heap for the topology plus a warmed streaming engine stays under a
-// hard bytes/endpoint ceiling (the measured figure is ~62 B/endpoint, see
+// hard bytes/endpoint ceiling (the measured figure is ~9 B/endpoint, see
 // EXPERIMENTS.md §A6; the ceiling leaves room for allocator jitter, not for a
 // per-node table — any O(n) state blows through it immediately). Second, the
 // sharded-parallel run is bit-identical to the serial one. Third, the
@@ -80,7 +80,7 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	}
 	const (
 		n       = 1 << 20
-		ceiling = 128.0 // bytes/endpoint, ~2x the measured steady state
+		ceiling = 16.0 // bytes/endpoint, under 2x the measured steady state
 	)
 	ms := fattree.Random(n, n/64, 3)
 
@@ -122,6 +122,37 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 			t.Fatalf("workers=%d: observer counted %d deliveries, want %d", workers, c.Delivered, len(ms))
 		}
 	}
+}
+
+// TestSoakImplicitHugeSetupAlloc is the set-up half of the memory guard: a
+// fresh serial engine on a 2^20-endpoint tree with 2^18 root wires, running
+// its first RunOnline on 1024 random messages, must allocate in proportion to
+// that traffic, not to the channel widths (~2 MiB). Wire guards sized at 8
+// bytes per wire of every routed channel allocated ~128 MiB here.
+func TestSoakImplicitHugeSetupAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test")
+	}
+	const (
+		n       = 1 << 20
+		ceiling = 4 << 20 // bytes
+	)
+	ms := fattree.Random(n, n/1024, 11)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := fattree.NewEngineWithOptions(fattree.NewImplicitUniversal(n, 1<<18), fattree.SwitchIdeal, 0,
+		fattree.Options{Workers: 1})
+	stats := fattree.RunOnline(e, ms)
+	runtime.ReadMemStats(&after)
+	if stats.Delivered != len(ms) {
+		t.Fatalf("first RunOnline incomplete: %+v", stats)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if allocated > ceiling {
+		t.Fatalf("set-up and first RunOnline allocated %d bytes, ceiling %d", allocated, ceiling)
+	}
+	t.Logf("set-up and first RunOnline allocated %.2f MiB (ceiling %d MiB)", float64(allocated)/(1<<20), ceiling>>20)
 }
 
 func TestSoakBufferedBigTree(t *testing.T) {
