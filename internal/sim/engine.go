@@ -158,13 +158,14 @@ type scratch struct {
 	// routed by distinct workers, so slots never race.
 	node []nodeScratch
 
-	// Ping-pong pending buffers for the retry loops.
+	// Ping-pong pending buffers for the retry loop (deliver).
 	pendA, pendB core.MessageSet
 
 	// Ping-pong first-offer cycle stamps parallel to pendA/pendB, plus the
-	// per-cycle latency batch handed to the observer. Touched only when an
-	// observer is attached, so the unobserved retry loops stay allocation-
-	// free and identical.
+	// per-cycle latency batch handed to the observer. The retry loop keeps
+	// them on every run, observed or not: open-loop mean latency is summed
+	// from them, and a warmed engine reuses their storage without
+	// allocating.
 	ageA, ageB, latBuf []int64
 }
 
@@ -303,16 +304,7 @@ const (
 // The returned slice is owned by the engine's scratch arena and valid only
 // until the next cycle on this engine; copy it to retain it.
 func (e *Engine) RunCycle(pending core.MessageSet) ([]bool, CycleResult) {
-	if e.pool.Workers() > 1 {
-		return e.runCycle(pending, e.pool)
-	}
-	return e.runCycle(pending, nil)
-}
-
-// runCycleAuto dispatches between the serial execution and the level-sharded
-// parallel execution on the engine's worker bound.
-func (e *Engine) runCycleAuto(pending core.MessageSet) ([]bool, CycleResult) {
-	return e.RunCycle(pending)
+	return e.runCycle(pending, e.autoPool())
 }
 
 // growInts returns s resized to n entries, reusing its backing array when
@@ -322,16 +314,6 @@ func growInts(s []int, n int) []int {
 		return s[:n]
 	}
 	out := make([]int, n, n+n/2)
-	copy(out, s)
-	return out
-}
-
-// growInt64s is growInts for int64 slices (the latency age stamps).
-func growInt64s(s []int64, n int) []int64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([]int64, n, n+n/2)
 	copy(out, s)
 	return out
 }
@@ -643,7 +625,7 @@ func (e *Engine) routeGathered(v int, flights []flight, who []int, upSweep bool,
 // histories materializes the per-message wire paths of the last cycle as
 // freshly allocated slices safe to retain: hist[i] is message i's wire
 // sequence in path order, nil unless it was delivered. Used by the settings
-// compiler; the hot retry loops never materialize.
+// compiler; the hot retry loop never materializes.
 func (e *Engine) histories(flights []flight) [][]int {
 	hist := make([][]int, len(flights))
 	for i := range flights {

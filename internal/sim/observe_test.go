@@ -172,6 +172,18 @@ func TestDeliveryConservation(t *testing.T) {
 		if !check("cycles", o3, e3.RunCyclesParallel(cycles)) {
 			return false
 		}
+
+		// Open loop on partial concentrators: arrivals are never drained, so
+		// every offer is either a first-time arrival or a counted retry.
+		o4 := obsv.New(ft)
+		e4 := NewWithOptions(ft, concentrator.KindPartial, seed, Options{Workers: 1, Observer: o4})
+		ol := RunOpenLoop(e4, UniformArrivals(ft, 1+rng.Intn(n), seed+5), 20, seed+6)
+		c := &o4.C
+		if c.Offered != c.Delivered+c.Dropped+c.Deferred || c.Delivered != int64(ol.Delivered) ||
+			c.Cycles != int64(ol.Cycles) || c.Offered != int64(ol.Offered)+c.Retried {
+			t.Logf("seed %d open-loop: counters %+v diverge from stats %+v", seed, c, ol)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 
 	"fattree/internal/core"
 )
@@ -32,67 +31,9 @@ func OnlineBound(t core.Topology, lambda float64, c float64) float64 {
 // priorities (implemented by shuffling the pending order, which determines
 // who wins at every concentrator), losers are negatively acknowledged and
 // retry. Unlike RunOnline's fixed arrival order, no message can be starved
-// by a systematically unlucky position.
+// by a systematically unlucky position, and a cycle that delivers nothing by
+// bad luck does not end the run.
 func RunOnlineRandom(e *Engine, ms core.MessageSet, seed int64) Stats {
-	if err := ms.Validate(e.tree); err != nil {
-		panic(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var stats Stats
-	pending := ms.Clone()
-	// First-offer cycle stamps for the latency histogram; they ride the same
-	// shuffle as pending (the swap consumes no randomness, so observing never
-	// perturbs the routing).
-	var ages, lat []int64
-	if e.obs != nil {
-		ages = make([]int64, len(pending))
-	}
-	// With random priorities (and possibly injected transient faults), an
-	// individual cycle can make zero progress by bad luck; only a long streak
-	// indicates genuine livelock.
-	zeroStreak := 0
-	const maxZeroStreak = 1000
-	for len(pending) > 0 && stats.Cycles < maxCyclesDefault {
-		rng.Shuffle(len(pending), func(i, j int) {
-			pending[i], pending[j] = pending[j], pending[i]
-			if ages != nil {
-				ages[i], ages[j] = ages[j], ages[i]
-			}
-		})
-		if stats.Cycles > 0 && e.obs != nil {
-			e.obs.Retries(len(pending)) // re-offered losers of earlier cycles
-		}
-		delivered, res := e.RunCycle(pending)
-		stats.Cycles++
-		stats.Delivered += res.Delivered
-		stats.Drops += res.Dropped
-		stats.Deferrals += res.Deferred
-		stats.PerCycle = append(stats.PerCycle, res.Delivered)
-		var next core.MessageSet
-		var nextAges []int64
-		for i, ok := range delivered {
-			if !ok {
-				next = append(next, pending[i])
-				if ages != nil {
-					nextAges = append(nextAges, ages[i])
-				}
-			} else if ages != nil {
-				lat = append(lat, int64(stats.Cycles)-ages[i])
-			}
-		}
-		if e.obs != nil {
-			e.obs.Latencies(lat)
-			lat = lat[:0]
-		}
-		if res.Delivered == 0 {
-			zeroStreak++
-			if zeroStreak >= maxZeroStreak {
-				return stats
-			}
-		} else {
-			zeroStreak = 0
-		}
-		pending, ages = next, nextAges
-	}
+	stats, _ := e.deliver(e.autoPool(), ms, nil, 0, maxCyclesDefault, randomOrder(seed), true)
 	return stats
 }

@@ -51,50 +51,37 @@ func UniformArrivals(t core.Topology, perCycle int, seed int64) ArrivalFunc {
 
 // RunOpenLoop drives the engine for the given number of cycles with the
 // arrival process, delivering with randomized per-cycle priorities (the
-// on-line protocol), and reports sustained-throughput statistics.
+// on-line protocol), and reports sustained-throughput statistics. Messages
+// still pending after the last cycle are the backlog; they are not drained.
 func RunOpenLoop(e *Engine, arrivals ArrivalFunc, cycles int, seed int64) OpenLoopStats {
-	rng := rand.New(rand.NewSource(seed))
-	var stats OpenLoopStats
-	type pendingMsg struct {
-		msg     core.Message
-		arrived int
+	half := cycles / 2
+	offered, offeredAtHalf := 0, 0
+	arrive := func(c int) core.MessageSet {
+		ms := arrivals(c)
+		offered += len(ms)
+		if c == half {
+			offeredAtHalf = offered
+		}
+		return ms
 	}
-	var pending []pendingMsg
-	latencySum := 0
-
-	backlogAt := make([]int, cycles)
-	for cyc := 0; cyc < cycles; cyc++ {
-		for _, m := range arrivals(cyc) {
-			pending = append(pending, pendingMsg{msg: m, arrived: cyc})
-			stats.Offered++
-		}
-		rng.Shuffle(len(pending), func(i, j int) { pending[i], pending[j] = pending[j], pending[i] })
-		batch := make(core.MessageSet, len(pending))
-		for i, p := range pending {
-			batch[i] = p.msg
-		}
-		delivered, res := e.RunCycle(batch)
-		stats.Cycles++
-		stats.Delivered += res.Delivered
-		var next []pendingMsg
-		for i, ok := range delivered {
-			if ok {
-				latencySum += cyc - pending[i].arrived + 1
-			} else {
-				next = append(next, pending[i])
-			}
-		}
-		pending = next
-		backlogAt[cyc] = len(pending)
+	run, latencySum := e.deliver(e.autoPool(), nil, arrive, cycles, cycles, randomOrder(seed), true)
+	stats := OpenLoopStats{
+		Cycles:    run.Cycles,
+		Offered:   offered,
+		Delivered: run.Delivered,
+		Backlog:   offered - run.Delivered,
 	}
-	stats.Backlog = len(pending)
 	if stats.Delivered > 0 {
 		stats.MeanLatency = float64(latencySum) / float64(stats.Delivered)
 	}
 	// Backlog slope over the second half: linear growth means saturation.
-	half := cycles / 2
 	if cycles-half > 1 {
-		stats.BacklogSlope = float64(backlogAt[cycles-1]-backlogAt[half]) / float64(cycles-1-half)
+		deliveredAtHalf := 0
+		for _, d := range run.PerCycle[:half+1] {
+			deliveredAtHalf += d
+		}
+		backlogAtHalf := offeredAtHalf - deliveredAtHalf
+		stats.BacklogSlope = float64(stats.Backlog-backlogAtHalf) / float64(cycles-1-half)
 	}
 	return stats
 }

@@ -2,43 +2,20 @@ package sim
 
 import (
 	"fattree/internal/core"
+	"fattree/internal/par"
 )
 
-// This file holds the cycle-path entry points and retry loops around the
-// shared data plane in engine.go. A cycle's switching work is embarrassingly
+// This file holds the engine-method entry points of the retry protocol and
+// the forced-parallel cycle. A cycle's switching work is embarrassingly
 // parallel within one tree level: during a sweep, the switches at level L
 // contest disjoint message sets (each in-flight message belongs to exactly
 // one level-L node) and disjoint channels, exactly the independence the
 // Theorem 1 parallel scheduler exploits per subtree. The parallel entry
-// points execute the bucketed data plane on the engine's worker pool
-// (internal/par); the serial entry points execute the identical data plane
+// points hand deliver (deliver.go) the engine's worker pool (internal/par);
+// the serial entry points hand it nil, and the identical data plane runs
 // inline. Every bucket preserves message-index order and all per-switch
 // randomness is pre-seeded by (seed, node), so the cycle's outcome is
 // bit-identical across executions for any worker count.
-
-// runCycleWithHistory runs one delivery cycle on the serial execution and
-// materializes the per-message wire histories (path order: leaf up channel
-// first) as retainable slices. The histories feed the off-line settings
-// compiler; the retry loops use the non-materializing runCycle instead.
-func (e *Engine) runCycleWithHistory(pending core.MessageSet) ([]bool, CycleResult, [][]int) {
-	delivered, res := e.runCycle(pending, nil)
-	return delivered, res, e.histories(e.scr.flights)
-}
-
-// runCycleParallelWithHistory is the parallel twin of runCycleWithHistory.
-func (e *Engine) runCycleParallelWithHistory(pending core.MessageSet) ([]bool, CycleResult, [][]int) {
-	delivered, res := e.runCycle(pending, e.pool)
-	return delivered, res, e.histories(e.scr.flights)
-}
-
-// runCycleAutoWithHistory dispatches the materializing cycle on the engine's
-// worker bound.
-func (e *Engine) runCycleAutoWithHistory(pending core.MessageSet) ([]bool, CycleResult, [][]int) {
-	if e.pool.Workers() > 1 {
-		return e.runCycleParallelWithHistory(pending)
-	}
-	return e.runCycleWithHistory(pending)
-}
 
 // RunCycleParallel is RunCycle on the level-sharded parallel path regardless
 // of the engine's worker bound (with one worker the level fan-out runs inline
@@ -49,83 +26,12 @@ func (e *Engine) RunCycleParallel(pending core.MessageSet) ([]bool, CycleResult)
 	return e.runCycle(pending, e.pool)
 }
 
-// runLoop is the online retry protocol of Section II parameterized by the
-// cycle implementation: every cycle, all undelivered messages are offered to
-// the network; losers are negatively acknowledged and retried. The pending
-// sets live in the engine's ping-pong scratch buffers, so steady-state
-// cycles allocate nothing (stats.PerCycle grows amortized). When an observer
-// is attached, first-offer cycle stamps ride along in a parallel ping-pong
-// pair so every delivery's latency (in cycles, 1 = delivered on first offer)
-// is batched to the observer; the stamps live in the engine's serial loop,
-// so latency histograms are bit-identical for any worker count.
-func (e *Engine) runLoop(ms core.MessageSet, cycle func(core.MessageSet) ([]bool, CycleResult)) Stats {
-	if err := ms.Validate(e.tree); err != nil {
-		panic(err)
-	}
-	var stats Stats
-	pending := append(e.scr.pendA[:0], ms...)
-	next := e.scr.pendB[:0]
-	var ages, agesNext, lat []int64
-	if e.obs != nil {
-		ages = growInt64s(e.scr.ageA, len(pending))
-		for i := range ages {
-			ages[i] = 0 // every message is first offered in cycle 0
-		}
-		agesNext = e.scr.ageB[:0]
-		lat = e.scr.latBuf[:0]
-	}
-	for len(pending) > 0 && stats.Cycles < maxCyclesDefault {
-		if stats.Cycles > 0 && e.obs != nil {
-			// Everything offered after the first cycle is a retry (the
-			// Section II negative-acknowledgment protocol re-offering losers).
-			e.obs.Retries(len(pending))
-		}
-		delivered, res := cycle(pending)
-		stats.Cycles++
-		stats.Delivered += res.Delivered
-		stats.Drops += res.Dropped
-		stats.Deferrals += res.Deferred
-		stats.PerCycle = append(stats.PerCycle, res.Delivered)
-		next = next[:0]
-		for i, ok := range delivered {
-			if !ok {
-				next = append(next, pending[i])
-			}
-		}
-		if e.obs != nil {
-			lat, agesNext = lat[:0], agesNext[:0]
-			for i, ok := range delivered {
-				if ok {
-					lat = append(lat, int64(stats.Cycles)-ages[i])
-				} else {
-					agesNext = append(agesNext, ages[i])
-				}
-			}
-			e.obs.Latencies(lat)
-			ages, agesNext = agesNext, ages
-		}
-		if res.Delivered == 0 && len(next) == len(pending) {
-			// No progress: with partial concentrators an unlucky matching can
-			// stall identical retries forever; report and stop. Abandoned
-			// messages record no latency.
-			break
-		}
-		pending, next = next, pending
-	}
-	e.scr.pendA, e.scr.pendB = pending[:0], next[:0]
-	if e.obs != nil {
-		e.scr.ageA, e.scr.ageB, e.scr.latBuf = ages[:0], agesNext[:0], lat[:0]
-	}
-	return stats
-}
-
 // Run delivers ms with the greedy online protocol on the serial reference
 // execution, regardless of the engine's worker bound. It is the baseline
 // RunParallel is proven bit-identical to.
 func (e *Engine) Run(ms core.MessageSet) Stats {
-	return e.runLoop(ms, func(pending core.MessageSet) ([]bool, CycleResult) {
-		return e.runCycle(pending, nil)
-	})
+	stats, _ := e.deliver(nil, ms, nil, 0, maxCyclesDefault, nil, true)
+	return stats
 }
 
 // RunParallel delivers ms with the greedy online protocol on the parallel
@@ -135,110 +41,28 @@ func (e *Engine) Run(ms core.MessageSet) Stats {
 // delivery profile, and every wire assignment are bit-identical to Run for
 // any worker count.
 func (e *Engine) RunParallel(ms core.MessageSet) Stats {
-	return e.runLoop(ms, func(pending core.MessageSet) ([]bool, CycleResult) {
-		return e.runCycle(pending, e.pool)
-	})
-}
-
-// runCyclesLoop plays a precomputed sequence of one-cycle message sets
-// through the given cycle implementation, carrying losses forward and
-// draining them at the end (losses only occur with partial concentrators or
-// injected faults). Pending and carry sets live in engine scratch.
-func (e *Engine) runCyclesLoop(cycles []core.MessageSet, cycle func(core.MessageSet) ([]bool, CycleResult)) Stats {
-	var stats Stats
-	pending := e.scr.pendA[:0]
-	carry := e.scr.pendB[:0]
-	var ages, carryAges, lat []int64
-	if e.obs != nil {
-		ages = e.scr.ageA[:0]
-		carryAges = e.scr.ageB[:0]
-		lat = e.scr.latBuf[:0]
-	}
-	// observeOutcomes batches the finished cycle's latencies and carries the
-	// losers' first-offer stamps forward, mirroring the carry rebuild below.
-	observeOutcomes := func(delivered []bool) {
-		lat, carryAges = lat[:0], carryAges[:0]
-		for i, ok := range delivered {
-			if ok {
-				lat = append(lat, int64(stats.Cycles)-ages[i])
-			} else {
-				carryAges = append(carryAges, ages[i])
-			}
-		}
-		e.obs.Latencies(lat)
-	}
-	for _, cyc := range cycles {
-		pending = append(append(pending[:0], carry...), cyc...)
-		if e.obs != nil {
-			ages = append(ages[:0], carryAges...)
-			for range cyc {
-				ages = append(ages, int64(stats.Cycles)) // first offered this cycle
-			}
-			if len(carry) > 0 {
-				e.obs.Retries(len(carry)) // carried losses are re-offered
-			}
-		}
-		delivered, res := cycle(pending)
-		stats.Cycles++
-		stats.Delivered += res.Delivered
-		stats.Drops += res.Dropped
-		stats.Deferrals += res.Deferred
-		stats.PerCycle = append(stats.PerCycle, res.Delivered)
-		carry = carry[:0]
-		for i, ok := range delivered {
-			if !ok {
-				carry = append(carry, pending[i])
-			}
-		}
-		if e.obs != nil {
-			observeOutcomes(delivered)
-		}
-	}
-	for len(carry) > 0 && stats.Cycles < maxCyclesDefault {
-		pending = append(pending[:0], carry...)
-		if e.obs != nil {
-			ages = append(ages[:0], carryAges...)
-			e.obs.Retries(len(pending)) // the drain loop only re-offers losses
-		}
-		delivered, res := cycle(pending)
-		stats.Cycles++
-		stats.Delivered += res.Delivered
-		stats.Drops += res.Dropped
-		stats.Deferrals += res.Deferred
-		stats.PerCycle = append(stats.PerCycle, res.Delivered)
-		carry = carry[:0]
-		for i, ok := range delivered {
-			if !ok {
-				carry = append(carry, pending[i])
-			}
-		}
-		if e.obs != nil {
-			observeOutcomes(delivered)
-		}
-		if res.Delivered == 0 && len(carry) == len(pending) {
-			break
-		}
-	}
-	e.scr.pendA, e.scr.pendB = pending[:0], carry[:0]
-	if e.obs != nil {
-		e.scr.ageA, e.scr.ageB, e.scr.latBuf = ages[:0], carryAges[:0], lat[:0]
-	}
+	stats, _ := e.deliver(e.pool, ms, nil, 0, maxCyclesDefault, nil, true)
 	return stats
 }
 
 // RunCycles plays a precomputed sequence of one-cycle message sets (for
 // example a schedule's Cycles) on the serial reference execution: cycle i
-// injects exactly the i-th set plus any earlier losses.
+// injects exactly the i-th set plus any earlier losses, and losses left after
+// the last set drain in further cycles (losses only occur with partial
+// concentrators or injected faults).
 func (e *Engine) RunCycles(cycles []core.MessageSet) Stats {
-	return e.runCyclesLoop(cycles, func(pending core.MessageSet) ([]bool, CycleResult) {
-		return e.runCycle(pending, nil)
-	})
+	return e.runCycles(nil, cycles)
 }
 
 // RunCyclesParallel is RunCycles on the parallel cycle path; its stats are
 // bit-identical to RunCycles for any worker count.
 func (e *Engine) RunCyclesParallel(cycles []core.MessageSet) Stats {
-	return e.runCyclesLoop(cycles, func(pending core.MessageSet) ([]bool, CycleResult) {
-		return e.runCycle(pending, e.pool)
-	})
+	return e.runCycles(e.pool, cycles)
+}
+
+// runCycles feeds cycles to deliver as its arrivals, one set per cycle.
+func (e *Engine) runCycles(pool *par.Pool, cycles []core.MessageSet) Stats {
+	arrive := func(c int) core.MessageSet { return cycles[c] }
+	stats, _ := e.deliver(pool, nil, arrive, len(cycles), maxCyclesDefault, nil, true)
+	return stats
 }

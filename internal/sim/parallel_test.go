@@ -128,10 +128,13 @@ func TestCycleParallelMatchesSerialExact(t *testing.T) {
 		ft := core.NewUniversal(n, n/4)
 		for _, cfg := range engineConfigs() {
 			ms := workload.Random(n, 2*n, int64(7*n))
-			wantDel, wantRes, wantHist := buildEngine(ft, cfg, 9, 1).runCycleWithHistory(ms)
+			serial := buildEngine(ft, cfg, 9, 1)
+			wantDel, wantRes := serial.runCycle(ms, nil)
+			wantHist := serial.histories(serial.scr.flights)
 			for _, w := range workerCounts() {
 				e := buildEngine(ft, cfg, 9, w)
-				gotDel, gotRes, gotHist := e.runCycleParallelWithHistory(ms)
+				gotDel, gotRes := e.runCycle(ms, e.pool)
+				gotHist := e.histories(e.scr.flights)
 				if !reflect.DeepEqual(wantDel, gotDel) {
 					t.Fatalf("n=%d %v workers=%d: delivered flags diverged", n, cfg, w)
 				}

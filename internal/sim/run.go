@@ -24,7 +24,7 @@ type Stats struct {
 	PerCycle []int
 }
 
-// maxCyclesDefault bounds retry loops against pathological livelock with
+// maxCyclesDefault bounds the retry loop against pathological livelock with
 // partial concentrators.
 const maxCyclesDefault = 100000
 
@@ -37,7 +37,8 @@ const maxCyclesDefault = 100000
 // with more than one worker route each cycle on the parallel path, with
 // identical results.
 func RunOnline(e *Engine, ms core.MessageSet) Stats {
-	return e.runLoop(ms, e.runCycleAuto)
+	stats, _ := e.deliver(e.autoPool(), ms, nil, 0, maxCyclesDefault, nil, true)
+	return stats
 }
 
 // RunSchedule plays a precomputed off-line schedule through the engine: cycle
@@ -50,7 +51,7 @@ func RunSchedule(e *Engine, s *sched.Schedule) Stats {
 	if s.Tree != e.tree {
 		panic(fmt.Sprintf("sim: schedule built for a different tree (%v vs %v)", s.Tree, e.tree))
 	}
-	return e.runCyclesLoop(s.Cycles, e.runCycleAuto)
+	return e.runCycles(e.autoPool(), s.Cycles)
 }
 
 // DeliverOffline is the headline convenience API: schedule ms with Theorem 1

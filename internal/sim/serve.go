@@ -2,85 +2,21 @@ package sim
 
 import (
 	"fattree/internal/core"
-	"fattree/internal/par"
 )
 
-// RunServe is the request-path twin of RunOnline: the same Section II retry
-// protocol with identical Cycles/Delivered/Drops/Deferrals and identical
+// RunServe is the request-path twin of RunOnline: the same retry protocol
+// (deliver) with identical Cycles/Delivered/Drops/Deferrals and identical
 // observer effects for any worker count, but shaped for a serving daemon
-// answering one request per call on a persistent engine. It differs from the
-// experiment entry points in exactly two ways: the per-cycle delivery
-// profile is not materialized (Stats.PerCycle stays nil — the only field of
-// runLoop's result that grows per call), and the cycle implementation is
-// dispatched once up front instead of through a per-call method value. Both
-// differences exist so a warmed engine's whole request — validation, retry
-// loop, latency batching, observer merges — performs zero heap allocations;
-// cmd/ftserve calls RunServe once per /v1/route request on the tenant's
-// persistent engine, and BenchmarkServeRoute pins the figure.
+// answering one request per call on a persistent engine. It does not
+// materialize the per-cycle delivery profile (Stats.PerCycle stays nil, the
+// only field of the result that grows per call), so a warmed engine's whole
+// request — validation, retry loop, latency batching, observer merges —
+// performs zero heap allocations; cmd/ftserve calls RunServe once per
+// /v1/route request on the tenant's persistent engine, and
+// BenchmarkServeRoute pins the figure.
 //
 //ftlint:hotpath
 func (e *Engine) RunServe(ms core.MessageSet) Stats {
-	//ftlint:ignore callgraphhotalloc Validate allocates only on its error path, which feeds the panic below; the happy path is allocation-free.
-	if err := ms.Validate(e.tree); err != nil {
-		panic(err)
-	}
-	var pool *par.Pool
-	if e.pool.Workers() > 1 {
-		pool = e.pool
-	}
-	var stats Stats
-	pending := append(e.scr.pendA[:0], ms...)
-	next := e.scr.pendB[:0]
-	// The ping-pong pairs live in pooled scratch even when unused (obs ==
-	// nil), so every append below grows storage that survives across calls.
-	ages := e.scr.ageA
-	agesNext := e.scr.ageB[:0]
-	lat := e.scr.latBuf[:0]
-	if e.obs != nil {
-		ages = growInt64s(e.scr.ageA, len(pending))
-		for i := range ages {
-			ages[i] = 0 // every message is first offered in cycle 0
-		}
-	}
-	for len(pending) > 0 && stats.Cycles < maxCyclesDefault {
-		if stats.Cycles > 0 && e.obs != nil {
-			// Everything offered after the first cycle is a retry (the
-			// Section II negative-acknowledgment protocol re-offering losers).
-			e.obs.Retries(len(pending))
-		}
-		delivered, res := e.runCycle(pending, pool)
-		stats.Cycles++
-		stats.Delivered += res.Delivered
-		stats.Drops += res.Dropped
-		stats.Deferrals += res.Deferred
-		next = next[:0]
-		for i, ok := range delivered {
-			if !ok {
-				next = append(next, pending[i])
-			}
-		}
-		if e.obs != nil {
-			lat, agesNext = lat[:0], agesNext[:0]
-			for i, ok := range delivered {
-				if ok {
-					lat = append(lat, int64(stats.Cycles)-ages[i])
-				} else {
-					agesNext = append(agesNext, ages[i])
-				}
-			}
-			e.obs.Latencies(lat)
-			ages, agesNext = agesNext, ages
-		}
-		if res.Delivered == 0 && len(next) == len(pending) {
-			// No progress: with partial concentrators an unlucky matching can
-			// stall identical retries forever; report and stop.
-			break
-		}
-		pending, next = next, pending
-	}
-	e.scr.pendA, e.scr.pendB = pending[:0], next[:0]
-	if e.obs != nil {
-		e.scr.ageA, e.scr.ageB, e.scr.latBuf = ages[:0], agesNext[:0], lat[:0]
-	}
+	stats, _ := e.deliver(e.autoPool(), ms, nil, 0, maxCyclesDefault, nil, false)
 	return stats
 }

@@ -92,3 +92,39 @@ func TestRunServeSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRetryLoopAllocs bounds the per-call allocations of the experiment-side
+// retry loops on a warmed, unobserved engine: what remains is the seeded
+// RNG, the shuffle closure and the growth of Stats.PerCycle, independent of
+// how many messages each cycle carries.
+func TestRetryLoopAllocs(t *testing.T) {
+	n := 64
+	ft := core.NewUniversal(n, 16)
+	e := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Workers: 1})
+	const maxAllocs = 16
+
+	ms := workload.Random(n, 4*n, 3)
+	RunOnlineRandom(e, ms, 5) // warm the scratch arena
+	allocs := testing.AllocsPerRun(10, func() {
+		if st := RunOnlineRandom(e, ms, 5); st.Delivered != len(ms) {
+			t.Fatalf("incomplete delivery: %+v", st)
+		}
+	})
+	t.Logf("RunOnlineRandom: %.1f allocs/op", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("RunOnlineRandom: %.1f allocs/op, want <= %d", allocs, maxAllocs)
+	}
+
+	arrivals := workload.Random(n, n/4, 7)
+	fixed := func(int) core.MessageSet { return arrivals }
+	RunOpenLoop(e, fixed, 400, 9) // warm the scratch arena
+	allocs = testing.AllocsPerRun(10, func() {
+		if st := RunOpenLoop(e, fixed, 400, 9); st.Delivered == 0 {
+			t.Fatalf("open loop delivered nothing: %+v", st)
+		}
+	})
+	t.Logf("RunOpenLoop over 400 cycles: %.1f allocs/op", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("RunOpenLoop over 400 cycles: %.1f allocs/op, want <= %d", allocs, maxAllocs)
+	}
+}

@@ -53,7 +53,8 @@ func CompileSettings(t core.Topology, s *sched.Schedule) *Settings {
 	e := New(t, concentrator.KindIdeal, 0)
 	st := &Settings{Tree: t, Cycles: make([][]WirePath, len(s.Cycles))}
 	for ci, cyc := range s.Cycles {
-		delivered, res, paths := e.runCycleAutoWithHistory(cyc)
+		delivered, res := e.runCycle(cyc, e.autoPool())
+		paths := e.histories(e.scr.flights)
 		for i, ok := range delivered {
 			if !ok {
 				panic(fmt.Sprintf("sim: compile dropped message %v in cycle %d (%+v) — unverified schedule?",

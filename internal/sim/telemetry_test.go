@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -81,6 +82,26 @@ func TestLatencyHistogram(t *testing.T) {
 		s := o.Snapshot()
 		if s.Latency.Count != int64(stats.Delivered) {
 			t.Fatalf("latency count %d != delivered %d", s.Latency.Count, stats.Delivered)
+		}
+	})
+
+	t.Run("open-loop", func(t *testing.T) {
+		// Arrivals above the skinny root's capacity, so losers carry over
+		// and latencies exceed 1. The histogram and MeanLatency come from
+		// the same first-offer stamps.
+		o := obsv.New(ft)
+		e := NewWithOptions(ft, concentrator.KindIdeal, 5, Options{Workers: 1, Observer: o})
+		stats := RunOpenLoop(e, UniformArrivals(ft, n, 25), 40, 27)
+		s := o.Snapshot()
+		if s.Latency.Count != int64(stats.Delivered) {
+			t.Fatalf("latency count %d != delivered %d", s.Latency.Count, stats.Delivered)
+		}
+		if s.Latency.Sum <= s.Latency.Count {
+			t.Fatalf("congested open loop recorded no retried delivery latencies: sum %d, count %d",
+				s.Latency.Sum, s.Latency.Count)
+		}
+		if mean := float64(s.Latency.Sum) / float64(s.Latency.Count); math.Abs(mean-stats.MeanLatency) > 1e-9 {
+			t.Fatalf("histogram mean latency %v != MeanLatency %v", mean, stats.MeanLatency)
 		}
 	})
 }
