@@ -261,41 +261,54 @@ func BenchmarkRouteCycleImplicit(b *testing.B) {
 // warmed persistent engine with its observer attached, and the RED merge —
 // exactly the work cmd/ftserve performs per /v1/route request after dequeue.
 // allocs/op is the tracked figure and must stay at 0 (pinned here by the CI
-// bench-guard and by TestServeRouteAllocs in cmd/ftserve).
+// bench-guard and by TestServeRouteAllocs in cmd/ftserve). The implicit rows
+// build the engine as cmd/ftserve does — an implicit tree, so the streaming
+// plane, with a per-node observer; the plain rows run the dense plane.
 func BenchmarkServeRoute(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		b.Run("n="+itoa(n), func(b *testing.B) {
-			ft := fattree.NewUniversal(n, n/4)
-			obs := fattree.NewObserver(ft)
-			eng := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 1,
-				fattree.Options{Workers: 1, Observer: obs})
-			red := fattree.NewRED()
-			spans := fattree.NewSpanRing(4096)
-			ms := fattree.RandomPermutation(n, 1)
-			// Warm the scratch arena so the measured loop is steady state.
-			eng.RunServe(ms)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trace := uint64(i + 1)
-				enq := spans.Now()
-				red.QueueEnter()
-				deq := spans.Now()
-				red.QueueExit((deq - enq) / 1000)
-				spans.Push(fattree.Span{
-					Trace: trace, Kind: fattree.SpanQueue, Start: enq, Dur: deq - enq,
-				})
-				st := eng.RunServe(ms)
-				end := spans.Now()
-				if st.Delivered != len(ms) {
-					b.Fatalf("request delivered %d of %d", st.Delivered, len(ms))
-				}
-				red.ObserveRequest(int64(st.Cycles), (end-deq)/1000, trace, false)
-				spans.Push(fattree.Span{
-					Trace: trace, Kind: fattree.SpanEngine, Start: deq, Dur: end - deq,
-					Cycles: int32(st.Cycles), Msgs: int32(len(ms)),
-				})
+	for _, implicit := range []bool{false, true} {
+		for _, n := range []int{64, 256} {
+			name := "n=" + itoa(n)
+			var ft fattree.Topology = fattree.NewUniversal(n, n/4)
+			if implicit {
+				name = "implicit/" + name
+				ft = fattree.NewImplicitUniversal(n, n/4)
 			}
+			b.Run(name, func(b *testing.B) { benchServeRoute(b, ft) })
+		}
+	}
+}
+
+// benchServeRoute is one BenchmarkServeRoute row on tree ft.
+func benchServeRoute(b *testing.B, ft fattree.Topology) {
+	n := ft.Processors()
+	obs := fattree.NewObserver(ft)
+	eng := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 1,
+		fattree.Options{Workers: 1, Observer: obs})
+	red := fattree.NewRED()
+	spans := fattree.NewSpanRing(4096)
+	ms := fattree.RandomPermutation(n, 1)
+	// Warm the scratch arena so the measured loop is steady state.
+	eng.RunServe(ms)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trace := uint64(i + 1)
+		enq := spans.Now()
+		red.QueueEnter()
+		deq := spans.Now()
+		red.QueueExit((deq - enq) / 1000)
+		spans.Push(fattree.Span{
+			Trace: trace, Kind: fattree.SpanQueue, Start: enq, Dur: deq - enq,
+		})
+		st := eng.RunServe(ms)
+		end := spans.Now()
+		if st.Delivered != len(ms) {
+			b.Fatalf("request delivered %d of %d", st.Delivered, len(ms))
+		}
+		red.ObserveRequest(int64(st.Cycles), (end-deq)/1000, trace, false)
+		spans.Push(fattree.Span{
+			Trace: trace, Kind: fattree.SpanEngine, Start: deq, Dur: end - deq,
+			Cycles: int32(st.Cycles), Msgs: int32(len(ms)),
 		})
 	}
 }

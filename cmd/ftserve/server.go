@@ -289,17 +289,17 @@ func newServer(cfg config) (*server, error) {
 }
 
 // initTenants builds the tenant-serving state: every tenant gets a persistent
-// serial engine on the shared topology (the request path must stay
-// allocation-free, which the parallel fan-out is not; -workers instead sizes
-// the dispatcher pool that processes distinct tenants concurrently), an
-// observer, a RED instrument block, and a bounded queue.
+// serial engine on the shared implicit topology — the streaming data plane,
+// whose per-node observer counters match the dense plane's exactly (-workers
+// sizes the dispatcher pool that processes distinct tenants concurrently) —
+// a per-node observer, a RED instrument block, and a bounded queue.
 func (s *server) initTenants() error {
 	n := s.cfg.sizes[0]
 	w := s.cfg.rootCap
 	if w == 0 {
 		w = n / 4
 	}
-	ft := fattree.NewUniversal(n, w)
+	ft := fattree.NewImplicitUniversal(n, w)
 	s.tenantIdx = make(map[string]*tenant, len(s.cfg.tenants))
 	s.workloadMenu = make(map[string]bool, len(s.cfg.workloads))
 	for _, wl := range s.cfg.workloads {

@@ -30,6 +30,15 @@ import (
 // maxRouteBody bounds a /v1/route body (single or per NDJSON batch).
 const maxRouteBody = 8 << 20
 
+// minWireMessage is the length of the shortest valid explicit message with
+// its separator: src defaults to 0, and a message may not target its source.
+const minWireMessage = len(`{"dst":1},`)
+
+// maxRouteMessages bounds a named workload's k by the most messages an
+// explicit body of maxRouteBody bytes could carry, so a short body cannot
+// ask for more work than the longest explicit one.
+const maxRouteMessages = maxRouteBody / minWireMessage
+
 // tenantBatch bounds how many requests one tenant drains per pool round, so
 // a hot tenant cannot starve the others between rounds.
 const tenantBatch = 64
@@ -259,6 +268,10 @@ func (s *server) buildRequest(tn *tenant, wire *routeWire, req *routeReq) (route
 		if wire.K < 0 {
 			return routeResp{Error: "k must be non-negative"}, http.StatusBadRequest
 		}
+		if wire.K > maxRouteMessages {
+			return routeResp{Error: fmt.Sprintf("k = %d exceeds the per-request limit of %d messages", wire.K, maxRouteMessages)},
+				http.StatusRequestEntityTooLarge
+		}
 		req.ms = buildWorkload(wire.Workload, n, wire.K, wire.Seed)
 		return routeResp{}, 0
 	case len(wire.Messages) > 0:
@@ -344,9 +357,6 @@ func (s *server) drainRound(counts []int) int {
 		processed += c
 		counts[i] = 0
 	}
-	if processed > 0 {
-		s.served.Add(int64(processed))
-	}
 	return processed
 }
 
@@ -392,6 +402,7 @@ func (tn *tenant) process(s *server, req *routeReq) {
 		Start: dequeued, Dur: end - dequeued,
 		Cycles: int32(st.Cycles), Msgs: int32(len(req.ms)), Err: req.failed,
 	})
+	s.served.Add(1) // before the client is answered, so /runs never lags it
 	req.done <- struct{}{}
 }
 

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fattree"
 )
@@ -398,9 +397,8 @@ func TestRunRingCapacity(t *testing.T) {
 }
 
 // TestTenantRunsEndpoint checks /runs tenant-mode semantics: total counts
-// served requests. The dispatcher adds a round's requests to the total when
-// the round ends, which can be after their clients were answered, so the
-// test polls until the total settles.
+// served requests. A request is counted before its client is answered, so
+// one read right after the last response sees every request.
 func TestTenantRunsEndpoint(t *testing.T) {
 	srv := tenantServer(t)
 	for i := 0; i < 3; i++ {
@@ -411,16 +409,106 @@ func TestTenantRunsEndpoint(t *testing.T) {
 	var doc struct {
 		Total int `json:"total"`
 	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if err := json.Unmarshal(get(t, srv, "/runs").Body.Bytes(), &doc); err != nil {
-			t.Fatal(err)
-		}
-		if doc.Total >= 3 || time.Now().After(deadline) {
-			break
-		}
+	if err := json.Unmarshal(get(t, srv, "/runs").Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
 	}
 	if doc.Total != 3 {
 		t.Fatalf("/runs total = %d, want 3 served requests", doc.Total)
+	}
+}
+
+// TestRouteRejectsOversizedK checks cost admission of named workloads: a k
+// above maxRouteMessages is refused with 413 before any message is built,
+// and the tenant records one rejected request and routes nothing.
+func TestRouteRejectsOversizedK(t *testing.T) {
+	srv := tenantServer(t)
+	rec := post(t, srv, `{"tenant":"alpha","workload":"random","k":2000000000}`, "application/json")
+	if rec.Code != 413 {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body.String())
+	}
+	var resp routeResp
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resp.Error, "exceeds") {
+		t.Fatalf("error %q does not explain the limit", resp.Error)
+	}
+	tn := srv.tenantIdx["alpha"]
+	snap := tn.red.Snapshot()
+	if snap.Requests != 1 || snap.Errors != 1 {
+		t.Fatalf("requests=%d errors=%d, want one rejection (1/1)", snap.Requests, snap.Errors)
+	}
+	if snap.DurationCycles.Count != 0 || snap.QueueWaitMicros.Count != 0 || snap.QueuePeak != 0 {
+		t.Fatalf("rejected request reached the queue or the engine: %+v", snap)
+	}
+	if tn.obs.C.Offered != 0 || srv.servedTotal() != 0 {
+		t.Fatalf("engine offered %d messages, served %d requests; want 0/0", tn.obs.C.Offered, srv.servedTotal())
+	}
+}
+
+// TestTenantMatchesDensePlane pins the tenant engines, which route on the
+// streaming plane of an implicit tree, to a dense-plane reference engine
+// built on a materialized tree with the seeds initTenants uses: every
+// response reports the reference's RunServe stats, and the observers hold
+// identical counters at the end. Ideal and partial-lossy switches both run.
+func TestTenantMatchesDensePlane(t *testing.T) {
+	bodies := []string{
+		`{"tenant":"beta","workload":"perm","seed":5}`,
+		`{"tenant":"beta","workload":"random","k":32,"seed":9}`,
+		`{"tenant":"beta","messages":[{"src":0,"dst":15},{"src":1,"dst":15},{"src":2,"dst":15},{"src":3,"dst":15},{"src":4,"dst":15},{"src":8,"dst":3},{"src":15,"dst":0}]}`,
+	}
+	for _, tc := range []struct {
+		name  string
+		flags []string
+	}{
+		{"ideal", nil},
+		{"partial-lossy", []string{"-switches", "partial", "-loss", "0.05"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := tenantServer(t, tc.flags...)
+			tn := srv.tenantIdx["beta"]
+			n, i := srv.cfg.sizes[0], int64(tn.idx)
+			ft := fattree.NewUniversal(n, n/4)
+			ref := fattree.NewObserver(ft)
+			eng := fattree.NewEngineWithOptions(ft, srv.cfg.switches, srv.cfg.seed+i,
+				fattree.Options{Workers: 1, Observer: ref})
+			if srv.cfg.loss > 0 {
+				eng.InjectLoss(srv.cfg.loss, srv.cfg.seed+7*i+3)
+			}
+			for _, body := range bodies {
+				rec := post(t, srv, body, "application/json")
+				var resp routeResp
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				var wire routeWire
+				if err := json.Unmarshal([]byte(body), &wire); err != nil {
+					t.Fatal(err)
+				}
+				ms := fattree.MessageSet{}
+				if wire.Workload != "" {
+					ms = buildWorkload(wire.Workload, n, wire.K, wire.Seed)
+				}
+				for _, m := range wire.Messages {
+					ms = append(ms, fattree.Message{Src: m.Src, Dst: m.Dst})
+				}
+				st := eng.RunServe(ms)
+				want := 200
+				if st.Delivered != len(ms) {
+					want = 422
+				}
+				if rec.Code != want {
+					t.Fatalf("%s: status %d, want %d: %s", body, rec.Code, want, rec.Body.String())
+				}
+				if resp.Messages != len(ms) || resp.Cycles != st.Cycles || resp.Delivered != st.Delivered ||
+					resp.Drops != st.Drops || resp.Deferrals != st.Deferrals {
+					t.Fatalf("%s: response %+v diverges from the dense plane %+v", body, resp, st)
+				}
+			}
+			if !fattree.ObserversEqual(tn.obs, ref) {
+				t.Fatal("tenant observer counters diverge from the dense plane")
+			}
+		})
 	}
 }
 

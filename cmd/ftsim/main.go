@@ -31,7 +31,7 @@ func main() {
 	n := flag.Int("n", 256, "number of processors (power of two)")
 	w := flag.Int("w", 0, "root capacity (default n/4)")
 	implicit := flag.Bool("implicit", false,
-		"compute the topology on the fly (no per-node state) and route with the subtree-sharded streaming engine; lets -n reach 2^20 in bounded memory")
+		"compute the topology on the fly (no per-node state) and route with the streaming engine; lets -n reach 2^20 in bounded memory")
 	kary := flag.String("kary", "",
 		"simulate a k-ary fat-tree instead of the binary universal profile: \"down;up;parallel[;root]\" with one comma-separated entry per tier, e.g. \"8,4;2,1;1,2\" (overrides -n and -w; requires ideal switches and -policy greedy|online)")
 	workloadName := flag.String("workload", "perm", "workload: perm|random|bitrev|transpose|shuffle|reversal|local|hotspot|nn|alltoall")

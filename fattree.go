@@ -43,8 +43,9 @@ type (
 	FatTree = core.FatTree
 	// ImplicitFatTree is the computed fat-tree: the same geometry in
 	// O(levels) memory, with no per-node storage. The simulation engine
-	// recognizes it and streams flight state through subtree shards, so
-	// 2^20-endpoint networks simulate in bounded memory.
+	// recognizes it and routes it on the serial streaming plane, which
+	// carries sorted flight keys from level to level, so 2^20-endpoint
+	// networks simulate in bounded memory.
 	ImplicitFatTree = core.ImplicitFatTree
 	// KaryFatTree is the generalized k-ary fat-tree: per-tier down/up/
 	// parallel descriptors with arbitrary radix and oversubscription. The

@@ -83,8 +83,8 @@ func HeapIndexed(t Topology) bool {
 // heap-indexed navigation, the per-level capacity profile, the sparse
 // override overlay — with no per-node storage and no way to demand any (it
 // has no CapTable method). Use it for topologies too large to materialize;
-// the simulation engine recognizes it and streams flight state through
-// subtree shards instead of allocating per-node arrays.
+// the simulation engine recognizes it and carries sorted flight keys from
+// level to level instead of allocating per-node arrays.
 type ImplicitFatTree struct {
 	geom
 }

@@ -91,46 +91,6 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForEachChunk splits [0, n) into `chunks` contiguous near-equal ranges and
-// runs fn(chunk, lo, hi) for each non-empty one on the pool. It is the
-// cache-friendly fan-out for index-parallel scans whose per-item cost is tiny
-// (collecting delivered flights, folding per-shard tallies): each worker
-// touches one contiguous range instead of interleaving with the others.
-// Distinct chunks must not write shared state; per-chunk results are merged
-// by the caller in chunk order. With one worker everything runs inline in
-// chunk order, so the serial path remains the one-worker special case.
-func (p *Pool) ForEachChunk(n, chunks int, fn func(chunk, lo, hi int)) {
-	if n <= 0 || chunks <= 0 {
-		return
-	}
-	if chunks > n {
-		chunks = n
-	}
-	size, rem := n/chunks, n%chunks
-	if p.Workers() <= 1 || chunks == 1 {
-		// Inline serial path: no adapter closure, so allocation-free callers
-		// stay allocation-free (the parallel path below spawns goroutines and
-		// is not).
-		for c := 0; c < chunks; c++ {
-			lo := c*size + min(c, rem)
-			hi := lo + size
-			if c < rem {
-				hi++
-			}
-			fn(c, lo, hi)
-		}
-		return
-	}
-	p.ForEach(chunks, func(c int) {
-		lo := c*size + min(c, rem)
-		hi := lo + size
-		if c < rem {
-			hi++
-		}
-		fn(c, lo, hi)
-	})
-}
-
 // Map runs fn over [0, n) on the pool and returns the results in index order —
 // the deterministic merge: out[i] = fn(i) regardless of worker count or
 // completion order.
@@ -140,9 +100,8 @@ func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 
 // MapInto is Map with caller-owned result storage: dst is resized (reusing its
 // backing array when capacity allows) to n and dst[i] = fn(i) for every i in
-// [0, n). Arena-backed callers — the scheduler's level fan-out, the engine's
-// shard merge — pass a scratch slice they reuse across calls, so the
-// steady-state fan-out allocates nothing.
+// [0, n). Arena-backed callers pass a scratch slice they reuse across calls,
+// so the steady-state fan-out allocates nothing.
 func MapInto[T any](p *Pool, dst []T, n int, fn func(i int) T) []T {
 	if cap(dst) < n {
 		dst = make([]T, n)

@@ -2,7 +2,6 @@ package par
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -98,48 +97,5 @@ func TestNilPoolRunsInline(t *testing.T) {
 	p.ForEach(10, func(i int) { sum += i })
 	if sum != 45 {
 		t.Errorf("nil pool sum = %d, want 45", sum)
-	}
-}
-
-func TestForEachChunkCoversExactly(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct{ n, chunks, workers int }{
-		{0, 4, 2}, {1, 4, 2}, {7, 3, 3}, {10, 4, 1}, {16, 16, 8}, {100, 7, 4}, {5, 100, 2},
-	} {
-		var mu sync.Mutex
-		seen := make([]int, tc.n)
-		New(tc.workers).ForEachChunk(tc.n, tc.chunks, func(chunk, lo, hi int) {
-			if lo >= hi {
-				t.Errorf("n=%d chunks=%d: empty chunk %d [%d,%d)", tc.n, tc.chunks, chunk, lo, hi)
-			}
-			mu.Lock()
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-			mu.Unlock()
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d chunks=%d: index %d covered %d times", tc.n, tc.chunks, i, c)
-			}
-		}
-	}
-}
-
-func TestForEachChunkSerialOrder(t *testing.T) {
-	t.Parallel()
-	// One worker (and a nil pool) must visit chunks inline, in order, with
-	// contiguous ranges.
-	var p *Pool
-	var bounds []int
-	p.ForEachChunk(10, 3, func(chunk, lo, hi int) { bounds = append(bounds, chunk, lo, hi) })
-	want := []int{0, 0, 4, 1, 4, 7, 2, 7, 10}
-	if len(bounds) != len(want) {
-		t.Fatalf("bounds = %v, want %v", bounds, want)
-	}
-	for i := range want {
-		if bounds[i] != want[i] {
-			t.Fatalf("bounds = %v, want %v", bounds, want)
-		}
 	}
 }

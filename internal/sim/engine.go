@@ -41,7 +41,8 @@
 // a level's switches — within one sweep they touch disjoint messages,
 // disjoint channels, and disjoint scratch — to fan the buckets out over a
 // bounded worker pool (internal/par), merging per-switch drop counts in node
-// order.
+// order. The streaming plane of an implicit tree has only the serial
+// execution; its parallel entry points route on the calling goroutine.
 //
 // The parallel path is bit-identical to the serial path for any worker
 // count. Contention winners are decided by per-switch request order, which
@@ -71,7 +72,8 @@ type Options struct {
 	// goroutines. 0 means runtime.GOMAXPROCS(0). 1 pins the engine to the
 	// serial reference path (RunCycle routes switches one by one). The
 	// delivered messages, drop counts, and wire assignments are identical
-	// for every value — workers only change wall-clock time.
+	// for every value — workers only change wall-clock time. An implicit
+	// tree's streaming plane always routes serially, whatever the value.
 	Workers int
 
 	// Observer, when non-nil, attaches the observability layer (internal/
@@ -116,10 +118,11 @@ type Engine struct {
 	levelWorker func(k int)
 
 	// stream is non-nil when the engine simulates an ImplicitFatTree: the
-	// subtree-sharded streaming data plane of stream.go replaces the dense
-	// per-node state above (switches, caps, scr.node, scr.buckets, the
-	// injection counters), whose slices are then left nil. Memory becomes
-	// O(messages × path length + shards), independent of n.
+	// streaming data plane of stream.go, which carries sorted (node, flight)
+	// key lists from one sweep step to the next, replaces the dense per-node
+	// state above (switches, caps, scr.node, scr.buckets, the injection
+	// counters), whose slices are then left nil. Memory becomes
+	// O(messages × path length), independent of n.
 	stream *streamState
 
 	// kary is non-nil when the engine simulates a KaryFatTree: the level-
@@ -429,7 +432,7 @@ func (e *Engine) collect(pending core.MessageSet, flights []flight, res *CycleRe
 //ftlint:hotpath
 func (e *Engine) runCycle(pending core.MessageSet, pool *par.Pool) ([]bool, CycleResult) {
 	if e.stream != nil {
-		return e.runCycleStream(pending, pool)
+		return e.runCycleStream(pending)
 	}
 	if e.kary != nil {
 		return e.runCycleKary(pending, pool)

@@ -13,7 +13,8 @@ import (
 // topology's level-order tables (Parent, Children, LevelRange, AncestorAt).
 //
 // The plane routes with *inline ideal concentrators* — the same rules the
-// streaming engine applies to uniform shards, generalized to d children:
+// binary streaming plane applies to each node run, generalized to d
+// children:
 //
 //   - Upward: when the parent channel is at least as wide as all child
 //     channels together, every message passes through on the wire it already

@@ -11,23 +11,36 @@ import (
 
 // This file is the streaming data plane selected when the engine simulates an
 // ImplicitFatTree: the per-node arrays of the dense engine (switch objects,
-// capacity table, bucket lists, injection counters) are replaced by a fixed
-// set of subtree shards that stream the active flights level by level, so
-// engine memory is O(messages × path length + shards) — independent of the
-// processor count. The per-shard wire guards are bitsets, one bit per wire of
-// the widest channel a shard routes, so even the 2^18-wire root channel of a
+// capacity table, bucket lists, injection counters) are replaced by sorted
+// lists of (node, flight) keys that the plane carries from one sweep step to
+// the next, so engine memory is O(messages × path length) — independent of
+// the processor count. The wire guards are bitsets, one bit per wire of the
+// widest channel routed, so even the 2^18-wire root channel of a
 // 2^20-endpoint universal tree costs 32 KiB. That network — topology plus a
 // warmed engine — retains about 9 bytes per endpoint, where the dense engine
 // would need per-node gigabytes.
 //
+// The carried lists follow the switch of Section II, whose up concentrators
+// combine a node's two child channels into its parent channel one level at a
+// time. Every list holds node<<32 | flightIndex keys in ascending order, so
+// each node's requests are contiguous and in message-index order:
+//
+//   - Injection sorts the (leaf, index) keys once per cycle — the plane's
+//     only sort — and admits the first capAt(leaf) flights of each leaf.
+//   - A step routes its nodes in ascending order and emits each winner keyed
+//     by the node whose channel it now holds. Re-keyed by parent, every group
+//     is a left-child run followed by a right-child run, both ascending, and
+//     one linear merge per group (siblingMerge) restores the sorted order.
+//     Winners that keep climbing form the next up step's request list;
+//     winners whose LCA is the parent are parked in that level's turn list.
+//   - A down step merges (mergeKeys) the descenders carried from the step
+//     above — emitted per node as left-child winners, then right-child
+//     winners, so already ascending — with the level's turn list.
+//
 // Equivalence with the dense engine is structural, not coincidental:
 //
-//   - Ownership: a flight is routed by exactly the node the dense own() rules
-//     select; the shard owning that node is a pure function of its heap index
-//     (shardOf), so the partition is identical for every worker count.
-//   - Order: each shard sorts its (node, flight-index) keys, which makes
-//     every node's request list ascend in message-index order — the same
-//     order the dense buckets are built in. Ideal concentrators are
+//   - Order: every node's request list ascends in message-index order — the
+//     same order the dense buckets are built in. Ideal concentrators are
 //     positional and the wire each request wins depends only on that order.
 //   - Switches: ideal-kind routing is computed inline from the capacity
 //     profile (Ideal and passThrough concentrators are stateless and
@@ -36,21 +49,20 @@ import (
 //     seeds the dense engine uses — partial concentrators draw randomness
 //     only at construction and Lossy draws once per routed message, so lazy
 //     creation cannot perturb any RNG stream.
-//   - Merges: drop counts, deferral counts, and observer events fan in at
-//     serial points in ascending shard order (and message-index order inside
-//     each node run), mirroring the dense merge discipline.
+//   - Observation: drop counts and observer events are recorded node by node
+//     in ascending node order, and in message-index order inside each node
+//     run, the same events the dense merge points emit.
 //
-// Together these give bit-identical Stats, PerCycle vectors, wire histories,
-// and observer counters for any worker count, serial included.
+// The plane is serial: an engine with any worker bound routes an implicit
+// tree on the calling goroutine, so Stats, PerCycle vectors, wire histories,
+// and observer counters are identical for every worker count.
 
-// streamShardBits bounds the shard count at 2^6 = 64: enough parallelism for
-// the worker pool to load-balance, few enough that per-shard scratch stays
-// cache-resident and the serial merge is trivial.
-const streamShardBits = 6
+// keyIndex masks the flight index out of a node<<32 | flightIndex key.
+const keyIndex = 1<<32 - 1
 
 // streamState is the engine state of the streaming data plane.
 type streamState struct {
-	e *Engine // back-pointer for the persistent worker closures
+	e *Engine
 
 	n      int // processors
 	levels int
@@ -69,40 +81,29 @@ type streamState struct {
 	lossRate float64
 	lossSeed int64
 
-	shardBits uint
-	shards    []streamShard
+	// The carried key lists, each ascending. keys is the current step's
+	// request list; up and turn collect an up step's winners (keyed by the
+	// node whose up channel they hold) that keep climbing or turn at the
+	// parent; desc collects a down step's winners keyed by the child whose
+	// down channel they hold (and the admitted external inputs, keyed by the
+	// root, before the first down step).
+	keys, up, turn, desc []uint64
 
-	// Sweep-step parameters for the persistent worker closures; set serially
-	// before each fan-out.
-	curLevel   int
-	curUp      bool
-	curPending core.MessageSet
+	// turns concatenates the per-level turn lists in the order the up sweep
+	// produces them, deepest level first: level l's list is
+	// turns[turnOff[l+1]:turnOff[l]], and turnOff[levels] stays 0.
+	turns   []uint64
+	turnOff []int
 
-	// Per-chunk delivered tallies for the collect fan-out.
-	chunkDelivered []int
-
-	injectWorker  func(s int)
-	routeWorker   func(s int)
-	collectWorker func(chunk, lo, hi int)
+	sh streamShard
 }
 
-// streamShard is one subtree shard: the scatter buffer of (node, flight)
-// keys for the current sweep step, the per-node wire guards, and the lazy
-// special-switch table. Distinct shards are touched by distinct workers; all
-// fields merge serially.
+// streamShard is the node-run scratch of the streaming plane: the per-run
+// wire guards, the lazy special-switch table, and the drop tally. The plane
+// routes the whole tree as one shard.
 type streamShard struct {
-	// keys holds node<<32 | flightIndex, appended in message-index order by
-	// the serial scatter and sorted by the shard worker, which groups each
-	// node's flights contiguously with message-index order inside the group.
-	keys []uint64
-
-	// Per-step outcome tallies, merged and reset serially.
-	drops    int
-	deferred int
-
-	// runs records each routed node's key range and counter deltas for the
-	// observer replay; empty unless an observer is attached.
-	runs []streamRun
+	// drops tallies the current cycle's dropped flights.
+	drops int
 
 	// special maps node -> materialized switch for non-ideal routing (partial
 	// concentrators, injected loss). Ideal-kind engines without loss never
@@ -112,8 +113,8 @@ type streamShard struct {
 	// reqs is the reusable request list for special-switch routing.
 	reqs []concentrator.Request
 
-	// Per-run wire guards, one bit per wire, grown to the widest channel this
-	// shard routes. They check the same hardware invariant as the dense
+	// Per-run wire guards, one bit per wire, grown to the widest channel
+	// routed. They check the same hardware invariant as the dense
 	// nodeScratch guards: no channel wire assigned twice in one sweep. A node
 	// run sets the bit of each wire it assigns and clears them again by
 	// walking its winners (releaseRun), so every bit is clear between runs
@@ -186,15 +187,6 @@ func (sh *streamShard) releaseRun(flights []flight, run []uint64, upSweep bool) 
 	}
 }
 
-// streamRun is one node's routed key range within a shard's sorted keys.
-type streamRun struct {
-	v          int
-	start, end int
-	drops      int
-	dRounds    int64
-	dFaults    int64
-}
-
 // streamSwitch is a lazily materialized switch plus the cumulative-counter
 // snapshots that turn its hardware counters into per-run deltas.
 type streamSwitch struct {
@@ -209,20 +201,14 @@ func newStreamEngine(t *core.ImplicitFatTree, kind concentrator.Kind, seed int64
 		tree: t,
 		pool: par.New(opts.Workers),
 	}
-	shardBits := uint(streamShardBits)
-	if lv := uint(t.Levels()); shardBits > lv {
-		shardBits = lv
-	}
 	st := &streamState{
-		e:              e,
-		n:              t.Processors(),
-		levels:         t.Levels(),
-		levelCaps:      t.LevelCapTable(),
-		kind:           kind,
-		seed:           seed,
-		shardBits:      shardBits,
-		shards:         make([]streamShard, 1<<shardBits),
-		chunkDelivered: make([]int, 1<<shardBits),
+		e:         e,
+		n:         t.Processors(),
+		levels:    t.Levels(),
+		levelCaps: t.LevelCapTable(),
+		kind:      kind,
+		seed:      seed,
+		turnOff:   make([]int, t.Levels()+1),
 	}
 	t.Overrides(func(node, cap int) {
 		if st.ov == nil {
@@ -230,9 +216,6 @@ func newStreamEngine(t *core.ImplicitFatTree, kind concentrator.Kind, seed int64
 		}
 		st.ov[node] = cap
 	})
-	st.injectWorker = st.runInjectShard
-	st.routeWorker = st.runRouteShard
-	st.collectWorker = st.runCollectChunk
 	e.stream = st
 	if opts.Observer != nil {
 		e.SetObserver(opts.Observer)
@@ -253,21 +236,6 @@ func (st *streamState) capAt(v int) int {
 	return st.levelCaps[bits.Len(uint(v))-1]
 }
 
-// shardOf maps a heap node to its owning shard: nodes at or above the shard
-// level own a slot apiece, deeper nodes belong to the shard of their ancestor
-// at the shard level — the top-level-subtree partition the issue names. The
-// mapping is a pure function of the node index, so the work partition is
-// identical for every worker count.
-//
-//ftlint:hotpath
-func (st *streamState) shardOf(v int) int {
-	k := uint(bits.Len(uint(v))) - 1
-	if k <= st.shardBits {
-		return v - 1<<k
-	}
-	return int(uint(v)>>(k-st.shardBits)) - 1<<st.shardBits
-}
-
 // injectLoss records the transient-fault model and wraps the switches
 // materialized so far; switches created later are wrapped at construction
 // with the same per-node seeds the dense engine uses. Lossy concentrators
@@ -276,10 +244,8 @@ func (st *streamState) injectLoss(rate float64, seed int64) {
 	st.lossOn = true
 	st.lossRate = rate
 	st.lossSeed = seed
-	for s := range st.shards {
-		for v, ss := range st.shards[s].special {
-			ss.sw.InjectLoss(rate, seed+int64(3*v))
-		}
+	for v, ss := range st.sh.special {
+		ss.sw.InjectLoss(rate, seed+int64(3*v))
 	}
 }
 
@@ -287,11 +253,9 @@ func (st *streamState) injectLoss(rate float64, seed int64) {
 // materialized switch so per-run deltas start at the observer attach point —
 // the streaming analog of the dense PrimeSwitch loop.
 func (st *streamState) primeSpecials() {
-	for s := range st.shards {
-		for _, ss := range st.shards[s].special {
-			ss.lastRounds = ss.sw.MatchingRounds()
-			ss.lastFaults = ss.sw.FaultDrops()
-		}
+	for _, ss := range st.sh.special {
+		ss.lastRounds = ss.sw.MatchingRounds()
+		ss.lastFaults = ss.sw.FaultDrops()
 	}
 }
 
@@ -306,7 +270,7 @@ func (sh *streamShard) switchFor(st *streamState, v int) *streamSwitch {
 		return ss
 	}
 	if sh.special == nil {
-		//ftlint:ignore callgraphhotalloc one-time lazy table per shard: populated only for partial or lossy switches, never on the ideal steady state.
+		//ftlint:ignore callgraphhotalloc one-time lazy table: populated only for partial or lossy switches, never on the ideal steady state.
 		sh.special = make(map[int]*streamSwitch)
 	}
 	//ftlint:ignore callgraphhotalloc one-time switch materialization on first contest; the ideal steady state never reaches it.
@@ -319,44 +283,108 @@ func (sh *streamShard) switchFor(st *streamState, v int) *streamSwitch {
 	return ss
 }
 
-// runCycleStream is the streaming delivery-cycle data plane: scatter-sorted
-// injection, level-synchronized upward and downward sweeps over the shards,
-// chunked collect. Serial when pool is nil, fanned out otherwise; the results
-// are bit-identical either way (see the file comment).
+// siblingMerge appends to dst the keys of src re-keyed from their node to
+// the node's parent, in ascending order. src must ascend, as a step's
+// winners keyed by the node whose channel they hold do: each parent's group
+// is then its left child's run followed by its right child's run, both in
+// message-index order, and one linear merge per group puts them in order.
 //
 //ftlint:hotpath
-func (e *Engine) runCycleStream(pending core.MessageSet, pool *par.Pool) ([]bool, CycleResult) {
+func siblingMerge(dst, src []uint64) []uint64 {
+	for i := 0; i < len(src); {
+		c := src[i] >> 32
+		parent := c >> 1 << 32
+		j := runEnd(src, i)
+		k := j // src[i:j] is the first child's run, src[j:k] the right one's
+		if c&1 == 0 && k < len(src) && src[k]>>32 == c|1 {
+			k = runEnd(src, k)
+		}
+		l, r := i, j
+		for l < j && r < k {
+			if src[l]&keyIndex < src[r]&keyIndex {
+				dst = append(dst, parent|src[l]&keyIndex)
+				l++
+			} else {
+				dst = append(dst, parent|src[r]&keyIndex)
+				r++
+			}
+		}
+		for ; l < j; l++ {
+			dst = append(dst, parent|src[l]&keyIndex)
+		}
+		for ; r < k; r++ {
+			dst = append(dst, parent|src[r]&keyIndex)
+		}
+		i = k
+	}
+	return dst
+}
+
+// runEnd returns the end of the node run that starts at keys[start].
+//
+//ftlint:hotpath
+func runEnd(keys []uint64, start int) int {
+	end := start + 1
+	for end < len(keys) && keys[end]>>32 == keys[start]>>32 {
+		end++
+	}
+	return end
+}
+
+// mergeKeys appends to dst the merge of the ascending key lists a and b.
+//
+//ftlint:hotpath
+func mergeKeys(dst, a, b []uint64) []uint64 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			dst = append(dst, a[i])
+			i++
+		} else {
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// runCycleStream is the streaming delivery-cycle data plane: sorted
+// injection, the upward and downward sweeps over the carried key lists, and
+// collect.
+//
+//ftlint:hotpath
+func (e *Engine) runCycleStream(pending core.MessageSet) ([]bool, CycleResult) {
 	st := e.stream
-	st.curPending = pending
-	flights, res := e.injectStream(pending, pool)
+	flights, res := e.injectStream(pending)
 	if e.obs != nil {
 		e.observeInject(pending, flights)
 	}
-	leafLevel := st.levels
-	for level := leafLevel - 1; level >= 0; level-- {
-		e.streamLevel(pool, level, true, &res)
+	for level := st.levels - 1; level >= 0; level-- {
+		st.sweepUp(level)
 	}
-	for level := 0; level < leafLevel; level++ {
-		e.streamLevel(pool, level, false, &res)
+	for level := 0; level < st.levels; level++ {
+		st.sweepDown(level)
 	}
-	delivered := e.collectStream(pool, pending, flights, &res)
+	res.Dropped, st.sh.drops = st.sh.drops, 0
+	delivered := e.collect(pending, flights, &res)
 	if e.obs != nil {
 		e.obs.CycleEnd(res.Delivered, res.Dropped, res.Deferred)
 	}
-	st.curPending = nil
 	return delivered, res
 }
 
-// injectStream starts a delivery cycle without per-processor counters: a
-// serial pass admits external inputs onto the root down channel in message
-// order and scatters internal sources to their leaf's shard; each shard then
-// sorts its keys, which lines up every leaf's messages in message-index order
-// and makes "the first capAt(leaf) win, the rest defer" identical to the
-// dense epoch-counter rule. A final serial pass lays out the wire-history
-// arena in message-index order.
+// injectStream starts a delivery cycle without per-processor counters.
+// External inputs are admitted onto the root down channel in message order
+// and become the first down step's descenders. Internal sources are sorted
+// by (leaf, index), which lines up every leaf's messages in message-index
+// order and makes "the first capAt(leaf) win, the rest defer" identical to
+// the dense epoch-counter rule; the winners are carried to the leaves'
+// parents. A final pass lays out the wire-history arena in message-index
+// order.
 //
 //ftlint:hotpath
-func (e *Engine) injectStream(pending core.MessageSet, pool *par.Pool) ([]flight, CycleResult) {
+func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 	t := e.tree
 	st := e.stream
 	scr := &e.scr
@@ -369,6 +397,7 @@ func (e *Engine) injectStream(pending core.MessageSet, pool *par.Pool) ([]flight
 
 	rootCap := st.capAt(1)
 	rootInjected := 0
+	keys, desc := st.keys[:0], st.desc[:0]
 	for i, m := range pending {
 		if m.Src == core.External {
 			if rootInjected >= rootCap {
@@ -381,23 +410,51 @@ func (e *Engine) injectStream(pending core.MessageSet, pool *par.Pool) ([]flight
 				dstLeaf: t.Leaf(m.Dst),
 				histLen: 1,
 			}
+			desc = append(desc, 1<<32|uint64(uint32(i)))
 			rootInjected++
 			continue
 		}
-		leaf := t.Leaf(m.Src)
-		sh := &st.shards[st.shardOf(leaf)]
-		sh.keys = append(sh.keys, uint64(leaf)<<32|uint64(uint32(i)))
+		keys = append(keys, uint64(t.Leaf(m.Src))<<32|uint64(uint32(i)))
 	}
+	st.desc = desc
+	slices.Sort(keys)
 
-	//ftlint:ignore callgraphhotalloc parallel fan-out spawns worker closures by design; the serial path (nil pool) returns before allocating.
-	pool.ForEach(len(st.shards), st.injectWorker)
-
-	for s := range st.shards {
-		sh := &st.shards[s]
-		res.Deferred += sh.deferred
-		sh.deferred = 0
-		sh.keys = sh.keys[:0]
+	up, turn := st.up[:0], st.turn[:0]
+	n := st.n
+	leaf, capLeaf, rank := -1, 0, 0
+	for _, k := range keys {
+		v := int(k >> 32)
+		i := int(uint32(k))
+		if v != leaf {
+			leaf, rank = v, 0
+			capLeaf = st.capAt(v)
+		}
+		m := pending[i]
+		if rank >= capLeaf {
+			flights[i] = flight{msg: m, state: flightLost}
+			res.Deferred++
+			rank++
+			continue
+		}
+		lca, dstLeaf := 0, 0 // sentinel: exits through the root interface
+		if m.Dst != core.External {
+			dstLeaf = n + m.Dst
+			lca = v >> uint(bits.Len(uint(v^dstLeaf)))
+		}
+		flights[i] = flight{
+			msg: m, state: flightUp, node: v, wire: rank,
+			lca: lca, dstLeaf: dstLeaf, histLen: 1,
+		}
+		if lca == v>>1 {
+			turn = append(turn, k)
+		} else {
+			up = append(up, k)
+		}
+		rank++
 	}
+	st.keys = keys
+	st.turns = st.turns[:0]
+	st.carryUp(st.levels-1, up, turn)
 
 	// Arena layout in message-index order: each admitted flight reserves its
 	// exact path length and records its injection wire, matching the dense
@@ -421,144 +478,100 @@ func (e *Engine) injectStream(pending core.MessageSet, pool *par.Pool) ([]flight
 	return flights, res
 }
 
-// runInjectShard admits one shard's scattered sources: sort brings each
-// leaf's flights together in message-index order; the first capAt(leaf) of a
-// leaf win successive wires of its up channel, the surplus defers.
+// carryUp hands the winners of the step below level to level: up (the
+// flights that keep climbing) becomes level's up-step request list and turn
+// (the flights whose LCA is at level) becomes level's turn list, both
+// re-keyed by parent with siblingMerge.
 //
 //ftlint:hotpath
-func (st *streamState) runInjectShard(s int) {
-	sh := &st.shards[s]
-	if len(sh.keys) == 0 {
-		return
-	}
-	slices.Sort(sh.keys)
+func (st *streamState) carryUp(level int, up, turn []uint64) {
+	st.keys = siblingMerge(st.keys[:0], up)
+	st.turns = siblingMerge(st.turns, turn)
+	st.turnOff[level] = len(st.turns)
+	st.up, st.turn = up[:0], turn[:0]
+}
+
+// sweepUp runs the up step at level: it routes each node run of the request
+// list and sorts the winners into the flights that keep climbing and the
+// flights that turn at the parent.
+//
+//ftlint:hotpath
+func (st *streamState) sweepUp(level int) {
+	keys := st.keys
 	flights := st.e.scr.flights
-	pending := st.curPending
-	n := st.n
-	leaf, capLeaf, rank := -1, 0, 0
-	for _, k := range sh.keys {
-		v := int(k >> 32)
-		i := int(uint32(k))
-		if v != leaf {
-			leaf, rank = v, 0
-			capLeaf = st.capAt(v)
-		}
-		m := pending[i]
-		if rank >= capLeaf {
-			flights[i] = flight{msg: m, state: flightLost}
-			sh.deferred++
-			rank++
-			continue
-		}
-		lca, dstLeaf := 0, 0 // sentinel: exits through the root interface
-		if m.Dst != core.External {
-			dstLeaf = n + m.Dst
-			lca = v >> uint(bits.Len(uint(v^dstLeaf)))
-		}
-		flights[i] = flight{
-			msg: m, state: flightUp, node: v, wire: rank,
-			lca: lca, dstLeaf: dstLeaf, histLen: 1,
-		}
-		rank++
-	}
-}
-
-// streamLevel runs one sweep step: a serial scatter applying the dense
-// ownership rules to every flight in message-index order, the shard fan-out,
-// and the serial merge (drops, then observer replay) in ascending shard
-// order.
-//
-//ftlint:hotpath
-func (e *Engine) streamLevel(pool *par.Pool, level int, upSweep bool, res *CycleResult) {
-	st := e.stream
-	flights := e.scr.flights
-	first := 1 << uint(level)
-	if upSweep {
-		for i := range flights {
-			f := &flights[i]
-			if f.state != flightUp || f.lca == f.node>>1 {
-				continue
-			}
-			v := f.node >> 1
-			if v >= first && v < 2*first {
-				sh := &st.shards[st.shardOf(v)]
-				sh.keys = append(sh.keys, uint64(v)<<32|uint64(uint32(i)))
-			}
-		}
-	} else {
-		for i := range flights {
-			f := &flights[i]
-			var v int
-			switch f.state {
-			case flightUp: // waiting to turn at its LCA
-				v = f.lca
-			case flightDown: // holds the down wire above f.node
-				v = f.node
-			default:
-				continue
-			}
-			if v >= first && v < 2*first {
-				sh := &st.shards[st.shardOf(v)]
-				sh.keys = append(sh.keys, uint64(v)<<32|uint64(uint32(i)))
-			}
-		}
-	}
-	st.curLevel, st.curUp = level, upSweep
-
-	//ftlint:ignore callgraphhotalloc parallel fan-out spawns worker closures by design; the serial path (nil pool) returns before allocating.
-	pool.ForEach(len(st.shards), st.routeWorker)
-
-	for s := range st.shards {
-		sh := &st.shards[s]
-		res.Dropped += sh.drops
-		sh.drops = 0
-		if e.obs != nil {
-			e.observeStreamRuns(sh)
-			sh.runs = sh.runs[:0]
-		}
-		sh.keys = sh.keys[:0]
-	}
-}
-
-// runRouteShard routes one shard's share of the sweep step: sort groups each
-// contested node's flights contiguously in message-index order, then every
-// node run is routed independently.
-//
-//ftlint:hotpath
-func (st *streamState) runRouteShard(s int) {
-	sh := &st.shards[s]
-	if len(sh.keys) == 0 {
-		return
-	}
-	slices.Sort(sh.keys)
-	keys := sh.keys
+	up, turn := st.up[:0], st.turn[:0]
 	for start := 0; start < len(keys); {
-		v := int(keys[start] >> 32)
-		end := start + 1
-		for end < len(keys) && int(keys[end]>>32) == v {
-			end++
+		v, end := int(keys[start]>>32), runEnd(keys, start)
+		run := keys[start:end]
+		st.routeStreamNode(v, run, level, true)
+		for _, k := range run {
+			f := &flights[int(uint32(k))]
+			if f.state != flightUp { // dropped, or delivered out of the root
+				continue
+			}
+			if f.lca == v>>1 {
+				turn = append(turn, k)
+			} else {
+				up = append(up, k)
+			}
 		}
-		st.routeStreamNode(sh, v, start, end)
 		start = end
 	}
+	if level > 0 {
+		st.carryUp(level-1, up, turn)
+	}
 }
 
-// routeStreamNode contests node v with the flights of keys[start:end]. The
-// ideal-concentrator case is routed inline — Ideal and passThrough
+// sweepDown runs the down step at level: the descenders carried from the
+// step above merge with the level's turn list into the request list, and
+// each node run's winners are carried down, left child's first.
+//
+//ftlint:hotpath
+func (st *streamState) sweepDown(level int) {
+	keys := mergeKeys(st.keys[:0], st.desc, st.turns[st.turnOff[level+1]:st.turnOff[level]])
+	st.keys = keys
+	flights := st.e.scr.flights
+	carry := level+1 < st.levels // the last step delivers every winner
+	desc, right := st.desc[:0], st.up[:0]
+	for start := 0; start < len(keys); {
+		v, end := int(keys[start]>>32), runEnd(keys, start)
+		run := keys[start:end]
+		st.routeStreamNode(v, run, level, false)
+		if carry {
+			// Left-child winners go straight to desc; right-child winners
+			// wait in right (the up list is idle in the down sweep).
+			right = right[:0]
+			for _, k := range run {
+				if f := &flights[int(uint32(k))]; f.state == flightDown {
+					k = uint64(f.node)<<32 | k&keyIndex
+					if f.node&1 == 0 {
+						desc = append(desc, k)
+					} else {
+						right = append(right, k)
+					}
+				}
+			}
+			desc = append(desc, right...)
+		}
+		start = end
+	}
+	st.desc, st.up = desc, right[:0]
+}
+
+// routeStreamNode contests node v, at level vLevel, with the flights of run.
+// The ideal-concentrator case is routed inline — Ideal and passThrough
 // concentrators are positional and stateless, so the wire each request wins
 // is a pure function of its rank in the request list and the capacity
 // profile. Partial or lossy switches are materialized lazily and routed
 // through the identical request-building path as the dense routeGathered.
 //
 //ftlint:hotpath
-func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
+func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep bool) {
+	sh := &st.sh
 	flights := st.e.scr.flights
 	leafLevel := st.levels
-	vLevel := st.curLevel
-	upSweep := st.curUp
 	capParent := st.capAt(v)
 	capChild := st.capAt(2 * v) // the dense constructor sizes both down ports by the left child
-	run := sh.keys[start:end]
 	obs := st.e.obs != nil
 	drops0 := sh.drops
 	var dRounds, dFaults int64
@@ -593,7 +606,7 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 				} else if j < capParent {
 					w = j
 				}
-				st.applyUp(sh, f, v, w, capParent)
+				st.applyUp(f, v, w, capParent)
 			}
 		} else {
 			// toLeft and toRight are always Ideal (a down port is narrower
@@ -617,7 +630,7 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 				if w >= capChild {
 					w = -1
 				}
-				st.applyDown(sh, f, v, w, right, vLevel, leafLevel)
+				st.applyDown(f, v, w, right, vLevel, leafLevel)
 			}
 		}
 	} else {
@@ -662,20 +675,17 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 		for j, k := range run {
 			f := &flights[int(uint32(k))]
 			if upSweep {
-				st.applyUp(sh, f, v, outWires[j], capParent)
+				st.applyUp(f, v, outWires[j], capParent)
 				continue
 			}
 			right := reqs[j].Out == concentrator.Right
-			st.applyDown(sh, f, v, outWires[j], right, vLevel, leafLevel)
+			st.applyDown(f, v, outWires[j], right, vLevel, leafLevel)
 		}
 	}
 
 	sh.releaseRun(flights, run, upSweep)
 	if obs {
-		sh.runs = append(sh.runs, streamRun{
-			v: v, start: start, end: end,
-			drops: sh.drops - drops0, dRounds: dRounds, dFaults: dFaults,
-		})
+		st.e.observeStreamRun(v, run, upSweep, sh.drops-drops0, dRounds, dFaults)
 	}
 }
 
@@ -684,13 +694,13 @@ func (st *streamState) routeStreamNode(sh *streamShard, v int, start, end int) {
 // Parent-port winner path.
 //
 //ftlint:hotpath
-func (st *streamState) applyUp(sh *streamShard, f *flight, v, w, capParent int) {
+func (st *streamState) applyUp(f *flight, v, w, capParent int) {
 	if w < 0 {
 		f.state = flightLost
-		sh.drops++
+		st.sh.drops++
 		return
 	}
-	sh.claimUp(w, capParent)
+	st.sh.claimUp(w, capParent)
 	f.wire = w
 	st.e.scr.histArena[f.histOff+f.histLen] = w
 	f.histLen++
@@ -707,17 +717,17 @@ func (st *streamState) applyUp(sh *streamShard, f *flight, v, w, capParent int) 
 // engine does.
 //
 //ftlint:hotpath
-func (st *streamState) applyDown(sh *streamShard, f *flight, v, w int, right bool, vLevel, leafLevel int) {
+func (st *streamState) applyDown(f *flight, v, w int, right bool, vLevel, leafLevel int) {
 	if w < 0 {
 		f.state = flightLost
-		sh.drops++
+		st.sh.drops++
 		return
 	}
 	side, child := 0, 2*v
 	if right {
 		side, child = 1, 2*v+1
 	}
-	sh.claimDown(side, w, st.capAt(child))
+	st.sh.claimDown(side, w, st.capAt(child))
 	f.wire = w
 	st.e.scr.histArena[f.histOff+f.histLen] = w
 	f.histLen++
@@ -728,82 +738,33 @@ func (st *streamState) applyDown(sh *streamShard, f *flight, v, w int, right boo
 	}
 }
 
-// observeStreamRuns replays one shard's routed node runs into the observer at
-// the serial merge point: per node the contention record (with the hardware
-// counter deltas), then per flight the advance/block/deliver events in
-// message-index order — the same events observeLevel emits for the dense
-// engine, so counter totals agree bit for bit.
+// observeStreamRun records one routed node run: the contention record (with
+// the hardware counter deltas), then per flight the advance/block/deliver
+// events in message-index order — the same events observeLevel emits for the
+// dense engine, so counter totals agree bit for bit.
 //
 //ftlint:hotpath
-func (e *Engine) observeStreamRuns(sh *streamShard) {
+func (e *Engine) observeStreamRun(v int, run []uint64, upSweep bool, drops int, dRounds, dFaults int64) {
 	o := e.obs
 	flights := e.scr.flights
-	upSweep := e.stream.curUp
-	for r := range sh.runs {
-		run := &sh.runs[r]
-		o.SwitchDelta(run.v, run.end-run.start, run.drops, run.dRounds, run.dFaults)
-		for _, k := range sh.keys[run.start:run.end] {
-			i := int(uint32(k))
-			f := &flights[i]
-			switch f.state {
-			case flightLost:
-				o.Block(i, f.msg, run.v)
-			case flightUp:
-				o.Advance(i, f.msg, run.v, run.v, int(core.Up), f.wire)
-			case flightDown:
-				o.Advance(i, f.msg, run.v, f.node, int(core.Down), f.wire)
-			case flightDone:
-				if upSweep {
-					o.Advance(i, f.msg, run.v, run.v, int(core.Up), f.wire)
-				} else {
-					o.Advance(i, f.msg, run.v, f.node, int(core.Down), f.wire)
-				}
-				o.Deliver(i, f.msg, run.v)
+	o.SwitchDelta(v, len(run), drops, dRounds, dFaults)
+	for _, k := range run {
+		i := int(uint32(k))
+		f := &flights[i]
+		switch f.state {
+		case flightLost:
+			o.Block(i, f.msg, v)
+		case flightUp:
+			o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+		case flightDown:
+			o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
+		case flightDone:
+			if upSweep {
+				o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+			} else {
+				o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
 			}
+			o.Deliver(i, f.msg, v)
 		}
 	}
-}
-
-// collectStream finishes the cycle over contiguous chunks: delivered flags
-// are disjoint per-index writes and the per-chunk tallies merge serially in
-// chunk order.
-//
-//ftlint:hotpath
-func (e *Engine) collectStream(pool *par.Pool, pending core.MessageSet, flights []flight, res *CycleResult) []bool {
-	st := e.stream
-	scr := &e.scr
-	if cap(scr.delivered) < len(pending) {
-		scr.delivered = make([]bool, len(pending), len(pending)+len(pending)/2)
-	}
-	delivered := scr.delivered[:len(pending)]
-	scr.delivered = delivered
-	chunks := len(st.shards)
-	if chunks > len(flights) {
-		chunks = len(flights)
-	}
-
-	//ftlint:ignore callgraphhotalloc parallel fan-out spawns worker closures by design; the serial path (nil pool) returns before allocating.
-	pool.ForEachChunk(len(flights), chunks, st.collectWorker)
-
-	for _, c := range st.chunkDelivered[:chunks] {
-		res.Delivered += c
-	}
-	return delivered
-}
-
-// runCollectChunk tallies one contiguous chunk of flights.
-//
-//ftlint:hotpath
-func (st *streamState) runCollectChunk(chunk, lo, hi int) {
-	flights := st.e.scr.flights
-	delivered := st.e.scr.delivered
-	count := 0
-	for i := lo; i < hi; i++ {
-		done := flights[i].state == flightDone
-		delivered[i] = done
-		if done {
-			count++
-		}
-	}
-	st.chunkDelivered[chunk] = count
 }

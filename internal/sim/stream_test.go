@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,7 +98,17 @@ func streamScenarios() []streamScenario {
 		ms: randomMessages(8, 32, 5, false), kind: concentrator.KindPartial, seed: 19, loss: 0.05,
 	})
 
-	// Tiny tree: the shard level clamps to the tree depth.
+	// A deeper tree with enough traffic that most nodes see both children's
+	// runs, so every up and down step merges non-trivial sibling runs and
+	// turn lists. Narrowed sibling pairs at two levels and partial switches
+	// add drops (and their retries) to the carried lists.
+	ft, imp = mirrorTrees(256, 32, map[int]int{6: 4, 7: 4, 40: 1, 41: 1})
+	out = append(out, streamScenario{
+		name: "deep-overrides-partial", ft: ft, imp: imp,
+		ms: randomMessages(256, 600, 6, true), kind: concentrator.KindPartial, seed: 29,
+	})
+
+	// Tiny tree: a single level of switches.
 	ft2 := core.NewConstant(2, 3)
 	imp2 := core.NewImplicitConstant(2, 3)
 	out = append(out, streamScenario{
@@ -338,13 +349,73 @@ func TestStreamHugeTopology(t *testing.T) {
 }
 
 // TestStreamRunCycleAllocs pins the scratch-arena contract on the streaming
-// path: after warm-up, a serial ideal-kind RunCycle allocates nothing.
+// path: after warm-up, a serial ideal-kind RunCycle allocates nothing, with
+// or without a per-node observer attached (tenant engines run observed).
 func TestStreamRunCycleAllocs(t *testing.T) {
-	imp := core.NewImplicitUniversal(1<<16, 256)
-	ms := randomMessages(1<<16, 512, 51, false)
-	e := NewWithOptions(imp, concentrator.KindIdeal, 0, Options{Workers: 1})
-	e.RunCycle(ms) // warm the arena to its high-water mark
-	if avg := testing.AllocsPerRun(10, func() { e.RunCycle(ms) }); avg != 0 {
-		t.Fatalf("steady-state stream RunCycle allocates: %v allocs/op", avg)
+	for _, observed := range []bool{false, true} {
+		imp := core.NewImplicitUniversal(1<<16, 256)
+		ms := randomMessages(1<<16, 512, 51, false)
+		e := NewWithOptions(imp, concentrator.KindIdeal, 0, Options{Workers: 1})
+		if observed {
+			e.SetObserver(obsv.New(imp))
+		}
+		e.RunCycle(ms) // warm the arena to its high-water mark
+		if avg := testing.AllocsPerRun(10, func() { e.RunCycle(ms) }); avg != 0 {
+			t.Fatalf("observed=%v: steady-state stream RunCycle allocates: %v allocs/op", observed, avg)
+		}
+	}
+}
+
+// TestStreamCarryOrder checks the carried-list merges against a sort. Each
+// trial builds a step's winners the way the engine emits them — node by
+// node, each node's run ascending — for the children of one level; re-keyed
+// to the parents, every group is a left-child run then a right-child run,
+// and siblingMerge must order it exactly as slices.Sort does, after any
+// existing prefix of dst. The merged turn list then meets the descenders of
+// the same level, and mergeKeys must equal the sort of both.
+func TestStreamCarryOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 300; trial++ {
+		level := 1 + rng.Intn(8) // parents at level-1, children at level
+		first := 1 << level
+		idx := rng.Perm(1 << 12) // distinct flight indices
+		run := func(dst []uint64, node int) []uint64 {
+			m := rng.Intn(5)
+			if rng.Intn(3) == 0 {
+				m = 0 // leave some nodes empty
+			}
+			part := idx[:m]
+			idx = idx[m:]
+			slices.Sort(part)
+			for _, i := range part {
+				dst = append(dst, uint64(node)<<32|uint64(i))
+			}
+			return dst
+		}
+		var held, desc []uint64
+		for c := first; c < 2*first; c++ {
+			held = run(held, c)
+		}
+		for p := first / 2; p < first; p++ {
+			desc = run(desc, p)
+		}
+
+		prefix := []uint64{7, 3} // an earlier level's segment, left untouched
+		turns := siblingMerge(slices.Clone(prefix), held)
+		want := make([]uint64, 0, len(held))
+		for _, k := range held {
+			want = append(want, k>>33<<32|k&keyIndex)
+		}
+		slices.Sort(want)
+		if !slices.Equal(turns[:2], prefix) || !slices.Equal(turns[2:], want) {
+			t.Fatalf("trial %d: siblingMerge\n got %x\nwant %x (after prefix %x)", trial, turns, want, prefix)
+		}
+
+		merged := mergeKeys(nil, desc, turns[2:])
+		all := slices.Concat(desc, turns[2:])
+		slices.Sort(all)
+		if !slices.Equal(merged, all) {
+			t.Fatalf("trial %d: mergeKeys\n got %x\nwant %x", trial, merged, all)
+		}
 	}
 }
