@@ -40,6 +40,7 @@ func TestParseConfigErrors(t *testing.T) {
 		{"bad history", []string{"-history", "0"}},
 		{"unknown flag", []string{"-nope"}},
 		{"positional args", []string{"extra"}},
+		{"alltoall above the request limit", []string{"-n", "1024", "-workloads", "alltoall", "-tenants", "a"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := parseConfig(tc.args); err == nil {

@@ -143,6 +143,14 @@ func parseConfig(args []string) (config, error) {
 		if len(cfg.sizes) != 1 {
 			return cfg, fmt.Errorf("tenant mode serves one tree geometry: -n must name exactly one size (got %v)", cfg.sizes)
 		}
+		for _, w := range cfg.workloads {
+			// k = 1 sizes only the fixed-size workloads: a request's own k
+			// sizes random, hotspot and local, and buildRequest checks it.
+			if m := workloadMessages(w, cfg.sizes[0], 1); m > maxRouteMessages {
+				return cfg, fmt.Errorf("workload %s builds %d messages at -n %d, above the per-request limit of %d",
+					w, m, cfg.sizes[0], maxRouteMessages)
+			}
+		}
 	}
 	return cfg, nil
 }
@@ -410,6 +418,24 @@ func buildWorkload(name string, n, k int, seed int64) fattree.MessageSet {
 		return fattree.KLocal(n, k, 4, seed)
 	}
 	panic("ftserve: unvalidated workload " + name)
+}
+
+// workloadMessages returns how many messages buildWorkload makes for the
+// named workload on n processors with count k (0 means 4n). For the
+// permutations it is an upper bound: they leave out fixed points.
+func workloadMessages(name string, n, k int) int {
+	switch name {
+	case "random", "hotspot", "local":
+		if k == 0 {
+			return 4 * n
+		}
+		return k
+	case "nn":
+		return 2 * (n - 1)
+	case "alltoall":
+		return n * (n - 1)
+	}
+	return n
 }
 
 // mux builds the HTTP handler tree.

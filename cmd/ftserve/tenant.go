@@ -34,9 +34,11 @@ const maxRouteBody = 8 << 20
 // its separator: src defaults to 0, and a message may not target its source.
 const minWireMessage = len(`{"dst":1},`)
 
-// maxRouteMessages bounds a named workload's k by the most messages an
-// explicit body of maxRouteBody bytes could carry, so a short body cannot
-// ask for more work than the longest explicit one.
+// maxRouteMessages bounds the size of a named workload by the most messages
+// an explicit body of maxRouteBody bytes could carry, so a short body cannot
+// ask for more work than the longest explicit one. parseConfig refuses a
+// menu whose fixed-size workloads exceed it; buildRequest refuses a k (0
+// meaning 4n) that does.
 const maxRouteMessages = maxRouteBody / minWireMessage
 
 // tenantBatch bounds how many requests one tenant drains per pool round, so
@@ -242,7 +244,7 @@ func (s *server) routeOne(body []byte) (routeResp, int) {
 		TraceID: fattree.TraceID(trace), Tenant: tn.name,
 		Messages: len(req.ms), Delivered: req.stats.Delivered,
 		Cycles: req.stats.Cycles, Drops: req.stats.Drops,
-		Deferrals: req.stats.Deferrals,
+		Deferrals:   req.stats.Deferrals,
 		QueueWaitUS: req.waitUS, DurationUS: req.durUS,
 	}
 	status := http.StatusOK
@@ -268,9 +270,9 @@ func (s *server) buildRequest(tn *tenant, wire *routeWire, req *routeReq) (route
 		if wire.K < 0 {
 			return routeResp{Error: "k must be non-negative"}, http.StatusBadRequest
 		}
-		if wire.K > maxRouteMessages {
-			return routeResp{Error: fmt.Sprintf("k = %d exceeds the per-request limit of %d messages", wire.K, maxRouteMessages)},
-				http.StatusRequestEntityTooLarge
+		if m := workloadMessages(wire.Workload, n, wire.K); m > maxRouteMessages {
+			return routeResp{Error: fmt.Sprintf("workload %s with k = %d builds %d messages, which exceeds the per-request limit of %d",
+				wire.Workload, wire.K, m, maxRouteMessages)}, http.StatusRequestEntityTooLarge
 		}
 		req.ms = buildWorkload(wire.Workload, n, wire.K, wire.Seed)
 		return routeResp{}, 0

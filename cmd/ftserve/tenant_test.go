@@ -417,32 +417,45 @@ func TestTenantRunsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRouteRejectsOversizedK checks cost admission of named workloads: a k
-// above maxRouteMessages is refused with 413 before any message is built,
-// and the tenant records one rejected request and routes nothing.
+// TestRouteRejectsOversizedK checks cost admission of named workloads: a
+// request whose workload would build more than maxRouteMessages messages —
+// an explicit k, or random with k omitted (4n) on a large tree — is refused
+// with 413 before any message is built, and the tenant records one rejected
+// request and routes nothing.
 func TestRouteRejectsOversizedK(t *testing.T) {
-	srv := tenantServer(t)
-	rec := post(t, srv, `{"tenant":"alpha","workload":"random","k":2000000000}`, "application/json")
-	if rec.Code != 413 {
-		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body.String())
-	}
-	var resp routeResp
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp.Error, "exceeds") {
-		t.Fatalf("error %q does not explain the limit", resp.Error)
-	}
-	tn := srv.tenantIdx["alpha"]
-	snap := tn.red.Snapshot()
-	if snap.Requests != 1 || snap.Errors != 1 {
-		t.Fatalf("requests=%d errors=%d, want one rejection (1/1)", snap.Requests, snap.Errors)
-	}
-	if snap.DurationCycles.Count != 0 || snap.QueueWaitMicros.Count != 0 || snap.QueuePeak != 0 {
-		t.Fatalf("rejected request reached the queue or the engine: %+v", snap)
-	}
-	if tn.obs.C.Offered != 0 || srv.servedTotal() != 0 {
-		t.Fatalf("engine offered %d messages, served %d requests; want 0/0", tn.obs.C.Offered, srv.servedTotal())
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		body  string
+	}{
+		{"explicit-k", nil, `{"tenant":"alpha","workload":"random","k":2000000000}`},
+		{"random-4n", []string{"-n", "262144", "-tenants", "alpha"}, `{"tenant":"alpha","workload":"random"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := tenantServer(t, tc.flags...)
+			rec := post(t, srv, tc.body, "application/json")
+			if rec.Code != 413 {
+				t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body.String())
+			}
+			var resp routeResp
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(resp.Error, "exceeds") {
+				t.Fatalf("error %q does not explain the limit", resp.Error)
+			}
+			tn := srv.tenantIdx["alpha"]
+			snap := tn.red.Snapshot()
+			if snap.Requests != 1 || snap.Errors != 1 {
+				t.Fatalf("requests=%d errors=%d, want one rejection (1/1)", snap.Requests, snap.Errors)
+			}
+			if snap.DurationCycles.Count != 0 || snap.QueueWaitMicros.Count != 0 || snap.QueuePeak != 0 {
+				t.Fatalf("rejected request reached the queue or the engine: %+v", snap)
+			}
+			if tn.obs.C.Offered != 0 || srv.servedTotal() != 0 {
+				t.Fatalf("engine offered %d messages, served %d requests; want 0/0", tn.obs.C.Offered, srv.servedTotal())
+			}
+		})
 	}
 }
 

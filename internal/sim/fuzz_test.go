@@ -13,7 +13,8 @@ import (
 // decodeEngineFuzz turns raw fuzz bytes into a delivery scenario: byte 0
 // picks the tree shape, byte 1 the switch kind, seed, and loss rate, and the
 // remaining byte pairs are (src, dst) candidates (self-loops skipped so the
-// set always validates).
+// set always validates). Shape bit 7 selects a 256-leaf tree, on which a
+// short input is a sparse cycle for the streaming plane's lone pass.
 func decodeEngineFuzz(data []byte) (ft *core.FatTree, ms core.MessageSet, kind concentrator.Kind, seed int64, loss float64) {
 	shape, knobs := byte(0), byte(0)
 	if len(data) > 0 {
@@ -24,7 +25,10 @@ func decodeEngineFuzz(data []byte) (ft *core.FatTree, ms core.MessageSet, kind c
 		knobs = data[0]
 		data = data[1:]
 	}
-	n := 8 << (shape % 3)        // 8, 16, 32
+	n := 8 << (shape % 3) // 8, 16, 32
+	if shape&0x80 != 0 {
+		n = 256
+	}
 	w := 1 << (1 + (shape>>2)%4) // 2, 4, 8, 16
 	ft = core.NewUniversal(n, w)
 	kind = concentrator.KindIdeal
@@ -60,6 +64,10 @@ func FuzzEngineParallelEquivalence(f *testing.F) {
 	f.Add([]byte{2, 3, 5, 6, 5, 7, 5, 8, 6, 5, 7, 5})
 	f.Add([]byte{9, 0x35, 5, 5, 5, 6, 5, 7, 5, 8, 6, 5, 7, 5, 1, 2, 3, 4})
 	f.Add([]byte{4, 0xff, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0})
+	// Sparse 256-leaf trees: lone climbs, lone descents, a sibling-leaf
+	// turner, and (second seed) partial, lossy switches on the lone hops.
+	f.Add([]byte{0x80, 0, 3, 200, 130, 7, 64, 65, 250, 12, 90, 200})
+	f.Add([]byte{0x8c, 0x23, 17, 240, 33, 100, 101, 100, 180, 2, 5, 6, 77, 150})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ft, ms, kind, seed, loss := decodeEngineFuzz(data)
 

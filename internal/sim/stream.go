@@ -25,8 +25,9 @@ import (
 // time. Every list holds node<<32 | flightIndex keys in ascending order, so
 // each node's requests are contiguous and in message-index order:
 //
-//   - Injection sorts the (leaf, index) keys once per cycle — the plane's
-//     only sort — and admits the first capAt(leaf) flights of each leaf.
+//   - Injection sorts the (leaf, index) keys once per cycle — a dense
+//     cycle's only sort — and admits the first capAt(leaf) flights of each
+//     leaf.
 //   - A step routes its nodes in ascending order and emits each winner keyed
 //     by the node whose channel it now holds. Re-keyed by parent, every group
 //     is a left-child run followed by a right-child run, both ascending, and
@@ -36,6 +37,29 @@ import (
 //   - A down step merges (mergeKeys) the descenders carried from the step
 //     above — emitted per node as left-child winners, then right-child
 //     winners, so already ascending — with the level's turn list.
+//
+// A concentrator arbitrates only among the messages that meet at its node,
+// so a flight alone in a subtree crosses that subtree's switches with
+// nothing to contend with. On a sparse cycle (loneSparsity*len(pending) <
+// n) the lone pass routes those hops one flight at a time instead of
+// carrying the flight through the lists:
+//
+//   - Up: a flight's neighbours in the sorted injection keys give the
+//     deepest level whose subtree holds another source; above it and above
+//     the LCA the flight climbs alone. It then joins the carried lists of
+//     the level where it meets another flight through that level's arrival
+//     list (arrUp, or arrTurn when it turns there), merged in by carryUp.
+//   - Down: one more sort, of the admitted (dstLeaf, index) keys, gives
+//     sdown[i] the same way. A flight about to enter a down contest above
+//     sdown[i] — a turner at its LCA, or a winner of a down step — descends
+//     alone to its leaf at once.
+//   - A lone hop is a one-request node run: an unobserved ideal switch
+//     applies the same wire rule (idealWire) and wire guards as a carried
+//     run; partial, lossy or observed hops route the one-key run through
+//     routeStreamNode.
+//
+// Dense cycles skip detection and the pass; the sweeps test the cycle's
+// gate flag before they look at sdown.
 //
 // Equivalence with the dense engine is structural, not coincidental:
 //
@@ -51,7 +75,18 @@ import (
 //     creation cannot perturb any RNG stream.
 //   - Observation: drop counts and observer events are recorded node by node
 //     in ascending node order, and in message-index order inside each node
-//     run, the same events the dense merge points emit.
+//     run, the same events the dense merge points emit. On a sparse cycle
+//     the lone hops are recorded as they are routed — the lone pass right
+//     after injection, a lone descent as soon as it starts — so the event
+//     ring's order differs from the dense plane's; every counter total and
+//     histogram agrees.
+//   - Lone hops: ideal and passThrough concentrators are positional and
+//     stateless, so a one-request run has one outcome wherever it is routed
+//     in the cycle; a lossy switch draws from a separate stream per output
+//     port, and a lone node sees one run per direction. Detection reads the
+//     cycle's start: a neighbour dropped later, or deferred at its leaf,
+//     still counts, so it can miss a lone hop — the carried lists then
+//     route it — but never invents one.
 //
 // The plane is serial: an engine with any worker bound routes an implicit
 // tree on the calling goroutine, so Stats, PerCycle vectors, wire histories,
@@ -95,12 +130,32 @@ type streamState struct {
 	turns   []uint64
 	turnOff []int
 
+	// Lone-pass scratch, allocated on the first sparse cycle. sparse marks
+	// the current cycle. sdown[i] is the deepest level whose subtree holds
+	// the destination of another admitted flight than i (-1 for none), and
+	// dkeys is the (dstLeaf, index) sort it is read from. arrUp[l] and
+	// arrTurn[l] collect the lone climbers that meet another flight at level
+	// l, keyed by their node at level l+1: the ones that climb on and the
+	// ones that turn at level l. merged is carryUp's buffer for folding them
+	// in, and one is a lone hop's one-key run.
+	sparse         bool
+	sdown          []int8
+	dkeys          []uint64
+	arrUp, arrTurn [][]uint64
+	merged         []uint64
+	one            [1]uint64
+
 	sh streamShard
 }
 
+// loneSparsity gates the lone pass: a cycle takes it only when
+// loneSparsity*len(pending) < n. Detecting lone hops costs one extra sort
+// per cycle, and at this density most hops below the top few levels are
+// lone; denser cycles skip detection and run the carried lists alone.
+const loneSparsity = 8
+
 // streamShard is the node-run scratch of the streaming plane: the per-run
-// wire guards, the lazy special-switch table, and the drop tally. The plane
-// routes the whole tree as one shard.
+// wire guards, the lazy special-switch table, and the drop tally.
 type streamShard struct {
 	// drops tallies the current cycle's dropped flights.
 	drops int
@@ -360,6 +415,12 @@ func (e *Engine) runCycleStream(pending core.MessageSet) ([]bool, CycleResult) {
 	if e.obs != nil {
 		e.observeInject(pending, flights)
 	}
+	st.sparse = loneSparsity*len(pending) < st.n
+	if st.sparse {
+		st.lonePass()
+	}
+	st.turns = st.turns[:0]
+	st.carryUp(st.levels-1, st.up, st.turn)
 	for level := st.levels - 1; level >= 0; level-- {
 		st.sweepUp(level)
 	}
@@ -379,9 +440,9 @@ func (e *Engine) runCycleStream(pending core.MessageSet) ([]bool, CycleResult) {
 // and become the first down step's descenders. Internal sources are sorted
 // by (leaf, index), which lines up every leaf's messages in message-index
 // order and makes "the first capAt(leaf) win, the rest defer" identical to
-// the dense epoch-counter rule; the winners are carried to the leaves'
-// parents. A final pass lays out the wire-history arena in message-index
-// order.
+// the dense epoch-counter rule; the winners are left in st.up and st.turn,
+// keyed by their leaf, for the lone pass and the first carryUp. A final pass
+// lays out the wire-history arena in message-index order.
 //
 //ftlint:hotpath
 func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
@@ -452,9 +513,7 @@ func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 		}
 		rank++
 	}
-	st.keys = keys
-	st.turns = st.turns[:0]
-	st.carryUp(st.levels-1, up, turn)
+	st.keys, st.up, st.turn = keys, up, turn
 
 	// Arena layout in message-index order: each admitted flight reserves its
 	// exact path length and records its injection wire, matching the dense
@@ -481,14 +540,38 @@ func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 // carryUp hands the winners of the step below level to level: up (the
 // flights that keep climbing) becomes level's up-step request list and turn
 // (the flights whose LCA is at level) becomes level's turn list, both
-// re-keyed by parent with siblingMerge.
+// re-keyed by parent with siblingMerge. On a sparse cycle the lone climbers
+// that arrive at level are merged in first.
 //
 //ftlint:hotpath
 func (st *streamState) carryUp(level int, up, turn []uint64) {
-	st.keys = siblingMerge(st.keys[:0], up)
-	st.turns = siblingMerge(st.turns, turn)
+	ku, kt := up, turn
+	if st.sparse {
+		ku = st.arrive(up, &st.arrUp[level])
+	}
+	st.keys = siblingMerge(st.keys[:0], ku)
+	if st.sparse {
+		kt = st.arrive(turn, &st.arrTurn[level])
+	}
+	st.turns = siblingMerge(st.turns, kt)
 	st.turnOff[level] = len(st.turns)
 	st.up, st.turn = up[:0], turn[:0]
+}
+
+// arrive returns list with the arrivals in *arr merged in, and empties
+// *arr. Both lists ascend on distinct nodes — an arrival's node has no
+// other source of the cycle in its subtree — so the merge keeps every node
+// run intact. The result lives in st.merged until the next call.
+//
+//ftlint:hotpath
+func (st *streamState) arrive(list []uint64, arr *[]uint64) []uint64 {
+	a := *arr
+	if len(a) == 0 {
+		return list
+	}
+	*arr = a[:0]
+	st.merged = mergeKeys(st.merged[:0], list, a)
+	return st.merged
 }
 
 // sweepUp runs the up step at level: it routes each node run of the request
@@ -500,17 +583,23 @@ func (st *streamState) sweepUp(level int) {
 	keys := st.keys
 	flights := st.e.scr.flights
 	up, turn := st.up[:0], st.turn[:0]
+	sparse := st.sparse
 	for start := 0; start < len(keys); {
 		v, end := int(keys[start]>>32), runEnd(keys, start)
 		run := keys[start:end]
 		st.routeStreamNode(v, run, level, true)
 		for _, k := range run {
-			f := &flights[int(uint32(k))]
+			i := int(uint32(k))
+			f := &flights[i]
 			if f.state != flightUp { // dropped, or delivered out of the root
 				continue
 			}
 			if f.lca == v>>1 {
-				turn = append(turn, k)
+				if sparse && level-1 > int(st.sdown[i]) {
+					st.loneDescend(i, level-1)
+				} else {
+					turn = append(turn, k)
+				}
 			} else {
 				up = append(up, k)
 			}
@@ -532,6 +621,7 @@ func (st *streamState) sweepDown(level int) {
 	st.keys = keys
 	flights := st.e.scr.flights
 	carry := level+1 < st.levels // the last step delivers every winner
+	sparse := st.sparse
 	desc, right := st.desc[:0], st.up[:0]
 	for start := 0; start < len(keys); {
 		v, end := int(keys[start]>>32), runEnd(keys, start)
@@ -539,10 +629,16 @@ func (st *streamState) sweepDown(level int) {
 		st.routeStreamNode(v, run, level, false)
 		if carry {
 			// Left-child winners go straight to desc; right-child winners
-			// wait in right (the up list is idle in the down sweep).
+			// wait in right (the up list is idle in the down sweep). On a
+			// sparse cycle a winner alone below this level descends at once.
 			right = right[:0]
 			for _, k := range run {
-				if f := &flights[int(uint32(k))]; f.state == flightDown {
+				i := int(uint32(k))
+				if f := &flights[i]; f.state == flightDown {
+					if sparse && level+1 > int(st.sdown[i]) {
+						st.loneDescend(i, level+1)
+						continue
+					}
 					k = uint64(f.node)<<32 | k&keyIndex
 					if f.node&1 == 0 {
 						desc = append(desc, k)
@@ -585,52 +681,18 @@ func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep 
 
 	if st.kind == concentrator.KindIdeal && !st.lossOn {
 		if upSweep {
-			// toParent is passThrough when the up channel is at least as wide
-			// as its two feeders, Ideal (positional: rank j wins wire j)
-			// otherwise — the same selection NewSwitch makes.
-			passThrough := capParent >= 2*capChild
 			for j, k := range run {
 				f := &flights[int(uint32(k))]
-				if f.node == 2*v+1 && f.wire >= capChild {
-					// The dense concentrators reject a concatenated input
-					// index beyond their width — reachable only when an
-					// override widens a right child past its sibling.
-					panic("sim: up request wire exceeds switch input width (widened right-child override)")
-				}
-				w := -1
-				if passThrough {
-					w = f.wire
-					if f.node == 2*v+1 {
-						w = capChild + f.wire
-					}
-				} else if j < capParent {
-					w = j
-				}
-				st.applyUp(f, v, w, capParent)
+				st.applyUp(f, v, idealWire(f, v, j, capParent, capChild, true), capParent)
 			}
 		} else {
-			// toLeft and toRight are always Ideal (a down port is narrower
-			// than its feeders): per port, rank j wins wire j up to the
-			// port width capChild.
-			jL, jR := 0, 0
+			var ranks [2]int // per-port ranks
 			for _, k := range run {
 				f := &flights[int(uint32(k))]
-				if f.state == flightUp && f.wire >= capChild {
-					panic("sim: down request wire exceeds switch input width (widened child override)")
-				}
-				right := (f.dstLeaf>>uint(leafLevel-vLevel-1))&1 == 1
-				var w int
-				if right {
-					w = jR
-					jR++
-				} else {
-					w = jL
-					jL++
-				}
-				if w >= capChild {
-					w = -1
-				}
-				st.applyDown(f, v, w, right, vLevel, leafLevel)
+				side := (f.dstLeaf >> uint(leafLevel-vLevel-1)) & 1
+				j := ranks[side]
+				ranks[side]++
+				st.applyDown(f, v, idealWire(f, v, j, capParent, capChild, false), side, vLevel, leafLevel)
 			}
 		}
 	} else {
@@ -678,14 +740,213 @@ func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep 
 				st.applyUp(f, v, outWires[j], capParent)
 				continue
 			}
-			right := reqs[j].Out == concentrator.Right
-			st.applyDown(f, v, outWires[j], right, vLevel, leafLevel)
+			side := 0
+			if reqs[j].Out == concentrator.Right {
+				side = 1
+			}
+			st.applyDown(f, v, outWires[j], side, vLevel, leafLevel)
 		}
 	}
 
 	sh.releaseRun(flights, run, upSweep)
 	if obs {
 		st.e.observeStreamRun(v, run, upSweep, sh.drops-drops0, dRounds, dFaults)
+	}
+}
+
+// idealWire is the wire rule of an ideal switch at node v: the wire that
+// flight f, the rank-j request for its output port, wins — in the up
+// channel above v when upSweep, else in the down channel into the child it
+// heads for — or -1 when it loses. toParent is passThrough when the up
+// channel is at least as wide as its two feeders (a right-child wire is
+// offset by the left child's width), Ideal (positional: rank j wins wire j)
+// otherwise — the same selection NewSwitch makes. toLeft and toRight are
+// always Ideal (a down port is narrower than its feeders): rank j wins wire
+// j up to the port width capChild.
+//
+//ftlint:hotpath
+func idealWire(f *flight, v, j, capParent, capChild int, upSweep bool) int {
+	if upSweep {
+		right := f.node == 2*v+1
+		if right && f.wire >= capChild {
+			// The dense concentrators reject a concatenated input index
+			// beyond their width — reachable only when an override widens
+			// a right child past its sibling.
+			panic("sim: up request wire exceeds switch input width (widened right-child override)")
+		}
+		switch {
+		case capParent >= 2*capChild && right:
+			return capChild + f.wire
+		case capParent >= 2*capChild:
+			return f.wire
+		case j < capParent:
+			return j
+		}
+		return -1
+	}
+	if f.state == flightUp && f.wire >= capChild {
+		panic("sim: down request wire exceeds switch input width (widened child override)")
+	}
+	if j < capChild {
+		return j
+	}
+	return -1
+}
+
+// lonePass starts a sparse cycle: it finds how far each admitted flight is
+// alone and routes those hops at once, one flight at a time. A flight is
+// alone in the up contests at the levels above both its LCA and the deepest
+// level whose subtree holds another cycle source (its neighbours in the
+// sorted injection keys tell which). It is alone in the down contests at the
+// levels above sdown[i], found the same way from a sort of the admitted
+// destinations. A lone climber that meets another flight joins that level's
+// carried lists through arrUp or arrTurn; a turner alone below its LCA
+// descends to its leaf. Going up, sources deferred at their leaf count as
+// neighbours, and flights dropped later count both ways, so detection errs
+// towards the carried lists, whose outcome for a one-request run is the
+// same.
+//
+//ftlint:hotpath
+func (st *streamState) lonePass() {
+	flights := st.e.scr.flights
+	levels := st.levels
+	if st.arrUp == nil {
+		st.arrUp = make([][]uint64, levels)
+		st.arrTurn = make([][]uint64, levels)
+	}
+	if cap(st.sdown) < len(flights) {
+		st.sdown = make([]int8, len(flights), cap(flights))
+	}
+	sdown := st.sdown[:len(flights)]
+	st.sdown = sdown
+	dk := st.dkeys[:0]
+	for i := range flights {
+		if d := flights[i].dstLeaf; d != 0 { // admitted, internal destination
+			dk = append(dk, uint64(d)<<32|uint64(uint32(i)))
+		}
+	}
+	slices.Sort(dk)
+	for p, k := range dk {
+		sdown[uint32(k)] = int8(st.shareLevel(dk, p))
+	}
+	st.dkeys = dk
+
+	// up and turn are ascending subsequences of the injection keys: walk
+	// all three together and keep, in place, the flights with no lone hop.
+	keys, up, turn := st.keys, st.up, st.turn
+	a, b, nu, nt := 0, 0, 0, 0
+	for p, k := range keys {
+		i := int(uint32(k))
+		switch {
+		case a < len(up) && up[a] == k:
+			a++
+			s := max(st.shareLevel(keys, p), bits.Len(uint(flights[i].lca))-1)
+			if s < levels-1 {
+				st.loneClimb(i, s)
+			} else {
+				up[nu] = k
+				nu++
+			}
+		case b < len(turn) && turn[b] == k:
+			b++
+			if levels-1 > int(sdown[i]) {
+				st.loneDescend(i, levels-1)
+			} else {
+				turn[nt] = k
+				nt++
+			}
+		}
+	}
+	st.up, st.turn = up[:nu], turn[:nt]
+}
+
+// shareLevel returns the deepest level whose subtree holds the leaf of
+// keys[p] and the leaf of another key of the ascending list keys — found
+// among its two neighbours — or -1 when keys has no other key.
+//
+//ftlint:hotpath
+func (st *streamState) shareLevel(keys []uint64, p int) int {
+	s, leaf := -1, keys[p]>>32
+	if p > 0 {
+		s = st.levels - bits.Len64(leaf^keys[p-1]>>32)
+	}
+	if p+1 < len(keys) {
+		s = max(s, st.levels-bits.Len64(leaf^keys[p+1]>>32))
+	}
+	return s
+}
+
+// loneClimb routes flight i from its leaf up through the levels below s
+// alone, then hands it to level s: as an arrival there, or, when it turns
+// at level s and is alone below, straight down to its leaf.
+//
+//ftlint:hotpath
+func (st *streamState) loneClimb(i, s int) {
+	f := &st.e.scr.flights[i]
+	leaf := f.node
+	for l := st.levels - 1; l > s; l-- {
+		st.loneHop(i, leaf>>uint(st.levels-l), l, true)
+		if f.state != flightUp { // dropped, or delivered out of the root
+			return
+		}
+	}
+	key := uint64(f.node)<<32 | uint64(uint32(i))
+	switch {
+	case f.lca != f.node>>1:
+		st.arrUp[s] = append(st.arrUp[s], key)
+	case s > int(st.sdown[i]):
+		st.loneDescend(i, s)
+	default:
+		st.arrTurn[s] = append(st.arrTurn[s], key)
+	}
+}
+
+// loneDescend routes flight i down from level d, its next down contest, to
+// its leaf: alone at every level from d on.
+//
+//ftlint:hotpath
+func (st *streamState) loneDescend(i, d int) {
+	f := &st.e.scr.flights[i]
+	for l := d; l < st.levels; l++ {
+		st.loneHop(i, f.dstLeaf>>uint(st.levels-l), l, false)
+		if f.state != flightDown { // dropped, or delivered into the leaf
+			return
+		}
+	}
+}
+
+// loneHop routes flight i alone through node v at level vLevel: a
+// one-request node run. An unobserved ideal switch applies idealWire
+// directly, keeping its widened-child checks, and claims and releases the
+// won wire's guard bit. Any other switch, or an attached observer, routes
+// the one-key run through routeStreamNode: partial and lossy switches are
+// built and drawn from as on the carried path, and the observer records
+// the run.
+//
+//ftlint:hotpath
+func (st *streamState) loneHop(i, v, vLevel int, upSweep bool) {
+	if st.kind != concentrator.KindIdeal || st.lossOn || st.e.obs != nil {
+		st.one[0] = uint64(v)<<32 | uint64(uint32(i))
+		st.routeStreamNode(v, st.one[:], vLevel, upSweep)
+		return
+	}
+	sh := &st.sh
+	f := &st.e.scr.flights[i]
+	capChild := st.capAt(2 * v)
+	if upSweep {
+		capParent := st.capAt(v)
+		sh.upUsed = sh.upUsed.fit(capParent)
+		st.applyUp(f, v, idealWire(f, v, 0, capParent, capChild, true), capParent)
+		if f.state != flightLost { // releaseRun for a one-flight run
+			sh.upUsed[f.wire>>6] = 0
+		}
+		return
+	}
+	side := (f.dstLeaf >> uint(st.levels-vLevel-1)) & 1
+	sh.downUsed[side] = sh.downUsed[side].fit(st.capAt(2*v + side))
+	st.applyDown(f, v, idealWire(f, v, 0, 0, capChild, false), side, vLevel, st.levels)
+	if f.state != flightLost { // releaseRun for a one-flight run
+		sh.downUsed[side][f.wire>>6] = 0
 	}
 }
 
@@ -712,21 +973,18 @@ func (st *streamState) applyUp(f *flight, v, w, capParent int) {
 	}
 }
 
-// applyDown applies one downward-sweep outcome, guarding the wire against the
-// destination child's own (possibly overridden) capacity exactly as the dense
-// engine does.
+// applyDown applies one downward-sweep outcome into the child on side (0
+// left, 1 right), guarding the wire against that child's own (possibly
+// overridden) capacity exactly as the dense engine does.
 //
 //ftlint:hotpath
-func (st *streamState) applyDown(f *flight, v, w int, right bool, vLevel, leafLevel int) {
+func (st *streamState) applyDown(f *flight, v, w, side, vLevel, leafLevel int) {
 	if w < 0 {
 		f.state = flightLost
 		st.sh.drops++
 		return
 	}
-	side, child := 0, 2*v
-	if right {
-		side, child = 1, 2*v+1
-	}
+	child := 2*v + side
 	st.sh.claimDown(side, w, st.capAt(child))
 	f.wire = w
 	st.e.scr.histArena[f.histOff+f.histLen] = w

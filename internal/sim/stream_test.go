@@ -108,6 +108,33 @@ func streamScenarios() []streamScenario {
 		ms: randomMessages(256, 600, 6, true), kind: concentrator.KindPartial, seed: 29,
 	})
 
+	// Sparse trees (loneSparsity*messages < n): most flights climb and
+	// descend alone below the top levels, so every cycle routes lone hops,
+	// arrivals into the carried lists, and turners alone below their LCA.
+	// Narrowed sibling pairs at three depths put drops on lone paths; the
+	// second scenario routes the lone hops of partial, lossy switches through
+	// the one-key fallback.
+	sparseOv := map[int]int{6: 8, 7: 8, 300: 1, 301: 1, 700: 1, 701: 1}
+	ft, imp = mirrorTrees(1024, 128, sparseOv)
+	out = append(out, streamScenario{
+		name: "sparse-overrides-ideal", ft: ft, imp: imp,
+		ms: randomMessages(1024, 90, 7, true), kind: concentrator.KindIdeal, seed: 31,
+	})
+	ft, imp = mirrorTrees(1024, 128, sparseOv)
+	out = append(out, streamScenario{
+		name: "sparse-partial-lossy", ft: ft, imp: imp,
+		ms: randomMessages(1024, 100, 8, true), kind: concentrator.KindPartial, seed: 37, loss: 0.05,
+	})
+	// Three sibling-leaf messages turn at their leaves' parent on injection:
+	// 10->11 alone below it, 20->21 sharing its destination with 500->21.
+	ft, imp = mirrorTrees(1024, 256, nil)
+	out = append(out, streamScenario{
+		name: "sparse-internal-ideal", ft: ft, imp: imp,
+		ms: append(randomMessages(1024, 57, 9, false),
+			core.Message{Src: 10, Dst: 11}, core.Message{Src: 20, Dst: 21}, core.Message{Src: 500, Dst: 21}),
+		kind: concentrator.KindIdeal, seed: 41,
+	})
+
 	// Tiny tree: a single level of switches.
 	ft2 := core.NewConstant(2, 3)
 	imp2 := core.NewImplicitConstant(2, 3)
@@ -218,11 +245,11 @@ func compileFor(t *testing.T, tree core.Topology, ms core.MessageSet) (Stats, *S
 }
 
 // TestStreamEngineReuse runs shrinking and growing message sets through one
-// streaming engine and checks each against a fresh engine: the shard scratch
-// (keys, wire-guard bitsets, runs) must not leak state between cycles or
-// runs. Every stream scenario is reused as well, so each contested node
-// assigns the same wires again and a guard bit left over from an earlier run
-// would panic. Injected loss draws from a stream that runs on across reuse,
+// streaming engine and checks each against a fresh engine: the plane's
+// scratch (key lists, wire-guard bitsets, lone-pass arrival lists) must not
+// leak state between cycles or runs. Every stream scenario is reused as
+// well, so each contested node assigns the same wires again and a guard bit
+// left over from an earlier run would panic. Injected loss draws from a stream that runs on across reuse,
 // so lossy scenarios are checked for that panic only.
 func TestStreamEngineReuse(t *testing.T) {
 	_, imp := mirrorTrees(32, 4, nil)
@@ -249,8 +276,9 @@ func TestStreamEngineReuse(t *testing.T) {
 	}
 }
 
-// TestStreamWireGuard drives a shard's per-run wire guards directly. A wire
-// assigned twice in one run must panic, on the up side and on each down side.
+// TestStreamWireGuard drives the node-run scratch's wire guards directly. A
+// wire assigned twice in one run must panic, on the up side and on each down
+// side.
 // The same wire assigned in consecutive runs must not panic: releaseRun has
 // to clear every bit the run set, walking winners only.
 func TestStreamWireGuard(t *testing.T) {

@@ -70,8 +70,9 @@ func TestSoakLargeUniversality(t *testing.T) {
 // retained heap for the topology plus a warmed streaming engine stays under a
 // hard bytes/endpoint ceiling (the measured figure is ~9 B/endpoint, see
 // EXPERIMENTS.md §A6; the ceiling leaves room for allocator jitter, not for a
-// per-node table — any O(n) state blows through it immediately). Second, the
-// sharded-parallel run is bit-identical to the serial one. Third, the
+// per-node table — any O(n) state blows through it immediately). Second,
+// engines built with more workers, which route an implicit tree on the
+// calling goroutine, are bit-identical to the serial one. Third, the
 // conservation law exported at /metrics holds on the compact observer's
 // counters: every offered message is delivered, dropped, or deferred.
 func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
@@ -110,7 +111,7 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 			fattree.Options{Workers: workers, Observer: o})
 		stats := e.RunParallel(ms)
 		if !reflect.DeepEqual(stats, ref) {
-			t.Fatalf("workers=%d: sharded run diverges from serial\nserial   %+v\nparallel %+v",
+			t.Fatalf("workers=%d: run diverges from serial\nserial   %+v\nparallel %+v",
 				workers, ref, stats)
 		}
 		c := &o.C
