@@ -41,11 +41,11 @@ lint-extra:
 	fi
 
 # Delivery-engine micro-benchmarks (EXPERIMENTS.md §A4/§A6) as
-# machine-readable JSON: ns/op, B/op, allocs/op for
-# RouteCycle{Serial,Parallel} and OffLineSchedule at n = 256, 1024, 4096, the
-# implicit-topology streaming rows RouteCycleImplicit{,Par} at n = 2^16, 2^18,
-# 2^20 with bytes/endpoint, plus run metadata (go version, GOOS/GOARCH, CPU
-# count, timestamp) so snapshots are comparable across machines and PRs.
+# machine-readable JSON: ns/op, B/op, allocs/op for RouteCycleSerial and
+# OffLineSchedule at n = 256, 1024, 4096, the implicit-topology streaming row
+# RouteCycleImplicit at n = 2^16, 2^18, 2^20 with bytes/endpoint, plus run
+# metadata (go version, GOOS/GOARCH, CPU count, timestamp) so snapshots are
+# comparable across machines and PRs.
 bench-json:
 	$(GO) run ./cmd/ftbench -bench -json > BENCH_8.json
 
@@ -72,9 +72,11 @@ trace-demo:
 	$(GO) run ./cmd/ftsim -n 256 -workload perm -policy online \
 		-counters -trace-out trace-demo.json
 
-# Short fuzz shakeout of the two cross-check targets (serial vs parallel).
+# Short fuzz shakeout of the two cross-check targets: the scheduler against
+# its implicit-tree twin and a reused arena, the engine's streaming and k-ary
+# planes against the dense one.
 fuzz:
 	$(GO) test ./internal/sched/ -fuzz FuzzSchedule -fuzztime 10s
-	$(GO) test ./internal/sim/ -fuzz FuzzEngineParallelEquivalence -fuzztime 10s
+	$(GO) test ./internal/sim/ -fuzz FuzzEnginePlaneEquivalence -fuzztime 10s
 
 check: build lint test

@@ -19,7 +19,7 @@ func TestRouteCycleSerialZeroAllocs(t *testing.T) {
 	for _, n := range []int{256, 1024, 4096} {
 		ft := fattree.NewUniversal(n, n/4)
 		ms := fattree.RandomPermutation(n, 1)
-		e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Workers: 1})
+		e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 		e.RunCycle(ms) // warm the scratch arena
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, res := e.RunCycle(ms); res.Delivered == 0 {
@@ -44,7 +44,7 @@ func TestRouteCycleImplicitZeroAllocs(t *testing.T) {
 	for _, n := range []int{1 << 16, 1 << 18} {
 		ft := fattree.NewImplicitUniversal(n, n/4)
 		ms := fattree.Random(n, n/64, 1)
-		e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Workers: 1})
+		e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 		e.RunCycle(ms) // warm the scratch arena
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, res := e.RunCycle(ms); res.Delivered == 0 {
@@ -128,7 +128,7 @@ func TestRouteCycleObservedSteadyStateAllocs(t *testing.T) {
 	o := fattree.NewObserver(ft)
 	o.EnableTrace(1 << 12)
 	e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0,
-		fattree.Options{Workers: 1, Observer: o})
+		fattree.Options{Observer: o})
 	e.RunCycle(ms) // warm the arena and fill the ring to steady state
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, res := e.RunCycle(ms); res.Delivered == 0 {

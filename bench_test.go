@@ -102,19 +102,6 @@ func BenchmarkScheduleOffline(b *testing.B) {
 	}
 }
 
-func BenchmarkScheduleOfflineParallel(b *testing.B) {
-	n := 1024
-	ft := fattree.NewUniversal(n, n/4)
-	ms := fattree.Random(n, 4*n, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := fattree.ScheduleOfflineParallel(ft, ms)
-		if s.Length() == 0 {
-			b.Fatal("empty schedule")
-		}
-	}
-}
-
 func BenchmarkCompact(b *testing.B) {
 	n := 1024
 	ft := fattree.NewUniversal(n, n/4)
@@ -154,79 +141,50 @@ func BenchmarkScheduleOfflineBig(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSerial vs BenchmarkEngineParallel measure the delivery-cycle
-// engine's two paths on identical workloads (random permutation, ideal
-// switches): the serial reference scans every flight at every switch, the
-// parallel path buckets flights by owning node and fans each tree level out
-// over the worker pool. The outputs are bit-identical (see the equivalence
-// tests in internal/sim); only wall-clock differs. Recorded in EXPERIMENTS.md
-// under "A3 — engine parallel speedup".
-func benchEngineRun(b *testing.B, n int, parallel bool) {
-	ft := fattree.NewUniversal(n, n/4)
-	ms := fattree.RandomPermutation(n, 1)
-	e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var stats fattree.Stats
-		if parallel {
-			stats = e.RunParallel(ms)
-		} else {
-			stats = e.Run(ms)
-		}
-		if stats.Delivered != len(ms) {
-			b.Fatalf("delivered %d of %d", stats.Delivered, len(ms))
-		}
+// BenchmarkRunOnline measures the whole greedy retry loop (RunOnline) on a
+// reused engine: a random permutation on ideal switches, delivered over as
+// many cycles as contention needs. Recorded in EXPERIMENTS.md under "A3 —
+// engine execution".
+func BenchmarkRunOnline(b *testing.B) {
+	for _, n := range []int{256, 1024, 4096} {
+		b.Run("n="+itoa(n), func(b *testing.B) {
+			ft := fattree.NewUniversal(n, n/4)
+			ms := fattree.RandomPermutation(n, 1)
+			e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
+			fattree.RunOnline(e, ms) // warm the scratch arena
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if stats := fattree.RunOnline(e, ms); stats.Delivered != len(ms) {
+					b.Fatalf("delivered %d of %d", stats.Delivered, len(ms))
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkEngineSerial(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
-		b.Run("n="+itoa(n), func(b *testing.B) { benchEngineRun(b, n, false) })
-	}
-}
-
-func BenchmarkEngineParallel(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
-		b.Run("n="+itoa(n), func(b *testing.B) { benchEngineRun(b, n, true) })
-	}
-}
-
-// BenchmarkRouteCycleSerial / BenchmarkRouteCycleParallel isolate one
-// delivery cycle (no retry loop) on the two engine paths, the hottest unit of
-// work in the repository. allocs/op is the tracked figure: the cycle data
-// plane is required to reach zero steady-state heap allocation (the first
-// iteration warms the engine's scratch arena). Recorded in EXPERIMENTS.md
-// under "A4 — allocation-free delivery cycles".
-func benchRouteCycle(b *testing.B, n int, parallel bool) {
-	ft := fattree.NewUniversal(n, n/4)
-	ms := fattree.RandomPermutation(n, 1)
-	workers := 1
-	if parallel {
-		workers = 0 // GOMAXPROCS
-	}
-	e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Workers: workers})
-	// Warm the scratch arena so the measured loop is steady state.
-	e.RunCycle(ms)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		delivered, res := e.RunCycle(ms)
-		if res.Delivered == 0 || len(delivered) != len(ms) {
-			b.Fatalf("cycle delivered %d of %d", res.Delivered, len(ms))
-		}
-	}
-}
-
+// BenchmarkRouteCycleSerial isolates one delivery cycle (no retry loop), the
+// hottest unit of work in the repository. allocs/op is the tracked figure:
+// the cycle data plane is required to reach zero steady-state heap
+// allocation (the first iteration warms the engine's scratch arena).
+// Recorded in EXPERIMENTS.md under "A4 — allocation-free delivery cycles".
 func BenchmarkRouteCycleSerial(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
-		b.Run("n="+itoa(n), func(b *testing.B) { benchRouteCycle(b, n, false) })
-	}
-}
-
-func BenchmarkRouteCycleParallel(b *testing.B) {
-	for _, n := range []int{256, 1024, 4096} {
-		b.Run("n="+itoa(n), func(b *testing.B) { benchRouteCycle(b, n, true) })
+		b.Run("n="+itoa(n), func(b *testing.B) {
+			ft := fattree.NewUniversal(n, n/4)
+			ms := fattree.RandomPermutation(n, 1)
+			e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
+			// Warm the scratch arena so the measured loop is steady state.
+			e.RunCycle(ms)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				delivered, res := e.RunCycle(ms)
+				if res.Delivered == 0 || len(delivered) != len(ms) {
+					b.Fatalf("cycle delivered %d of %d", res.Delivered, len(ms))
+				}
+			}
+		})
 	}
 }
 
@@ -241,7 +199,7 @@ func BenchmarkRouteCycleImplicit(b *testing.B) {
 		b.Run("n="+itoa(n), func(b *testing.B) {
 			ft := fattree.NewImplicitUniversal(n, n/4)
 			ms := fattree.Random(n, n/64, 1)
-			e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Workers: 1})
+			e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 			// Warm the scratch arena so the measured loop is steady state.
 			e.RunCycle(ms)
 			b.ReportAllocs()
@@ -283,7 +241,7 @@ func benchServeRoute(b *testing.B, ft fattree.Topology) {
 	n := ft.Processors()
 	obs := fattree.NewObserver(ft)
 	eng := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 1,
-		fattree.Options{Workers: 1, Observer: obs})
+		fattree.Options{Observer: obs})
 	red := fattree.NewRED()
 	spans := fattree.NewSpanRing(4096)
 	ms := fattree.RandomPermutation(n, 1)
@@ -335,17 +293,6 @@ func BenchmarkOffLineSchedule(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkEngineCycle(b *testing.B) {
-	ft := fattree.NewUniversal(256, 64)
-	ms := fattree.RandomPermutation(256, 1)
-	e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fattree.RunOnline(e, ms)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // and off-line-scheduler benchmarks tracked by EXPERIMENTS.md §A4, measured
 // with the standard testing.Benchmark harness and emitted as a table or, with
 // -json, as machine-readable records (make bench-json writes BENCH_6.json).
-// The benchmark bodies mirror BenchmarkRouteCycle{Serial,Parallel} and
-// BenchmarkOffLineSchedule in bench_test.go so the two entry points measure
-// the same work. With -hist, the serial delivery cycle additionally runs with
+// The benchmark bodies mirror BenchmarkRouteCycleSerial,
+// BenchmarkRouteCycleImplicit and BenchmarkOffLineSchedule in bench_test.go
+// so the two entry points measure the same work. With -hist, the serial delivery cycle additionally runs with
 // an observer attached and the resulting latency/congestion histograms are
 // reported (text) or embedded per record (JSON).
 
@@ -84,19 +84,18 @@ func runMicroBenchmarks(asJSON, withHist bool) error {
 			// Same deterministic topology the benchmark builds internally.
 			obs = fattree.NewObserver(fattree.NewUniversal(n, n/4))
 		}
-		serial := measureBench("RouteCycleSerial", n, routeCycleBench(n, 1, obs))
+		serial := measureBench("RouteCycleSerial", n, routeCycleBench(n, obs))
 		if obs != nil {
 			snap := obs.Snapshot()
 			serial.Hist = &snap
 		}
 		results = append(results,
 			serial,
-			measureBench("RouteCycleParallel", n, routeCycleBench(n, 0, nil)),
 			measureBench("OffLineSchedule", n, offLineBench(n)),
 		)
 	}
 	for _, n := range implicitBenchSizes {
-		results = append(results, implicitRouteBenches(n)...)
+		results = append(results, implicitRouteBench(n))
 	}
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -141,15 +140,13 @@ func measureBench(name string, n int, fn func(*testing.B)) benchResult {
 }
 
 // routeCycleBench measures one steady-state delivery cycle on a warmed
-// engine; workers = 1 pins the serial path, 0 uses GOMAXPROCS. A non-nil obs
-// is attached to the engine (its tree must match n), so the measurement also
-// covers the histogram-update cost at the serial merge points.
-func routeCycleBench(n, workers int, obs *fattree.Observer) func(*testing.B) {
+// engine. A non-nil obs is attached to the engine (its tree must match n), so
+// the measurement also covers the histogram-update cost.
+func routeCycleBench(n int, obs *fattree.Observer) func(*testing.B) {
 	return func(b *testing.B) {
 		ft := fattree.NewUniversal(n, n/4)
 		ms := fattree.RandomPermutation(n, 1)
-		e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0,
-			fattree.Options{Workers: workers, Observer: obs})
+		e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Observer: obs})
 		// Warm the scratch arena so the measured loop is steady state.
 		e.RunCycle(ms)
 		b.ReportAllocs()
@@ -163,23 +160,23 @@ func routeCycleBench(n, workers int, obs *fattree.Observer) func(*testing.B) {
 	}
 }
 
-// implicitRouteBenches measures the streaming engine on an implicit
-// universal tree at one large n: a serial row (pinned at 0 allocs/op, like
-// the dense RouteCycleSerial) and a parallel row, plus the retained-heap
-// footprint per endpoint on the serial row. The footprint is the delta of two
+// implicitRouteBench measures the streaming engine on an implicit universal
+// tree at one large n (pinned at 0 allocs/op, like the dense
+// RouteCycleSerial), plus the retained-heap footprint per endpoint. The
+// footprint is the delta of two
 // GC'd heap readings around topology + engine construction and one warm-up
 // cycle, so it captures exactly what the data plane retains at steady state —
 // O(messages × path length) arena plus the O(levels) capacity profile,
 // independent of n. The CI memory-guard pins the same figure out of
 // TestSoakImplicitHugeBoundedMemory.
-func implicitRouteBenches(n int) []benchResult {
+func implicitRouteBench(n int) benchResult {
 	ms := fattree.Random(n, n/64, 1)
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	ft := fattree.NewImplicitUniversal(n, n/4)
-	e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Workers: 1})
+	e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 	e.RunCycle(ms) // warm the scratch arena to its high-water mark
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -188,14 +185,9 @@ func implicitRouteBenches(n int) []benchResult {
 		retained = 0 // the first GC collected more than the engine retains
 	}
 
-	serial := measureBench("RouteCycleImplicit", n, implicitCycleBench(e, ms))
-	serial.BytesPerEndpoint = float64(retained) / float64(n)
-
-	fp := fattree.NewImplicitUniversal(n, n/4)
-	ep := fattree.NewEngineWithOptions(fp, fattree.SwitchIdeal, 0, fattree.Options{Workers: 0})
-	ep.RunCycle(ms)
-	parallel := measureBench("RouteCycleImplicitPar", n, implicitCycleBench(ep, ms))
-	return []benchResult{serial, parallel}
+	r := measureBench("RouteCycleImplicit", n, implicitCycleBench(e, ms))
+	r.BytesPerEndpoint = float64(retained) / float64(n)
+	return r
 }
 
 // implicitCycleBench measures one steady-state delivery cycle on a warmed

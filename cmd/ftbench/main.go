@@ -63,7 +63,8 @@ func run() (code int) {
 			return 1
 		}
 		// The pprof label on the internal/par workers ("pool"="par") splits
-		// the CPU profile between the delivery fan-out and the coordinator.
+		// the CPU profile of a -parallel suite between the experiment
+		// workers and the coordinator.
 		defer func() {
 			if err := stop(); err != nil {
 				fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)

@@ -63,7 +63,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&switches, "switches", "ideal", "concentrator kind: ideal|partial")
 	fs.Float64Var(&cfg.loss, "loss", 0, "transient-fault injection rate in [0,1)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "base random seed (varied per run)")
-	fs.IntVar(&cfg.workers, "workers", 0, "delivery-cycle workers per engine: 0 = GOMAXPROCS, 1 = serial")
+	fs.IntVar(&cfg.workers, "workers", 0, "tenant dispatcher pool size: how many tenants' requests run concurrently (tenant mode; 0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.runs, "runs", 0, "stop after this many runs and exit 0 (0 = run until signalled)")
 	fs.DurationVar(&cfg.interval, "interval", 0, "pause between runs (0 = back to back)")
 	fs.IntVar(&cfg.history, "history", 64, "completed runs retained for /runs")
@@ -115,8 +115,11 @@ func parseConfig(args []string) (config, error) {
 	if cfg.loss < 0 || cfg.loss >= 1 {
 		return cfg, fmt.Errorf("-loss must be in [0,1) (got %v)", cfg.loss)
 	}
-	if cfg.runs < 0 || cfg.workers < 0 || cfg.interval < 0 {
-		return cfg, fmt.Errorf("-runs, -workers, and -interval must be non-negative")
+	if cfg.runs < 0 || cfg.interval < 0 {
+		return cfg, fmt.Errorf("-runs and -interval must be non-negative")
+	}
+	if cfg.workers < 0 {
+		return cfg, fmt.Errorf("-workers (the tenant dispatcher pool size) must be non-negative (got %d)", cfg.workers)
 	}
 	if cfg.history < 1 {
 		return cfg, fmt.Errorf("-history must be >= 1 (got %d)", cfg.history)
@@ -286,7 +289,7 @@ func newServer(cfg config) (*server, error) {
 			obs = fattree.NewObserver(dense)
 		}
 		eng := fattree.NewEngineWithOptions(ft, cfg.switches, cfg.seed+int64(i),
-			fattree.Options{Workers: cfg.workers, Observer: obs})
+			fattree.Options{Observer: obs})
 		if cfg.loss > 0 {
 			eng.InjectLoss(cfg.loss, cfg.seed+int64(7*i+3))
 		}
@@ -297,10 +300,10 @@ func newServer(cfg config) (*server, error) {
 }
 
 // initTenants builds the tenant-serving state: every tenant gets a persistent
-// serial engine on the shared implicit topology — the streaming data plane,
-// whose per-node observer counters match the dense plane's exactly (-workers
-// sizes the dispatcher pool that processes distinct tenants concurrently) —
-// a per-node observer, a RED instrument block, and a bounded queue.
+// engine on the shared implicit topology — the streaming data plane, whose
+// per-node observer counters match the dense plane's exactly — a per-node
+// observer, a RED instrument block, and a bounded queue. -workers sizes the
+// dispatcher pool that processes distinct tenants concurrently.
 func (s *server) initTenants() error {
 	n := s.cfg.sizes[0]
 	w := s.cfg.rootCap
@@ -316,7 +319,7 @@ func (s *server) initTenants() error {
 	for i, name := range s.cfg.tenants {
 		obs := fattree.NewObserver(ft)
 		eng := fattree.NewEngineWithOptions(ft, s.cfg.switches, s.cfg.seed+int64(i),
-			fattree.Options{Workers: 1, Observer: obs})
+			fattree.Options{Observer: obs})
 		if s.cfg.loss > 0 {
 			eng.InjectLoss(s.cfg.loss, s.cfg.seed+int64(7*i+3))
 		}

@@ -391,7 +391,7 @@ func (tn *tenant) process(s *server, req *routeReq) {
 		Trace: req.trace, Tenant: tn.idx, Kind: fattree.SpanQueue,
 		Start: req.enqueuedNS, Dur: wait,
 	})
-	//ftlint:ignore callgraphhotalloc RunServe's recorded witnesses are its validation error path (which feeds a panic) and the parallel fan-out closures; the serial request path is allocation-free, pinned by TestServeRouteAllocs and BenchmarkServeRoute.
+	//ftlint:ignore callgraphhotalloc RunServe's recorded witnesses are its validation error path (which feeds a panic) and the streaming plane's first-touch switch materialization; a warmed request path is allocation-free, pinned by TestServeRouteAllocs and BenchmarkServeRoute.
 	st := tn.eng.RunServe(req.ms)
 	end := spans.Now()
 	req.stats = st

@@ -16,7 +16,7 @@ import (
 
 // tenantServer builds a tenant-mode server and runs its dispatcher until the
 // test ends; the returned server is ready for handler calls.
-func tenantServer(t *testing.T, extra ...string) *server {
+func tenantServer(t testing.TB, extra ...string) *server {
 	t.Helper()
 	args := append([]string{"-n", "16", "-workloads", "perm,random,bitrev", "-tenants", "alpha,beta,gamma"}, extra...)
 	cfg, err := parseConfig(args)
@@ -42,7 +42,7 @@ func tenantServer(t *testing.T, extra ...string) *server {
 }
 
 // post performs one /v1/route request against the server's mux.
-func post(t *testing.T, srv *server, body, contentType string) *httptest.ResponseRecorder {
+func post(t testing.TB, srv *server, body, contentType string) *httptest.ResponseRecorder {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("POST", "/v1/route", strings.NewReader(body))
@@ -484,7 +484,7 @@ func TestTenantMatchesDensePlane(t *testing.T) {
 			ft := fattree.NewUniversal(n, n/4)
 			ref := fattree.NewObserver(ft)
 			eng := fattree.NewEngineWithOptions(ft, srv.cfg.switches, srv.cfg.seed+i,
-				fattree.Options{Workers: 1, Observer: ref})
+				fattree.Options{Observer: ref})
 			if srv.cfg.loss > 0 {
 				eng.InjectLoss(srv.cfg.loss, srv.cfg.seed+7*i+3)
 			}

@@ -40,7 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	policy := flag.String("policy", "offline", "delivery policy: offline|offlinebig|greedy|online")
 	switches := flag.String("switches", "ideal", "concentrator kind: ideal|partial")
-	workers := flag.Int("workers", 0, "delivery-cycle workers: 0 = GOMAXPROCS, 1 = serial (results are identical)")
 	payload := flag.Int("payload", 32, "payload bits per message (bit-serial timing)")
 	showViz := flag.Bool("viz", false, "render per-level utilization bars and schedule occupancy")
 	saveSchedule := flag.String("save-schedule", "", "write the compiled schedule to this file (JSON)")
@@ -169,7 +168,7 @@ func main() {
 		}
 	}
 
-	engine := fattree.NewEngineWithOptions(ft, kind, *seed, fattree.Options{Workers: *workers, Observer: obs})
+	engine := fattree.NewEngineWithOptions(ft, kind, *seed, fattree.Options{Observer: obs})
 
 	var stats fattree.Stats
 	var cycles []fattree.MessageSet

@@ -182,12 +182,10 @@ func EvenBisect(t Topology, v int, q MessageSet) (a, b MessageSet) {
 // Simulation.
 type (
 	// Engine is the delivery-cycle simulator driving concentrator switches.
-	// Engines route delivery cycles serially or level-parallel (see Options
-	// and Engine.RunParallel); the two paths are bit-identical.
+	// An engine routes its cycles on the calling goroutine; run independent
+	// engines concurrently for parallelism.
 	Engine = sim.Engine
-	// Options configures an engine; Workers bounds the concurrency of the
-	// parallel delivery-cycle path (0 = GOMAXPROCS, 1 = serial). Results are
-	// identical for every worker count.
+	// Options configures an engine's optional observer.
 	Options = sim.Options
 	// Stats summarizes a delivery run.
 	Stats = sim.Stats
@@ -202,12 +200,10 @@ const (
 )
 
 // NewEngine builds a delivery-cycle simulator for t with the given switch
-// kind, using up to GOMAXPROCS workers per delivery cycle.
+// kind.
 func NewEngine(t Topology, kind SwitchKind, seed int64) *Engine { return sim.New(t, kind, seed) }
 
-// NewEngineWithOptions is NewEngine with an explicit worker bound. Use
-// Options{Workers: 1} to pin the serial reference path; any other value
-// produces bit-identical results concurrently.
+// NewEngineWithOptions is NewEngine with explicit Options.
 func NewEngineWithOptions(t Topology, kind SwitchKind, seed int64, opts Options) *Engine {
 	return sim.NewWithOptions(t, kind, seed, opts)
 }
@@ -395,20 +391,6 @@ func CompactSchedule(s *Schedule) *Schedule { return sched.Compact(s) }
 // ReadSchedule deserializes a JSON schedule (written with Schedule.WriteTo)
 // and binds it to t, verifying the machine matches.
 func ReadSchedule(r io.Reader, t Topology) (*Schedule, error) { return sched.ReadSchedule(r, t) }
-
-// ScheduleOfflineParallel is OffLine with per-subtree partitioning spread
-// over the shared worker pool (GOMAXPROCS goroutines); the resulting
-// schedule is identical.
-func ScheduleOfflineParallel(t Topology, ms MessageSet) *Schedule {
-	return sched.OffLineParallel(t, ms)
-}
-
-// ScheduleOfflineParallelWorkers is ScheduleOfflineParallel with an explicit
-// worker bound (<= 0 means GOMAXPROCS); the schedule is identical for every
-// bound.
-func ScheduleOfflineParallelWorkers(t Topology, ms MessageSet, workers int) *Schedule {
-	return sched.OffLineParallelWorkers(t, ms, workers)
-}
 
 // RunSchedule plays an off-line schedule through the engine.
 func RunSchedule(e *Engine, s *Schedule) Stats { return sim.RunSchedule(e, s) }

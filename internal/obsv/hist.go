@@ -10,7 +10,7 @@ package obsv
 // ever allocates after New. Bounds are integers because every observed
 // quantity is one — cycles, Hopcroft–Karp rounds, queue occupancies, and
 // utilization scaled to per-mille — which keeps bucketing exact and
-// bit-identical across worker counts (no float rounding to disagree about).
+// bit-identical across identical runs (no float rounding to disagree about).
 
 // Hist is a fixed-size histogram over int64 observations. Bucket i counts
 // observations v with v <= Bound(i) (and > Bound(i-1)); one extra overflow

@@ -19,7 +19,7 @@
 //   - pprof plumbing: profile start/stop helpers for the CLIs' -profile
 //     flag family (profile.go) and runtime/pprof labels on the worker-pool
 //     goroutines (internal/par), so CPU profiles attribute samples to the
-//     delivery fan-out.
+//     pool's workers.
 //
 // # Cost contract
 //
@@ -32,11 +32,11 @@
 //
 // # Determinism contract
 //
-// An Observer is driven only from the engine's deterministic serial merge
-// points (injection, the node-order level merge, collection), never from
-// worker goroutines, so counter totals and the event stream are bit-identical
-// for any worker count, and attaching an observer never perturbs routing.
-// The extended FuzzEngineParallelEquivalence pins both properties.
+// An Observer is driven only from fixed points of the engine's single
+// execution (injection, the end of each level's contests in node order,
+// collection), so counter totals and the event stream are a pure function of
+// the run, and attaching an observer never perturbs routing.
+// FuzzEnginePlaneEquivalence pins both properties.
 package obsv
 
 import (

@@ -18,8 +18,8 @@ import (
 //	trace runtime execution trace-> <base>.trace.out   (go tool trace)
 //
 // The pool workers of internal/par carry pprof labels (pool=par), so CPU
-// samples taken inside the parallel delivery fan-out are attributable in
-// `go tool pprof -tagfocus`.
+// samples taken inside a pool fan-out (ftbench -parallel, ftserve's tenant
+// dispatcher) are attributable in `go tool pprof -tagfocus`.
 
 // StartProfiles starts the requested profile kinds ("cpu", "mem", "trace",
 // comma-separated; empty starts nothing) writing to files derived from base.

@@ -1,11 +1,10 @@
 // Package par provides the bounded worker-pool and deterministic fan-out
-// pattern shared by the parallel subsystems of the repository: the Theorem 1
-// parallel scheduler (internal/sched), the parallel delivery-cycle engine
-// (internal/sim), and the concurrent experiment runner (cmd/ftbench).
+// pattern for coarse-grained work: the tenant dispatcher of cmd/ftserve and
+// the concurrent experiment runner of cmd/ftbench.
 //
 // The pattern is always the same: a batch of independent work items — the
-// nodes of one tree level, the experiments of a suite — is fanned out over at
-// most Workers goroutines, and every item writes only its own result slot, so
+// experiments of a suite, the requests of different tenants — is fanned out
+// over at most Workers goroutines, and every item writes only its own result slot, so
 // the merged output is in item order and bit-identical to a serial run no
 // matter how many workers execute it or in which order they finish. A pool
 // with one worker runs everything inline on the calling goroutine: the serial
@@ -22,10 +21,8 @@ import (
 
 // workerLabels tags every pool worker goroutine for CPU profiling, so
 // `go tool pprof -tagfocus pool=par` isolates the samples spent inside the
-// parallel fan-out (the delivery engine's level sharding, the scheduler's
-// subtree recursion, the benchmark runner). Built once; pprof.Do on the
-// worker body is outside the allocation-free serial path, which never spawns
-// goroutines.
+// fan-out. Built once; pprof.Do on the worker body is outside the
+// allocation-free serial path, which never spawns goroutines.
 var workerLabels = pprof.Labels("pool", "par")
 
 // Pool is a bounded worker pool. It holds no goroutines between calls — the
@@ -95,20 +92,9 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 // the deterministic merge: out[i] = fn(i) regardless of worker count or
 // completion order.
 func Map[T any](p *Pool, n int, fn func(i int) T) []T {
-	return MapInto(p, make([]T, n), n, fn)
-}
-
-// MapInto is Map with caller-owned result storage: dst is resized (reusing its
-// backing array when capacity allows) to n and dst[i] = fn(i) for every i in
-// [0, n). Arena-backed callers pass a scratch slice they reuse across calls,
-// so the steady-state fan-out allocates nothing.
-func MapInto[T any](p *Pool, dst []T, n int, fn func(i int) T) []T {
-	if cap(dst) < n {
-		dst = make([]T, n)
-	}
-	dst = dst[:n]
+	out := make([]T, n)
 	p.ForEach(n, func(i int) {
-		dst[i] = fn(i)
+		out[i] = fn(i)
 	})
-	return dst
+	return out
 }

@@ -66,29 +66,6 @@ func TestMapDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestMapIntoReusesBacking(t *testing.T) {
-	t.Parallel()
-	const n = 100
-	scratch := make([]int, 0, n)
-	got := MapInto(New(4), scratch, n, func(i int) int { return 2 * i })
-	if &got[0] != &scratch[:1][0] {
-		t.Error("MapInto reallocated despite sufficient capacity")
-	}
-	for i := range got {
-		if got[i] != 2*i {
-			t.Fatalf("slot %d = %d, want %d", i, got[i], 2*i)
-		}
-	}
-	// Shrinking reuses, growing past capacity reallocates.
-	if small := MapInto(New(2), got, 10, func(i int) int { return i }); &small[0] != &got[0] {
-		t.Error("MapInto reallocated when shrinking")
-	}
-	big := MapInto(New(2), got, n+1, func(i int) int { return -i })
-	if len(big) != n+1 || big[n] != -n {
-		t.Errorf("MapInto grow: len=%d big[n]=%d", len(big), big[n])
-	}
-}
-
 func TestNilPoolRunsInline(t *testing.T) {
 	t.Parallel()
 	// A nil pool must still execute everything (serially).

@@ -78,7 +78,7 @@ func (sc *Scheduler) Compact(s *Schedule) *Schedule {
 //
 //ftlint:loan
 func (sc *Scheduler) OffLineCompact(ms core.MessageSet) *Schedule {
-	return sc.Compact(sc.schedule(ms, nil, nil))
+	return sc.Compact(sc.schedule(ms, nil))
 }
 
 // Compact merges a schedule's delivery cycles greedily (never more cycles,

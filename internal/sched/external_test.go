@@ -50,10 +50,9 @@ func TestSchedulersHandleExternalTraffic(t *testing.T) {
 		workload.RandomPermutation(64, 2),
 	)
 	for name, f := range map[string]func(core.Topology, core.MessageSet) *Schedule{
-		"OffLine":         OffLine,
-		"OffLineBig":      OffLineBig,
-		"OffLineParallel": OffLineParallel,
-		"Greedy":          Greedy,
+		"OffLine":    OffLine,
+		"OffLineBig": OffLineBig,
+		"Greedy":     Greedy,
 	} {
 		s := f(ft, ms)
 		if err := s.Verify(ms); err != nil {

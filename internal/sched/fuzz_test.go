@@ -2,7 +2,6 @@ package sched
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"fattree/internal/core"
@@ -51,12 +50,10 @@ func sameSchedule(t *testing.T, label string, want, got *Schedule) {
 	}
 }
 
-// FuzzSchedule cross-checks the serial Theorem 1 scheduler against its
-// parallel twin and against a reused arena-backed Scheduler on fuzz-generated
-// message sets: every schedule must verify as a valid partition of the input,
-// the parallel schedule must be bit-identical to the serial one for workers
-// {1, 2, GOMAXPROCS} (the deterministic-merge guarantee of internal/par), and
-// a reused scheduler must match a fresh one across shrinking and regrowing
+// FuzzSchedule cross-checks the Theorem 1 scheduler against its implicit-tree
+// twin and against a reused arena-backed Scheduler on fuzz-generated message
+// sets: every schedule must verify as a valid partition of the input, and a
+// reused scheduler must match a fresh one across shrinking and regrowing
 // message sets (the arena reuse contract of DESIGN.md §9). Seed inputs live
 // in testdata/fuzz/FuzzSchedule.
 func FuzzSchedule(f *testing.F) {
@@ -71,31 +68,17 @@ func FuzzSchedule(f *testing.F) {
 			t.Fatalf("OffLine produced an invalid schedule: %v", err)
 		}
 		sc := NewScheduler(ft)
-		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			parallel := sc.OffLineParallel(ms, workers)
-			if err := parallel.Verify(ms); err != nil {
-				t.Fatalf("OffLineParallel(%d) produced an invalid schedule: %v", workers, err)
-			}
-			sameSchedule(t, "parallel", serial, parallel)
-		}
+		sameSchedule(t, "scheduler", serial, sc.OffLine(ms))
 		// Implicit-vs-materialized phase: the scheduler is pure topology
 		// arithmetic, so running it against the implicit twin of the same
 		// capacity profile must reproduce the materialized schedule bit for
-		// bit, serial and parallel.
+		// bit.
 		imp := core.NewImplicit(ft.Processors(), ft.CapacityAtLevel)
 		implicit := OffLine(imp, ms)
 		if err := implicit.Verify(ms); err != nil {
 			t.Fatalf("OffLine on the implicit tree produced an invalid schedule: %v", err)
 		}
 		sameSchedule(t, "implicit", serial, implicit)
-		si := NewScheduler(imp)
-		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			parallel := si.OffLineParallel(ms, workers)
-			if err := parallel.Verify(ms); err != nil {
-				t.Fatalf("implicit OffLineParallel(%d) produced an invalid schedule: %v", workers, err)
-			}
-			sameSchedule(t, "implicit-parallel", serial, parallel)
-		}
 
 		// Scheduler-reuse phases: shrink the message set, then regrow it. The
 		// reused scheduler's arena has been stretched by the full set and

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"fattree/internal/core"
@@ -84,42 +83,5 @@ func TestOffLineObservedArenaReuse(t *testing.T) {
 		prevMsgs, prevCycles = msgs, cycles
 		// Dirty the arena with an unobserved, differently sized workload.
 		sc.OffLine(small)
-	}
-}
-
-// TestOffLineObservedWorkerCounts pins the determinism of the observed
-// counters across worker counts: the per-level counter snapshot after an
-// observed parallel schedule must be bit-identical whether the level fan-out
-// ran on 1, 2, or GOMAXPROCS workers, because counter updates happen only at
-// the serial merge points.
-func TestOffLineObservedWorkerCounts(t *testing.T) {
-	n := 64
-	ft := core.NewUniversal(n, 16)
-	ms := workload.Random(n, 4*n, 5)
-
-	var want obsv.Snapshot
-	for i, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		o := obsv.New(ft)
-		sc := NewScheduler(ft)
-		s := sc.OffLineParallelObserved(ms, workers, o)
-		if err := s.Verify(ms); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		snap := o.Snapshot()
-		if i == 0 {
-			want = snap
-			continue
-		}
-		if !reflect.DeepEqual(want.Counters.LevelMessages, snap.Counters.LevelMessages) {
-			t.Errorf("workers=%d: LevelMessages differ from serial:\nwant %v\ngot  %v",
-				workers, want.Counters.LevelMessages, snap.Counters.LevelMessages)
-		}
-		if !reflect.DeepEqual(want.Counters.LevelCycles, snap.Counters.LevelCycles) {
-			t.Errorf("workers=%d: LevelCycles differ from serial:\nwant %v\ngot  %v",
-				workers, want.Counters.LevelCycles, snap.Counters.LevelCycles)
-		}
-		if !reflect.DeepEqual(want, snap) {
-			t.Errorf("workers=%d: full snapshot (histograms included) differs from serial", workers)
-		}
 	}
 }

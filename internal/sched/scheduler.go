@@ -3,12 +3,10 @@ package sched
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 
 	"fattree/internal/core"
 	"fattree/internal/obsv"
-	"fattree/internal/par"
 )
 
 // Scheduler is a reusable, allocation-free Theorem 1 scheduler bound to one
@@ -23,12 +21,10 @@ import (
 //     MessageSet inside them, is a loan from the scheduler's arena. It is
 //     valid until the next call on the same Scheduler; use Schedule.Clone to
 //     keep one alive longer.
-//   - A Scheduler is not safe for concurrent use. OffLineParallel fans the
-//     per-node partitioning out over a worker pool internally, but calls on
-//     one Scheduler must be serialized by the caller.
+//   - A Scheduler is not safe for concurrent use: calls on one Scheduler
+//     must be serialized by the caller.
 //   - Reuse is invisible: a reused Scheduler produces bit-identical schedules
-//     to a fresh one, and OffLineParallel is bit-identical to OffLine for
-//     every worker count.
+//     to a fresh one.
 //
 // The package-level OffLine/OffLineCompact/... functions construct a fresh
 // Scheduler per call, so their results are independently owned — existing
@@ -57,28 +53,19 @@ type Scheduler struct {
 	cycles   []core.MessageSet
 
 	// chkLoad is the transient per-channel tally used by the one-cycle check,
-	// indexed 2·node+dir. It is zero between checks (add, inspect, roll back),
-	// and same-level nodes touch disjoint subtree ranges, so the level fan-out
-	// shares it without synchronization.
+	// indexed 2·node+dir. It is zero between checks (add, inspect, roll back).
 	chkLoad []int32
 
-	// Bisection slabs, carved into per-node regions each level: boundary
-	// ping-pong lists, string-end partner tables, strand sides, and the
-	// composite (processor<<32|index) sort keys of the hierarchical matching.
-	bndSlab    []int32
-	bisPartner []int32
-	bisSide    []int8
-	bisKeys    []int64
+	// bndSlab is carved into per-node boundary ping-pong lists each level.
+	// bis is the matching-and-tracing scratch (string-end partner tables,
+	// strand sides, and the composite processor<<32|index sort keys of the
+	// hierarchical matching), sized to the whole message set and reused by
+	// each node in turn.
+	bndSlab []int32
+	bis     bisector
 
-	// nodes lists the non-empty nodes of the level being scheduled; extNS is
-	// the pseudo-node for the external-traffic block. nodeWorker is the
-	// persistent fan-out closure (allocated once, never per call).
-	nodes      []nodeState
-	extNS      nodeState
-	nodeWorker func(i int)
-
-	pool        *par.Pool
-	poolWorkers int
+	// nodes lists the non-empty nodes of the level being scheduled.
+	nodes []nodeState
 
 	out Schedule // loaned result of the last scheduling call
 
@@ -90,22 +77,22 @@ type Scheduler struct {
 	cmpOut    Schedule // loaned result of the last Compact call
 }
 
-// bisector is one node's matching-and-tracing scratch, carved from the
-// scheduler's slabs (or allocated per call by the exported EvenBisect).
+// bisector is the matching-and-tracing scratch of a bisection: the
+// scheduler's reused one, or one allocated per call by the exported
+// EvenBisect.
 type bisector struct {
 	partner []int32 // partner[e] = end matched with e, or -1
 	side    []int8  // side[m] = 0 (first half), 1 (second half), -1 unassigned
 	keys    []int64 // composite sort keys: processor<<32 | message index
 }
 
-// nodeState is the per-node unit of level-parallel work: the node's two
-// oriented crossing segments in groupA, its carved scratch regions, and the
+// nodeState is the per-node unit of a level's work: the node's two
+// oriented crossing segments in groupA, its boundary ping-pong lists, and the
 // resulting partition boundaries.
 type nodeState struct {
 	v              int
 	lrOff, lrLen   int
 	rlOff, rlLen   int
-	bis            bisector
 	lrBndA, lrBndB []int32
 	rlBndA, rlBndB []int32
 	lrBnd, rlBnd   []int32 // final boundaries (parts+1 entries; nil if empty)
@@ -131,7 +118,6 @@ func NewScheduler(t core.Topology) *Scheduler {
 		rlOff:   make([]int32, n),
 		chkLoad: make([]int32, 4*n),
 	}
-	sc.nodeWorker = func(i int) { sc.runNode(&sc.nodes[i]) }
 	return sc
 }
 
@@ -143,7 +129,7 @@ func (sc *Scheduler) Tree() core.Topology { return sc.tree }
 //
 //ftlint:loan
 func (sc *Scheduler) OffLine(ms core.MessageSet) *Schedule {
-	return sc.schedule(ms, nil, nil)
+	return sc.schedule(ms, nil)
 }
 
 // OffLineObserved is OffLine with the observability layer attached; the
@@ -151,50 +137,16 @@ func (sc *Scheduler) OffLine(ms core.MessageSet) *Schedule {
 //
 //ftlint:loan
 func (sc *Scheduler) OffLineObserved(ms core.MessageSet, o *obsv.Observer) *Schedule {
-	return sc.schedule(ms, o, nil)
-}
-
-// OffLineParallel is OffLine with the per-node partitioning of each level
-// fanned out over workers goroutines (<= 0 means GOMAXPROCS). Subtrees rooted
-// at the same level use disjoint channels, messages, and scratch regions, and
-// the per-node results are assembled serially in node order, so the schedule
-// is bit-identical to OffLine's for every worker count.
-//
-//ftlint:loan
-func (sc *Scheduler) OffLineParallel(ms core.MessageSet, workers int) *Schedule {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if sc.pool == nil || sc.poolWorkers != workers {
-		sc.pool = par.New(workers)
-		sc.poolWorkers = workers
-	}
-	return sc.schedule(ms, nil, sc.pool)
-}
-
-// OffLineParallelObserved combines OffLineParallel and OffLineObserved.
-// Counters are updated only at the serial merge points between levels, so the
-// observer sees identical values for every worker count.
-//
-//ftlint:loan
-func (sc *Scheduler) OffLineParallelObserved(ms core.MessageSet, workers int, o *obsv.Observer) *Schedule {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if sc.pool == nil || sc.poolWorkers != workers {
-		sc.pool = par.New(workers)
-		sc.poolWorkers = workers
-	}
-	return sc.schedule(ms, o, sc.pool)
+	return sc.schedule(ms, o)
 }
 
 // schedule is the shared implementation: validate, group by LCA, partition
-// the external block and then every level (optionally in parallel), and
-// assemble delivery cycles. o and pool may be nil.
+// the external block and then every level, and assemble delivery cycles. o
+// may be nil.
 //
 //ftlint:loan
 //ftlint:hotpath
-func (sc *Scheduler) schedule(ms core.MessageSet, o *obsv.Observer, pool *par.Pool) *Schedule {
+func (sc *Scheduler) schedule(ms core.MessageSet, o *obsv.Observer) *Schedule {
 	t := sc.tree
 	//ftlint:ignore callgraphhotalloc Validate allocates only on its error path, which feeds the panic below; the happy path is allocation-free.
 	if err := ms.Validate(t); err != nil {
@@ -218,14 +170,6 @@ func (sc *Scheduler) schedule(ms core.MessageSet, o *obsv.Observer, pool *par.Po
 	// output part is routed with the i-th input part (outputs use only up
 	// channels, inputs only down channels).
 	if eo+ei > 0 {
-		ext := &sc.extNS
-		kmax := eo
-		if ei > kmax {
-			kmax = ei
-		}
-		ext.bis.partner = sc.bisPartner[:2*kmax]
-		ext.bis.side = sc.bisSide[:kmax]
-		ext.bis.keys = sc.bisKeys[:kmax]
 		bOff := 0
 		outA := sc.bndSlab[bOff : bOff+2*eo+2]
 		bOff += 2*eo + 2
@@ -234,8 +178,8 @@ func (sc *Scheduler) schedule(ms core.MessageSet, o *obsv.Observer, pool *par.Po
 		inA := sc.bndSlab[bOff : bOff+2*ei+2]
 		bOff += 2*ei + 2
 		inB := sc.bndSlab[bOff : bOff+2*ei+2]
-		outBnd, outFlip := sc.partition(0, 0, eo, &ext.bis, outA, outB, true, true)
-		inBnd, inFlip := sc.partition(0, eo, ei, &ext.bis, inA, inB, true, false)
+		outBnd, outFlip := sc.partition(0, 0, eo, &sc.bis, outA, outB, true, true)
+		inBnd, inFlip := sc.partition(0, eo, ei, &sc.bis, inA, inB, true, false)
 		maxParts := parts(outBnd)
 		if p := parts(inBnd); p > maxParts {
 			maxParts = p
@@ -255,15 +199,15 @@ func (sc *Scheduler) schedule(ms core.MessageSet, o *obsv.Observer, pool *par.Po
 		}
 	}
 
-	// Per level, every node's crossing sets are partitioned independently
-	// (the level fan-out); the i-th parts of all nodes at the level are
+	// Per level, every node's crossing sets are partitioned independently;
+	// the i-th parts of all nodes at the level are
 	// unioned into one delivery cycle. Different subtrees use disjoint
 	// channels, and the lr/rl sets of one node also use disjoint channels,
 	// so the union stays one-cycle.
 	for level := 0; level < t.Levels(); level++ {
 		first := 1 << uint(level)
 		sc.nodes = sc.nodes[:0]
-		bOff, pOff, sOff := 0, 0, 0
+		bOff := 0
 		levelMessages := 0
 		for v := first; v < 2*first; v++ {
 			klr, krl := int(sc.lrCnt[v]), int(sc.rlCnt[v])
@@ -271,20 +215,11 @@ func (sc *Scheduler) schedule(ms core.MessageSet, o *obsv.Observer, pool *par.Po
 				continue
 			}
 			levelMessages += klr + krl
-			kmax := klr
-			if krl > kmax {
-				kmax = krl
-			}
 			ns := nodeState{
 				v:     v,
 				lrOff: int(sc.lrOff[v]) - klr, lrLen: klr,
 				rlOff: int(sc.rlOff[v]) - krl, rlLen: krl,
 			}
-			ns.bis.partner = sc.bisPartner[pOff : pOff+2*kmax]
-			pOff += 2 * kmax
-			ns.bis.side = sc.bisSide[sOff : sOff+kmax]
-			ns.bis.keys = sc.bisKeys[sOff : sOff+kmax]
-			sOff += kmax
 			ns.lrBndA = sc.bndSlab[bOff : bOff+2*klr+2]
 			bOff += 2*klr + 2
 			ns.lrBndB = sc.bndSlab[bOff : bOff+2*klr+2]
@@ -298,8 +233,9 @@ func (sc *Scheduler) schedule(ms core.MessageSet, o *obsv.Observer, pool *par.Po
 		if len(sc.nodes) == 0 {
 			continue
 		}
-		//ftlint:ignore callgraphhotalloc parallel fan-out spawns worker closures by design; the serial path (nil pool) returns before allocating.
-		pool.ForEach(len(sc.nodes), sc.nodeWorker)
+		for i := range sc.nodes {
+			sc.runNode(&sc.nodes[i])
+		}
 
 		maxParts := 0
 		for i := range sc.nodes {
@@ -347,9 +283,9 @@ func (sc *Scheduler) grow(m int) {
 	sc.groupA = growSlab(sc.groupA, m)
 	sc.groupB = growSlab(sc.groupB, m)
 	sc.cycleBuf = growSlab(sc.cycleBuf, m)
-	sc.bisKeys = growSlab(sc.bisKeys, m)
-	sc.bisSide = growSlab(sc.bisSide, m)
-	sc.bisPartner = growSlab(sc.bisPartner, 2*m)
+	sc.bis.keys = growSlab(sc.bis.keys, m)
+	sc.bis.side = growSlab(sc.bis.side, m)
+	sc.bis.partner = growSlab(sc.bis.partner, 2*m)
 	// Per level: every node needs two boundary ping-pong lists per oriented
 	// segment (2k+2 entries each, since k messages split into at most 2k
 	// parts), totalling 4·(messages at the level) + 8·(nodes at the level).
@@ -426,15 +362,14 @@ func (sc *Scheduler) group(ms core.MessageSet) (eo, ei int) {
 	return eo, ei
 }
 
-// runNode partitions one node's two oriented crossing segments. It is the
-// unit of level-parallel work: all state it touches — the node's groupA/B
-// segments, its carved scratch regions, and the chkLoad entries inside its
-// subtree — is disjoint from every other node at the same level.
+// runNode partitions one node's two oriented crossing segments. Besides the
+// shared bisection scratch it touches only the node's groupA/B segments, its
+// boundary lists, and the chkLoad entries inside its subtree.
 //
 //ftlint:hotpath
 func (sc *Scheduler) runNode(ns *nodeState) {
-	ns.lrBnd, ns.lrFlip = sc.partition(ns.v, ns.lrOff, ns.lrLen, &ns.bis, ns.lrBndA, ns.lrBndB, false, false)
-	ns.rlBnd, ns.rlFlip = sc.partition(ns.v, ns.rlOff, ns.rlLen, &ns.bis, ns.rlBndA, ns.rlBndB, false, false)
+	ns.lrBnd, ns.lrFlip = sc.partition(ns.v, ns.lrOff, ns.lrLen, &sc.bis, ns.lrBndA, ns.lrBndB, false, false)
+	ns.rlBnd, ns.rlFlip = sc.partition(ns.v, ns.rlOff, ns.rlLen, &sc.bis, ns.rlBndA, ns.rlBndB, false, false)
 }
 
 // partition iteratively bisects the segment [off, off+k) of groupA until

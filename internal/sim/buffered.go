@@ -5,7 +5,6 @@ import (
 
 	"fattree/internal/core"
 	"fattree/internal/obsv"
-	"fattree/internal/par"
 )
 
 // This file implements a buffered delivery model — the road not taken in the
@@ -79,20 +78,20 @@ func runBuffered(t *core.FatTree, ms core.MessageSet, queueDepth int, o *obsv.Ob
 	n2 := 4 * t.Processors()
 	chanUp := func(v int) int { return 2 * v }
 
-	// Precompute every message's channel path once (fanned out over the
-	// worker pool — paths are independent and FatTree reads are pure) so the
-	// per-hop loop below is pure table lookups instead of LCA recomputation.
-	// paths[i] is message i's channel-index sequence; at[i] is the position
-	// message i currently occupies (-1 while still queued at its source).
+	// Precompute every message's channel path once so the per-hop loop
+	// below is pure table lookups instead of LCA recomputation. paths[i] is
+	// message i's channel-index sequence; at[i] is the position message i
+	// currently occupies (-1 while still queued at its source).
 	paths := make([][]int, len(ms))
-	par.New(0).ForEach(len(ms), func(i int) {
-		chs := t.Path(ms[i], nil)
+	var chs []core.Channel
+	for i, m := range ms {
+		chs = t.Path(m, chs[:0])
 		p := make([]int, len(chs))
 		for j, c := range chs {
 			p[j] = 2*c.Node + int(c.Dir)
 		}
 		paths[i] = p
-	})
+	}
 	at := make([]int, len(ms))
 	for i := range at {
 		at[i] = -1

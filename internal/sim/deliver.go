@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"fattree/internal/core"
-	"fattree/internal/par"
 )
 
 // maxZeroStreak is how many consecutive no-progress drain cycles a shuffled
@@ -31,13 +30,10 @@ const maxZeroStreak = 1000
 // Pending sets and first-offer stamps ping-pong through the engine's scratch
 // arena, so a warmed engine runs the loop without allocating. The stamps give
 // every delivery's latency, (c+1) − first offer cycle, whose sum is returned
-// and whose per-cycle batch goes to the observer. Everything here runs on the
-// calling goroutine, so results and observations are identical for any
-// worker count; pool only fans out each cycle's switches (nil routes them
-// serially).
+// and whose per-cycle batch goes to the observer.
 //
 //ftlint:hotpath
-func (e *Engine) deliver(pool *par.Pool, initial core.MessageSet, arrive func(c int) core.MessageSet,
+func (e *Engine) deliver(initial core.MessageSet, arrive func(c int) core.MessageSet,
 	horizon, budget int, shuffle func(core.MessageSet, []int64), perCycle bool) (stats Stats, latencySum int64) {
 	//ftlint:ignore callgraphhotalloc Validate allocates only on its error path, which feeds the panic below; the happy path is allocation-free.
 	if err := initial.Validate(e.tree); err != nil {
@@ -71,7 +67,7 @@ func (e *Engine) deliver(pool *par.Pool, initial core.MessageSet, arrive func(c 
 		if shuffle != nil {
 			shuffle(pending, ages)
 		}
-		delivered, res := e.runCycle(pending, pool)
+		delivered, res := e.runCycle(pending)
 		stats.Cycles++
 		stats.Delivered += res.Delivered
 		stats.Drops += res.Dropped
@@ -112,15 +108,6 @@ func (e *Engine) deliver(pool *par.Pool, initial core.MessageSet, arrive func(c 
 	e.scr.pendA, e.scr.pendB = pending[:0], next[:0]
 	e.scr.ageA, e.scr.ageB, e.scr.latBuf = ages[:0], agesNext[:0], lat[:0]
 	return stats, latencySum
-}
-
-// autoPool is the pool a cycle runs on by the engine's worker bound: nil (the
-// serial execution) for one worker, the level-sharded fan-out otherwise.
-func (e *Engine) autoPool() *par.Pool {
-	if e.pool.Workers() > 1 {
-		return e.pool
-	}
-	return nil
 }
 
 // randomOrder returns a deliver shuffle that gives every cycle fresh random

@@ -16,7 +16,7 @@
 //
 // # The allocation-free data plane
 //
-// Both cycle paths share one bucketed data plane that does O(flights × path
+// The dense engine routes on a bucketed data plane that does O(flights × path
 // length) work per cycle with zero steady-state heap allocation: each sweep
 // step touches every in-flight message exactly once to bucket it under its
 // owning switch (replacing the historical per-switch scan over all flights),
@@ -31,29 +31,14 @@
 // decision reads one bit of the destination leaf index). See DESIGN.md
 // "Scratch-arena ownership" for the reuse rules.
 //
-// # Parallel delivery cycles
+// # Determinism
 //
-// The engine has two interchangeable cycle executions of that one data
-// plane. The serial path (Engine.Run, and Engine.RunCycle on a one-worker
-// engine) routes the buckets of each tree level in node order on the calling
-// goroutine. The parallel path (Engine.RunParallel, Engine.RunCyclesParallel,
-// and Engine.RunCycle on a multi-worker engine) exploits the independence of
-// a level's switches — within one sweep they touch disjoint messages,
-// disjoint channels, and disjoint scratch — to fan the buckets out over a
-// bounded worker pool (internal/par), merging per-switch drop counts in node
-// order. The streaming plane of an implicit tree has only the serial
-// execution; its parallel entry points route on the calling goroutine.
-//
-// The parallel path is bit-identical to the serial path for any worker
-// count. Contention winners are decided by per-switch request order, which
-// both paths derive from message index order; and every source of randomness
-// — partial-concentrator wiring and transient-fault (loss) injection — draws
-// from a per-switch RNG stream seeded deterministically from (seed, node) at
-// construction, consumed by exactly one worker per sweep, so loss injection
-// and partial-concentrator behavior are reproducible regardless of how the
-// switches are distributed over workers. The equivalence tests in this
-// package prove the guarantee across worker counts, switch kinds, fault
-// rates, and engine reuse.
+// Every cycle runs on the calling goroutine, and each sweep step contests
+// its switches in first-touch node order with each switch's requests in
+// message-index order. Every source of randomness — partial-concentrator
+// wiring and transient-fault (loss) injection — draws from a per-switch RNG
+// stream seeded by (seed, node) at construction, so a run's outcome depends
+// only on the tree, the seed, and the message order.
 package sim
 
 import (
@@ -62,25 +47,22 @@ import (
 	"fattree/internal/concentrator"
 	"fattree/internal/core"
 	"fattree/internal/obsv"
-	"fattree/internal/par"
 )
 
 // Options configures optional engine behavior.
 type Options struct {
-	// Workers bounds the concurrency of the parallel delivery-cycle path:
-	// the switches of each tree level are fanned out over at most Workers
-	// goroutines. 0 means runtime.GOMAXPROCS(0). 1 pins the engine to the
-	// serial reference path (RunCycle routes switches one by one). The
-	// delivered messages, drop counts, and wire assignments are identical
-	// for every value — workers only change wall-clock time. An implicit
-	// tree's streaming plane always routes serially, whatever the value.
+	// Workers is ignored: every engine routes its cycles on the calling
+	// goroutine.
+	//
+	// Deprecated: an engine has a single execution. Run independent engines
+	// concurrently for parallelism.
 	Workers int
 
 	// Observer, when non-nil, attaches the observability layer (internal/
 	// obsv) to the engine: per-channel and per-switch counters plus the
-	// optional event trace, recorded at the deterministic serial merge points
-	// of the cycle data plane. A nil Observer costs one pointer compare per
-	// merge point and nothing else. Equivalent to calling SetObserver.
+	// optional event trace, recorded at fixed points of the cycle data
+	// plane. A nil Observer costs one pointer compare per hook and nothing
+	// else. Equivalent to calling SetObserver.
 	Observer *obsv.Observer
 }
 
@@ -96,7 +78,6 @@ type Options struct {
 type Engine struct {
 	tree     core.Topology
 	switches []*concentrator.Switch // indexed by node 1..n-1 (internal nodes)
-	pool     *par.Pool              // bounds the parallel cycle path
 
 	// caps memoizes the channel capacity above every node (both directions
 	// share one capacity), indexed by heap node id, so the cycle data plane
@@ -111,11 +92,6 @@ type Engine struct {
 	obs *obsv.Observer
 
 	scr scratch
-
-	// levelWorker is the persistent fan-out closure handed to the worker
-	// pool each sweep step; the step's parameters travel in scratch fields
-	// (curFirst, curUp) so steady-state cycles allocate no closures.
-	levelWorker func(k int)
 
 	// stream is non-nil when the engine simulates an ImplicitFatTree: the
 	// streaming data plane of stream.go, which carries sorted (node, flight)
@@ -148,17 +124,11 @@ type scratch struct {
 
 	// Per-level bucketing state: buckets[v-first] lists the flight indices
 	// switch v owns this sweep step in message-index order; nodes lists the
-	// non-empty buckets in first-touch (= message-index) order; dropped
-	// collects per-switch drop counts for the deterministic merge. curFirst
-	// and curUp parameterize the current sweep step for levelWorker.
-	buckets  [][]int
-	nodes    []int
-	dropped  []int
-	curFirst int
-	curUp    bool
+	// non-empty buckets in first-touch (= message-index) order.
+	buckets [][]int
+	nodes   []int
 
-	// Per-switch scratch, indexed by node 1..n-1. Distinct switches are
-	// routed by distinct workers, so slots never race.
+	// Per-switch scratch, indexed by node 1..n-1.
 	node []nodeScratch
 
 	// Ping-pong pending buffers for the retry loop (deliver).
@@ -184,9 +154,7 @@ type nodeScratch struct {
 
 // New builds the engine: one switch per internal node, with concentrators of
 // the given kind (ideal per Section III, or Pippenger-style partial per
-// Section IV). seed feeds the partial constructions. The engine uses up to
-// GOMAXPROCS workers for its delivery cycles; see NewWithOptions to pin the
-// worker count.
+// Section IV). seed feeds the partial constructions.
 func New(t core.Topology, kind concentrator.Kind, seed int64) *Engine {
 	return NewWithOptions(t, kind, seed, Options{})
 }
@@ -206,7 +174,6 @@ func NewWithOptions(t core.Topology, kind concentrator.Kind, seed int64, opts Op
 	e := &Engine{
 		tree:     t,
 		switches: make([]*concentrator.Switch, t.Processors()),
-		pool:     par.New(opts.Workers),
 		caps:     core.CapTableOf(t),
 	}
 	n := t.Processors()
@@ -229,14 +196,6 @@ func NewWithOptions(t core.Topology, kind concentrator.Kind, seed int64, opts Op
 	}
 	e.scr.buckets = make([][]int, maxNodes)
 	e.scr.nodes = make([]int, 0, maxNodes)
-	e.scr.dropped = make([]int, maxNodes)
-	e.levelWorker = func(k int) {
-		scr := &e.scr
-		v := scr.nodes[k]
-		var local CycleResult
-		e.routeGathered(v, scr.flights, scr.buckets[v-scr.curFirst], scr.curUp, &local)
-		scr.dropped[v-scr.curFirst] = local.Dropped
-	}
 	if opts.Observer != nil {
 		e.SetObserver(opts.Observer)
 	}
@@ -246,15 +205,11 @@ func NewWithOptions(t core.Topology, kind concentrator.Kind, seed int64, opts Op
 // Tree returns the fat-tree the engine simulates.
 func (e *Engine) Tree() core.Topology { return e.tree }
 
-// Workers returns the engine's worker bound for parallel delivery cycles.
-func (e *Engine) Workers() int { return e.pool.Workers() }
-
 // InjectLoss adds a transient-fault model to every switch: each routed
 // message is independently corrupted with the given rate and must be retried
 // (Section VII's fault-tolerance concern, absorbed by the Section II
 // acknowledgment protocol). Each switch draws from its own RNG stream seeded
-// by (seed, node), so fault patterns are reproducible on the parallel cycle
-// path for any worker count.
+// by (seed, node), so fault patterns are reproducible.
 func (e *Engine) InjectLoss(rate float64, seed int64) {
 	if e.stream != nil {
 		e.stream.injectLoss(rate, seed)
@@ -300,14 +255,12 @@ const (
 // RunCycle attempts to deliver all of pending in a single delivery cycle and
 // returns which were delivered (parallel to pending) plus counts. Messages
 // not delivered must be retried by the caller in a later cycle — the
-// acknowledgment protocol of Section II. Engines with more than one worker
-// route each tree level's switches concurrently; the result is bit-identical
-// to the serial path.
+// acknowledgment protocol of Section II.
 //
 // The returned slice is owned by the engine's scratch arena and valid only
 // until the next cycle on this engine; copy it to retain it.
 func (e *Engine) RunCycle(pending core.MessageSet) ([]bool, CycleResult) {
-	return e.runCycle(pending, e.autoPool())
+	return e.runCycle(pending)
 }
 
 // growInts returns s resized to n entries, reusing its backing array when
@@ -421,21 +374,17 @@ func (e *Engine) collect(pending core.MessageSet, flights []flight, res *CycleRe
 	return delivered
 }
 
-// runCycle is the single delivery-cycle data plane shared by the serial and
-// parallel paths: inject, bucketed upward sweep, bucketed downward sweep,
-// collect. A nil pool routes each level's buckets in node order on the
-// calling goroutine (the serial reference execution); a pool fans them out
-// over its workers with a deterministic node-order merge. The two executions
-// are bit-identical because every bucket is built in message-index order
-// before the fan-out and every switch is contested by exactly one worker.
+// runCycle is one delivery cycle on the engine's data plane: inject,
+// bucketed upward sweep, bucketed downward sweep, collect. Each level's
+// buckets are routed in first-touch node order on the calling goroutine.
 //
 //ftlint:hotpath
-func (e *Engine) runCycle(pending core.MessageSet, pool *par.Pool) ([]bool, CycleResult) {
+func (e *Engine) runCycle(pending core.MessageSet) ([]bool, CycleResult) {
 	if e.stream != nil {
 		return e.runCycleStream(pending)
 	}
 	if e.kary != nil {
-		return e.runCycleKary(pending, pool)
+		return e.runCycleKary(pending)
 	}
 	t := e.tree
 	scr := &e.scr
@@ -458,7 +407,7 @@ func (e *Engine) runCycle(pending core.MessageSet, pool *par.Pool) ([]bool, Cycl
 			}
 			e.own(first, f.node>>1, i)
 		}
-		e.routeLevel(pool, first, true, &res)
+		e.routeLevel(first, true, &res)
 	}
 
 	// Downward sweep, root toward the leaves: a message either turns at v
@@ -475,7 +424,7 @@ func (e *Engine) runCycle(pending core.MessageSet, pool *par.Pool) ([]bool, Cycl
 				e.own(first, f.node, i)
 			}
 		}
-		e.routeLevel(pool, first, false, &res)
+		e.routeLevel(first, false, &res)
 	}
 
 	delivered := e.collect(pending, flights, &res)
@@ -499,25 +448,24 @@ func (e *Engine) own(first, v, i int) {
 	}
 }
 
-// routeLevel contests one sweep step's non-empty switches — inline in node
-// order on a nil pool, fanned out over the pool's workers otherwise — then
-// merges per-switch drop counts in node order and resets the buckets.
+// routeLevel contests one sweep step's non-empty switches in first-touch
+// node order, then resets the buckets.
 //
 //ftlint:hotpath
-func (e *Engine) routeLevel(pool *par.Pool, first int, upSweep bool, res *CycleResult) {
+func (e *Engine) routeLevel(first int, upSweep bool, res *CycleResult) {
 	scr := &e.scr
-	scr.curFirst, scr.curUp = first, upSweep
-	//ftlint:ignore callgraphhotalloc parallel fan-out spawns worker closures by design; the serial path (nil pool) returns before allocating.
-	pool.ForEach(len(scr.nodes), e.levelWorker)
+	for _, v := range scr.nodes {
+		if e.kary != nil {
+			e.routeKaryGathered(v, scr.flights, scr.buckets[v-first], upSweep, res)
+		} else {
+			e.routeGathered(v, scr.flights, scr.buckets[v-first], upSweep, res)
+		}
+	}
 	if e.obs != nil {
-		// Observation happens here, after the fan-out has joined and before
-		// the buckets are reset — a serial point with a deterministic order.
+		// Observation reads the level's outcomes before the buckets reset.
 		e.observeLevel(first, upSweep)
 	}
-	// Deterministic merge in node order. Only drops occur mid-sweep
-	// (delivery and deferral are counted at collect/inject time).
 	for _, v := range scr.nodes {
-		res.Dropped += scr.dropped[v-first]
 		scr.buckets[v-first] = scr.buckets[v-first][:0]
 	}
 	scr.nodes = scr.nodes[:0]
@@ -526,8 +474,7 @@ func (e *Engine) routeLevel(pool *par.Pool, first int, upSweep bool, res *CycleR
 // routeGathered contests node v's concentrators with the flights in who (in
 // order) and applies the wire assignments. In the upward sweep only the
 // ToParent output is contested; in the downward sweep the two child outputs
-// are. It touches only the listed flights, switch v, v's scratch slot, and
-// res.Dropped, so calls for distinct nodes of one level are independent.
+// are.
 //
 //ftlint:hotpath
 func (e *Engine) routeGathered(v int, flights []flight, who []int, upSweep bool, res *CycleResult) {

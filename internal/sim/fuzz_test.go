@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"fattree/internal/concentrator"
@@ -49,15 +48,19 @@ func decodeEngineFuzz(data []byte) (ft *core.FatTree, ms core.MessageSet, kind c
 	return ft, ms, kind, seed, loss
 }
 
-// FuzzEngineParallelEquivalence cross-checks the parallel delivery-cycle
-// path against the serial reference on fuzz-generated scenarios: for any
-// tree shape, switch kind, loss rate, and worker count, RunParallel must
-// reproduce Run bit-for-bit — total cycle count, per-cycle delivery
-// profile, drops, and deferrals. This is the engine-level complement of
-// sched's FuzzSchedule and the machine-checked form of the determinism
-// contract in DESIGN.md: all per-switch randomness is pre-seeded by
-// (seed, node), and every fan-out merges in message-index order.
-func FuzzEngineParallelEquivalence(f *testing.F) {
+// FuzzEnginePlaneEquivalence cross-checks the engine's data planes on
+// fuzz-generated scenarios: for any tree shape, switch kind, and loss rate,
+// the streaming plane on the implicit twin of the tree, and on ideal
+// lossless switches the k-ary plane on its binary-shaped twin, must
+// reproduce the dense plane bit for bit — total cycle count, per-cycle
+// delivery profile, drops, deferrals, and observer counter totals. It also
+// checks that attaching an observer does not perturb a run, that the
+// conservation law holds, and that a reused engine matches a fresh one. This
+// is the engine-level complement of sched's FuzzSchedule and the
+// machine-checked form of the determinism contract in DESIGN.md: all
+// per-switch randomness is seeded by (seed, node), and switches are
+// contested in node order.
+func FuzzEnginePlaneEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 7, 3, 4, 1})
 	f.Add([]byte{1, 1, 0, 15, 15, 0, 1, 14, 2, 13, 3, 12})
@@ -72,131 +75,90 @@ func FuzzEngineParallelEquivalence(f *testing.F) {
 		ft, ms, kind, seed, loss := decodeEngineFuzz(data)
 
 		// Fresh engines per run: switch RNG streams advance as cycles are
-		// routed, so serial and parallel must start from identical state.
-		mkEngine := func(workers int) *Engine {
-			e := NewWithOptions(ft, kind, seed, Options{Workers: workers})
+		// routed, so every compared run must start from identical state.
+		withLoss := func(e *Engine) *Engine {
 			if loss > 0 {
 				e.InjectLoss(loss, seed+1)
 			}
 			return e
 		}
+		mkEngine := func() *Engine { return withLoss(New(ft, kind, seed)) }
+		imp := core.NewImplicit(ft.Processors(), ft.CapacityAtLevel)
+		mkStream := func() *Engine { return withLoss(New(imp, kind, seed)) }
 
-		serial := mkEngine(1).Run(ms)
-		for _, workers := range []int{0, 2, 3} {
-			parallel := mkEngine(workers).RunParallel(ms)
-			if serial.Cycles != parallel.Cycles ||
-				serial.Delivered != parallel.Delivered ||
-				serial.Drops != parallel.Drops ||
-				serial.Deferrals != parallel.Deferrals {
-				t.Fatalf("workers=%d: stats diverge\nserial   %+v\nparallel %+v",
-					workers, serial, parallel)
-			}
-			if !reflect.DeepEqual(serial.PerCycle, parallel.PerCycle) {
-				t.Fatalf("workers=%d: per-cycle delivery profile diverges\nserial   %v\nparallel %v",
-					workers, serial.PerCycle, parallel.PerCycle)
-			}
-		}
+		dense := mkEngine().Run(ms)
 
-		// Observed runs: attaching an observer must not perturb the stats, and
-		// the counter totals must be identical for every worker count — the
-		// observer only sees the deterministic serial merge points.
-		runObserved := func(workers int) (*obsv.Observer, Stats) {
-			o := obsv.New(ft)
-			e := mkEngine(workers)
-			e.SetObserver(o)
-			return o, e.RunParallel(ms)
-		}
-		obsRef, obsStats := runObserved(1)
-		if !reflect.DeepEqual(obsStats, serial) {
-			t.Fatalf("observer perturbed the run\nplain    %+v\nobserved %+v", serial, obsStats)
+		// Observed run: attaching an observer must not perturb the stats, and
+		// the counters must obey the conservation law.
+		obsRef := obsv.New(ft)
+		e := mkEngine()
+		e.SetObserver(obsRef)
+		if obsStats := e.Run(ms); !reflect.DeepEqual(obsStats, dense) {
+			t.Fatalf("observer perturbed the run\nplain    %+v\nobserved %+v", dense, obsStats)
 		}
 		if c := &obsRef.C; c.Offered != c.Delivered+c.Dropped+c.Deferred {
 			t.Fatalf("conservation broken: offered %d != delivered %d + dropped %d + deferred %d",
 				c.Offered, c.Delivered, c.Dropped, c.Deferred)
 		}
-		for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-			o, stats := runObserved(workers)
-			if !reflect.DeepEqual(stats, serial) {
-				t.Fatalf("workers=%d: observed stats diverge\nserial   %+v\nobserved %+v",
-					workers, serial, stats)
-			}
-			if !obsv.CountersEqual(obsRef, o) {
-				t.Fatalf("workers=%d: observed counter totals diverge from workers=1", workers)
-			}
-		}
 
 		// Implicit-vs-materialized phase: the streaming engine on the
 		// implicit twin of the same capacity profile must reproduce the
-		// dense serial reference bit for bit — stats, per-cycle delivery
-		// profile, and observer counter totals with histograms — for
-		// workers {1, 2, GOMAXPROCS}.
-		imp := core.NewImplicit(ft.Processors(), ft.CapacityAtLevel)
-		mkStream := func(workers int) *Engine {
-			e := NewWithOptions(imp, kind, seed, Options{Workers: workers})
-			if loss > 0 {
-				e.InjectLoss(loss, seed+1)
-			}
-			return e
+		// dense plane bit for bit — stats, per-cycle delivery profile, and
+		// observer counter totals with histograms.
+		o := obsv.New(imp)
+		es := mkStream()
+		es.SetObserver(o)
+		if stats := es.Run(ms); !reflect.DeepEqual(stats, dense) {
+			t.Fatalf("implicit stream stats diverge from dense\ndense  %+v\nstream %+v", dense, stats)
 		}
-		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			o := obsv.New(imp)
-			e := mkStream(workers)
-			e.SetObserver(o)
-			stats := e.RunParallel(ms)
-			if !reflect.DeepEqual(stats, serial) {
-				t.Fatalf("workers=%d: implicit stream stats diverge from dense\ndense  %+v\nstream %+v",
-					workers, serial, stats)
-			}
-			if !obsv.CountersEqual(obsRef, o) {
-				t.Fatalf("workers=%d: implicit stream counters diverge from dense", workers)
-			}
+		if !obsv.CountersEqual(obsRef, o) {
+			t.Fatal("implicit stream counters diverge from dense")
 		}
 
 		// The single-cycle API must agree as well, including the delivered
 		// flags vector (message-index order is part of the contract).
-		sd, sr := mkEngine(1).RunCycle(ms)
-		pd, pr := mkEngine(2).RunCycleParallel(ms)
-		if sr != pr || !reflect.DeepEqual(sd, pd) {
-			t.Fatalf("RunCycle diverges: serial %+v %v, parallel %+v %v", sr, sd, pr, pd)
+		dd, dr := mkEngine().RunCycle(ms)
+		sd, sr := mkStream().RunCycle(ms)
+		if dr != sr || !reflect.DeepEqual(dd, sd) {
+			t.Fatalf("RunCycle diverges: dense %+v %v, stream %+v %v", dr, dd, sr, sd)
 		}
 
 		// Engine reuse: one engine runs many scenarios back to back, so any
 		// state the scratch arena leaks between runs (a stale stamp, an
-		// unreset bucket, a dirty wire guard) breaks the lockstep serial ==
-		// parallel comparison below. The scenario sizes shrink and grow again
+		// unreset bucket, a dirty wire guard) breaks the lockstep dense ==
+		// stream comparison below. The scenario sizes shrink and grow again
 		// to stress arena reuse across resizes.
 		scenarios := []core.MessageSet{ms, ms[:len(ms)/2], ms, ms[:len(ms)/3], ms}
-		reusedSerial := mkEngine(1)
-		reusedParallel := mkEngine(2)
+		reusedDense := mkEngine()
+		reusedStream := mkStream()
 		for rep, sc := range scenarios {
-			rs := reusedSerial.Run(sc)
-			rp := reusedParallel.RunParallel(sc)
-			if !reflect.DeepEqual(rs, rp) {
-				t.Fatalf("rep %d: reused engines diverge\nserial   %+v\nparallel %+v", rep, rs, rp)
+			rd := reusedDense.Run(sc)
+			rs := reusedStream.Run(sc)
+			if !reflect.DeepEqual(rd, rs) {
+				t.Fatalf("rep %d: reused engines diverge\ndense  %+v\nstream %+v", rep, rd, rs)
 			}
 			// Without injected loss no RNG is consumed while routing (the
 			// partial graphs are fixed at construction), so a reused engine
 			// must also be indistinguishable from a fresh one.
 			if loss == 0 {
-				if fresh := mkEngine(1).Run(sc); !reflect.DeepEqual(rs, fresh) {
-					t.Fatalf("rep %d: reused engine diverges from fresh\nreused %+v\nfresh  %+v", rep, rs, fresh)
+				if fresh := mkEngine().Run(sc); !reflect.DeepEqual(rd, fresh) {
+					t.Fatalf("rep %d: reused engine diverges from fresh\nreused %+v\nfresh  %+v", rep, rd, fresh)
 				}
 			}
 		}
 
 		// Reused single cycles after full runs: the delivered vector (scratch-
 		// owned, valid until the engine's next cycle) must still agree.
-		rd, rr := reusedSerial.RunCycle(ms)
-		qd, qr := reusedParallel.RunCycleParallel(ms)
-		if rr != qr || !reflect.DeepEqual(rd, qd) {
-			t.Fatalf("reused RunCycle diverges: serial %+v %v, parallel %+v %v", rr, rd, qr, qd)
+		rdd, rdr := reusedDense.RunCycle(ms)
+		rsd, rsr := reusedStream.RunCycle(ms)
+		if rdr != rsr || !reflect.DeepEqual(rdd, rsd) {
+			t.Fatalf("reused RunCycle diverges: dense %+v %v, stream %+v %v", rdr, rdd, rsr, rsd)
 		}
 
 		// K-ary phase, part 1: a binary-shaped KaryFatTree routes through the
 		// k-ary engine, and on ideal lossless switches that engine must
-		// reproduce the dense serial reference bit for bit — the concentrator
-		// rules collapse to the same wire assignment when every tier is
-		// binary.
+		// reproduce the dense plane bit for bit — the concentrator rules
+		// collapse to the same wire assignment when every tier is binary.
 		if kind == concentrator.KindIdeal && loss == 0 {
 			caps := ft.LevelCapTable()
 			bdesc := core.KaryDesc{
@@ -209,23 +171,17 @@ func FuzzEngineParallelEquivalence(f *testing.F) {
 				bdesc.Down[i], bdesc.Up[i], bdesc.Parallel[i] = 2, caps[i+1], 1
 			}
 			bkt := core.NewKary(bdesc)
-			for _, workers := range []int{1, 2} {
-				o := obsv.New(bkt)
-				e := NewWithOptions(bkt, concentrator.KindIdeal, seed, Options{Workers: workers})
-				e.SetObserver(o)
-				stats := e.RunParallel(ms)
-				if !reflect.DeepEqual(stats, serial) {
-					t.Fatalf("workers=%d: binary-shaped k-ary engine diverges from dense\ndense %+v\nkary  %+v",
-						workers, serial, stats)
-				}
+			o := obsv.New(bkt)
+			e := NewWithOptions(bkt, concentrator.KindIdeal, seed, Options{Observer: o})
+			if stats := e.Run(ms); !reflect.DeepEqual(stats, dense) {
+				t.Fatalf("binary-shaped k-ary engine diverges from dense\ndense %+v\nkary  %+v", dense, stats)
 			}
 		}
 
-		// K-ary phase, part 2: on genuinely non-binary topologies the same
-		// determinism contract must hold — parallel delivery-cycle routing
-		// reproduces the serial reference exactly, including observer counter
-		// totals. The profile is picked by the fuzz seed; the message set is
-		// folded into the smaller address space.
+		// K-ary phase, part 2: on genuinely non-binary topologies the observed
+		// counters obey the conservation law and a reused engine matches a
+		// fresh one. The profile is picked by the fuzz seed; the message set
+		// is folded into the smaller address space.
 		kdesc := []core.KaryDesc{
 			{Down: []int{3, 4}, Up: []int{2, 1}, Parallel: []int{1, 1}},
 			{Down: []int{4, 2, 3}, Up: []int{3, 2, 1}, Parallel: []int{1, 1, 1}},
@@ -239,26 +195,15 @@ func FuzzEngineParallelEquivalence(f *testing.F) {
 				kms = append(kms, core.Message{Src: s, Dst: d})
 			}
 		}
-		runKary := func(workers int) (*obsv.Observer, Stats) {
-			o := obsv.New(kt)
-			e := NewWithOptions(kt, concentrator.KindIdeal, seed, Options{Workers: workers})
-			e.SetObserver(o)
-			return o, e.RunParallel(kms)
-		}
-		karyRef, karySerial := runKary(1)
+		karyRef := obsv.New(kt)
+		ek := NewWithOptions(kt, concentrator.KindIdeal, seed, Options{Observer: karyRef})
+		karyStats := ek.Run(kms)
 		if c := &karyRef.C; c.Offered != c.Delivered+c.Dropped+c.Deferred {
 			t.Fatalf("k-ary conservation broken: offered %d != delivered %d + dropped %d + deferred %d",
 				c.Offered, c.Delivered, c.Dropped, c.Deferred)
 		}
-		for _, workers := range []int{0, 2, 3} {
-			o, stats := runKary(workers)
-			if !reflect.DeepEqual(stats, karySerial) {
-				t.Fatalf("workers=%d: k-ary parallel diverges\nserial   %+v\nparallel %+v",
-					workers, karySerial, stats)
-			}
-			if !obsv.CountersEqual(karyRef, o) {
-				t.Fatalf("workers=%d: k-ary observed counter totals diverge from workers=1", workers)
-			}
+		if again := ek.Run(kms); !reflect.DeepEqual(again, karyStats) {
+			t.Fatalf("reused k-ary engine diverges\nfirst  %+v\nsecond %+v", karyStats, again)
 		}
 	})
 }

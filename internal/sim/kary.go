@@ -3,7 +3,6 @@ package sim
 import (
 	"fattree/internal/concentrator"
 	"fattree/internal/core"
-	"fattree/internal/par"
 )
 
 // This file is the delivery-cycle data plane for generalized k-ary fat-trees
@@ -29,11 +28,9 @@ import (
 // models and are rejected at construction — the k-ary plane exists to study
 // topology shape (radix, oversubscription), not switch internals.
 //
-// Determinism: buckets are built in message-index order before the level
-// fan-out, each switch is contested by exactly one worker, and the routing
-// rules above consume no randomness, so the parallel path is bit-identical
-// to the serial path for any worker count (the k-ary phase of
-// FuzzEngineParallelEquivalence pins this).
+// Determinism: buckets are built in message-index order and contested in
+// first-touch node order, and the routing rules above consume no
+// randomness.
 
 // karyState is the per-engine state of the k-ary plane. It replaces the
 // dense engine's switch objects and per-node scratch; the shared scratch
@@ -60,8 +57,7 @@ type karyNodeScratch struct {
 }
 
 // newKaryEngine builds the k-ary delivery engine. Only ideal concentrators
-// are supported; the worker pool and observer semantics match the dense
-// engine.
+// are supported; the observer semantics match the dense engine.
 func newKaryEngine(t *core.KaryFatTree, kind concentrator.Kind, seed int64, opts Options) *Engine {
 	if kind != concentrator.KindIdeal {
 		panic("sim: k-ary topologies route with ideal concentrators only; partial concentrators model the binary Section IV hardware")
@@ -69,7 +65,6 @@ func newKaryEngine(t *core.KaryFatTree, kind concentrator.Kind, seed int64, opts
 	_ = seed // no randomness: ideal routing is deterministic
 	e := &Engine{
 		tree: t,
-		pool: par.New(opts.Workers),
 		caps: core.CapTableOf(t),
 		kary: &karyState{t: t},
 	}
@@ -100,14 +95,6 @@ func newKaryEngine(t *core.KaryFatTree, kind concentrator.Kind, seed int64, opts
 	e.scr.injStamp = make([]int64, n)
 	e.scr.buckets = make([][]int, maxLevelNodes)
 	e.scr.nodes = make([]int, 0, maxLevelNodes)
-	e.scr.dropped = make([]int, maxLevelNodes)
-	e.levelWorker = func(k int) {
-		scr := &e.scr
-		v := scr.nodes[k]
-		var local CycleResult
-		e.routeKaryGathered(v, scr.flights, scr.buckets[v-scr.curFirst], scr.curUp, &local)
-		scr.dropped[v-scr.curFirst] = local.Dropped
-	}
 	if opts.Observer != nil {
 		e.SetObserver(opts.Observer)
 	}
@@ -117,7 +104,7 @@ func newKaryEngine(t *core.KaryFatTree, kind concentrator.Kind, seed int64, opts
 // runCycleKary is runCycle with the sweeps driven by the k-ary level tables.
 //
 //ftlint:hotpath
-func (e *Engine) runCycleKary(pending core.MessageSet, pool *par.Pool) ([]bool, CycleResult) {
+func (e *Engine) runCycleKary(pending core.MessageSet) ([]bool, CycleResult) {
 	kt := e.kary.t
 	scr := &e.scr
 	leafLevel := kt.Levels()
@@ -143,7 +130,7 @@ func (e *Engine) runCycleKary(pending core.MessageSet, pool *par.Pool) ([]bool, 
 			}
 			e.karyOwn(first, count, p, i)
 		}
-		e.routeLevel(pool, first, true, &res)
+		e.routeLevel(first, true, &res)
 	}
 
 	// Downward sweep, root toward the leaves: a message either turns at v
@@ -160,7 +147,7 @@ func (e *Engine) runCycleKary(pending core.MessageSet, pool *par.Pool) ([]bool, 
 				e.karyOwn(first, count, f.node, i)
 			}
 		}
-		e.routeLevel(pool, first, false, &res)
+		e.routeLevel(first, false, &res)
 	}
 
 	delivered := e.collect(pending, flights, &res)
@@ -185,9 +172,7 @@ func (e *Engine) karyOwn(first, count, v, i int) {
 }
 
 // routeKaryGathered contests node v's inline ideal concentrators with the
-// flights in who (in order) and applies the wire assignments. It touches only
-// the listed flights, v's scratch slot, and res.Dropped, so calls for
-// distinct nodes of one level are independent.
+// flights in who (in order) and applies the wire assignments.
 //
 //ftlint:hotpath
 func (e *Engine) routeKaryGathered(v int, flights []flight, who []int, upSweep bool, res *CycleResult) {

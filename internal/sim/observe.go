@@ -8,18 +8,16 @@ import (
 // This file is the engine side of the observability layer (internal/obsv).
 // The engine holds the observer as a concrete *obsv.Observer pointer — never
 // an interface — so the disabled path is one pointer compare with no
-// interface-conversion allocation, and every hook sits at a deterministic
-// serial merge point of the cycle data plane:
+// interface-conversion allocation, and every hook sits at a fixed point of
+// the cycle data plane:
 //
 //   - after inject, reading the flight table in message-index order;
-//   - in routeLevel, after the level fan-out has joined but before the
+//   - in routeLevel, after the level's switches are contested but before the
 //     buckets are reset, reading buckets in first-touch node order and each
 //     bucket in message-index order;
 //   - after collect, closing the cycle.
 //
-// Worker goroutines never touch the observer, so counter totals and the event
-// stream are bit-identical for any worker count, and attaching an observer
-// cannot perturb routing (it only reads engine state).
+// Attaching an observer cannot perturb routing: it only reads engine state.
 
 // SetObserver attaches an observer to the engine (nil detaches). The observer
 // must be bound to a tree of the same size: a dense observer (obsv.New) for
@@ -80,12 +78,12 @@ func (e *Engine) observeInject(pending core.MessageSet, flights []flight) {
 	}
 }
 
-// observeLevel records one sweep step's outcomes after the level fan-out has
-// joined: per-switch contention (with the cumulative hardware counters for
+// observeLevel records one sweep step's outcomes after its switches are
+// contested: per-switch contention (with the cumulative hardware counters for
 // matching rounds and fault drops), and per-flight advance/block/deliver
 // events with the channel each winner occupies. Bucket order is first-touch
-// node order and within a bucket message-index order — the same deterministic
-// order the drop merge uses. Called only when an observer is attached.
+// node order and within a bucket message-index order. Called only when an
+// observer is attached.
 //
 //ftlint:hotpath
 func (e *Engine) observeLevel(first int, upSweep bool) {
@@ -93,12 +91,20 @@ func (e *Engine) observeLevel(first int, upSweep bool) {
 	scr := &e.scr
 	for _, v := range scr.nodes {
 		bucket := scr.buckets[v-first]
+		// Every bucketed flight was live when the contest started, so the
+		// lost ones are exactly the switch's drops.
+		dropped := 0
+		for _, i := range bucket {
+			if scr.flights[i].state == flightLost {
+				dropped++
+			}
+		}
 		if e.kary != nil {
 			// Inline ideal routing has no hardware counters to difference.
-			o.SwitchDelta(v, len(bucket), scr.dropped[v-first], 0, 0)
+			o.SwitchDelta(v, len(bucket), dropped, 0, 0)
 		} else {
 			sw := e.switches[v]
-			o.Switch(v, len(bucket), scr.dropped[v-first], sw.MatchingRounds(), sw.FaultDrops())
+			o.Switch(v, len(bucket), dropped, sw.MatchingRounds(), sw.FaultDrops())
 		}
 		for _, i := range bucket {
 			f := &scr.flights[i]

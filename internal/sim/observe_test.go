@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +31,7 @@ func TestObserverDoesNotPerturbRouting(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func(o *obsv.Observer) *Engine {
-				e := NewWithOptions(ft, tc.kind, 3, Options{Workers: 1, Observer: o})
+				e := NewWithOptions(ft, tc.kind, 3, Options{Observer: o})
 				if tc.loss > 0 {
 					e.InjectLoss(tc.loss, 5)
 				}
@@ -52,36 +51,6 @@ func TestObserverDoesNotPerturbRouting(t *testing.T) {
 				t.Fatalf("counter totals diverge from stats: %+v vs %+v", c, plain)
 			}
 		})
-	}
-}
-
-// TestParallelObserverCountersEqual pins the determinism contract for workers
-// {1, 2, GOMAXPROCS}: every counter array and the full event stream are
-// identical regardless of worker count, because observation happens only at
-// serial merge points.
-func TestParallelObserverCountersEqual(t *testing.T) {
-	n := 32
-	ft := core.NewUniversal(n, 4)
-	ms := workload.Random(n, 4*n, 11)
-	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
-
-	run := func(w int) *obsv.Observer {
-		o := obsv.New(ft)
-		o.EnableTrace(4096)
-		e := NewWithOptions(ft, concentrator.KindPartial, 9, Options{Workers: w, Observer: o})
-		e.InjectLoss(0.03, 13)
-		e.RunParallel(ms)
-		return o
-	}
-	ref := run(workers[0])
-	for _, w := range workers[1:] {
-		o := run(w)
-		if !obsv.CountersEqual(ref, o) {
-			t.Fatalf("workers=%d: counter totals diverge from workers=%d", w, workers[0])
-		}
-		if !reflect.DeepEqual(ref.Trace().Events(), o.Trace().Events()) {
-			t.Fatalf("workers=%d: event stream diverges from workers=%d", w, workers[0])
-		}
 	}
 }
 
@@ -151,15 +120,15 @@ func TestDeliveryConservation(t *testing.T) {
 		// Retry loop with transient faults (the loss-injection accounting the
 		// satellite audits).
 		o1 := obsv.New(ft)
-		e1 := NewWithOptions(ft, concentrator.KindIdeal, seed, Options{Workers: 1, Observer: o1})
+		e1 := NewWithOptions(ft, concentrator.KindIdeal, seed, Options{Observer: o1})
 		e1.InjectLoss(0.02+0.08*rng.Float64(), seed+2)
 		if !check("lossy-run", o1, e1.Run(ms)) {
 			return false
 		}
 
-		// Randomized online protocol, lossy, auto worker count.
+		// Randomized online protocol, lossy.
 		o2 := obsv.New(ft)
-		e2 := NewWithOptions(ft, concentrator.KindIdeal, seed, Options{Workers: 0, Observer: o2})
+		e2 := NewWithOptions(ft, concentrator.KindIdeal, seed, Options{Observer: o2})
 		e2.InjectLoss(0.05, seed+3)
 		if !check("online-random", o2, RunOnlineRandom(e2, ms, seed+4)) {
 			return false
@@ -167,16 +136,16 @@ func TestDeliveryConservation(t *testing.T) {
 
 		// Partial concentrators without faults, cycle-sequence path.
 		o3 := obsv.New(ft)
-		e3 := NewWithOptions(ft, concentrator.KindPartial, seed, Options{Workers: 2, Observer: o3})
+		e3 := NewWithOptions(ft, concentrator.KindPartial, seed, Options{Observer: o3})
 		cycles := []core.MessageSet{ms[:len(ms)/2], ms[len(ms)/2:]}
-		if !check("cycles", o3, e3.RunCyclesParallel(cycles)) {
+		if !check("cycles", o3, e3.RunCycles(cycles)) {
 			return false
 		}
 
 		// Open loop on partial concentrators: arrivals are never drained, so
 		// every offer is either a first-time arrival or a counted retry.
 		o4 := obsv.New(ft)
-		e4 := NewWithOptions(ft, concentrator.KindPartial, seed, Options{Workers: 1, Observer: o4})
+		e4 := NewWithOptions(ft, concentrator.KindPartial, seed, Options{Observer: o4})
 		ol := RunOpenLoop(e4, UniformArrivals(ft, 1+rng.Intn(n), seed+5), 20, seed+6)
 		c := &o4.C
 		if c.Offered != c.Delivered+c.Dropped+c.Deferred || c.Delivered != int64(ol.Delivered) ||
@@ -201,13 +170,13 @@ func TestObserverReuseAndReset(t *testing.T) {
 	ms := workload.Random(n, 2*n, 3)
 
 	reused := obsv.New(ft)
-	e := NewWithOptions(ft, concentrator.KindPartial, 1, Options{Workers: 1, Observer: reused})
+	e := NewWithOptions(ft, concentrator.KindPartial, 1, Options{Observer: reused})
 	e.Run(ms)
 	reused.Reset()
 	e.Run(ms)
 
 	fresh := obsv.New(ft)
-	e2 := NewWithOptions(ft, concentrator.KindPartial, 1, Options{Workers: 1})
+	e2 := New(ft, concentrator.KindPartial, 1)
 	e2.Run(ms) // warm the switches so cumulative counters are non-zero
 	e2.SetObserver(fresh)
 	e2.Run(ms)

@@ -34,6 +34,6 @@ func OnlineBound(t core.Topology, lambda float64, c float64) float64 {
 // by a systematically unlucky position, and a cycle that delivers nothing by
 // bad luck does not end the run.
 func RunOnlineRandom(e *Engine, ms core.MessageSet, seed int64) Stats {
-	stats, _ := e.deliver(e.autoPool(), ms, nil, 0, maxCyclesDefault, randomOrder(seed), true)
+	stats, _ := e.deliver(ms, nil, 0, maxCyclesDefault, randomOrder(seed), true)
 	return stats
 }

@@ -64,7 +64,7 @@ func RunOpenLoop(e *Engine, arrivals ArrivalFunc, cycles int, seed int64) OpenLo
 		}
 		return ms
 	}
-	run, latencySum := e.deliver(e.autoPool(), nil, arrive, cycles, cycles, randomOrder(seed), true)
+	run, latencySum := e.deliver(nil, arrive, cycles, cycles, randomOrder(seed), true)
 	stats := OpenLoopStats{
 		Cycles:    run.Cycles,
 		Offered:   offered,

@@ -78,7 +78,7 @@ func TestEngineCycleConservation(t *testing.T) {
 // TestEngineReuseMatchesFresh fuzzes the scratch-arena reuse contract: one
 // engine running a sequence of unrelated workloads (of varying size, so the
 // arena shrinks and regrows) must produce exactly the stats a fresh engine
-// produces for each workload, on both switch kinds and both cycle paths.
+// produces for each workload, on both switch kinds.
 // Any cross-cycle residue in the arena — a stale epoch stamp, an unreset
 // bucket, a dirty wire guard — shows up as a divergence here.
 func TestEngineReuseMatchesFresh(t *testing.T) {
@@ -90,18 +90,13 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 		if seed%2 == 0 {
 			kind = concentrator.KindPartial
 		}
-		reusedSerial := NewWithOptions(ft, kind, seed, Options{Workers: 1})
-		reusedParallel := NewWithOptions(ft, kind, seed, Options{Workers: 2})
+		reused := New(ft, kind, seed)
 		for rep := 0; rep < 4; rep++ {
 			ms := workload.Random(n, 1+rng.Intn(4*n), seed+int64(rep))
-			got := reusedSerial.Run(ms)
-			want := NewWithOptions(ft, kind, seed, Options{Workers: 1}).Run(ms)
+			got := reused.Run(ms)
+			want := New(ft, kind, seed).Run(ms)
 			if !reflect.DeepEqual(got, want) {
-				t.Logf("seed %d rep %d: reused serial %+v, fresh %+v", seed, rep, got, want)
-				return false
-			}
-			if par := reusedParallel.RunParallel(ms); !reflect.DeepEqual(par, want) {
-				t.Logf("seed %d rep %d: reused parallel %+v, fresh %+v", seed, rep, par, want)
+				t.Logf("seed %d rep %d: reused %+v, fresh %+v", seed, rep, got, want)
 				return false
 			}
 		}

@@ -33,11 +33,24 @@ const maxCyclesDefault = 100000
 // negatively acknowledged and retried. It returns the delivery statistics.
 // With ideal concentrators progress is guaranteed (the first pending message
 // always survives every switch); with partial concentrators a generous cycle
-// bound guards the loop and Delivered < len(ms) reports a stall. Engines
-// with more than one worker route each cycle on the parallel path, with
-// identical results.
+// bound guards the loop and Delivered < len(ms) reports a stall.
 func RunOnline(e *Engine, ms core.MessageSet) Stats {
-	stats, _ := e.deliver(e.autoPool(), ms, nil, 0, maxCyclesDefault, nil, true)
+	return e.Run(ms)
+}
+
+// Run is RunOnline as an engine method.
+func (e *Engine) Run(ms core.MessageSet) Stats {
+	stats, _ := e.deliver(ms, nil, 0, maxCyclesDefault, nil, true)
+	return stats
+}
+
+// RunCycles plays a precomputed sequence of one-cycle message sets (for
+// example a schedule's Cycles): cycle i injects exactly the i-th set plus any
+// earlier losses, and losses left after the last set drain in further cycles
+// (losses only occur with partial concentrators or injected faults).
+func (e *Engine) RunCycles(cycles []core.MessageSet) Stats {
+	arrive := func(c int) core.MessageSet { return cycles[c] }
+	stats, _ := e.deliver(nil, arrive, len(cycles), maxCyclesDefault, nil, true)
 	return stats
 }
 
@@ -45,13 +58,12 @@ func RunOnline(e *Engine, ms core.MessageSet) Stats {
 // i injects exactly the schedule's i-th one-cycle message set (plus any
 // earlier losses, which only occur with partial concentrators). With ideal
 // concentrators a valid schedule incurs zero drops and zero deferrals — the
-// hardware realizes Theorem 1 exactly. Engines with more than one worker
-// route each cycle on the parallel path, with identical results.
+// hardware realizes Theorem 1 exactly.
 func RunSchedule(e *Engine, s *sched.Schedule) Stats {
 	if s.Tree != e.tree {
 		panic(fmt.Sprintf("sim: schedule built for a different tree (%v vs %v)", s.Tree, e.tree))
 	}
-	return e.runCycles(e.autoPool(), s.Cycles)
+	return e.RunCycles(s.Cycles)
 }
 
 // DeliverOffline is the headline convenience API: schedule ms with Theorem 1

@@ -11,8 +11,8 @@ import (
 
 // TestRunServeMatchesRunOnline pins the request-path entry point to the
 // experiment entry point: identical Cycles/Delivered/Drops/Deferrals and
-// bit-identical observer counters for every worker count, with PerCycle as
-// the only sanctioned difference.
+// bit-identical observer counters, with PerCycle as the only sanctioned
+// difference.
 func TestRunServeMatchesRunOnline(t *testing.T) {
 	n := 64
 	ft := core.NewUniversal(n, 16)
@@ -22,52 +22,21 @@ func TestRunServeMatchesRunOnline(t *testing.T) {
 		"bitrev": workload.BitReversal(n),
 	}
 	for name, ms := range workloads {
-		for _, workers := range []int{1, 2, 4} {
-			oServe := obsv.New(ft)
-			oOnline := obsv.New(ft)
-			eServe := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Workers: workers, Observer: oServe})
-			eOnline := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Workers: workers, Observer: oOnline})
-			got := eServe.RunServe(ms)
-			want := RunOnline(eOnline, ms)
-			if got.Cycles != want.Cycles || got.Delivered != want.Delivered ||
-				got.Drops != want.Drops || got.Deferrals != want.Deferrals {
-				t.Fatalf("%s workers=%d: RunServe %+v != RunOnline %+v", name, workers, got, want)
-			}
-			if got.PerCycle != nil {
-				t.Fatalf("%s workers=%d: RunServe materialized PerCycle", name, workers)
-			}
-			if !obsv.CountersEqual(oServe, oOnline) {
-				t.Fatalf("%s workers=%d: observer counters diverge between RunServe and RunOnline", name, workers)
-			}
+		oServe := obsv.New(ft)
+		oOnline := obsv.New(ft)
+		eServe := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Observer: oServe})
+		eOnline := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Observer: oOnline})
+		got := eServe.RunServe(ms)
+		want := RunOnline(eOnline, ms)
+		if got.Cycles != want.Cycles || got.Delivered != want.Delivered ||
+			got.Drops != want.Drops || got.Deferrals != want.Deferrals {
+			t.Fatalf("%s: RunServe %+v != RunOnline %+v", name, got, want)
 		}
-	}
-}
-
-// TestRunServeWorkerEquivalence pins the serving determinism contract: the
-// same request sequence replayed at different worker counts leaves
-// bit-identical observer counters.
-func TestRunServeWorkerEquivalence(t *testing.T) {
-	n := 64
-	ft := core.NewUniversal(n, 16)
-	requests := []core.MessageSet{
-		workload.RandomPermutation(n, 3),
-		workload.Random(n, 2*n, 4),
-		workload.Transpose(n),
-	}
-	serve := func(workers int) *obsv.Observer {
-		o := obsv.New(ft)
-		e := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Workers: workers, Observer: o})
-		for _, ms := range requests {
-			if st := e.RunServe(ms); st.Delivered != len(ms) {
-				t.Fatalf("workers=%d: delivered %d of %d", workers, st.Delivered, len(ms))
-			}
+		if got.PerCycle != nil {
+			t.Fatalf("%s: RunServe materialized PerCycle", name)
 		}
-		return o
-	}
-	base := serve(1)
-	for _, workers := range []int{2, 4, 8} {
-		if !obsv.CountersEqual(base, serve(workers)) {
-			t.Fatalf("workers=%d: counters diverge from serial", workers)
+		if !obsv.CountersEqual(oServe, oOnline) {
+			t.Fatalf("%s: observer counters diverge between RunServe and RunOnline", name)
 		}
 	}
 }
@@ -80,7 +49,7 @@ func TestRunServeSteadyStateAllocs(t *testing.T) {
 	ft := core.NewUniversal(n, 32)
 	ms := workload.RandomPermutation(n, 5)
 	for name, obs := range map[string]*obsv.Observer{"unobserved": nil, "observed": obsv.New(ft)} {
-		e := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Workers: 1, Observer: obs})
+		e := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Observer: obs})
 		e.RunServe(ms) // warm the scratch arena
 		allocs := testing.AllocsPerRun(10, func() {
 			if st := e.RunServe(ms); st.Delivered != len(ms) {
@@ -100,7 +69,7 @@ func TestRunServeSteadyStateAllocs(t *testing.T) {
 func TestRetryLoopAllocs(t *testing.T) {
 	n := 64
 	ft := core.NewUniversal(n, 16)
-	e := NewWithOptions(ft, concentrator.KindIdeal, 0, Options{Workers: 1})
+	e := New(ft, concentrator.KindIdeal, 0)
 	const maxAllocs = 16
 
 	ms := workload.Random(n, 4*n, 3)
@@ -126,5 +95,49 @@ func TestRetryLoopAllocs(t *testing.T) {
 	t.Logf("RunOpenLoop over 400 cycles: %.1f allocs/op", allocs)
 	if allocs > maxAllocs {
 		t.Errorf("RunOpenLoop over 400 cycles: %.1f allocs/op, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestEngineWorkersIgnored pins that Options.Workers no longer changes how an
+// engine runs: dense and k-ary engines built with eight workers route every
+// level on the calling goroutine, so a warmed RunCycle and RunServe allocate
+// nothing. A goroutine per switch would allocate on every level.
+func TestEngineWorkersIgnored(t *testing.T) {
+	n := 64
+	dense := core.NewUniversal(n, 16)
+	kary := core.NewKary(core.KaryDesc{Down: []int{4, 4, 4}, Up: []int{2, 2, 1}, Parallel: []int{1, 1, 1}})
+	for name, tree := range map[string]core.Topology{"dense": dense, "kary": kary} {
+		ms := workload.Random(tree.Processors(), 2*tree.Processors(), 3)
+		e := NewWithOptions(tree, concentrator.KindIdeal, 0, Options{Workers: 8})
+		e.RunCycle(ms) // warm the scratch arena
+		e.RunServe(ms)
+		if allocs := testing.AllocsPerRun(10, func() { e.RunCycle(ms) }); allocs != 0 {
+			t.Errorf("%s RunCycle: %.1f allocs/op, want 0", name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { e.RunServe(ms) }); allocs != 0 {
+			t.Errorf("%s RunServe: %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestRunServeOfferBudget pins the serving work bound: a request far larger
+// than its tree can carry stops once its offers reach serveOfferBudget and
+// reports itself unfinished, while the same engine still serves the next
+// small request in full.
+func TestRunServeOfferBudget(t *testing.T) {
+	n := 16
+	ft := core.NewImplicitUniversal(n, n/4)
+	e := New(ft, concentrator.KindIdeal, 0)
+	huge := workload.Random(n, 100000, 1)
+	st := e.RunServe(huge)
+	if st.Delivered >= len(huge) {
+		t.Fatalf("over-budget request delivered in full: %+v", st)
+	}
+	if offers := st.Cycles * len(huge); offers > serveOfferBudget {
+		t.Fatalf("%d cycles × %d messages = %d offers, budget %d", st.Cycles, len(huge), offers, serveOfferBudget)
+	}
+	small := workload.RandomPermutation(n, 2)
+	if st := e.RunServe(small); st.Delivered != len(small) {
+		t.Fatalf("small request after an over-budget one: %+v", st)
 	}
 }

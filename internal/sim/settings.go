@@ -53,7 +53,7 @@ func CompileSettings(t core.Topology, s *sched.Schedule) *Settings {
 	e := New(t, concentrator.KindIdeal, 0)
 	st := &Settings{Tree: t, Cycles: make([][]WirePath, len(s.Cycles))}
 	for ci, cyc := range s.Cycles {
-		delivered, res := e.runCycle(cyc, e.autoPool())
+		delivered, res := e.runCycle(cyc)
 		paths := e.histories(e.scr.flights)
 		for i, ok := range delivered {
 			if !ok {

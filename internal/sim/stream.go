@@ -6,7 +6,6 @@ import (
 
 	"fattree/internal/concentrator"
 	"fattree/internal/core"
-	"fattree/internal/par"
 )
 
 // This file is the streaming data plane selected when the engine simulates an
@@ -87,10 +86,6 @@ import (
 //     cycle's start: a neighbour dropped later, or deferred at its leaf,
 //     still counts, so it can miss a lone hop — the carried lists then
 //     route it — but never invents one.
-//
-// The plane is serial: an engine with any worker bound routes an implicit
-// tree on the calling goroutine, so Stats, PerCycle vectors, wire histories,
-// and observer counters are identical for every worker count.
 
 // keyIndex masks the flight index out of a node<<32 | flightIndex key.
 const keyIndex = 1<<32 - 1
@@ -252,10 +247,7 @@ type streamSwitch struct {
 
 // newStreamEngine builds the streaming engine for an implicit fat-tree.
 func newStreamEngine(t *core.ImplicitFatTree, kind concentrator.Kind, seed int64, opts Options) *Engine {
-	e := &Engine{
-		tree: t,
-		pool: par.New(opts.Workers),
-	}
+	e := &Engine{tree: t}
 	st := &streamState{
 		e:         e,
 		n:         t.Processors(),

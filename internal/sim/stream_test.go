@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -147,8 +146,8 @@ func streamScenarios() []streamScenario {
 	return out
 }
 
-func (sc *streamScenario) engine(t core.Topology, workers int) *Engine {
-	e := NewWithOptions(t, sc.kind, sc.seed, Options{Workers: workers})
+func (sc *streamScenario) engine(t core.Topology) *Engine {
+	e := New(t, sc.kind, sc.seed)
 	if sc.loss > 0 {
 		e.InjectLoss(sc.loss, sc.seed+1)
 	}
@@ -157,50 +156,45 @@ func (sc *streamScenario) engine(t core.Topology, workers int) *Engine {
 
 // TestStreamMatchesDense pins the headline equivalence: for every scenario
 // the streaming engine reproduces the dense engine bit for bit — Stats
-// including the per-cycle delivery profile — for workers 1, 2, and
-// GOMAXPROCS, with and without an attached observer, whose counter totals
-// and histograms must also agree across engines and worker counts.
+// including the per-cycle delivery profile — with and without an attached
+// observer, whose counter totals and histograms must also agree across
+// engines.
 func TestStreamMatchesDense(t *testing.T) {
 	for _, sc := range streamScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			dense := sc.engine(sc.ft, 1).Run(sc.ms)
-			for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-				stream := sc.engine(sc.imp, workers).RunParallel(sc.ms)
-				if !reflect.DeepEqual(dense, stream) {
-					t.Fatalf("workers=%d: stream diverges from dense\ndense  %+v\nstream %+v",
-						workers, dense, stream)
-				}
+			dense := sc.engine(sc.ft).Run(sc.ms)
+			stream := sc.engine(sc.imp).Run(sc.ms)
+			if !reflect.DeepEqual(dense, stream) {
+				t.Fatalf("stream diverges from dense\ndense  %+v\nstream %+v", dense, stream)
 			}
 
 			// Dense observers on both engines: identical counter totals and
-			// histograms regardless of engine and worker count.
+			// histograms regardless of engine.
 			oDense := obsv.New(sc.ft)
-			eD := sc.engine(sc.ft, 1)
+			eD := sc.engine(sc.ft)
 			eD.SetObserver(oDense)
 			obsDense := eD.Run(sc.ms)
 			if !reflect.DeepEqual(obsDense, dense) {
 				t.Fatalf("observer perturbed the dense run")
 			}
-			for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-				oStream := obsv.New(sc.imp)
-				eS := sc.engine(sc.imp, workers)
-				eS.SetObserver(oStream)
-				obsStream := eS.RunParallel(sc.ms)
-				if !reflect.DeepEqual(obsStream, dense) {
-					t.Fatalf("workers=%d: observed stream stats diverge", workers)
-				}
-				if !obsv.CountersEqual(oDense, oStream) {
-					t.Fatalf("workers=%d: stream observer counters diverge from dense", workers)
-				}
+			oStream := obsv.New(sc.imp)
+			eS := sc.engine(sc.imp)
+			eS.SetObserver(oStream)
+			obsStream := eS.Run(sc.ms)
+			if !reflect.DeepEqual(obsStream, dense) {
+				t.Fatalf("observed stream stats diverge")
+			}
+			if !obsv.CountersEqual(oDense, oStream) {
+				t.Fatalf("stream observer counters diverge from dense")
 			}
 
 			// A compact observer on the streaming engine must report the same
 			// per-level aggregation as the dense observer, in O(levels) memory.
 			oCompact := obsv.NewCompact(sc.imp)
-			eC := sc.engine(sc.imp, 2)
+			eC := sc.engine(sc.imp)
 			eC.SetObserver(oCompact)
-			if got := eC.RunParallel(sc.ms); !reflect.DeepEqual(got, dense) {
+			if got := eC.Run(sc.ms); !reflect.DeepEqual(got, dense) {
 				t.Fatalf("compact observer perturbed the stream run")
 			}
 			want, got := oDense.PerLevel(), oCompact.PerLevel()
@@ -263,13 +257,13 @@ func TestStreamEngineReuse(t *testing.T) {
 		}
 	}
 	for _, sc := range streamScenarios() {
-		reused := sc.engine(sc.imp, 1)
+		reused := sc.engine(sc.imp)
 		for rep := 0; rep < 3; rep++ {
 			got := reused.Run(sc.ms)
 			if sc.loss > 0 {
 				continue
 			}
-			if want := sc.engine(sc.imp, 1).Run(sc.ms); !reflect.DeepEqual(got, want) {
+			if want := sc.engine(sc.imp).Run(sc.ms); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s rep %d: reused stream engine diverges\nreused %+v\nfresh  %+v", sc.name, rep, got, want)
 			}
 		}
@@ -341,23 +335,6 @@ func TestStreamWireGuard(t *testing.T) {
 	}
 }
 
-// TestStreamWorkerDeterminism runs a larger implicit-only scenario across
-// many worker counts; every run must be identical to the serial reference.
-func TestStreamWorkerDeterminism(t *testing.T) {
-	imp := core.NewImplicitUniversal(1<<12, 64)
-	ms := randomMessages(1<<12, 4096, 31, true)
-	ref := New(imp, concentrator.KindIdeal, 1).Run(ms)
-	if ref.Delivered != len(ms) {
-		t.Fatalf("reference run undelivered: %+v", ref)
-	}
-	for _, workers := range []int{2, 3, 5, 8, runtime.GOMAXPROCS(0)} {
-		got := NewWithOptions(imp, concentrator.KindIdeal, 1, Options{Workers: workers}).RunParallel(ms)
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("workers=%d diverges from serial reference", workers)
-		}
-	}
-}
-
 // TestStreamHugeTopology exercises the headline capability at a size the
 // dense engine could not materialize cheaply: 2^20 endpoints. The message
 // set is small — the point is that engine construction and routing cost are
@@ -383,7 +360,7 @@ func TestStreamRunCycleAllocs(t *testing.T) {
 	for _, observed := range []bool{false, true} {
 		imp := core.NewImplicitUniversal(1<<16, 256)
 		ms := randomMessages(1<<16, 512, 51, false)
-		e := NewWithOptions(imp, concentrator.KindIdeal, 0, Options{Workers: 1})
+		e := New(imp, concentrator.KindIdeal, 0)
 		if observed {
 			e.SetObserver(obsv.New(imp))
 		}

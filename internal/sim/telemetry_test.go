@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"fattree/internal/concentrator"
@@ -29,7 +28,7 @@ func TestLatencyHistogram(t *testing.T) {
 			ms = append(ms, core.Message{Src: i, Dst: i + 1})
 		}
 		o := obsv.New(ft)
-		e := NewWithOptions(ft, concentrator.KindIdeal, 1, Options{Workers: 1, Observer: o})
+		e := NewWithOptions(ft, concentrator.KindIdeal, 1, Options{Observer: o})
 		stats := e.Run(ms)
 		if stats.Cycles != 1 || stats.Delivered != n/2 {
 			t.Fatalf("pair exchange not one-cycle: %+v", stats)
@@ -46,9 +45,9 @@ func TestLatencyHistogram(t *testing.T) {
 
 	t.Run("random-lossy-retry", func(t *testing.T) {
 		o := obsv.New(ft)
-		e := NewWithOptions(ft, concentrator.KindPartial, 5, Options{Workers: 2, Observer: o})
+		e := NewWithOptions(ft, concentrator.KindPartial, 5, Options{Observer: o})
 		e.InjectLoss(0.05, 7)
-		stats := e.RunParallel(workload.Random(n, 4*n, 9))
+		stats := e.Run(workload.Random(n, 4*n, 9))
 		s := o.Snapshot()
 		if s.Latency.Count != int64(stats.Delivered) {
 			t.Fatalf("latency count %d != delivered %d", s.Latency.Count, stats.Delivered)
@@ -66,7 +65,7 @@ func TestLatencyHistogram(t *testing.T) {
 
 	t.Run("cycle-sequence", func(t *testing.T) {
 		o := obsv.New(ft)
-		e := NewWithOptions(ft, concentrator.KindPartial, 5, Options{Workers: 1, Observer: o})
+		e := NewWithOptions(ft, concentrator.KindPartial, 5, Options{Observer: o})
 		ms := workload.Random(n, 3*n, 13)
 		stats := e.RunCycles([]core.MessageSet{ms[:n], ms[n : 2*n], ms[2*n:]})
 		s := o.Snapshot()
@@ -77,7 +76,7 @@ func TestLatencyHistogram(t *testing.T) {
 
 	t.Run("online-random", func(t *testing.T) {
 		o := obsv.New(ft)
-		e := NewWithOptions(ft, concentrator.KindIdeal, 5, Options{Workers: 0, Observer: o})
+		e := NewWithOptions(ft, concentrator.KindIdeal, 5, Options{Observer: o})
 		stats := RunOnlineRandom(e, workload.Random(n, 4*n, 21), 23)
 		s := o.Snapshot()
 		if s.Latency.Count != int64(stats.Delivered) {
@@ -90,7 +89,7 @@ func TestLatencyHistogram(t *testing.T) {
 		// and latencies exceed 1. The histogram and MeanLatency come from
 		// the same first-offer stamps.
 		o := obsv.New(ft)
-		e := NewWithOptions(ft, concentrator.KindIdeal, 5, Options{Workers: 1, Observer: o})
+		e := NewWithOptions(ft, concentrator.KindIdeal, 5, Options{Observer: o})
 		stats := RunOpenLoop(e, UniformArrivals(ft, n, 25), 40, 27)
 		s := o.Snapshot()
 		if s.Latency.Count != int64(stats.Delivered) {
@@ -106,24 +105,24 @@ func TestLatencyHistogram(t *testing.T) {
 	})
 }
 
-// TestParallelHistogramsEqual extends the cross-worker determinism contract
-// to the histogram layer: latency, match-round, queue-depth, and per-level
-// utilization bucket arrays are bit-identical for workers {1, 2, GOMAXPROCS}
-// (CountersEqual compares them), and non-vacuously so — the workload is
-// congested and lossy enough that the latency and match-round histograms are
-// populated with multi-cycle deliveries.
+// TestParallelHistogramsEqual extends the determinism contract to the
+// histogram layer: latency, match-round, queue-depth, and per-level
+// utilization bucket arrays are bit-identical across two runs on fresh
+// engines (CountersEqual compares them), and non-vacuously so — the workload
+// is congested and lossy enough that the latency and match-round histograms
+// are populated with multi-cycle deliveries.
 func TestParallelHistogramsEqual(t *testing.T) {
 	n := 32
 	ft := core.NewUniversal(n, 4)
 	ms := workload.Random(n, 4*n, 11)
-	run := func(w int) *obsv.Observer {
+	run := func() *obsv.Observer {
 		o := obsv.New(ft)
-		e := NewWithOptions(ft, concentrator.KindPartial, 9, Options{Workers: w, Observer: o})
+		e := NewWithOptions(ft, concentrator.KindPartial, 9, Options{Observer: o})
 		e.InjectLoss(0.03, 13)
-		e.RunParallel(ms)
+		e.Run(ms)
 		return o
 	}
-	ref := run(1)
+	ref := run()
 	s := ref.Snapshot()
 	if s.Latency.Count == 0 || s.MatchRounds.Count == 0 {
 		t.Fatalf("vacuous fixture: latency count %d, match-round count %d",
@@ -139,10 +138,8 @@ func TestParallelHistogramsEqual(t *testing.T) {
 	if util == 0 {
 		t.Fatal("vacuous fixture: level-utilization histograms empty")
 	}
-	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
-		if !obsv.CountersEqual(ref, run(w)) {
-			t.Fatalf("workers=%d: histograms diverge from workers=1", w)
-		}
+	if !obsv.CountersEqual(ref, run()) {
+		t.Fatal("histograms diverge between identical runs")
 	}
 }
 
@@ -157,7 +154,7 @@ func TestSnapshotDuringRun(t *testing.T) {
 	ft := core.NewUniversal(n, 4)
 	ms := workload.Random(n, 4*n, 19)
 	o := obsv.New(ft)
-	e := NewWithOptions(ft, concentrator.KindPartial, 3, Options{Workers: 2, Observer: o})
+	e := NewWithOptions(ft, concentrator.KindPartial, 3, Options{Observer: o})
 	e.InjectLoss(0.05, 11)
 
 	prev := o.Snapshot() // all-zero baseline with the right bucket layouts
@@ -165,7 +162,7 @@ func TestSnapshotDuringRun(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 30; i++ {
-			e.RunParallel(ms)
+			e.Run(ms)
 		}
 	}()
 

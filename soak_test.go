@@ -18,7 +18,7 @@ func TestSoakLargeSchedule(t *testing.T) {
 	n := 8192
 	ft := fattree.NewUniversal(n, 1024)
 	ms := fattree.Random(n, 4*n, 1)
-	s := fattree.ScheduleOfflineParallel(ft, ms)
+	s := fattree.ScheduleOffline(ft, ms)
 	if err := s.Verify(ms); err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -71,10 +71,10 @@ func TestSoakLargeUniversality(t *testing.T) {
 // hard bytes/endpoint ceiling (the measured figure is ~9 B/endpoint, see
 // EXPERIMENTS.md §A6; the ceiling leaves room for allocator jitter, not for a
 // per-node table — any O(n) state blows through it immediately). Second,
-// engines built with more workers, which route an implicit tree on the
-// calling goroutine, are bit-identical to the serial one. Third, the
-// conservation law exported at /metrics holds on the compact observer's
-// counters: every offered message is delivered, dropped, or deferred.
+// a fresh engine with a compact observer attached reproduces the unobserved
+// run. Third, the conservation law exported at /metrics holds on the compact
+// observer's counters: every offered message is delivered, dropped, or
+// deferred.
 func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -89,7 +89,7 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	ft := fattree.NewImplicitUniversal(n, n/4)
-	serial := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Workers: 1})
+	serial := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 	serial.RunCycle(ms) // warm the scratch arena to its high-water mark
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -105,23 +105,18 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	if ref.Delivered != len(ms) {
 		t.Fatalf("serial huge run incomplete: %+v", ref)
 	}
-	for _, workers := range []int{2, 0} {
-		o := fattree.NewObserverCompact(ft)
-		e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0,
-			fattree.Options{Workers: workers, Observer: o})
-		stats := e.RunParallel(ms)
-		if !reflect.DeepEqual(stats, ref) {
-			t.Fatalf("workers=%d: run diverges from serial\nserial   %+v\nparallel %+v",
-				workers, ref, stats)
-		}
-		c := &o.C
-		if c.Offered != c.Delivered+c.Dropped+c.Deferred {
-			t.Fatalf("workers=%d: conservation broken: offered %d != delivered %d + dropped %d + deferred %d",
-				workers, c.Offered, c.Delivered, c.Dropped, c.Deferred)
-		}
-		if int(c.Delivered) != len(ms) {
-			t.Fatalf("workers=%d: observer counted %d deliveries, want %d", workers, c.Delivered, len(ms))
-		}
+	o := fattree.NewObserverCompact(ft)
+	e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Observer: o})
+	if stats := e.Run(ms); !reflect.DeepEqual(stats, ref) {
+		t.Fatalf("observed run diverges\nplain    %+v\nobserved %+v", ref, stats)
+	}
+	c := &o.C
+	if c.Offered != c.Delivered+c.Dropped+c.Deferred {
+		t.Fatalf("conservation broken: offered %d != delivered %d + dropped %d + deferred %d",
+			c.Offered, c.Delivered, c.Dropped, c.Deferred)
+	}
+	if int(c.Delivered) != len(ms) {
+		t.Fatalf("observer counted %d deliveries, want %d", c.Delivered, len(ms))
 	}
 }
 
@@ -142,8 +137,7 @@ func TestSoakImplicitHugeSetupAlloc(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	e := fattree.NewEngineWithOptions(fattree.NewImplicitUniversal(n, 1<<18), fattree.SwitchIdeal, 0,
-		fattree.Options{Workers: 1})
+	e := fattree.NewEngine(fattree.NewImplicitUniversal(n, 1<<18), fattree.SwitchIdeal, 0)
 	stats := fattree.RunOnline(e, ms)
 	runtime.ReadMemStats(&after)
 	if stats.Delivered != len(ms) {
