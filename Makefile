@@ -42,7 +42,7 @@ lint-extra:
 
 # Delivery-engine micro-benchmarks (EXPERIMENTS.md §A4/§A6) as
 # machine-readable JSON: ns/op, B/op, allocs/op for RouteCycleSerial and
-# OffLineSchedule at n = 256, 1024, 4096, the implicit-topology streaming row
+# OffLineSchedule at n = 256, 1024, 4096, the large-n streaming row
 # RouteCycleImplicit at n = 2^16, 2^18, 2^20 with bytes/endpoint, plus run
 # metadata (go version, GOOS/GOARCH, CPU count, timestamp) so snapshots are
 # comparable across machines and PRs.
@@ -73,8 +73,8 @@ trace-demo:
 		-counters -trace-out trace-demo.json
 
 # Short fuzz shakeout of the two cross-check targets: the scheduler against
-# its implicit-tree twin and a reused arena, the engine's streaming and k-ary
-# planes against the dense one.
+# its binary-shaped k-ary twin and a reused arena, the engine's streaming and
+# k-ary planes against the test-only Fig. 3 reference engine.
 fuzz:
 	$(GO) test ./internal/sched/ -fuzz FuzzSchedule -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzEnginePlaneEquivalence -fuzztime 10s

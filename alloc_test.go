@@ -32,9 +32,9 @@ func TestRouteCycleSerialZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRouteCycleImplicitZeroAllocs extends the contract to the streaming
-// engine: on an implicit topology, a warmed delivery cycle performs zero heap
-// allocations even at sizes where the materialized engine could not be built.
+// TestRouteCycleImplicitZeroAllocs extends the contract to large trees: at
+// 2^16 and 2^18 endpoints with sparse random traffic, a warmed delivery cycle
+// performs zero heap allocations.
 // The CI bench-guard job additionally asserts the same figure out of
 // BenchmarkRouteCycleImplicit's -benchmem output.
 func TestRouteCycleImplicitZeroAllocs(t *testing.T) {
@@ -42,7 +42,7 @@ func TestRouteCycleImplicitZeroAllocs(t *testing.T) {
 		t.Skip("alloc guard is covered at full size in CI")
 	}
 	for _, n := range []int{1 << 16, 1 << 18} {
-		ft := fattree.NewImplicitUniversal(n, n/4)
+		ft := fattree.NewUniversal(n, n/4)
 		ms := fattree.Random(n, n/64, 1)
 		e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 		e.RunCycle(ms) // warm the scratch arena

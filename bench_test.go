@@ -164,7 +164,8 @@ func BenchmarkRunOnline(b *testing.B) {
 }
 
 // BenchmarkRouteCycleSerial isolates one delivery cycle (no retry loop), the
-// hottest unit of work in the repository. allocs/op is the tracked figure:
+// hottest unit of work in the repository: an ideal-switch permutation on the
+// streaming plane at the standard sizes. allocs/op is the tracked figure:
 // the cycle data plane is required to reach zero steady-state heap
 // allocation (the first iteration warms the engine's scratch arena).
 // Recorded in EXPERIMENTS.md under "A4 — allocation-free delivery cycles".
@@ -188,16 +189,17 @@ func BenchmarkRouteCycleSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteCycleImplicit isolates one steady-state delivery cycle on
-// the implicit-topology streaming engine at scales the materialized engine
-// cannot reach in memory. Like RouteCycleSerial it is pinned at 0 allocs/op
+// BenchmarkRouteCycleImplicit isolates one steady-state delivery cycle of
+// sparse random traffic (n/64 messages) on the streaming plane at scales
+// where no per-node state fits in memory. Like RouteCycleSerial it is pinned
+// at 0 allocs/op
 // by the CI bench-guard; the retained-footprint half of the contract
 // (bytes/endpoint at n = 2^20) is pinned by TestSoakImplicitHugeBoundedMemory
 // and recorded in EXPERIMENTS.md §A6.
 func BenchmarkRouteCycleImplicit(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
 		b.Run("n="+itoa(n), func(b *testing.B) {
-			ft := fattree.NewImplicitUniversal(n, n/4)
+			ft := fattree.NewUniversal(n, n/4)
 			ms := fattree.Random(n, n/64, 1)
 			e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 			// Warm the scratch arena so the measured loop is steady state.
@@ -219,20 +221,12 @@ func BenchmarkRouteCycleImplicit(b *testing.B) {
 // warmed persistent engine with its observer attached, and the RED merge —
 // exactly the work cmd/ftserve performs per /v1/route request after dequeue.
 // allocs/op is the tracked figure and must stay at 0 (pinned here by the CI
-// bench-guard and by TestServeRouteAllocs in cmd/ftserve). The implicit rows
-// build the engine as cmd/ftserve does — an implicit tree, so the streaming
-// plane, with a per-node observer; the plain rows run the dense plane.
+// bench-guard and by TestServeRouteAllocs in cmd/ftserve). The rows build the
+// engine as cmd/ftserve does: a universal tree with a per-node observer.
 func BenchmarkServeRoute(b *testing.B) {
-	for _, implicit := range []bool{false, true} {
-		for _, n := range []int{64, 256} {
-			name := "n=" + itoa(n)
-			var ft fattree.Topology = fattree.NewUniversal(n, n/4)
-			if implicit {
-				name = "implicit/" + name
-				ft = fattree.NewImplicitUniversal(n, n/4)
-			}
-			b.Run(name, func(b *testing.B) { benchServeRoute(b, ft) })
-		}
+	for _, n := range []int{64, 256} {
+		ft := fattree.NewUniversal(n, n/4)
+		b.Run("n="+itoa(n), func(b *testing.B) { benchServeRoute(b, ft) })
 	}
 }
 

@@ -46,8 +46,8 @@ func currentBenchMeta() benchMeta {
 
 // benchResult is one micro-benchmark measurement. Hist is only set for the
 // observed serial delivery cycle under -hist; BytesPerEndpoint only for the
-// implicit-topology rows, where the retained-heap footprint per endpoint is
-// the tracked figure (ISSUE 8: 2^20 endpoints in bounded memory).
+// RouteCycleImplicit rows, where the retained-heap footprint per endpoint is
+// the tracked figure (2^20 endpoints in bounded memory).
 type benchResult struct {
 	Name             string                `json:"name"`
 	N                int                   `json:"n"`
@@ -69,10 +69,9 @@ type benchDoc struct {
 // benchSizes are the processor counts every micro-benchmark runs at.
 var benchSizes = []int{256, 1024, 4096}
 
-// implicitBenchSizes are the large-n rows the streaming engine runs at. They
-// are implicit-topology only: a materialized tree at 2^20 endpoints would
-// allocate per-node switch state far beyond the memory ceiling these rows
-// exist to pin, so the dense engine has no row here by design.
+// implicitBenchSizes are the large-n rows of the streaming engine, which
+// keeps no per-node state, so the rows also pin its retained bytes per
+// endpoint.
 var implicitBenchSizes = []int{1 << 16, 1 << 18, 1 << 20}
 
 // runMicroBenchmarks measures the suite and writes it to stdout.
@@ -160,9 +159,9 @@ func routeCycleBench(n int, obs *fattree.Observer) func(*testing.B) {
 	}
 }
 
-// implicitRouteBench measures the streaming engine on an implicit universal
-// tree at one large n (pinned at 0 allocs/op, like the dense
-// RouteCycleSerial), plus the retained-heap footprint per endpoint. The
+// implicitRouteBench measures the streaming engine on a universal tree at one
+// large n (pinned at 0 allocs/op, like RouteCycleSerial), plus the
+// retained-heap footprint per endpoint. The
 // footprint is the delta of two
 // GC'd heap readings around topology + engine construction and one warm-up
 // cycle, so it captures exactly what the data plane retains at steady state —
@@ -175,7 +174,7 @@ func implicitRouteBench(n int) benchResult {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	ft := fattree.NewImplicitUniversal(n, n/4)
+	ft := fattree.NewUniversal(n, n/4)
 	e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 	e.RunCycle(ms) // warm the scratch arena to its high-water mark
 	runtime.GC()

@@ -3,7 +3,7 @@
 // configurable set of tree sizes and workloads — and exposes the
 // observability layer over HTTP while the simulations are in flight. With
 // -tenants it instead becomes a multi-tenant request server: every tenant
-// gets a persistent engine on a shared implicit tree (the streaming data
+// gets a persistent engine on a shared universal tree (the streaming data
 // plane), and clients submit message sets or named workloads through
 // /v1/route, scheduled on a shared worker pool behind per-tenant bounded
 // queues with explicit backpressure.

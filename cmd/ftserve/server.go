@@ -67,7 +67,7 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&cfg.runs, "runs", 0, "stop after this many runs and exit 0 (0 = run until signalled)")
 	fs.DurationVar(&cfg.interval, "interval", 0, "pause between runs (0 = back to back)")
 	fs.IntVar(&cfg.history, "history", 64, "completed runs retained for /runs")
-	fs.BoolVar(&cfg.implicit, "implicit", false, "compute topologies on the fly and route with the streaming engine (per-level /metrics counters; lets -n reach 2^20)")
+	fs.BoolVar(&cfg.implicit, "implicit", false, "attach per-level (compact) observers instead of per-node ones: /metrics counters in O(levels) memory, so -n can reach 2^20")
 	var tenants string
 	fs.StringVar(&tenants, "tenants", "", "comma-separated tenant names; enables the /v1/route serving mode instead of the rotation (-runs then bounds served requests)")
 	fs.IntVar(&cfg.queue, "queue", 256, "per-tenant bounded queue capacity (tenant mode); a full queue answers 429 + Retry-After")
@@ -275,18 +275,12 @@ func newServer(cfg config) (*server, error) {
 			w = n / 4
 		}
 		// Implicit mode trades the per-node counter arrays for per-level
-		// ones (the exposition is per-level anyway) and computes the tree on
-		// demand, so one rotation can hold a 2^20-endpoint instance.
-		var ft fattree.Topology
-		var obs *fattree.Observer
+		// ones (the exposition is per-level anyway), so one rotation can
+		// hold a 2^20-endpoint instance.
+		ft := fattree.NewUniversal(n, w)
+		obs := fattree.NewObserver(ft)
 		if cfg.implicit {
-			imp := fattree.NewImplicitUniversal(n, w)
-			ft = imp
-			obs = fattree.NewObserverCompact(imp)
-		} else {
-			dense := fattree.NewUniversal(n, w)
-			ft = dense
-			obs = fattree.NewObserver(dense)
+			obs = fattree.NewObserverCompact(ft)
 		}
 		eng := fattree.NewEngineWithOptions(ft, cfg.switches, cfg.seed+int64(i),
 			fattree.Options{Observer: obs})
@@ -300,8 +294,7 @@ func newServer(cfg config) (*server, error) {
 }
 
 // initTenants builds the tenant-serving state: every tenant gets a persistent
-// engine on the shared implicit topology — the streaming data plane, whose
-// per-node observer counters match the dense plane's exactly — a per-node
+// engine on the shared topology (the streaming data plane), a per-node
 // observer, a RED instrument block, and a bounded queue. -workers sizes the
 // dispatcher pool that processes distinct tenants concurrently.
 func (s *server) initTenants() error {
@@ -310,7 +303,7 @@ func (s *server) initTenants() error {
 	if w == 0 {
 		w = n / 4
 	}
-	ft := fattree.NewImplicitUniversal(n, w)
+	ft := fattree.NewUniversal(n, w)
 	s.tenantIdx = make(map[string]*tenant, len(s.cfg.tenants))
 	s.workloadMenu = make(map[string]bool, len(s.cfg.workloads))
 	for _, wl := range s.cfg.workloads {

@@ -459,12 +459,13 @@ func TestRouteRejectsOversizedK(t *testing.T) {
 	}
 }
 
-// TestTenantMatchesDensePlane pins the tenant engines, which route on the
-// streaming plane of an implicit tree, to a dense-plane reference engine
-// built on a materialized tree with the seeds initTenants uses: every
-// response reports the reference's RunServe stats, and the observers hold
+// TestTenantEngineWiring pins how initTenants wires a tenant's engine — the
+// tree, the switch kind, the per-tenant seeds and the loss model — against
+// an engine built independently with the seeds initTenants documents: every
+// response reports that engine's RunServe stats, and the observers hold
 // identical counters at the end. Ideal and partial-lossy switches both run.
-func TestTenantMatchesDensePlane(t *testing.T) {
+// Plane parity itself is checked in internal/sim.
+func TestTenantEngineWiring(t *testing.T) {
 	bodies := []string{
 		`{"tenant":"beta","workload":"perm","seed":5}`,
 		`{"tenant":"beta","workload":"random","k":32,"seed":9}`,
@@ -515,11 +516,11 @@ func TestTenantMatchesDensePlane(t *testing.T) {
 				}
 				if resp.Messages != len(ms) || resp.Cycles != st.Cycles || resp.Delivered != st.Delivered ||
 					resp.Drops != st.Drops || resp.Deferrals != st.Deferrals {
-					t.Fatalf("%s: response %+v diverges from the dense plane %+v", body, resp, st)
+					t.Fatalf("%s: response %+v diverges from the reference engine %+v", body, resp, st)
 				}
 			}
 			if !fattree.ObserversEqual(tn.obs, ref) {
-				t.Fatal("tenant observer counters diverge from the dense plane")
+				t.Fatal("tenant observer counters diverge from the reference engine")
 			}
 		})
 	}

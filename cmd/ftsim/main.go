@@ -31,7 +31,7 @@ func main() {
 	n := flag.Int("n", 256, "number of processors (power of two)")
 	w := flag.Int("w", 0, "root capacity (default n/4)")
 	implicit := flag.Bool("implicit", false,
-		"compute the topology on the fly (no per-node state) and route with the streaming engine; lets -n reach 2^20 in bounded memory")
+		"keep no per-node state: attach the per-level (compact) observer and skip the -viz walkers, so -n can reach 2^20 in bounded memory")
 	kary := flag.String("kary", "",
 		"simulate a k-ary fat-tree instead of the binary universal profile: \"down;up;parallel[;root]\" with one comma-separated entry per tier, e.g. \"8,4;2,1;1,2\" (overrides -n and -w; requires ideal switches and -policy greedy|online)")
 	workloadName := flag.String("workload", "perm", "workload: perm|random|bitrev|transpose|shuffle|reversal|local|hotspot|nn|alltoall")
@@ -97,20 +97,21 @@ func main() {
 	var obs *fattree.Observer
 	var stopProfiles func() error
 
-	// Under -implicit the topology is computed, not stored: dense stays nil,
-	// and the two visualizations that walk per-node state are skipped (they
-	// would materialize exactly the O(n) tables -implicit exists to avoid).
-	// Under -kary dense stays nil too (the viz walkers are binary).
+	// Every binary tree is computed from its per-level profile and routes on
+	// the streaming plane. Under -implicit the two visualizations that walk
+	// per-node state are skipped (they would build exactly the O(n) tables
+	// -implicit exists to avoid): vizTree stays nil. Under -kary it stays nil
+	// too (the viz walkers are binary).
 	var ft fattree.Topology
-	var dense *fattree.FatTree
-	switch {
-	case *implicit:
-		ft = fattree.NewImplicitUniversal(*n, *w)
-	case *kary != "":
+	var vizTree *fattree.FatTree
+	if *kary != "" {
 		ft = fattree.NewKary(karyDesc)
-	default:
-		dense = fattree.NewUniversal(*n, *w)
-		ft = dense
+	} else {
+		bin := fattree.NewUniversal(*n, *w)
+		ft = bin
+		if !*implicit {
+			vizTree = bin
+		}
 	}
 	ms := buildWorkload(*workloadName, *n, *k, *radius, *seed)
 	lam := fattree.LoadFactor(ft, ms)
@@ -124,10 +125,10 @@ func main() {
 	fmt.Printf("fat-tree n=%d w=%d%s   workload %s: %d messages, λ = %.2f (lower bound on cycles)\n",
 		*n, ft.RootCapacity(), kindNote, *workloadName, len(ms), lam)
 	if *showViz {
-		if dense != nil {
-			viz.Utilization(os.Stdout, dense, ms)
+		if vizTree != nil {
+			viz.Utilization(os.Stdout, vizTree, ms)
 		} else {
-			fmt.Println("(-viz utilization bars need the materialized topology; skipped under -implicit)")
+			fmt.Println("(-viz utilization bars walk per-node state; skipped under -implicit)")
 		}
 	}
 
@@ -218,10 +219,10 @@ func main() {
 		fmt.Printf("schedule: %d delivery cycles (bound %.1f, utilization %.2f)\n",
 			s.Length(), s.Bound, s.Utilization())
 		if *showViz {
-			if dense != nil {
-				viz.ScheduleGantt(os.Stdout, dense, s.Cycles)
+			if vizTree != nil {
+				viz.ScheduleGantt(os.Stdout, vizTree, s.Cycles)
 			} else {
-				fmt.Println("(-viz schedule Gantt needs the materialized topology; skipped under -implicit)")
+				fmt.Println("(-viz schedule Gantt walks per-node state; skipped under -implicit)")
 			}
 		}
 		stats = fattree.RunSchedule(engine, s)

@@ -35,18 +35,14 @@ import (
 // Core topology types.
 type (
 	// Topology is the interface the scheduler, simulator, and observability
-	// layers program against: a materialized FatTree or a computed
-	// ImplicitFatTree, identical by construction.
+	// layers program against: a binary FatTree or a KaryFatTree.
 	Topology = core.Topology
-	// FatTree is a materialized fat-tree routing network on n = 2^L
-	// processors, with a flat per-node capacity table.
+	// FatTree is the binary fat-tree routing network on n = 2^L processors,
+	// computed from its per-level capacity profile in O(levels) memory. The
+	// simulation engine routes it on the streaming plane, which carries
+	// sorted flight keys from level to level, so 2^20-endpoint networks
+	// simulate in bounded memory.
 	FatTree = core.FatTree
-	// ImplicitFatTree is the computed fat-tree: the same geometry in
-	// O(levels) memory, with no per-node storage. The simulation engine
-	// recognizes it and routes it on the serial streaming plane, which
-	// carries sorted flight keys from level to level, so 2^20-endpoint
-	// networks simulate in bounded memory.
-	ImplicitFatTree = core.ImplicitFatTree
 	// KaryFatTree is the generalized k-ary fat-tree: per-tier down/up/
 	// parallel descriptors with arbitrary radix and oversubscription. The
 	// simulation engine routes it with inline ideal concentrators; the
@@ -102,20 +98,11 @@ func Universal2DCapacity(n, w, level int) int { return core.Universal2DCapacity(
 // universal fat-tree with n processors and root capacity w.
 func UniversalCapacity(n, w, level int) int { return core.UniversalCapacity(n, w, level) }
 
-// NewImplicit builds an implicit (computed, O(levels)-memory) fat-tree on n
-// processors with capacity capAt(level) at each level.
-func NewImplicit(n int, capAt func(level int) int) *ImplicitFatTree {
-	return core.NewImplicit(n, capAt)
-}
-
-// NewImplicitUniversal is NewUniversal's implicit counterpart.
-func NewImplicitUniversal(n, w int) *ImplicitFatTree { return core.NewImplicitUniversal(n, w) }
-
-// NewImplicitConstant is NewConstant's implicit counterpart.
-func NewImplicitConstant(n, c int) *ImplicitFatTree { return core.NewImplicitConstant(n, c) }
-
-// NewImplicitDoubling is NewDoubling's implicit counterpart.
-func NewImplicitDoubling(n int) *ImplicitFatTree { return core.NewImplicitDoubling(n) }
+// NewImplicitUniversal is NewUniversal.
+//
+// Deprecated: every FatTree is computed from its per-level profile and
+// routes on the streaming plane; use NewUniversal.
+func NewImplicitUniversal(n, w int) *FatTree { return core.NewUniversal(n, w) }
 
 // NewKary builds a generalized k-ary fat-tree from a per-tier descriptor; n
 // is the product of the Down fan-outs. Validation is up-front, as in New.
@@ -273,8 +260,8 @@ func ValidatePromExposition(text []byte) error { return obsv.ValidateExposition(
 func NewObserver(t Topology) *Observer { return obsv.New(t) }
 
 // NewObserverCompact builds a per-level observer in O(levels) memory — the
-// observer for implicit-topology engines, whose per-level reports match a
-// dense observer's exactly.
+// observer for binary fat-trees too large for per-node counters, whose
+// per-level reports match a dense observer's exactly.
 func NewObserverCompact(t Topology) *Observer { return obsv.NewCompact(t) }
 
 // ObserversEqual reports whether two observers hold identical counter totals

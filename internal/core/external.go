@@ -20,7 +20,7 @@ func (m Message) IsExternal() bool { return m.Src == External || m.Dst == Extern
 // for an output (dst == External), the up channels from the source leaf
 // through the root channel; for an input (src == External), the root down
 // channel followed by the down channels to the destination leaf.
-func (t *geom) ExternalPath(m Message, buf []Channel) []Channel {
+func (t *FatTree) ExternalPath(m Message, buf []Channel) []Channel {
 	switch {
 	case m.Dst == External:
 		for v := t.Leaf(m.Src); v >= 1; v >>= 1 {

@@ -53,13 +53,14 @@ type Channel struct {
 // String renders the channel as e.g. "up(6)" for debugging output.
 func (c Channel) String() string { return fmt.Sprintf("%s(%d)", c.Dir, c.Node) }
 
-// geom is the shared geometry of a fat-tree: the level-uniform capacity
-// profile plus a sparse per-channel override overlay. Every query —
-// parent/child/LCA navigation, per-channel capacities, subtree intervals — is
-// heap-index arithmetic over this O(levels)-sized state; nothing is stored
-// per node. Both FatTree and ImplicitFatTree embed it, so the two topology
-// implementations cannot drift apart.
-type geom struct {
+// FatTree is a fat-tree routing network on n = 2^L processors: the
+// level-uniform capacity profile plus a sparse per-channel override overlay.
+// Every query — parent/child/LCA navigation, per-channel capacities, subtree
+// intervals — is heap-index arithmetic over this O(levels)-sized state;
+// nothing is stored per node, so a 2^20-endpoint tree occupies a few dozen
+// machine words. The zero value is not usable; construct one with New,
+// NewUniversal, NewConstant or NewDoubling.
+type FatTree struct {
 	n      int   // number of processors (power of two)
 	levels int   // lg n; leaves are at level `levels`
 	caps   []int // caps[k] = capacity of every channel at level k, 0 <= k <= levels
@@ -71,17 +72,11 @@ type geom struct {
 	override map[int]int
 }
 
-// FatTree is a fat-tree routing network on n = 2^L processors, the
-// "materialized" Topology implementation: it additionally offers the flat
-// per-node CapTable used by the dense simulation engine and observer. The
-// zero value is not usable; construct one with New, NewUniversal, or
-// NewConstant.
-type FatTree struct {
-	geom
-}
-
-// newGeom validates and builds the shared geometry; see New.
-func newGeom(n int, capAt func(level int) int) geom {
+// New builds a fat-tree on n processors whose channel capacity at level k is
+// capAt(k), for 0 <= k <= lg n. n must be a power of two and at least 2, and
+// capAt must return a positive capacity for every level; New panics otherwise,
+// since a malformed network is a programming error, not a runtime condition.
+func New(n int, capAt func(level int) int) *FatTree {
 	if n < 2 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("core: n = %d must be a power of two and >= 2", n))
 	}
@@ -94,15 +89,7 @@ func newGeom(n int, capAt func(level int) int) geom {
 		}
 		caps[k] = c
 	}
-	return geom{n: n, levels: levels, caps: caps}
-}
-
-// New builds a fat-tree on n processors whose channel capacity at level k is
-// capAt(k), for 0 <= k <= lg n. n must be a power of two and at least 2, and
-// capAt must return a positive capacity for every level; New panics otherwise,
-// since a malformed network is a programming error, not a runtime condition.
-func New(n int, capAt func(level int) int) *FatTree {
-	return &FatTree{geom: newGeom(n, capAt)}
+	return &FatTree{n: n, levels: levels, caps: caps}
 }
 
 // UniversalCapacity returns the channel capacity at the given level of a
@@ -156,23 +143,23 @@ func NewDoubling(n int) *FatTree {
 }
 
 // Processors returns n, the number of processors (leaves).
-func (t *geom) Processors() int { return t.n }
+func (t *FatTree) Processors() int { return t.n }
 
 // Levels returns lg n, the level number of the leaves. Channels exist at
 // levels 0 (the external root channel) through Levels() (the channels between
 // processors and their parent switches).
-func (t *geom) Levels() int { return t.levels }
+func (t *FatTree) Levels() int { return t.levels }
 
 // Nodes returns the total number of tree nodes, 2n-1 (internal switches plus
 // leaves).
-func (t *geom) Nodes() int { return 2*t.n - 1 }
+func (t *FatTree) Nodes() int { return 2*t.n - 1 }
 
 // InternalNodes returns the number of switching nodes, n-1.
-func (t *geom) InternalNodes() int { return t.n - 1 }
+func (t *FatTree) InternalNodes() int { return t.n - 1 }
 
 // Leaf returns the heap index of processor p's leaf. It panics if p is out of
 // range.
-func (t *geom) Leaf(p int) int {
+func (t *FatTree) Leaf(p int) int {
 	if p < 0 || p >= t.n {
 		panic(fmt.Sprintf("core: processor %d out of range [0,%d)", p, t.n))
 	}
@@ -181,7 +168,7 @@ func (t *geom) Leaf(p int) int {
 
 // ProcessorOf returns the processor number of leaf node v, or -1 if v is not a
 // leaf.
-func (t *geom) ProcessorOf(v int) int {
+func (t *FatTree) ProcessorOf(v int) int {
 	if v < t.n || v >= 2*t.n {
 		return -1
 	}
@@ -190,7 +177,7 @@ func (t *geom) ProcessorOf(v int) int {
 
 // Level returns the level (distance from the root) of node v. The root has
 // level 0 and leaves have level lg n.
-func (t *geom) Level(v int) int {
+func (t *FatTree) Level(v int) int {
 	if v < 1 || v >= 2*t.n {
 		panic(fmt.Sprintf("core: node %d out of range [1,%d)", v, 2*t.n))
 	}
@@ -201,11 +188,11 @@ func (t *geom) Level(v int) int {
 // range-checked; it is the hot-path navigation primitive.
 //
 //ftlint:hotpath
-func (t *geom) Parent(v int) int { return v >> 1 }
+func (t *FatTree) Parent(v int) int { return v >> 1 }
 
 // Children returns the contiguous child range of node v: (2v, 2) for an
 // internal node, (0, 0) for a leaf.
-func (t *geom) Children(v int) (first, count int) {
+func (t *FatTree) Children(v int) (first, count int) {
 	t.Level(v) // range-check
 	if v >= t.n {
 		return 0, 0
@@ -215,7 +202,7 @@ func (t *geom) Children(v int) (first, count int) {
 
 // LevelRange returns the contiguous node range of level k: [2^k, 2^(k+1)).
 // It panics if k is out of range.
-func (t *geom) LevelRange(k int) (first, count int) {
+func (t *FatTree) LevelRange(k int) (first, count int) {
 	if k < 0 || k > t.levels {
 		panic(fmt.Sprintf("core: level %d out of range [0,%d]", k, t.levels))
 	}
@@ -224,7 +211,7 @@ func (t *geom) LevelRange(k int) (first, count int) {
 
 // CapacityAtLevel returns the (level-uniform) capacity of channels at level k.
 // Per-channel overrides are not reflected here; use Capacity for that.
-func (t *geom) CapacityAtLevel(k int) int {
+func (t *FatTree) CapacityAtLevel(k int) int {
 	if k < 0 || k > t.levels {
 		panic(fmt.Sprintf("core: level %d out of range [0,%d]", k, t.levels))
 	}
@@ -234,7 +221,7 @@ func (t *geom) CapacityAtLevel(k int) int {
 // Capacity returns the capacity of the channel c, honouring any per-channel
 // override. Both directions of an edge always share one capacity, as in the
 // paper (each tree edge corresponds to two channels of equal width).
-func (t *geom) Capacity(c Channel) int {
+func (t *FatTree) Capacity(c Channel) int {
 	if t.override != nil {
 		if v, ok := t.override[c.Node]; ok {
 			return v
@@ -250,7 +237,7 @@ func (t *geom) Capacity(c Channel) int {
 // slice access).
 //
 //ftlint:hotpath
-func (t *geom) CapAt(v int) int {
+func (t *FatTree) CapAt(v int) int {
 	if t.override != nil {
 		if c, ok := t.override[v]; ok {
 			return c
@@ -262,9 +249,9 @@ func (t *geom) CapAt(v int) int {
 // LevelCapTable returns a fresh copy of the per-level capacity table:
 // table[k] is the level-uniform capacity at level k, 0 <= k <= Levels().
 // Per-channel overrides are not reflected; enumerate them with Overrides.
-// This is the O(levels) counterpart of FatTree.CapTable for callers that must
-// stay independent of n.
-func (t *geom) LevelCapTable() []int {
+// This is the O(levels) counterpart of CapTableOf for callers that must stay
+// independent of n.
+func (t *FatTree) LevelCapTable() []int {
 	table := make([]int, len(t.caps))
 	copy(table, t.caps)
 	return table
@@ -273,43 +260,18 @@ func (t *geom) LevelCapTable() []int {
 // Overrides calls fn for every per-channel capacity override in effect. The
 // iteration order is unspecified (the overlay is a map), so callers must do
 // only order-independent work — sums, corrections, copies.
-func (t *geom) Overrides(fn func(node, cap int)) {
+func (t *FatTree) Overrides(fn func(node, cap int)) {
 	for v, c := range t.override {
 		fn(v, c)
 	}
-}
-
-// CapTable returns a freshly allocated flat capacity table indexed by heap
-// node id: table[v] is the capacity of both channels of the edge above node v
-// (index 0 is unused). It memoizes Capacity — including any per-channel
-// overrides in effect at the call — so hot loops can replace map probes with
-// a single array read. Callers own the slice; overrides applied after the
-// call are not reflected.
-//
-// CapTable is deliberately not part of the Topology interface: it is O(n)
-// memory, which is exactly what ImplicitFatTree exists to avoid. Interface
-// consumers use CapTableOf, which falls back to LevelCapTable + Overrides.
-func (t *FatTree) CapTable() []int {
-	table := make([]int, 2*t.n)
-	for v := 1; v < 2*t.n; v++ {
-		table[v] = t.caps[bits.Len(uint(v))-1]
-	}
-	if t.override != nil {
-		for v := 1; v < 2*t.n; v++ {
-			if c, ok := t.override[v]; ok {
-				table[v] = c
-			}
-		}
-	}
-	return table
 }
 
 // SetChannelCapacity overrides the capacity of both channels of the edge above
 // node v. cap must be >= 1 and v must be a valid heap node index in [1, 2n);
 // both are validated up front (before any mutation) with the same panics on
 // every Topology implementation, so a caller that survives the call on a
-// FatTree behaves identically on an ImplicitFatTree.
-func (t *geom) SetChannelCapacity(v, cap int) {
+// FatTree behaves identically on a binary-shaped KaryFatTree.
+func (t *FatTree) SetChannelCapacity(v, cap int) {
 	if cap < 1 {
 		panic(fmt.Sprintf("core: capacity %d must be >= 1", cap))
 	}
@@ -324,13 +286,13 @@ func (t *geom) SetChannelCapacity(v, cap int) {
 
 // RootCapacity returns the capacity of the level-0 channel between the root
 // and the external interface.
-func (t *geom) RootCapacity() int { return t.Capacity(Channel{Node: 1, Dir: Up}) }
+func (t *FatTree) RootCapacity() int { return t.Capacity(Channel{Node: 1, Dir: Up}) }
 
 // Channels calls fn for every directed channel of the fat-tree, in
 // deterministic order (node 1..2n-1, Up then Down). The root channel (node 1)
 // is included: it models the external interface. This iterator is inherently
 // O(n); size-independent callers should work per level instead.
-func (t *geom) Channels(fn func(Channel)) {
+func (t *FatTree) Channels(fn func(Channel)) {
 	for v := 1; v < 2*t.n; v++ {
 		fn(Channel{Node: v, Dir: Up})
 		fn(Channel{Node: v, Dir: Down})
@@ -342,7 +304,7 @@ func (t *geom) Channels(fn func(Channel)) {
 // the topology inspector. It is computed in O(levels + #overrides): level k
 // contributes 2^k channels per direction at the level-uniform capacity, and
 // each override corrects its edge's contribution.
-func (t *geom) TotalWires() int {
+func (t *FatTree) TotalWires() int {
 	total := 0
 	for k, c := range t.caps {
 		total += 2 * (1 << uint(k)) * c
@@ -355,7 +317,7 @@ func (t *geom) TotalWires() int {
 
 // SubtreeLeaves returns the half-open processor interval [lo, hi) of the
 // leaves under node v. For a leaf it is the single processor.
-func (t *geom) SubtreeLeaves(v int) (lo, hi int) {
+func (t *FatTree) SubtreeLeaves(v int) (lo, hi int) {
 	t.Level(v) // range-check
 	// Left-most descendant leaf: keep taking left children.
 	l, r := v, v
@@ -367,7 +329,7 @@ func (t *geom) SubtreeLeaves(v int) (lo, hi int) {
 }
 
 // Contains reports whether processor p lies in the subtree rooted at node v.
-func (t *geom) Contains(v, p int) bool {
+func (t *FatTree) Contains(v, p int) bool {
 	lo, hi := t.SubtreeLeaves(v)
 	return p >= lo && p < hi
 }

@@ -49,7 +49,7 @@ func (d KaryDesc) Tiers() int { return len(d.Down) }
 // Theorem 1 scheduler applies unchanged; for any other shape consumers must
 // navigate through Parent/Children/LevelRange instead of bit arithmetic.
 //
-// The validation contract matches FatTree and ImplicitFatTree: constructors
+// The validation contract matches FatTree: constructors
 // panic on malformed descriptors, and SetChannelCapacity/FailNode validate
 // every argument before mutating anything.
 type KaryFatTree struct {
@@ -64,7 +64,7 @@ type KaryFatTree struct {
 	leafStride []int // leafStride[k] = processors per level-k subtree
 
 	// override holds per-channel capacity overrides, keyed by node index,
-	// with the same semantics as the geom overlay (both directions share the
+	// with the same semantics as FatTree's overlay (both directions share the
 	// value; nil until SetChannelCapacity is called).
 	override map[int]int
 }

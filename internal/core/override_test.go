@@ -20,18 +20,24 @@ func mustPanicMsg(t *testing.T, label, want string, fn func()) {
 	fn()
 }
 
+// binaryTrees returns an 8-leaf FatTree and a binary-shaped KaryFatTree:
+// the two Topology implementations whose node numbering is the heap's.
+func binaryTrees() map[string]Topology {
+	return map[string]Topology{
+		"materialized": NewUniversal(8, 4),
+		"binary-kary":  NewKary(KaryDesc{Down: []int{2, 2, 2}, Up: []int{2, 2, 1}, Parallel: []int{1, 1, 1}}),
+	}
+}
+
 // TestSetChannelCapacityValidation pins the bugfix that made out-of-range
-// validation identical across the materialized and implicit implementations:
-// both must reject cap < 1 and v outside [1, 2n) with the same panics, in the
-// same order (capacity first), and must not mutate anything on a rejected
-// call. The boundary nodes 1 and 2n-1 must be accepted by both.
+// validation identical across Topology implementations: a FatTree and a
+// binary-shaped KaryFatTree must reject cap < 1 and v outside [1, 2n) with
+// the same panics, in the same order (capacity first), and must not mutate
+// anything on a rejected call. The boundary nodes 1 and 2n-1 must be
+// accepted by both.
 func TestSetChannelCapacityValidation(t *testing.T) {
 	const n = 8
-	trees := map[string]Topology{
-		"materialized": NewUniversal(n, 4),
-		"implicit":     NewImplicitUniversal(n, 4),
-	}
-	for name, tr := range trees {
+	for name, tr := range binaryTrees() {
 		t.Run(name, func(t *testing.T) {
 			capMsg := "core: capacity 0 must be >= 1"
 			rangeMsg := fmt.Sprintf("core: node %%d out of range [1,%d)", 2*n)
@@ -66,16 +72,12 @@ func TestSetChannelCapacityValidation(t *testing.T) {
 	}
 }
 
-// TestFailNodeValidation pins FailNode's up-front range check on both
-// implementations: a bad index panics with one message and leaves the tree
+// TestFailNodeValidation pins FailNode's up-front range check on both binary
+// trees: a bad index panics with one message and leaves the tree
 // untouched — never half-failed.
 func TestFailNodeValidation(t *testing.T) {
 	const n = 8
-	trees := map[string]Topology{
-		"materialized": NewUniversal(n, 4),
-		"implicit":     NewImplicitUniversal(n, 4),
-	}
-	for name, tr := range trees {
+	for name, tr := range binaryTrees() {
 		t.Run(name, func(t *testing.T) {
 			for _, v := range []int{0, -2, 2 * n, 100} {
 				want := fmt.Sprintf("core: FailNode: node %d out of range [1,%d)", v, 2*n)

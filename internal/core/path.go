@@ -10,7 +10,7 @@ import "math/bits"
 
 // LCA returns the heap index of the least common ancestor of processors p and
 // q (their leaves' lowest common tree ancestor).
-func (t *geom) LCA(p, q int) int {
+func (t *FatTree) LCA(p, q int) int {
 	a, b := t.Leaf(p), t.Leaf(q)
 	// Heap-index LCA: strip low bits until the indices share their common
 	// prefix. Since both leaves are at the same depth, xor's bit length tells
@@ -24,7 +24,7 @@ func (t *geom) LCA(p, q int) int {
 // up from the source leaf to the LCA, then down to the destination leaf. A
 // message between distinct leaves under a common parent traverses 2 channels;
 // an external message traverses lg n + 1 channels (leaf to root interface).
-func (t *geom) PathLength(m Message) int {
+func (t *FatTree) PathLength(m Message) int {
 	if m.IsExternal() {
 		return t.levels + 1
 	}
@@ -40,7 +40,7 @@ func (t *geom) PathLength(m Message) int {
 // the LCA to the destination leaf. External messages route through the root
 // channel (see ExternalPath). Passing a reused buf avoids allocation in hot
 // loops.
-func (t *geom) Path(m Message, buf []Channel) []Channel {
+func (t *FatTree) Path(m Message, buf []Channel) []Channel {
 	if m.IsExternal() {
 		return t.ExternalPath(m, buf)
 	}
@@ -69,7 +69,7 @@ func (t *geom) Path(m Message, buf []Channel) []Channel {
 // Down channels on the path, i.e. the depth below the LCA. The paper bounds
 // this by 2·lg n for a general (externally addressed) message; internal
 // messages need only the suffix below the LCA.
-func (t *geom) AddressBits(m Message) int {
+func (t *FatTree) AddressBits(m Message) int {
 	lca := t.LCA(m.Src, m.Dst)
 	return t.levels - t.Level(lca)
 }
@@ -77,7 +77,7 @@ func (t *geom) AddressBits(m Message) int {
 // CrossesNode reports whether message m's path passes through switching node
 // v, i.e. v lies on the unique tree path between the two leaves (inclusive of
 // the LCA, exclusive of the leaves themselves unless v is a leaf endpoint).
-func (t *geom) CrossesNode(v int, m Message) bool {
+func (t *FatTree) CrossesNode(v int, m Message) bool {
 	// v is on the path iff v is an ancestor-or-self of exactly the portion of
 	// the path: equivalently, v is an ancestor of src-leaf or dst-leaf and a
 	// descendant-or-self of the LCA.

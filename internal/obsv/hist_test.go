@@ -126,7 +126,7 @@ func observedRun(t *testing.T) *Observer {
 	o := New(tree)
 	o.CycleStart(3)
 	o.Inject(0, core.Message{Src: 0, Dst: 5}, tree.Leaf(0), 0)
-	o.Switch(2, 2, 1, 3, 0)
+	o.SwitchDelta(2, 2, 1, 3, 0)
 	o.Advance(0, core.Message{Src: 0, Dst: 5}, 2, 1, 0, 0)
 	o.CycleEnd(2, 1, 0)
 	o.Retries(1)

@@ -150,7 +150,7 @@ type Observer struct {
 	// arrays are indexed by tree level instead of heap node id, so the
 	// footprint is O(levels) and independent of n. The streaming engine
 	// drives it through the same hooks (node ids are folded to levels on
-	// entry); the dense engine requires a dense observer.
+	// entry); the k-ary engine requires a dense observer.
 	compact   bool
 	levelCaps []int       // compact only: per-level capacity profile
 	ovCaps    map[int]int // compact only: per-channel override snapshot
@@ -163,13 +163,6 @@ type Observer struct {
 	hist          hists
 	cycleLevelUse []int64
 	levelWires    []int64
-
-	// lastRounds/lastFaults are per-switch snapshots of the cumulative
-	// hardware counters (matching rounds, fault corruptions), so Switch can
-	// attribute deltas per sweep. Primed by PrimeSwitch when the observer is
-	// attached to an engine whose switches have already routed.
-	lastRounds []int64
-	lastFaults []int64
 
 	ring *Ring // nil until EnableTrace
 }
@@ -198,8 +191,6 @@ func New(t core.Topology) *Observer {
 		LevelCycles:   make([]int64, t.Levels()+2),
 		LevelMessages: make([]int64, t.Levels()+2),
 	}
-	o.lastRounds = make([]int64, nodes)
-	o.lastFaults = make([]int64, nodes)
 	o.hist = newHists(t.Levels())
 	o.cycleLevelUse = make([]int64, t.Levels()+1)
 	o.levelWires = make([]int64, t.Levels()+1)
@@ -246,7 +237,7 @@ func (o *Observer) lvl(v int) int {
 // Delivered, Dropped, Deferred, Retried), histograms, and PerLevel carry the
 // same information as a dense observer's aggregation; per-node attribution is
 // unavailable. Only the streaming engine (and the scheduler's SchedLevel
-// hook) can drive a compact observer; the dense engine rejects it.
+// hook) can drive a compact observer; the k-ary engine rejects it.
 func NewCompact(t core.Topology) *Observer {
 	levels := t.Levels()
 	o := &Observer{
@@ -495,23 +486,12 @@ func (o *Observer) Defer(i int, m core.Message, node int) {
 	}
 }
 
-// Switch records the outcome of one switch's concentrator contest in one
-// sweep step: reqs requests, drops losses, plus the switch's *cumulative*
-// hardware counters (Hopcroft–Karp BFS rounds, fault corruptions), which the
-// observer converts to per-sweep deltas against its PrimeSwitch baseline.
-func (o *Observer) Switch(node, reqs, drops int, roundsCum, faultsCum int64) {
-	rounds := roundsCum - o.lastRounds[node]
-	o.lastRounds[node] = roundsCum
-	faults := faultsCum - o.lastFaults[node]
-	o.lastFaults[node] = faultsCum
-	o.SwitchDelta(node, reqs, drops, rounds, faults)
-}
-
-// SwitchDelta is Switch with the hardware counters already differenced: the
-// streaming engine tracks each special switch's cumulative counters itself
-// (its switches are lazily created, so the observer cannot hold a per-node
-// baseline) and reports per-sweep deltas directly. Works on dense and compact
-// observers alike.
+// SwitchDelta records the outcome of one switch's concentrator contest in
+// one sweep step: reqs requests, drops losses, plus the switch's hardware
+// counters for the step (Hopcroft–Karp BFS rounds, fault corruptions). The
+// engine differences each switch's cumulative counters itself — a binary
+// engine builds its partial and lossy switches lazily, so the observer holds
+// no per-switch baseline. Works on dense and compact observers alike.
 func (o *Observer) SwitchDelta(node, reqs, drops int, dRounds, dFaults int64) {
 	i := o.swIdx(node)
 	o.C.Requests[i] += int64(reqs)
@@ -520,22 +500,6 @@ func (o *Observer) SwitchDelta(node, reqs, drops int, dRounds, dFaults int64) {
 	o.C.MatchRounds[i] += dRounds
 	o.hist.matchRounds.Observe(dRounds)
 	o.C.Faults[i] += dFaults
-}
-
-// PrimeSwitch snapshots a switch's cumulative hardware counters without
-// tallying them, so deltas recorded by Switch start from the attach point
-// rather than from the engine's construction. The engine primes every switch
-// when an observer is attached.
-func (o *Observer) PrimeSwitch(node int, roundsCum, faultsCum int64) {
-	if o.compact {
-		// Compact observers are driven via SwitchDelta and keep no per-node
-		// baseline to prime.
-		return
-	}
-	o.mu.Lock()
-	o.lastRounds[node] = roundsCum
-	o.lastFaults[node] = faultsCum
-	o.mu.Unlock()
 }
 
 // Advance records flight i winning a wire of the channel (chanNode, dir) at

@@ -58,7 +58,7 @@ func TestObserverCountersAndConservation(t *testing.T) {
 	o.Inject(0, m, tr.Leaf(0), 0)
 	o.Inject(1, core.Message{Src: 1, Dst: 2}, tr.Leaf(1), 0)
 	o.Defer(2, core.Message{Src: 2, Dst: 3}, tr.Leaf(2))
-	o.Switch(2, 2, 1, 5, 1)
+	o.SwitchDelta(2, 2, 1, 5, 1)
 	o.Advance(0, m, 2, 2, int(core.Up), 1)
 	o.Block(1, core.Message{Src: 1, Dst: 2}, 2)
 	o.Deliver(0, m, 2)
@@ -86,11 +86,11 @@ func TestObserverCountersAndConservation(t *testing.T) {
 		t.Fatalf("switch 2 contention = req %d grant %d drop %d",
 			c.Requests[2], c.Grants[2], c.Drops[2])
 	}
-	// Cumulative hardware counters become deltas.
+	// Per-sweep hardware deltas accumulate.
 	if c.MatchRounds[2] != 5 || c.Faults[2] != 1 {
 		t.Fatalf("rounds=%d faults=%d", c.MatchRounds[2], c.Faults[2])
 	}
-	o.Switch(2, 1, 0, 7, 1)
+	o.SwitchDelta(2, 1, 0, 2, 0)
 	if c.MatchRounds[2] != 7 || c.Faults[2] != 1 {
 		t.Fatalf("after second sweep rounds=%d faults=%d", c.MatchRounds[2], c.Faults[2])
 	}
@@ -109,16 +109,6 @@ func TestExternalInjectUsesRootDownChannel(t *testing.T) {
 	}
 	if got := o.C.WireUse[2*1+int(core.Up)]; got != 0 {
 		t.Fatalf("root up wire-use = %d, want 0", got)
-	}
-}
-
-func TestPrimeSwitchBaseline(t *testing.T) {
-	tr := core.NewUniversal(4, 2)
-	o := New(tr)
-	o.PrimeSwitch(1, 100, 10)
-	o.Switch(1, 1, 0, 103, 12)
-	if o.C.MatchRounds[1] != 3 || o.C.Faults[1] != 2 {
-		t.Fatalf("primed deltas: rounds=%d faults=%d", o.C.MatchRounds[1], o.C.Faults[1])
 	}
 }
 
@@ -145,7 +135,7 @@ func TestPerLevelAndReport(t *testing.T) {
 	o := New(tr)
 	o.CycleStart(1)
 	o.Inject(0, core.Message{Src: 0, Dst: 7}, tr.Leaf(0), 0)
-	o.Switch(1, 1, 0, 2, 0)
+	o.SwitchDelta(1, 1, 0, 2, 0)
 	o.Advance(0, core.Message{Src: 0, Dst: 7}, 1, 1, int(core.Up), 0)
 	o.CycleEnd(1, 0, 0)
 
@@ -180,7 +170,7 @@ func TestPerLevelAndReport(t *testing.T) {
 
 func TestPerLevelMixedCapacity(t *testing.T) {
 	tr := core.NewUniversal(8, 4)
-	tr.SetChannelCapacity(2, 1+tr.CapTable()[3])
+	tr.SetChannelCapacity(2, 1+tr.CapAt(3))
 	o := New(tr)
 	rows := o.PerLevel()
 	if rows[1].Capacity != -1 {

@@ -50,8 +50,8 @@ func sameSchedule(t *testing.T, label string, want, got *Schedule) {
 	}
 }
 
-// FuzzSchedule cross-checks the Theorem 1 scheduler against its implicit-tree
-// twin and against a reused arena-backed Scheduler on fuzz-generated message
+// FuzzSchedule cross-checks the Theorem 1 scheduler against its run on the
+// binary-shaped KaryFatTree twin of the tree and against a reused arena-backed Scheduler on fuzz-generated message
 // sets: every schedule must verify as a valid partition of the input, and a
 // reused scheduler must match a fresh one across shrinking and regrowing
 // message sets (the arena reuse contract of DESIGN.md §9). Seed inputs live
@@ -69,16 +69,24 @@ func FuzzSchedule(f *testing.F) {
 		}
 		sc := NewScheduler(ft)
 		sameSchedule(t, "scheduler", serial, sc.OffLine(ms))
-		// Implicit-vs-materialized phase: the scheduler is pure topology
-		// arithmetic, so running it against the implicit twin of the same
-		// capacity profile must reproduce the materialized schedule bit for
-		// bit.
-		imp := core.NewImplicit(ft.Processors(), ft.CapacityAtLevel)
-		implicit := OffLine(imp, ms)
-		if err := implicit.Verify(ms); err != nil {
-			t.Fatalf("OffLine on the implicit tree produced an invalid schedule: %v", err)
+		// Twin phase: the scheduler is pure heap-index arithmetic, so running
+		// it against the binary-shaped KaryFatTree with the same capacity
+		// profile must reproduce the FatTree schedule bit for bit.
+		caps := ft.LevelCapTable()
+		desc := core.KaryDesc{
+			Down:     make([]int, ft.Levels()),
+			Up:       make([]int, ft.Levels()),
+			Parallel: make([]int, ft.Levels()),
+			Root:     caps[0],
 		}
-		sameSchedule(t, "implicit", serial, implicit)
+		for i := 0; i < ft.Levels(); i++ {
+			desc.Down[i], desc.Up[i], desc.Parallel[i] = 2, caps[i+1], 1
+		}
+		twin := OffLine(core.NewKary(desc), ms)
+		if err := twin.Verify(ms); err != nil {
+			t.Fatalf("OffLine on the binary-shaped k-ary twin produced an invalid schedule: %v", err)
+		}
+		sameSchedule(t, "kary twin", serial, twin)
 
 		// Scheduler-reuse phases: shrink the message set, then regrow it. The
 		// reused scheduler's arena has been stretched by the full set and

@@ -14,35 +14,32 @@
 // stripped one per switch, and the payload follows, so a cycle lasts
 // O(lg n + payload) ticks.
 //
-// # The allocation-free data plane
+// # The data planes
 //
-// The dense engine routes on a bucketed data plane that does O(flights × path
-// length) work per cycle with zero steady-state heap allocation: each sweep
-// step touches every in-flight message exactly once to bucket it under its
-// owning switch (replacing the historical per-switch scan over all flights),
-// and all transient state — the flight table, the per-leaf injection
-// counters, the per-switch request lists and wire guards, and the wire
-// histories — lives in a per-engine scratch arena that is reused from cycle
-// to cycle. The first cycle after construction (or after a growth in problem
-// size) warms the arena; subsequent cycles allocate nothing. Channel
-// capacities are memoized into a flat array indexed by node id at
-// construction, so the sweep does integer arithmetic only — no map probes
-// through capacity overrides, and no tree walks (the downward steering
-// decision reads one bit of the destination leaf index). See DESIGN.md
-// "Scratch-arena ownership" for the reuse rules.
+// A binary fat-tree (any heap-indexed Topology) routes on the streaming plane
+// of stream.go: each sweep step carries sorted (node, flight) key lists to
+// the next, so a cycle does O(flights × path length) work and engine memory
+// is independent of the processor count. Ideal switches are computed inline
+// from the capacity profile; partial or lossy switches are built lazily the
+// first time their node is contested. A KaryFatTree routes on the level-table
+// plane of kary.go. Both planes keep every transient — the flight table, the
+// key lists or buckets, the wire guards and the wire histories — in a
+// per-engine scratch arena reused from cycle to cycle: the first cycle after
+// construction (or after a growth in problem size) warms the arena, and
+// later cycles allocate nothing. See DESIGN.md "Scratch-arena ownership" for
+// the reuse rules.
 //
 // # Determinism
 //
-// Every cycle runs on the calling goroutine, and each sweep step contests
-// its switches in first-touch node order with each switch's requests in
-// message-index order. Every source of randomness — partial-concentrator
-// wiring and transient-fault (loss) injection — draws from a per-switch RNG
-// stream seeded by (seed, node) at construction, so a run's outcome depends
+// Every cycle runs on the calling goroutine, and each switch sees its
+// requests in message-index order. Every source of randomness — partial-
+// concentrator wiring and transient-fault (loss) injection — draws from a
+// per-switch RNG stream seeded by (seed, node), so a run's outcome depends
 // only on the tree, the seed, and the message order.
 package sim
 
 import (
-	"math/bits"
+	"fmt"
 
 	"fattree/internal/concentrator"
 	"fattree/internal/core"
@@ -67,7 +64,8 @@ type Options struct {
 }
 
 // Engine simulates delivery cycles on one fat-tree with persistent switch
-// hardware (the concentrator graphs are built once, as in a real machine).
+// hardware (a switch, once built, keeps its concentrator graphs, as in a
+// real machine).
 //
 // An Engine owns a scratch arena that is reused across cycles, so a single
 // Engine must not run cycles from multiple goroutines concurrently, and the
@@ -76,14 +74,7 @@ type Options struct {
 // intended mode and produces results identical to a fresh engine (the
 // engine-reuse equivalence tests pin this).
 type Engine struct {
-	tree     core.Topology
-	switches []*concentrator.Switch // indexed by node 1..n-1 (internal nodes)
-
-	// caps memoizes the channel capacity above every node (both directions
-	// share one capacity), indexed by heap node id, so the cycle data plane
-	// never consults the tree's override map. Snapshotted at construction,
-	// consistent with the switch hardware built from the same values.
-	caps []int
+	tree core.Topology
 
 	// obs is the attached observability layer, nil when disabled. It is a
 	// concrete pointer (never an interface) so the disabled hot path is a
@@ -93,43 +84,21 @@ type Engine struct {
 
 	scr scratch
 
-	// stream is non-nil when the engine simulates an ImplicitFatTree: the
-	// streaming data plane of stream.go, which carries sorted (node, flight)
-	// key lists from one sweep step to the next, replaces the dense per-node
-	// state above (switches, caps, scr.node, scr.buckets, the injection
-	// counters), whose slices are then left nil. Memory becomes
-	// O(messages × path length), independent of n.
+	// Exactly one plane is set. stream is the plane of every binary fat-tree
+	// (stream.go): it carries sorted (node, flight) key lists from one sweep
+	// step to the next, so memory is O(messages × path length), independent
+	// of n. kary is the level-table plane of a KaryFatTree (kary.go).
 	stream *streamState
-
-	// kary is non-nil when the engine simulates a KaryFatTree: the level-
-	// table data plane of kary.go replaces the switch objects and per-node
-	// scratch (switches and scr.node stay nil) while reusing the bucketed
-	// sweep machinery.
-	kary *karyState
+	kary   *karyState
 }
 
-// scratch is the engine's reusable per-cycle arena. Every slice grows to the
-// high-water mark of the scenarios routed so far and is then reused without
-// allocation; see DESIGN.md "Scratch-arena ownership".
+// scratch is the engine's reusable per-cycle arena, shared by both planes.
+// Every slice grows to the high-water mark of the scenarios routed so far and
+// is then reused without allocation; see DESIGN.md "Scratch-arena ownership".
 type scratch struct {
 	flights   []flight
 	delivered []bool
 	histArena []int // flat wire-history storage; flights hold offsets into it
-
-	// Per-processor injection counters, epoch-stamped so they need no
-	// clearing between cycles.
-	injUsed  []int
-	injStamp []int64
-	epoch    int64
-
-	// Per-level bucketing state: buckets[v-first] lists the flight indices
-	// switch v owns this sweep step in message-index order; nodes lists the
-	// non-empty buckets in first-touch (= message-index) order.
-	buckets [][]int
-	nodes   []int
-
-	// Per-switch scratch, indexed by node 1..n-1.
-	node []nodeScratch
 
 	// Ping-pong pending buffers for the retry loop (deliver).
 	pendA, pendB core.MessageSet
@@ -142,60 +111,27 @@ type scratch struct {
 	ageA, ageB, latBuf []int64
 }
 
-// nodeScratch is the per-switch slice of the arena: the request list handed
-// to the concentrators and the epoch-stamped wire guards that check the
-// hardware invariant (no channel wire assigned twice in one sweep).
-type nodeScratch struct {
-	reqs      []concentrator.Request
-	upStamp   []int64
-	downStamp [2][]int64
-	gen       int64
-}
-
-// New builds the engine: one switch per internal node, with concentrators of
-// the given kind (ideal per Section III, or Pippenger-style partial per
-// Section IV). seed feeds the partial constructions.
+// New builds the engine with concentrators of the given kind (ideal per
+// Section III, or Pippenger-style partial per Section IV). seed feeds the
+// partial constructions and is offset by the node id, so every switch draws
+// from its own stream.
 func New(t core.Topology, kind concentrator.Kind, seed int64) *Engine {
 	return NewWithOptions(t, kind, seed, Options{})
 }
 
-// NewWithOptions is New with explicit Options. An ImplicitFatTree selects the
-// streaming data plane (stream.go), whose memory is independent of the
-// processor count; a KaryFatTree selects the level-table plane (kary.go),
-// which routes with inline ideal concentrators; any other Topology gets the
-// dense per-node engine.
+// NewWithOptions is New with explicit Options. A KaryFatTree selects the
+// level-table plane (kary.go), which routes with inline ideal concentrators;
+// every other topology must be heap-indexed (core.HeapIndexed) and selects
+// the streaming plane (stream.go).
 func NewWithOptions(t core.Topology, kind concentrator.Kind, seed int64, opts Options) *Engine {
-	if imp, ok := t.(*core.ImplicitFatTree); ok {
-		return newStreamEngine(imp, kind, seed, opts)
-	}
+	var e *Engine
 	if kt, ok := t.(*core.KaryFatTree); ok {
-		return newKaryEngine(kt, kind, seed, opts)
+		e = newKaryEngine(kt, kind)
+	} else if core.HeapIndexed(t) {
+		e = newStreamEngine(t, kind, seed)
+	} else {
+		panic(fmt.Sprintf("sim: %v is neither a KaryFatTree nor heap-indexed", t))
 	}
-	e := &Engine{
-		tree:     t,
-		switches: make([]*concentrator.Switch, t.Processors()),
-		caps:     core.CapTableOf(t),
-	}
-	n := t.Processors()
-	e.scr.node = make([]nodeScratch, n)
-	for v := 1; v < n; v++ {
-		capParent := e.caps[v]
-		capChild := e.caps[2*v]
-		e.switches[v] = concentrator.NewSwitch(capParent, capChild, kind, seed+int64(v))
-		e.scr.node[v] = nodeScratch{
-			reqs:      make([]concentrator.Request, 0, capParent+2*capChild),
-			upStamp:   make([]int64, capParent),
-			downStamp: [2][]int64{make([]int64, capChild), make([]int64, capChild)},
-		}
-	}
-	e.scr.injUsed = make([]int, n)
-	e.scr.injStamp = make([]int64, n)
-	maxNodes := 1
-	if lv := t.Levels(); lv > 1 {
-		maxNodes = 1 << uint(lv-1)
-	}
-	e.scr.buckets = make([][]int, maxNodes)
-	e.scr.nodes = make([]int, 0, maxNodes)
 	if opts.Observer != nil {
 		e.SetObserver(opts.Observer)
 	}
@@ -211,16 +147,10 @@ func (e *Engine) Tree() core.Topology { return e.tree }
 // acknowledgment protocol). Each switch draws from its own RNG stream seeded
 // by (seed, node), so fault patterns are reproducible.
 func (e *Engine) InjectLoss(rate float64, seed int64) {
-	if e.stream != nil {
-		e.stream.injectLoss(rate, seed)
-		return
-	}
 	if e.kary != nil {
 		panic("sim: loss injection is not supported on k-ary topologies (ideal concentrators only)")
 	}
-	for v := 1; v < e.tree.Processors(); v++ {
-		e.switches[v].InjectLoss(rate, seed+int64(3*v))
-	}
+	e.stream.injectLoss(rate, seed)
 }
 
 // CycleResult reports one delivery cycle.
@@ -274,85 +204,6 @@ func growInts(s []int, n int) []int {
 	return out
 }
 
-// inject starts a delivery cycle: each source leaf offers its up channel's
-// wires to its pending messages in order; the surplus is deferred to a later
-// cycle (the processor buffers them, per Section II). Inputs from the
-// external world inject into the root down channel; outputs carry the
-// sentinel LCA 0 ("above the root") so the upward sweep forwards them through
-// every switch and out the root channel. Each admitted flight reserves its
-// exact path length in the wire-history arena.
-//
-//ftlint:hotpath
-func (e *Engine) inject(pending core.MessageSet) ([]flight, CycleResult) {
-	t := e.tree
-	scr := &e.scr
-	scr.epoch++
-	if cap(scr.flights) < len(pending) {
-		scr.flights = make([]flight, len(pending), len(pending)+len(pending)/2)
-	}
-	flights := scr.flights[:len(pending)]
-	scr.flights = flights
-	var res CycleResult
-
-	levels := t.Levels()
-	arenaLen := 0
-	rootInjected := 0 // root down-channel wires used by inputs
-	for i, m := range pending {
-		if m.Src == core.External {
-			if rootInjected >= e.caps[1] {
-				flights[i] = flight{msg: m, state: flightLost}
-				res.Deferred++
-				continue
-			}
-			off := arenaLen
-			arenaLen += levels + 1
-			scr.histArena = growInts(scr.histArena, arenaLen)
-			flights[i] = flight{
-				msg: m, state: flightDown, node: 1, wire: rootInjected,
-				dstLeaf: t.Leaf(m.Dst),
-				histOff: off, histLen: 1,
-			}
-			scr.histArena[off] = rootInjected
-			rootInjected++
-			continue
-		}
-		leaf := t.Leaf(m.Src)
-		used := 0
-		if scr.injStamp[m.Src] == scr.epoch {
-			used = scr.injUsed[m.Src]
-		}
-		if used >= e.caps[leaf] {
-			flights[i] = flight{msg: m, state: flightLost}
-			res.Deferred++
-			continue
-		}
-		lca := 0 // sentinel: the message exits through the root interface
-		dstLeaf := 0
-		pathLen := levels + 1
-		if m.Dst != core.External {
-			lca = t.LCA(m.Src, m.Dst)
-			dstLeaf = t.Leaf(m.Dst)
-			lcaLevel := bits.Len(uint(lca)) - 1
-			if e.kary != nil {
-				lcaLevel = e.kary.t.Level(lca)
-			}
-			pathLen = 2 * (levels - lcaLevel)
-		}
-		off := arenaLen
-		arenaLen += pathLen
-		scr.histArena = growInts(scr.histArena, arenaLen)
-		flights[i] = flight{
-			msg: m, state: flightUp, node: leaf, wire: used,
-			lca: lca, dstLeaf: dstLeaf,
-			histOff: off, histLen: 1,
-		}
-		scr.histArena[off] = used
-		scr.injStamp[m.Src] = scr.epoch
-		scr.injUsed[m.Src] = used + 1
-	}
-	return flights, res
-}
-
 // collect finishes a delivery cycle: delivered flags (engine-owned scratch)
 // and the delivered count.
 //
@@ -374,202 +225,14 @@ func (e *Engine) collect(pending core.MessageSet, flights []flight, res *CycleRe
 	return delivered
 }
 
-// runCycle is one delivery cycle on the engine's data plane: inject,
-// bucketed upward sweep, bucketed downward sweep, collect. Each level's
-// buckets are routed in first-touch node order on the calling goroutine.
+// runCycle is one delivery cycle on the engine's plane.
 //
 //ftlint:hotpath
 func (e *Engine) runCycle(pending core.MessageSet) ([]bool, CycleResult) {
-	if e.stream != nil {
-		return e.runCycleStream(pending)
-	}
 	if e.kary != nil {
 		return e.runCycleKary(pending)
 	}
-	t := e.tree
-	scr := &e.scr
-	leafLevel := t.Levels()
-	flights, res := e.inject(pending)
-	if e.obs != nil {
-		e.observeInject(pending, flights)
-	}
-	scr.nodes = scr.nodes[:0]
-
-	// Upward sweep, leaf parents toward the root: a message ascending
-	// through v holds a wire in the up channel above one of v's children
-	// and its LCA is strictly above v.
-	for level := leafLevel - 1; level >= 0; level-- {
-		first := 1 << uint(level)
-		for i := range flights {
-			f := &flights[i]
-			if f.state != flightUp || f.lca == f.node>>1 {
-				continue
-			}
-			e.own(first, f.node>>1, i)
-		}
-		e.routeLevel(first, true, &res)
-	}
-
-	// Downward sweep, root toward the leaves: a message either turns at v
-	// (its LCA is v, and it still holds a child-side up wire) or descends
-	// through v (it holds the parent-side down wire above v).
-	for level := 0; level < leafLevel; level++ {
-		first := 1 << uint(level)
-		for i := range flights {
-			f := &flights[i]
-			switch f.state {
-			case flightUp: // waiting to turn at its LCA
-				e.own(first, f.lca, i)
-			case flightDown: // holds the down wire above f.node
-				e.own(first, f.node, i)
-			}
-		}
-		e.routeLevel(first, false, &res)
-	}
-
-	delivered := e.collect(pending, flights, &res)
-	if e.obs != nil {
-		e.obs.CycleEnd(res.Delivered, res.Dropped, res.Deferred)
-	}
-	return delivered, res
-}
-
-// own buckets flight i under switch v if v belongs to the sweep level whose
-// first node is first, recording the first touch of each bucket in nodes.
-//
-//ftlint:hotpath
-func (e *Engine) own(first, v, i int) {
-	scr := &e.scr
-	if v >= first && v < 2*first {
-		if len(scr.buckets[v-first]) == 0 {
-			scr.nodes = append(scr.nodes, v)
-		}
-		scr.buckets[v-first] = append(scr.buckets[v-first], i)
-	}
-}
-
-// routeLevel contests one sweep step's non-empty switches in first-touch
-// node order, then resets the buckets.
-//
-//ftlint:hotpath
-func (e *Engine) routeLevel(first int, upSweep bool, res *CycleResult) {
-	scr := &e.scr
-	for _, v := range scr.nodes {
-		if e.kary != nil {
-			e.routeKaryGathered(v, scr.flights, scr.buckets[v-first], upSweep, res)
-		} else {
-			e.routeGathered(v, scr.flights, scr.buckets[v-first], upSweep, res)
-		}
-	}
-	if e.obs != nil {
-		// Observation reads the level's outcomes before the buckets reset.
-		e.observeLevel(first, upSweep)
-	}
-	for _, v := range scr.nodes {
-		scr.buckets[v-first] = scr.buckets[v-first][:0]
-	}
-	scr.nodes = scr.nodes[:0]
-}
-
-// routeGathered contests node v's concentrators with the flights in who (in
-// order) and applies the wire assignments. In the upward sweep only the
-// ToParent output is contested; in the downward sweep the two child outputs
-// are.
-//
-//ftlint:hotpath
-func (e *Engine) routeGathered(v int, flights []flight, who []int, upSweep bool, res *CycleResult) {
-	if len(who) == 0 {
-		return
-	}
-	leafLevel := e.tree.Levels()
-	vLevel := bits.Len(uint(v)) - 1
-	ns := &e.scr.node[v]
-	reqs := ns.reqs[:0]
-
-	for _, i := range who {
-		f := &flights[i]
-		if upSweep {
-			in := concentrator.Left
-			if f.node == 2*v+1 {
-				in = concentrator.Right
-			}
-			reqs = append(reqs, concentrator.Request{In: in, InWire: f.wire, Out: concentrator.Parent})
-			continue
-		}
-		var in concentrator.Port
-		if f.state == flightUp { // turning at its LCA, still on a child-side wire
-			in = concentrator.Left
-			if f.node == 2*v+1 {
-				in = concentrator.Right
-			}
-		} else { // descending on the parent-side down wire
-			in = concentrator.Parent
-		}
-		// Steer toward the destination leaf: the next node down is the
-		// dstLeaf ancestor one level below v, and its low bit picks the side.
-		out := concentrator.Left
-		if (f.dstLeaf>>uint(leafLevel-vLevel-1))&1 == 1 {
-			out = concentrator.Right
-		}
-		reqs = append(reqs, concentrator.Request{In: in, InWire: f.wire, Out: out})
-	}
-	ns.reqs = reqs
-
-	outWires, _ := e.switches[v].Route(reqs)
-	// Hardware invariant: a concentrator never assigns more wires to a
-	// channel than the channel has, and never the same wire twice. The
-	// epoch-stamped guards are cheap and protect the whole delivery
-	// pipeline without per-sweep clearing.
-	ns.gen++
-	for j, i := range who {
-		f := &flights[i]
-		if outWires[j] < 0 {
-			f.state = flightLost
-			res.Dropped++
-			continue
-		}
-		switch reqs[j].Out {
-		case concentrator.Parent:
-			if outWires[j] >= e.caps[v] || ns.upStamp[outWires[j]] == ns.gen {
-				panic("sim: up-channel wire oversubscribed (switch bug)")
-			}
-			ns.upStamp[outWires[j]] = ns.gen
-		case concentrator.Left, concentrator.Right:
-			side := 0
-			child := 2 * v
-			if reqs[j].Out == concentrator.Right {
-				side = 1
-				child = 2*v + 1
-			}
-			if outWires[j] >= e.caps[child] || ns.downStamp[side][outWires[j]] == ns.gen {
-				panic("sim: down-channel wire oversubscribed (switch bug)")
-			}
-			ns.downStamp[side][outWires[j]] = ns.gen
-		}
-		f.wire = outWires[j]
-		e.scr.histArena[f.histOff+f.histLen] = outWires[j]
-		f.histLen++
-		if upSweep {
-			f.state = flightUp
-			f.node = v // now holds a wire in the up channel above v
-			if v == 1 && f.msg.Dst == core.External {
-				// The root up channel is the external interface: delivered.
-				f.state = flightDone
-			}
-			continue
-		}
-		// Descending: the message now holds a wire in the down channel above
-		// the chosen child.
-		child := 2 * v
-		if reqs[j].Out == concentrator.Right {
-			child = 2*v + 1
-		}
-		f.node = child
-		f.state = flightDown
-		if vLevel+1 == leafLevel {
-			f.state = flightDone
-		}
-	}
+	return e.runCycleStream(pending)
 }
 
 // histories materializes the per-message wire paths of the last cycle as

@@ -11,42 +11,34 @@ import (
 // interface-conversion allocation, and every hook sits at a fixed point of
 // the cycle data plane:
 //
-//   - after inject, reading the flight table in message-index order;
-//   - in routeLevel, after the level's switches are contested but before the
-//     buckets are reset, reading buckets in first-touch node order and each
-//     bucket in message-index order;
+//   - after injection, reading the flight table in message-index order;
+//   - after each node run of the streaming plane (observeStreamRun), and in
+//     the k-ary plane's routeLevel after the level's switches are contested
+//     but before the buckets are reset (observeLevel), reading each switch's
+//     requests in message-index order;
 //   - after collect, closing the cycle.
 //
 // Attaching an observer cannot perturb routing: it only reads engine state.
 
 // SetObserver attaches an observer to the engine (nil detaches). The observer
-// must be bound to a tree of the same size: a dense observer (obsv.New) for
-// the dense engine, dense or compact (obsv.NewCompact) for the streaming
-// engine — only streaming keeps every counter answerable without per-node
-// arrays. Attaching snapshots the cumulative hardware counters of every switch
-// so per-sweep deltas start at the attach point. The observer must not be
-// shared with another engine running concurrently.
+// must be bound to a tree of the same size. A binary engine takes a dense
+// (obsv.New) or a compact (obsv.NewCompact) observer; a k-ary engine takes a
+// dense one only. Attaching snapshots the cumulative hardware counters of
+// every switch built so far, so per-run deltas start at the attach point.
+// The observer must not be shared with another engine running concurrently.
 func (e *Engine) SetObserver(o *obsv.Observer) {
 	if o != nil {
 		if o.Nodes() != e.tree.Nodes()+1 {
 			panic("sim: observer is bound to a tree of a different size")
 		}
-		switch {
-		case e.stream != nil:
+		if e.kary != nil {
+			// The k-ary plane routes with inline ideal concentrators and keeps
+			// its counters per node.
+			if o.Compact() {
+				panic("sim: the k-ary engine requires a dense observer (obsv.New); compact observers attach to binary fat-tree engines")
+			}
+		} else {
 			e.stream.primeSpecials()
-		case e.kary != nil:
-			// The k-ary plane routes with inline ideal concentrators — there
-			// are no switch objects to prime, and its counters stay per node.
-			if o.Compact() {
-				panic("sim: the k-ary engine requires a dense observer (obsv.New); compact observers attach to implicit-topology engines")
-			}
-		default:
-			if o.Compact() {
-				panic("sim: the dense engine requires a dense observer (obsv.New); compact observers attach to implicit-topology engines")
-			}
-			for v := 1; v < e.tree.Processors(); v++ {
-				o.PrimeSwitch(v, e.switches[v].MatchingRounds(), e.switches[v].FaultDrops())
-			}
 		}
 	}
 	e.obs = o
@@ -78,9 +70,8 @@ func (e *Engine) observeInject(pending core.MessageSet, flights []flight) {
 	}
 }
 
-// observeLevel records one sweep step's outcomes after its switches are
-// contested: per-switch contention (with the cumulative hardware counters for
-// matching rounds and fault drops), and per-flight advance/block/deliver
+// observeLevel records one k-ary sweep step's outcomes after its switches
+// are contested: per-switch contention, and per-flight advance/block/deliver
 // events with the channel each winner occupies. Bucket order is first-touch
 // node order and within a bucket message-index order. Called only when an
 // observer is attached.
@@ -88,26 +79,22 @@ func (e *Engine) observeInject(pending core.MessageSet, flights []flight) {
 //ftlint:hotpath
 func (e *Engine) observeLevel(first int, upSweep bool) {
 	o := e.obs
-	scr := &e.scr
-	for _, v := range scr.nodes {
-		bucket := scr.buckets[v-first]
+	ks := e.kary
+	flights := e.scr.flights
+	for _, v := range ks.nodes {
+		bucket := ks.buckets[v-first]
 		// Every bucketed flight was live when the contest started, so the
 		// lost ones are exactly the switch's drops.
 		dropped := 0
 		for _, i := range bucket {
-			if scr.flights[i].state == flightLost {
+			if flights[i].state == flightLost {
 				dropped++
 			}
 		}
-		if e.kary != nil {
-			// Inline ideal routing has no hardware counters to difference.
-			o.SwitchDelta(v, len(bucket), dropped, 0, 0)
-		} else {
-			sw := e.switches[v]
-			o.Switch(v, len(bucket), dropped, sw.MatchingRounds(), sw.FaultDrops())
-		}
+		// Inline ideal routing has no hardware counters to difference.
+		o.SwitchDelta(v, len(bucket), dropped, 0, 0)
 		for _, i := range bucket {
-			f := &scr.flights[i]
+			f := &flights[i]
 			switch f.state {
 			case flightLost:
 				o.Block(i, f.msg, v)

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -163,7 +164,8 @@ func TestDeliveryConservation(t *testing.T) {
 // TestObserverReuseAndReset checks the Reset contract across runs on one
 // engine: counters tallied after a Reset equal a fresh observer's, including
 // the cumulative-hardware-counter deltas (matching rounds, faults), which the
-// attach-time priming and Switch's snapshotting must keep aligned.
+// attach-time priming and the engine's per-run differencing must keep
+// aligned.
 func TestObserverReuseAndReset(t *testing.T) {
 	n := 16
 	ft := core.NewUniversal(n, 4)
@@ -184,6 +186,31 @@ func TestObserverReuseAndReset(t *testing.T) {
 	if !obsv.CountersEqual(reused, fresh) {
 		t.Fatal("reset observer diverges from a freshly attached one")
 	}
+}
+
+// TestCompactObserverOnFatTree pins the observer choice on each plane: an
+// engine on a binary FatTree accepts a compact observer, whose per-level
+// summary equals a dense observer's on the same run, and an engine on a
+// KaryFatTree still rejects one.
+func TestCompactObserverOnFatTree(t *testing.T) {
+	ft := core.NewUniversal(64, 16)
+	ms := workload.Random(64, 256, 5)
+	dense, compact := obsv.New(ft), obsv.NewCompact(ft)
+	for _, o := range []*obsv.Observer{dense, compact} {
+		NewWithOptions(ft, concentrator.KindPartial, 2, Options{Observer: o}).Run(ms)
+	}
+	if want, got := dense.PerLevel(), compact.PerLevel(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("compact per-level summary diverges\ndense   %+v\ncompact %+v", want, got)
+	}
+
+	kt := core.NewKary(core.KaryDesc{Down: []int{4, 4}, Up: []int{2, 1}, Parallel: []int{1, 1}})
+	e := New(kt, concentrator.KindIdeal, 0)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "requires a dense observer") {
+			t.Fatalf("k-ary engine accepted a compact observer (recovered %q)", msg)
+		}
+	}()
+	e.SetObserver(obsv.NewCompact(kt))
 }
 
 // TestSetObserverRejectsWrongTree pins the size check at attach time.

@@ -99,14 +99,14 @@ func TestRetryLoopAllocs(t *testing.T) {
 }
 
 // TestEngineWorkersIgnored pins that Options.Workers no longer changes how an
-// engine runs: dense and k-ary engines built with eight workers route every
+// engine runs: streaming and k-ary engines built with eight workers route every
 // level on the calling goroutine, so a warmed RunCycle and RunServe allocate
 // nothing. A goroutine per switch would allocate on every level.
 func TestEngineWorkersIgnored(t *testing.T) {
 	n := 64
-	dense := core.NewUniversal(n, 16)
+	binary := core.NewUniversal(n, 16)
 	kary := core.NewKary(core.KaryDesc{Down: []int{4, 4, 4}, Up: []int{2, 2, 1}, Parallel: []int{1, 1, 1}})
-	for name, tree := range map[string]core.Topology{"dense": dense, "kary": kary} {
+	for name, tree := range map[string]core.Topology{"stream": binary, "kary": kary} {
 		ms := workload.Random(tree.Processors(), 2*tree.Processors(), 3)
 		e := NewWithOptions(tree, concentrator.KindIdeal, 0, Options{Workers: 8})
 		e.RunCycle(ms) // warm the scratch arena
@@ -126,7 +126,7 @@ func TestEngineWorkersIgnored(t *testing.T) {
 // small request in full.
 func TestRunServeOfferBudget(t *testing.T) {
 	n := 16
-	ft := core.NewImplicitUniversal(n, n/4)
+	ft := core.NewUniversal(n, n/4)
 	e := New(ft, concentrator.KindIdeal, 0)
 	huge := workload.Random(n, 100000, 1)
 	st := e.RunServe(huge)

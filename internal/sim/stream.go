@@ -8,16 +8,15 @@ import (
 	"fattree/internal/core"
 )
 
-// This file is the streaming data plane selected when the engine simulates an
-// ImplicitFatTree: the per-node arrays of the dense engine (switch objects,
-// capacity table, bucket lists, injection counters) are replaced by sorted
-// lists of (node, flight) keys that the plane carries from one sweep step to
-// the next, so engine memory is O(messages × path length) — independent of
-// the processor count. The wire guards are bitsets, one bit per wire of the
-// widest channel routed, so even the 2^18-wire root channel of a
-// 2^20-endpoint universal tree costs 32 KiB. That network — topology plus a
-// warmed engine — retains about 9 bytes per endpoint, where the dense engine
-// would need per-node gigabytes.
+// This file is the streaming data plane, the engine's plane for every binary
+// fat-tree. Instead of per-node arrays (switch objects, a capacity table,
+// bucket lists, injection counters) it keeps sorted lists of (node, flight)
+// keys that it carries from one sweep step to the next, so engine memory is
+// O(messages × path length) — independent of the processor count. The wire
+// guards are bitsets, one bit per wire of the widest channel routed, so even
+// the 2^18-wire root channel of a 2^20-endpoint universal tree costs 32 KiB.
+// That network — topology plus a warmed engine — retains about 9 bytes per
+// endpoint, where per-node switch state would need gigabytes.
 //
 // The carried lists follow the switch of Section II, whose up concentrators
 // combine a node's two child channels into its parent channel one level at a
@@ -60,25 +59,27 @@ import (
 // Dense cycles skip detection and the pass; the sweeps test the cycle's
 // gate flag before they look at sdown.
 //
-// Equivalence with the dense engine is structural, not coincidental:
+// Equivalence with the Fig. 3 sweep — one eager switch per node, every level
+// contested node by node, as the reference engine of the package tests
+// transcribes it — is structural, not coincidental:
 //
-//   - Order: every node's request list ascends in message-index order — the
-//     same order the dense buckets are built in. Ideal concentrators are
-//     positional and the wire each request wins depends only on that order.
+//   - Order: every node's request list ascends in message-index order, the
+//     order in which the sweep hands a switch its requests. Ideal
+//     concentrators are positional and the wire each request wins depends
+//     only on that order.
 //   - Switches: ideal-kind routing is computed inline from the capacity
 //     profile (Ideal and passThrough concentrators are stateless and
 //     positional, see internal/concentrator); partial or lossy switches are
-//     materialized lazily per contested node with the exact constructor and
-//     seeds the dense engine uses — partial concentrators draw randomness
+//     materialized lazily per contested node with the constructor and seeds
+//     of an eager per-node switch — partial concentrators draw randomness
 //     only at construction and Lossy draws once per routed message, so lazy
 //     creation cannot perturb any RNG stream.
 //   - Observation: drop counts and observer events are recorded node by node
 //     in ascending node order, and in message-index order inside each node
-//     run, the same events the dense merge points emit. On a sparse cycle
-//     the lone hops are recorded as they are routed — the lone pass right
-//     after injection, a lone descent as soon as it starts — so the event
-//     ring's order differs from the dense plane's; every counter total and
-//     histogram agrees.
+//     run. On a sparse cycle the lone hops are recorded as they are routed —
+//     the lone pass right after injection, a lone descent as soon as it
+//     starts — so the event ring is not in sweep order; every counter total
+//     and histogram is unchanged.
 //   - Lone hops: ideal and passThrough concentrators are positional and
 //     stateless, so a one-request run has one outcome wherever it is routed
 //     in the cycle; a lossy switch draws from a separate stream per output
@@ -98,8 +99,8 @@ type streamState struct {
 	levels int
 
 	// Capacity profile snapshotted at construction (per-level table plus the
-	// sparse override overlay), consistent with the dense engine's CapTable
-	// snapshot: later SetChannelCapacity calls do not affect a built engine.
+	// sparse override overlay): later SetChannelCapacity calls do not affect
+	// a built engine.
 	levelCaps []int
 	ov        map[int]int
 
@@ -164,8 +165,8 @@ type streamShard struct {
 	reqs []concentrator.Request
 
 	// Per-run wire guards, one bit per wire, grown to the widest channel
-	// routed. They check the same hardware invariant as the dense
-	// nodeScratch guards: no channel wire assigned twice in one sweep. A node
+	// routed. They check the hardware invariant that no channel wire is
+	// assigned twice in one sweep. A node
 	// run sets the bit of each wire it assigns and clears them again by
 	// walking its winners (releaseRun), so every bit is clear between runs
 	// and the cost is O(run), not O(channel width).
@@ -245,8 +246,8 @@ type streamSwitch struct {
 	lastFaults int64
 }
 
-// newStreamEngine builds the streaming engine for an implicit fat-tree.
-func newStreamEngine(t *core.ImplicitFatTree, kind concentrator.Kind, seed int64, opts Options) *Engine {
+// newStreamEngine builds the streaming engine for a heap-indexed fat-tree.
+func newStreamEngine(t core.Topology, kind concentrator.Kind, seed int64) *Engine {
 	e := &Engine{tree: t}
 	st := &streamState{
 		e:         e,
@@ -264,9 +265,6 @@ func newStreamEngine(t *core.ImplicitFatTree, kind concentrator.Kind, seed int64
 		st.ov[node] = cap
 	})
 	e.stream = st
-	if opts.Observer != nil {
-		e.SetObserver(opts.Observer)
-	}
 	return e
 }
 
@@ -285,7 +283,7 @@ func (st *streamState) capAt(v int) int {
 
 // injectLoss records the transient-fault model and wraps the switches
 // materialized so far; switches created later are wrapped at construction
-// with the same per-node seeds the dense engine uses. Lossy concentrators
+// with the same per-node seeds, seed+3v. Lossy concentrators
 // draw randomness only per routed message, so wrapping order is immaterial.
 func (st *streamState) injectLoss(rate float64, seed int64) {
 	st.lossOn = true
@@ -297,8 +295,7 @@ func (st *streamState) injectLoss(rate float64, seed int64) {
 }
 
 // primeSpecials snapshots the cumulative hardware counters of every
-// materialized switch so per-run deltas start at the observer attach point —
-// the streaming analog of the dense PrimeSwitch loop.
+// materialized switch so per-run deltas start at the observer attach point.
 func (st *streamState) primeSpecials() {
 	for _, ss := range st.sh.special {
 		ss.lastRounds = ss.sw.MatchingRounds()
@@ -307,11 +304,10 @@ func (st *streamState) primeSpecials() {
 }
 
 // switchFor returns node v's materialized switch, building it on first
-// contest exactly as the dense constructor does: NewSwitch(capAbove(v),
-// capAbove(leftChild), kind, seed+v), plus the loss wrapper when faults are
-// injected. Partial concentrators draw their randomness at construction from
-// their own (seed, node) stream, so lazy creation is equivalent to the dense
-// engine's eager loop.
+// contest as NewSwitch(capAbove(v), capAbove(leftChild), kind, seed+v), plus
+// the loss wrapper when faults are injected. Partial concentrators draw their
+// randomness at construction from their own (seed, node) stream, so lazy
+// creation is equivalent to building every switch eagerly.
 func (sh *streamShard) switchFor(st *streamState, v int) *streamSwitch {
 	if ss, ok := sh.special[v]; ok {
 		return ss
@@ -432,7 +428,7 @@ func (e *Engine) runCycleStream(pending core.MessageSet) ([]bool, CycleResult) {
 // and become the first down step's descenders. Internal sources are sorted
 // by (leaf, index), which lines up every leaf's messages in message-index
 // order and makes "the first capAt(leaf) win, the rest defer" identical to
-// the dense epoch-counter rule; the winners are left in st.up and st.turn,
+// admission in message order; the winners are left in st.up and st.turn,
 // keyed by their leaf, for the lone pass and the first carryUp. A final pass
 // lays out the wire-history arena in message-index order.
 //
@@ -508,8 +504,7 @@ func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 	st.keys, st.up, st.turn = keys, up, turn
 
 	// Arena layout in message-index order: each admitted flight reserves its
-	// exact path length and records its injection wire, matching the dense
-	// inject loop's arena content bit for bit.
+	// exact path length and records its injection wire.
 	levels := st.levels
 	arenaLen := 0
 	for i := range flights {
@@ -651,7 +646,7 @@ func (st *streamState) sweepDown(level int) {
 // concentrators are positional and stateless, so the wire each request wins
 // is a pure function of its rank in the request list and the capacity
 // profile. Partial or lossy switches are materialized lazily and routed
-// through the identical request-building path as the dense routeGathered.
+// with a concentrator request list.
 //
 //ftlint:hotpath
 func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep bool) {
@@ -659,7 +654,7 @@ func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep 
 	flights := st.e.scr.flights
 	leafLevel := st.levels
 	capParent := st.capAt(v)
-	capChild := st.capAt(2 * v) // the dense constructor sizes both down ports by the left child
+	capChild := st.capAt(2 * v) // a switch sizes both down ports by the left child
 	obs := st.e.obs != nil
 	drops0 := sh.drops
 	var dRounds, dFaults int64
@@ -689,7 +684,7 @@ func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep 
 		}
 	} else {
 		// Partial or lossy: materialize the node's switch and route through
-		// it with the exact request list the dense engine builds.
+		// it with the node's request list.
 		reqs := sh.reqs[:0]
 		for _, k := range run {
 			f := &flights[int(uint32(k))]
@@ -761,7 +756,7 @@ func idealWire(f *flight, v, j, capParent, capChild int, upSweep bool) int {
 	if upSweep {
 		right := f.node == 2*v+1
 		if right && f.wire >= capChild {
-			// The dense concentrators reject a concatenated input index
+			// A materialized concentrator rejects a concatenated input index
 			// beyond their width — reachable only when an override widens
 			// a right child past its sibling.
 			panic("sim: up request wire exceeds switch input width (widened right-child override)")
@@ -943,8 +938,7 @@ func (st *streamState) loneHop(i, v, vLevel int, upSweep bool) {
 }
 
 // applyUp applies one upward-sweep outcome: the wire guard, the history
-// record, and the state transition — the streaming copy of routeGathered's
-// Parent-port winner path.
+// record, and the state transition of a Parent-port winner.
 //
 //ftlint:hotpath
 func (st *streamState) applyUp(f *flight, v, w, capParent int) {
@@ -967,7 +961,7 @@ func (st *streamState) applyUp(f *flight, v, w, capParent int) {
 
 // applyDown applies one downward-sweep outcome into the child on side (0
 // left, 1 right), guarding the wire against that child's own (possibly
-// overridden) capacity exactly as the dense engine does.
+// overridden) capacity.
 //
 //ftlint:hotpath
 func (st *streamState) applyDown(f *flight, v, w, side, vLevel, leafLevel int) {
@@ -991,7 +985,7 @@ func (st *streamState) applyDown(f *flight, v, w, side, vLevel, leafLevel int) {
 // observeStreamRun records one routed node run: the contention record (with
 // the hardware counter deltas), then per flight the advance/block/deliver
 // events in message-index order — the same events observeLevel emits for the
-// dense engine, so counter totals agree bit for bit.
+// k-ary plane.
 //
 //ftlint:hotpath
 func (e *Engine) observeStreamRun(v int, run []uint64, upSweep bool, drops int, dRounds, dFaults int64) {

@@ -12,30 +12,25 @@ import (
 	"fattree/internal/obsv"
 )
 
-// streamScenario pairs a materialized tree with its implicit twin and a
-// message set; every equivalence test below demands bit-identical behavior
-// between the dense engine on the FatTree and the streaming engine on the
-// ImplicitFatTree.
+// streamScenario is a tree, a message set and a switch model; every
+// equivalence test below demands bit-identical behavior between the
+// streaming plane and the dense reference engine (reference_test.go).
 type streamScenario struct {
 	name string
 	ft   *core.FatTree
-	imp  *core.ImplicitFatTree
 	ms   core.MessageSet
 	kind concentrator.Kind
 	seed int64
 	loss float64
 }
 
-// mirrorTrees builds a FatTree and an ImplicitFatTree with the same capacity
-// profile and the same overrides.
-func mirrorTrees(n, w int, overrides map[int]int) (*core.FatTree, *core.ImplicitFatTree) {
+// universalTree builds a universal fat-tree with the given overrides.
+func universalTree(n, w int, overrides map[int]int) *core.FatTree {
 	ft := core.NewUniversal(n, w)
-	imp := core.NewImplicitUniversal(n, w)
 	for v, c := range overrides {
 		ft.SetChannelCapacity(v, c)
-		imp.SetChannelCapacity(v, c)
 	}
-	return ft, imp
+	return ft
 }
 
 func randomMessages(n, count int, seed int64, external bool) core.MessageSet {
@@ -61,39 +56,40 @@ func randomMessages(n, count int, seed int64, external bool) core.MessageSet {
 func streamScenarios() []streamScenario {
 	var out []streamScenario
 
-	ft, imp := mirrorTrees(16, 4, nil)
+	ft := universalTree(16, 4, nil)
 	out = append(out, streamScenario{
-		name: "universal-ideal", ft: ft, imp: imp,
+		name: "universal-ideal", ft: ft,
 		ms: randomMessages(16, 48, 1, true), kind: concentrator.KindIdeal, seed: 7,
 	})
 
-	ft, imp = mirrorTrees(32, 8, nil)
+	ft = universalTree(32, 8, nil)
 	out = append(out, streamScenario{
-		name: "universal-partial", ft: ft, imp: imp,
+		name: "universal-partial", ft: ft,
 		ms: randomMessages(32, 80, 2, false), kind: concentrator.KindPartial, seed: 11,
 	})
 
-	ft, imp = mirrorTrees(16, 4, nil)
+	ft = universalTree(16, 4, nil)
 	out = append(out, streamScenario{
-		name: "universal-lossy", ft: ft, imp: imp,
+		name: "universal-lossy", ft: ft,
 		ms: randomMessages(16, 40, 3, true), kind: concentrator.KindIdeal, seed: 13, loss: 0.08,
 	})
 
 	// Narrowing overrides on both children of node 2 and on a leaf channel:
-	// the sparse overlay must agree with the dense capacity table everywhere.
+	// the sparse overlay must agree with the reference's capacity table
+	// everywhere.
 	ov := map[int]int{4: 1, 5: 1, 16: 1}
-	ft, imp = mirrorTrees(16, 8, ov)
+	ft = universalTree(16, 8, ov)
 	out = append(out, streamScenario{
-		name: "overrides-ideal", ft: ft, imp: imp,
+		name: "overrides-ideal", ft: ft,
 		ms: randomMessages(16, 64, 4, true), kind: concentrator.KindIdeal, seed: 17,
 	})
 
-	// Overrides narrow both siblings: the dense switch constructor sizes a
-	// node's two down ports from its left child alone, so a lone-child
-	// override would make the dense engine itself reject wide wires.
-	ft, imp = mirrorTrees(8, 2, map[int]int{6: 1, 7: 1})
+	// Overrides narrow both siblings: a switch sizes its two down ports from
+	// its left child alone, so a lone-child override would make the
+	// reference's eager switch reject wide wires.
+	ft = universalTree(8, 2, map[int]int{6: 1, 7: 1})
 	out = append(out, streamScenario{
-		name: "overrides-partial-lossy", ft: ft, imp: imp,
+		name: "overrides-partial-lossy", ft: ft,
 		ms: randomMessages(8, 32, 5, false), kind: concentrator.KindPartial, seed: 19, loss: 0.05,
 	})
 
@@ -101,9 +97,9 @@ func streamScenarios() []streamScenario {
 	// runs, so every up and down step merges non-trivial sibling runs and
 	// turn lists. Narrowed sibling pairs at two levels and partial switches
 	// add drops (and their retries) to the carried lists.
-	ft, imp = mirrorTrees(256, 32, map[int]int{6: 4, 7: 4, 40: 1, 41: 1})
+	ft = universalTree(256, 32, map[int]int{6: 4, 7: 4, 40: 1, 41: 1})
 	out = append(out, streamScenario{
-		name: "deep-overrides-partial", ft: ft, imp: imp,
+		name: "deep-overrides-partial", ft: ft,
 		ms: randomMessages(256, 600, 6, true), kind: concentrator.KindPartial, seed: 29,
 	})
 
@@ -114,31 +110,29 @@ func streamScenarios() []streamScenario {
 	// second scenario routes the lone hops of partial, lossy switches through
 	// the one-key fallback.
 	sparseOv := map[int]int{6: 8, 7: 8, 300: 1, 301: 1, 700: 1, 701: 1}
-	ft, imp = mirrorTrees(1024, 128, sparseOv)
+	ft = universalTree(1024, 128, sparseOv)
 	out = append(out, streamScenario{
-		name: "sparse-overrides-ideal", ft: ft, imp: imp,
+		name: "sparse-overrides-ideal", ft: ft,
 		ms: randomMessages(1024, 90, 7, true), kind: concentrator.KindIdeal, seed: 31,
 	})
-	ft, imp = mirrorTrees(1024, 128, sparseOv)
+	ft = universalTree(1024, 128, sparseOv)
 	out = append(out, streamScenario{
-		name: "sparse-partial-lossy", ft: ft, imp: imp,
+		name: "sparse-partial-lossy", ft: ft,
 		ms: randomMessages(1024, 100, 8, true), kind: concentrator.KindPartial, seed: 37, loss: 0.05,
 	})
 	// Three sibling-leaf messages turn at their leaves' parent on injection:
 	// 10->11 alone below it, 20->21 sharing its destination with 500->21.
-	ft, imp = mirrorTrees(1024, 256, nil)
+	ft = universalTree(1024, 256, nil)
 	out = append(out, streamScenario{
-		name: "sparse-internal-ideal", ft: ft, imp: imp,
+		name: "sparse-internal-ideal", ft: ft,
 		ms: append(randomMessages(1024, 57, 9, false),
 			core.Message{Src: 10, Dst: 11}, core.Message{Src: 20, Dst: 21}, core.Message{Src: 500, Dst: 21}),
 		kind: concentrator.KindIdeal, seed: 41,
 	})
 
 	// Tiny tree: a single level of switches.
-	ft2 := core.NewConstant(2, 3)
-	imp2 := core.NewImplicitConstant(2, 3)
 	out = append(out, streamScenario{
-		name: "two-leaves", ft: ft2, imp: imp2,
+		name: "two-leaves", ft: core.NewConstant(2, 3),
 		ms:   core.MessageSet{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 0, Dst: 1}, {Src: core.External, Dst: 0}},
 		kind: concentrator.KindIdeal, seed: 23,
 	})
@@ -146,59 +140,56 @@ func streamScenarios() []streamScenario {
 	return out
 }
 
-func (sc *streamScenario) engine(t core.Topology) *Engine {
-	e := New(t, sc.kind, sc.seed)
+func (sc *streamScenario) engine() *Engine {
+	e := New(sc.ft, sc.kind, sc.seed)
 	if sc.loss > 0 {
 		e.InjectLoss(sc.loss, sc.seed+1)
 	}
 	return e
 }
 
+func (sc *streamScenario) ref() *refEngine {
+	r := newRefEngine(sc.ft, sc.kind, sc.seed)
+	if sc.loss > 0 {
+		r.injectLoss(sc.loss, sc.seed+1)
+	}
+	return r
+}
+
 // TestStreamMatchesDense pins the headline equivalence: for every scenario
-// the streaming engine reproduces the dense engine bit for bit — Stats
-// including the per-cycle delivery profile — with and without an attached
-// observer, whose counter totals and histograms must also agree across
-// engines.
+// the streaming plane reproduces the dense reference engine bit for bit —
+// Stats including the per-cycle delivery profile, every cycle's delivered
+// flags and wire histories, and a dense observer's per-switch requests,
+// drops, matching rounds and faults. Attaching an observer must not perturb
+// the run, and a compact observer must report the dense observer's
+// per-level aggregation.
 func TestStreamMatchesDense(t *testing.T) {
 	for _, sc := range streamScenarios() {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			dense := sc.engine(sc.ft).Run(sc.ms)
-			stream := sc.engine(sc.imp).Run(sc.ms)
-			if !reflect.DeepEqual(dense, stream) {
-				t.Fatalf("stream diverges from dense\ndense  %+v\nstream %+v", dense, stream)
+			ref := sc.ref()
+			want := ref.run(sc.ms)
+			if got := sc.engine().Run(sc.ms); !reflect.DeepEqual(got, want) {
+				t.Fatalf("stream diverges from the reference\nref    %+v\nstream %+v", want, got)
 			}
+			checkCycles(t, sc.engine(), sc.ref(), sc.ms)
 
-			// Dense observers on both engines: identical counter totals and
-			// histograms regardless of engine.
 			oDense := obsv.New(sc.ft)
-			eD := sc.engine(sc.ft)
+			eD := sc.engine()
 			eD.SetObserver(oDense)
-			obsDense := eD.Run(sc.ms)
-			if !reflect.DeepEqual(obsDense, dense) {
-				t.Fatalf("observer perturbed the dense run")
+			if got := eD.Run(sc.ms); !reflect.DeepEqual(got, want) {
+				t.Fatalf("observer perturbed the stream run")
 			}
-			oStream := obsv.New(sc.imp)
-			eS := sc.engine(sc.imp)
-			eS.SetObserver(oStream)
-			obsStream := eS.Run(sc.ms)
-			if !reflect.DeepEqual(obsStream, dense) {
-				t.Fatalf("observed stream stats diverge")
-			}
-			if !obsv.CountersEqual(oDense, oStream) {
-				t.Fatalf("stream observer counters diverge from dense")
-			}
+			checkSwitchCounters(t, oDense, ref)
 
-			// A compact observer on the streaming engine must report the same
-			// per-level aggregation as the dense observer, in O(levels) memory.
-			oCompact := obsv.NewCompact(sc.imp)
-			eC := sc.engine(sc.imp)
+			// A compact observer must report the same per-level aggregation
+			// as the dense observer, in O(levels) memory.
+			oCompact := obsv.NewCompact(sc.ft)
+			eC := sc.engine()
 			eC.SetObserver(oCompact)
-			if got := eC.Run(sc.ms); !reflect.DeepEqual(got, dense) {
+			if got := eC.Run(sc.ms); !reflect.DeepEqual(got, want) {
 				t.Fatalf("compact observer perturbed the stream run")
 			}
-			want, got := oDense.PerLevel(), oCompact.PerLevel()
-			if !reflect.DeepEqual(want, got) {
+			if want, got := oDense.PerLevel(), oCompact.PerLevel(); !reflect.DeepEqual(want, got) {
 				t.Fatalf("compact per-level summary diverges\ndense   %+v\ncompact %+v", want, got)
 			}
 			cD, cC := &oDense.C, &oCompact.C
@@ -210,32 +201,23 @@ func TestStreamMatchesDense(t *testing.T) {
 	}
 }
 
-// TestStreamCompiledSettings pins wire-history equivalence: compiling the
-// same schedule on the dense and streaming engines must produce identical
+// TestStreamCompiledSettings pins wire-history equivalence: compiling a
+// schedule on the streaming plane must produce the reference engine's
 // per-message wire paths, cycle by cycle.
 func TestStreamCompiledSettings(t *testing.T) {
-	ft, imp := mirrorTrees(16, 4, nil)
+	ft := universalTree(16, 4, nil)
 	ms := randomMessages(16, 40, 9, true)
-	sD, stD := compileFor(t, ft, ms)
-	sS, stS := compileFor(t, imp, ms)
-	if sD.Cycles != sS.Cycles {
-		t.Fatalf("schedule cycle counts diverge: %d vs %d", sD.Cycles, sS.Cycles)
-	}
-	if !reflect.DeepEqual(stD.Cycles, stS.Cycles) {
-		t.Fatalf("compiled wire paths diverge between dense and stream engines")
-	}
-	if d, err := stS.Replay(); err != nil || d != len(ms) {
-		t.Fatalf("stream-compiled settings replay: delivered %d err %v", d, err)
-	}
-}
-
-func compileFor(t *testing.T, tree core.Topology, ms core.MessageSet) (Stats, *Settings) {
-	t.Helper()
-	stats, sched := DeliverOffline(tree, ms)
+	stats, s := DeliverOffline(ft, ms)
 	if stats.Drops != 0 || stats.Deferrals != 0 {
-		t.Fatalf("offline delivery on %v dropped or deferred: %+v", tree, stats)
+		t.Fatalf("offline delivery dropped or deferred: %+v", stats)
 	}
-	return stats, CompileSettings(tree, sched)
+	st := CompileSettings(ft, s)
+	if want := refSettings(ft, s); !reflect.DeepEqual(st.Cycles, want) {
+		t.Fatalf("compiled wire paths diverge from the reference")
+	}
+	if d, err := st.Replay(); err != nil || d != len(ms) {
+		t.Fatalf("compiled settings replay: delivered %d err %v", d, err)
+	}
 }
 
 // TestStreamEngineReuse runs shrinking and growing message sets through one
@@ -246,24 +228,24 @@ func compileFor(t *testing.T, tree core.Topology, ms core.MessageSet) (Stats, *S
 // left over from an earlier run would panic. Injected loss draws from a stream that runs on across reuse,
 // so lossy scenarios are checked for that panic only.
 func TestStreamEngineReuse(t *testing.T) {
-	_, imp := mirrorTrees(32, 4, nil)
+	ft := universalTree(32, 4, nil)
 	ms := randomMessages(32, 96, 21, true)
-	reused := New(imp, concentrator.KindIdeal, 3)
+	reused := New(ft, concentrator.KindIdeal, 3)
 	for rep, sc := range []core.MessageSet{ms, ms[:12], ms, ms[:5], ms[:0], ms} {
 		got := reused.Run(sc)
-		want := New(imp, concentrator.KindIdeal, 3).Run(sc)
+		want := New(ft, concentrator.KindIdeal, 3).Run(sc)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rep %d: reused stream engine diverges\nreused %+v\nfresh  %+v", rep, got, want)
 		}
 	}
 	for _, sc := range streamScenarios() {
-		reused := sc.engine(sc.imp)
+		reused := sc.engine()
 		for rep := 0; rep < 3; rep++ {
 			got := reused.Run(sc.ms)
 			if sc.loss > 0 {
 				continue
 			}
-			if want := sc.engine(sc.imp).Run(sc.ms); !reflect.DeepEqual(got, want) {
+			if want := sc.engine().Run(sc.ms); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s rep %d: reused stream engine diverges\nreused %+v\nfresh  %+v", sc.name, rep, got, want)
 			}
 		}
@@ -335,15 +317,15 @@ func TestStreamWireGuard(t *testing.T) {
 	}
 }
 
-// TestStreamHugeTopology exercises the headline capability at a size the
-// dense engine could not materialize cheaply: 2^20 endpoints. The message
+// TestStreamHugeTopology exercises the headline capability at a size no
+// per-node engine could materialize cheaply: 2^20 endpoints. The message
 // set is small — the point is that engine construction and routing cost are
 // functions of the message count, not the processor count.
 func TestStreamHugeTopology(t *testing.T) {
 	const n = 1 << 20
-	imp := core.NewImplicitUniversal(n, 1<<14)
+	ft := core.NewUniversal(n, 1<<14)
 	ms := randomMessages(n, 2048, 41, true)
-	e := New(imp, concentrator.KindIdeal, 0)
+	e := New(ft, concentrator.KindIdeal, 0)
 	stats := e.Run(ms)
 	if stats.Delivered != len(ms) {
 		t.Fatalf("huge run undelivered: %+v", stats)
@@ -358,11 +340,11 @@ func TestStreamHugeTopology(t *testing.T) {
 // or without a per-node observer attached (tenant engines run observed).
 func TestStreamRunCycleAllocs(t *testing.T) {
 	for _, observed := range []bool{false, true} {
-		imp := core.NewImplicitUniversal(1<<16, 256)
+		ft := core.NewUniversal(1<<16, 256)
 		ms := randomMessages(1<<16, 512, 51, false)
-		e := New(imp, concentrator.KindIdeal, 0)
+		e := New(ft, concentrator.KindIdeal, 0)
 		if observed {
-			e.SetObserver(obsv.New(imp))
+			e.SetObserver(obsv.New(ft))
 		}
 		e.RunCycle(ms) // warm the arena to its high-water mark
 		if avg := testing.AllocsPerRun(10, func() { e.RunCycle(ms) }); avg != 0 {

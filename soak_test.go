@@ -64,8 +64,8 @@ func TestSoakLargeUniversality(t *testing.T) {
 		n, r.Slowdown, r.PolylogBound, r.Slowdown/r.PolylogBound)
 }
 
-// TestSoakImplicitHugeBoundedMemory is the bounded-memory soak of ISSUE 8 and
-// the CI memory-guard: a 2^20-endpoint implicit fat-tree simulated to
+// TestSoakImplicitHugeBoundedMemory is the bounded-memory soak and the CI
+// memory-guard: a 2^20-endpoint universal fat-tree simulated to
 // completion in bounded time, with three pinned properties. First, the
 // retained heap for the topology plus a warmed streaming engine stays under a
 // hard bytes/endpoint ceiling (the measured figure is ~9 B/endpoint, see
@@ -88,14 +88,14 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	ft := fattree.NewImplicitUniversal(n, n/4)
+	ft := fattree.NewUniversal(n, n/4)
 	serial := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
 	serial.RunCycle(ms) // warm the scratch arena to its high-water mark
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	perEndpoint := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
 	if perEndpoint > ceiling {
-		t.Fatalf("implicit engine retains %.1f bytes/endpoint at n=2^20, ceiling %.0f", perEndpoint, ceiling)
+		t.Fatalf("engine retains %.1f bytes/endpoint at n=2^20, ceiling %.0f", perEndpoint, ceiling)
 	}
 	t.Logf("n=2^20: %.1f bytes/endpoint retained (ceiling %.0f)", perEndpoint, ceiling)
 
@@ -137,7 +137,7 @@ func TestSoakImplicitHugeSetupAlloc(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	e := fattree.NewEngine(fattree.NewImplicitUniversal(n, 1<<18), fattree.SwitchIdeal, 0)
+	e := fattree.NewEngine(fattree.NewUniversal(n, 1<<18), fattree.SwitchIdeal, 0)
 	stats := fattree.RunOnline(e, ms)
 	runtime.ReadMemStats(&after)
 	if stats.Delivered != len(ms) {
