@@ -72,11 +72,16 @@ trace-demo:
 	$(GO) run ./cmd/ftsim -n 256 -workload perm -policy online \
 		-counters -trace-out trace-demo.json
 
-# Short fuzz shakeout of the two cross-check targets: the scheduler against
-# its binary-shaped k-ary twin and a reused arena, the engine's streaming and
-# k-ary planes against the test-only Fig. 3 reference engine.
+# Short fuzz shakeout of the cross-check targets: the scheduler against its
+# binary-shaped k-ary twin and a reused arena, the engine's streaming and
+# k-ary planes against the test-only Fig. 3 reference engine, the /v1/route
+# wire codec against encoding/json, and the workload source against
+# math/rand.
 fuzz:
 	$(GO) test ./internal/sched/ -fuzz FuzzSchedule -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzEnginePlaneEquivalence -fuzztime 10s
+	$(GO) test ./cmd/ftserve/ -run '^$$' -fuzz FuzzRouteWire -fuzztime 10s
+	$(GO) test ./cmd/ftserve/ -run '^$$' -fuzz FuzzRouteRespEncode -fuzztime 10s
+	$(GO) test ./internal/workload/ -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s
 
 check: build lint test

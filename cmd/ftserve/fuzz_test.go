@@ -13,6 +13,31 @@ import (
 // cap, 422 delivery stalled, 429 tenant queue full, 503 draining.
 var routeStatuses = map[int]bool{200: true, 400: true, 404: true, 413: true, 422: true, 429: true, 503: true}
 
+// routeHandlerSeeds is FuzzRouteHandler's seed corpus; the codec fuzzers
+// (wire_test.go) start from it too.
+var routeHandlerSeeds = []struct {
+	ndjson bool
+	body   string
+}{
+	{false, `{"tenant":"alpha","workload":"perm","seed":7}`},
+	{false, `{"tenant":"beta","workload":"random","k":32,"seed":3}`},
+	{false, `{"tenant":"gamma","messages":[{"src":0,"dst":5},{"src":3,"dst":9},{"dst":1}]}`},
+	{false, `{"tenant":"alpha","workload":"random","k":900000}`},
+	{false, `{"tenant":"alpha","workload":"random","k":-1}`},
+	{false, `{"tenant":"alpha","messages":[{"src":0,"dst":0}]}`},
+	{false, `{"tenant":"alpha","messages":[{"src":99,"dst":1}]}`},
+	{false, `{"tenant":"delta","workload":"perm"}`},
+	{false, `{"tenant":"alpha","workload":"alltoall"}`},
+	{false, `{"tenant":"alpha"}`},
+	{false, `{"tenant":"alpha","workload":"perm","messages":[{"src":0,"dst":1}]}`},
+	{false, `{"tenant":`},
+	{false, `[1,2,3]`},
+	{false, ``},
+	{true, "{\"tenant\":\"alpha\",\"workload\":\"perm\"}\n{\"tenant\":\"beta\",\"workload\":\"bitrev\"}\n"},
+	{true, "{\"tenant\":\"alpha\",\"workload\":\"random\",\"k\":16}\nnot json\n\n{\"tenant\":\"gamma\",\"messages\":[{\"src\":1,\"dst\":2}]}"},
+	{true, "{\"tenant\":\"beta\",\"workload\":\"random\",\"k\":900000}\n{\"tenant\""},
+}
+
 // FuzzRouteHandler drives the real /v1/route mux in-process with fuzzed JSON
 // and NDJSON bodies. After every input nothing has panicked, the status is
 // in the documented set, every response body decodes, a served request
@@ -20,28 +45,7 @@ var routeStatuses = map[int]bool{200: true, 400: true, 404: true, 413: true, 422
 // counters obey the conservation law offered = delivered + dropped +
 // deferred.
 func FuzzRouteHandler(f *testing.F) {
-	for _, seed := range []struct {
-		ndjson bool
-		body   string
-	}{
-		{false, `{"tenant":"alpha","workload":"perm","seed":7}`},
-		{false, `{"tenant":"beta","workload":"random","k":32,"seed":3}`},
-		{false, `{"tenant":"gamma","messages":[{"src":0,"dst":5},{"src":3,"dst":9},{"dst":1}]}`},
-		{false, `{"tenant":"alpha","workload":"random","k":900000}`},
-		{false, `{"tenant":"alpha","workload":"random","k":-1}`},
-		{false, `{"tenant":"alpha","messages":[{"src":0,"dst":0}]}`},
-		{false, `{"tenant":"alpha","messages":[{"src":99,"dst":1}]}`},
-		{false, `{"tenant":"delta","workload":"perm"}`},
-		{false, `{"tenant":"alpha","workload":"alltoall"}`},
-		{false, `{"tenant":"alpha"}`},
-		{false, `{"tenant":"alpha","workload":"perm","messages":[{"src":0,"dst":1}]}`},
-		{false, `{"tenant":`},
-		{false, `[1,2,3]`},
-		{false, ``},
-		{true, "{\"tenant\":\"alpha\",\"workload\":\"perm\"}\n{\"tenant\":\"beta\",\"workload\":\"bitrev\"}\n"},
-		{true, "{\"tenant\":\"alpha\",\"workload\":\"random\",\"k\":16}\nnot json\n\n{\"tenant\":\"gamma\",\"messages\":[{\"src\":1,\"dst\":2}]}"},
-		{true, "{\"tenant\":\"beta\",\"workload\":\"random\",\"k\":900000}\n{\"tenant\""},
-	} {
+	for _, seed := range routeHandlerSeeds {
 		f.Add(seed.ndjson, []byte(seed.body))
 	}
 	srv := tenantServer(f)

@@ -8,19 +8,17 @@ package main
 // whichever pool worker drains that tenant's queue — the serial merge point
 // that keeps the tenant's engine counters and RED block bit-identical across
 // worker counts. The steady-state request path (dequeue → span → RunServe →
-// RED merge → span → completion signal) is allocation-free; the HTTP rim
-// around it (JSON decode/encode, workload materialization) is not, and is
-// deliberately outside the //ftlint:hotpath boundary.
+// RED merge → span → completion signal) is allocation-free. The HTTP rim
+// around it (body read, wire decode and encode, workload materialization)
+// works in pooled buffers and allocates only in net/http (TestRouteHandlerAllocs);
+// it stays outside the //ftlint:hotpath boundary.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -56,10 +54,12 @@ type tenant struct {
 	queue chan *routeReq
 }
 
-// routeReq is one admitted request, pooled and reused across requests. The
-// dispatcher fills stats/waitUS/durUS/failed and signals done; the handler
-// owns the request before enqueue and after receiving from done.
+// routeReq is one request, pooled and reused across requests with its
+// decoded wire form and message set. The dispatcher fills
+// stats/waitUS/durUS/failed and signals done; the handler owns the request
+// before enqueue and after receiving from done.
 type routeReq struct {
+	wire       routeWire
 	ms         fattree.MessageSet
 	trace      uint64
 	enqueuedNS int64
@@ -70,37 +70,34 @@ type routeReq struct {
 	done       chan struct{}
 }
 
-// routeWire is the /v1/route request body: a named workload or an explicit
-// message list, never both.
-type routeWire struct {
-	Tenant   string    `json:"tenant"`
-	Workload string    `json:"workload,omitempty"`
-	K        int       `json:"k,omitempty"`
-	Seed     int64     `json:"seed,omitempty"`
-	Messages []wireMsg `json:"messages,omitempty"`
-}
-
-// wireMsg is one explicit message of a route request.
-type wireMsg struct {
-	Src int `json:"src"`
-	Dst int `json:"dst"`
-}
-
 // routeResp is the /v1/route response body (one line per request in NDJSON
-// batch mode). Error responses carry only error (and retry_after_s on 429).
+// batch mode), encoded by appendRouteResp. Error responses carry only error
+// (and retry_after_s on 429), and trace_id and tenant once a request has a
+// trace.
 type routeResp struct {
-	TraceID     string `json:"trace_id,omitempty"`
-	Tenant      string `json:"tenant,omitempty"`
-	Messages    int    `json:"messages,omitempty"`
-	Delivered   int    `json:"delivered,omitempty"`
-	Cycles      int    `json:"cycles,omitempty"`
-	Drops       int    `json:"drops,omitempty"`
-	Deferrals   int    `json:"deferrals,omitempty"`
-	QueueWaitUS int64  `json:"queue_wait_us,omitempty"`
-	DurationUS  int64  `json:"duration_us,omitempty"`
-	Error       string `json:"error,omitempty"`
-	RetryAfterS int    `json:"retry_after_s,omitempty"`
+	TraceID     traceID `json:"trace_id,omitempty"`
+	Tenant      string  `json:"tenant,omitempty"`
+	Messages    int     `json:"messages,omitempty"`
+	Delivered   int     `json:"delivered,omitempty"`
+	Cycles      int     `json:"cycles,omitempty"`
+	Drops       int     `json:"drops,omitempty"`
+	Deferrals   int     `json:"deferrals,omitempty"`
+	QueueWaitUS int64   `json:"queue_wait_us,omitempty"`
+	DurationUS  int64   `json:"duration_us,omitempty"`
+	Error       string  `json:"error,omitempty"`
+	RetryAfterS int     `json:"retry_after_s,omitempty"`
+
+	tenant int32 // Tenant's index, for the respond span (set with TraceID)
 }
+
+// rimBuf is a pooled request body and response buffer.
+type rimBuf struct{ body, out []byte }
+
+var rimPool = sync.Pool{New: func() any { return new(rimBuf) }}
+
+// flushSize is how much of an NDJSON batch response is buffered between
+// writes.
+const flushSize = 4 << 10
 
 // tenantMode reports whether this server was started with -tenants.
 func (s *server) tenantMode() bool { return len(s.tenants) > 0 }
@@ -119,53 +116,78 @@ func (s *server) getReq() *routeReq {
 // handleRoute serves POST /v1/route: one JSON request, or an NDJSON batch
 // when the Content-Type says so.
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
+	buf := rimPool.Get().(*rimBuf)
+	defer rimPool.Put(buf)
 	if !s.tenantMode() {
-		writeJSON(w, http.StatusNotFound, routeResp{Error: "tenant mode disabled (start ftserve with -tenants)"})
+		writeRouteResp(w, http.StatusNotFound, &routeResp{Error: "tenant mode disabled (start ftserve with -tenants)"}, buf)
 		return
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, routeResp{Error: "POST only"})
+		writeRouteResp(w, http.StatusMethodNotAllowed, &routeResp{Error: "POST only"}, buf)
 		return
 	}
+	var err error
+	buf.body, err = readBody(buf.body[:0], http.MaxBytesReader(w, r.Body, maxRouteBody))
 	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
-		s.handleRouteBatch(w, r)
+		s.routeBatch(w, buf, err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouteBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, routeResp{Error: "reading body: " + err.Error()})
+		writeRouteResp(w, http.StatusBadRequest, &routeResp{Error: "reading body: " + err.Error()}, buf)
 		return
 	}
-	resp, status := s.routeOne(body)
+	resp, status := s.routeOne(buf.body)
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
 	respStart := s.spans.Now()
-	writeJSON(w, status, resp)
-	s.pushRespondSpan(resp, respStart)
+	writeRouteResp(w, status, &resp, buf)
+	s.pushRespondSpan(&resp, respStart)
 }
 
-// handleRouteBatch serves an NDJSON batch: one request per line, one
-// response line per request, in order. The whole (bounded) body is read
-// before the first response byte: the net/http server may make the request
-// body unavailable once the response headers flush, so interleaving reads
-// with response writes truncates large batches mid-stream. Per-line failures
-// (including backpressure rejections) ride in the line objects; the HTTP
-// status is 200 once any line parses.
-func (s *server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouteBody))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, routeResp{Error: "reading batch: " + err.Error()})
+// readBody appends r's contents to dst, as io.ReadAll does into a buffer
+// of its own.
+func readBody(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// routeBatch serves an NDJSON batch held in buf.body (readErr is the body
+// read's error): one request per line, one response line per request, in
+// order. The whole (bounded) body is read before the first response byte:
+// the net/http server may make the request body unavailable once the
+// response headers flush, so interleaving reads with response writes
+// truncates large batches mid-stream. Per-line failures (including
+// backpressure rejections) ride in the line objects; the HTTP status is 200
+// once the body is read.
+func (s *server) routeBatch(w http.ResponseWriter, buf *rimBuf, readErr error) {
+	if readErr != nil {
+		writeRouteResp(w, http.StatusBadRequest, &routeResp{Error: "reading batch: " + readErr.Error()}, buf)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 0, 64<<10), maxRouteBody)
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+	out := buf.out[:0]
+	defer func() { buf.out = out }()
+	for rest := buf.body; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
@@ -174,13 +196,19 @@ func (s *server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 			resp.RetryAfterS = 1
 		}
 		respStart := s.spans.Now()
-		if err := enc.Encode(resp); err != nil {
-			return // client went away
+		out = appendRouteResp(out, &resp)
+		if len(out) >= flushSize {
+			if _, err := w.Write(out); err != nil {
+				return // client went away
+			}
+			out = out[:0]
 		}
-		s.pushRespondSpan(resp, respStart)
+		s.pushRespondSpan(&resp, respStart)
 	}
-	if err := bw.Flush(); err != nil {
-		return // client went away; nothing to clean up
+	if len(out) > 0 {
+		if _, err := w.Write(out); err != nil {
+			return // client went away; nothing to clean up
+		}
 	}
 }
 
@@ -188,18 +216,20 @@ func (s *server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 // and HTTP status.
 func (s *server) routeOne(body []byte) (routeResp, int) {
 	handlerStart := s.spans.Now()
-	var wire routeWire
-	if err := json.Unmarshal(body, &wire); err != nil {
+	req := s.getReq()
+	wire := &req.wire
+	if err := wire.decode(body); err != nil {
+		s.reqPool.Put(req)
 		return routeResp{Error: "invalid JSON: " + err.Error()}, http.StatusBadRequest
 	}
-	tn, ok := s.tenantIdx[wire.Tenant]
+	tn, ok := s.tenantIdx[string(wire.tenant)]
 	if !ok {
-		return routeResp{Error: fmt.Sprintf("unknown tenant %q", wire.Tenant)}, http.StatusNotFound
+		s.reqPool.Put(req)
+		return routeResp{Error: fmt.Sprintf("unknown tenant %q", wire.tenant)}, http.StatusNotFound
 	}
 	trace := s.traceSeq.Add(1)
-	req := s.getReq()
 	req.trace = trace
-	if errResp, status := s.buildRequest(tn, &wire, req); status != 0 {
+	if errResp, status := s.buildRequest(tn, req); status != 0 {
 		tn.red.RejectRequest()
 		s.reqPool.Put(req)
 		return errResp, status
@@ -231,7 +261,7 @@ func (s *server) routeOne(body []byte) (routeResp, int) {
 			Start: req.enqueuedNS, Err: true,
 		})
 		s.reqPool.Put(req)
-		return routeResp{TraceID: fattree.TraceID(trace), Tenant: tn.name,
+		return routeResp{TraceID: traceID(trace), Tenant: tn.name, tenant: tn.idx,
 			Error: "tenant queue full"}, http.StatusTooManyRequests
 	}
 	select {
@@ -241,7 +271,7 @@ func (s *server) routeOne(body []byte) (routeResp, int) {
 	<-req.done
 
 	resp := routeResp{
-		TraceID: fattree.TraceID(trace), Tenant: tn.name,
+		TraceID: traceID(trace), Tenant: tn.name, tenant: tn.idx,
 		Messages: len(req.ms), Delivered: req.stats.Delivered,
 		Cycles: req.stats.Cycles, Drops: req.stats.Drops,
 		Deferrals:   req.stats.Deferrals,
@@ -256,28 +286,30 @@ func (s *server) routeOne(body []byte) (routeResp, int) {
 	return resp, status
 }
 
-// buildRequest materializes the request's message set into req.ms. A nonzero
-// status reports a client error (the response explains it).
-func (s *server) buildRequest(tn *tenant, wire *routeWire, req *routeReq) (routeResp, int) {
+// buildRequest materializes the decoded request's message set into req.ms.
+// A nonzero status reports a client error (the response explains it).
+func (s *server) buildRequest(tn *tenant, req *routeReq) (routeResp, int) {
 	n := s.cfg.sizes[0]
+	wire := &req.wire
 	switch {
-	case wire.Workload != "" && len(wire.Messages) > 0:
+	case len(wire.workload) > 0 && len(wire.messages) > 0:
 		return routeResp{Error: "workload and messages are mutually exclusive"}, http.StatusBadRequest
-	case wire.Workload != "":
-		if !s.workloadMenu[wire.Workload] {
-			return routeResp{Error: fmt.Sprintf("workload %q not in this server's menu %v", wire.Workload, s.cfg.workloads)}, http.StatusBadRequest
+	case len(wire.workload) > 0:
+		name, ok := s.menuWorkload(wire.workload)
+		if !ok {
+			return routeResp{Error: fmt.Sprintf("workload %q not in this server's menu %v", wire.workload, s.cfg.workloads)}, http.StatusBadRequest
 		}
-		if wire.K < 0 {
+		if wire.k < 0 {
 			return routeResp{Error: "k must be non-negative"}, http.StatusBadRequest
 		}
-		if m := workloadMessages(wire.Workload, n, wire.K); m > maxRouteMessages {
+		if m := workloadMessages(name, n, wire.k); m > maxRouteMessages {
 			return routeResp{Error: fmt.Sprintf("workload %s with k = %d builds %d messages, which exceeds the per-request limit of %d",
-				wire.Workload, wire.K, m, maxRouteMessages)}, http.StatusRequestEntityTooLarge
+				name, wire.k, m, maxRouteMessages)}, http.StatusRequestEntityTooLarge
 		}
-		req.ms = buildWorkload(wire.Workload, n, wire.K, wire.Seed)
+		req.ms = appendWorkload(req.ms, name, n, wire.k, wire.seed)
 		return routeResp{}, 0
-	case len(wire.Messages) > 0:
-		for _, m := range wire.Messages {
+	case len(wire.messages) > 0:
+		for _, m := range wire.messages {
 			req.ms = append(req.ms, fattree.Message{Src: m.Src, Dst: m.Dst})
 		}
 		if err := req.ms.Validate(tn.eng.Tree()); err != nil {
@@ -288,22 +320,25 @@ func (s *server) buildRequest(tn *tenant, wire *routeWire, req *routeReq) (route
 	return routeResp{Error: "need workload or messages"}, http.StatusBadRequest
 }
 
-// pushRespondSpan records the response stage of a completed request: from
-// just before the response encode to the push itself.
-func (s *server) pushRespondSpan(resp routeResp, start int64) {
-	if resp.TraceID == "" {
-		return
+// menuWorkload returns the menu's name for a requested workload.
+func (s *server) menuWorkload(name []byte) (string, bool) {
+	for _, w := range s.cfg.workloads {
+		if string(name) == w {
+			return w, true
+		}
 	}
-	tn, ok := s.tenantIdx[resp.Tenant]
-	if !ok {
-		return
-	}
-	trace, err := strconv.ParseUint(resp.TraceID, 16, 64)
-	if err != nil {
+	return "", false
+}
+
+// pushRespondSpan records the response stage of a request that got a trace
+// (completed or refused by a full queue): from just before the response
+// encode to the push itself.
+func (s *server) pushRespondSpan(resp *routeResp, start int64) {
+	if resp.TraceID == 0 {
 		return
 	}
 	s.spans.Push(fattree.Span{
-		Trace: trace, Tenant: tn.idx, Kind: fattree.SpanRespond,
+		Trace: uint64(resp.TraceID), Tenant: resp.tenant, Kind: fattree.SpanRespond,
 		Start: start, Dur: s.spans.Now() - start, Err: resp.Error != "",
 	})
 }
@@ -326,12 +361,11 @@ func (s *server) beginDrain() {
 // On cancellation (or a spent -runs budget) it drains every queue to empty —
 // in-flight requests complete — and returns.
 func (s *server) tenantLoop(ctx context.Context) {
-	counts := make([]int, len(s.tenants))
 	for {
-		processed := s.drainRound(counts)
+		processed := s.drainRound()
 		if s.cfg.runs > 0 && s.served.Load() >= int64(s.cfg.runs) {
 			s.beginDrain()
-			for s.drainRound(counts) > 0 {
+			for s.drainRound() > 0 {
 			}
 			return
 		}
@@ -339,7 +373,7 @@ func (s *server) tenantLoop(ctx context.Context) {
 			select {
 			case <-ctx.Done():
 				s.beginDrain()
-				for s.drainRound(counts) > 0 {
+				for s.drainRound() > 0 {
 				}
 				return
 			case <-s.wake:
@@ -349,15 +383,13 @@ func (s *server) tenantLoop(ctx context.Context) {
 }
 
 // drainRound runs one pool round over all tenants and returns the number of
-// requests processed. counts is caller-owned scratch, one slot per tenant.
-func (s *server) drainRound(counts []int) int {
-	s.pool.ForEach(len(s.tenants), func(i int) {
-		counts[i] = s.tenants[i].drainBatch(s)
-	})
+// requests processed. Only the dispatcher calls it.
+func (s *server) drainRound() int {
+	s.pool.ForEach(len(s.tenants), s.drainTenant)
 	processed := 0
-	for i, c := range counts {
+	for i, c := range s.drainCounts {
 		processed += c
-		counts[i] = 0
+		s.drainCounts[i] = 0
 	}
 	return processed
 }
@@ -408,11 +440,13 @@ func (tn *tenant) process(s *server, req *routeReq) {
 	req.done <- struct{}{}
 }
 
-// writeJSON writes one JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, resp routeResp) {
+// writeRouteResp writes one JSON response with the given status, encoded in
+// buf.out.
+func writeRouteResp(w http.ResponseWriter, status int, resp *routeResp, buf *rimBuf) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	buf.out = appendRouteResp(buf.out[:0], resp)
+	if _, err := w.Write(buf.out); err != nil {
 		return // client went away; nothing to clean up
 	}
 }

@@ -64,8 +64,11 @@ func TestRouteSingleRequest(t *testing.T) {
 	if resp.Tenant != "alpha" || resp.Messages == 0 || resp.Delivered != resp.Messages {
 		t.Fatalf("unexpected response: %+v", resp)
 	}
-	if len(resp.TraceID) != 16 || resp.Cycles < 1 {
+	if resp.TraceID == 0 || resp.Cycles < 1 {
 		t.Fatalf("missing trace/cycles: %+v", resp)
+	}
+	if want := fmt.Sprintf(`"trace_id":"%016x"`, uint64(resp.TraceID)); !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("response %q lacks %s", rec.Body.String(), want)
 	}
 
 	// Explicit message list on another tenant.
@@ -193,8 +196,7 @@ func TestRouteBackpressure(t *testing.T) {
 	}
 
 	// One manual dispatcher round completes the queued request.
-	counts := make([]int, 1)
-	if n := srv.drainRound(counts); n != 1 {
+	if n := srv.drainRound(); n != 1 {
 		t.Fatalf("drainRound processed %d, want 1", n)
 	}
 	if rec := <-first; rec.Code != 200 {
@@ -237,8 +239,7 @@ func TestRouteDrainRefusal(t *testing.T) {
 	}
 
 	// Already-admitted work still completes.
-	counts := make([]int, 1)
-	for srv.drainRound(counts) > 0 {
+	for srv.drainRound() > 0 {
 	}
 	if rec := <-queued; rec.Code != 200 {
 		t.Fatalf("queued request during drain: status %d", rec.Code)
@@ -369,6 +370,70 @@ func TestTenantSpanEndpoints(t *testing.T) {
 	}
 }
 
+// TestRespondSpansCarryRequest checks that every respond span carries its
+// own request's trace ID and tenant index, for a single request and for each
+// line of an NDJSON batch, and that a request refused before it got a trace
+// records none.
+func TestRespondSpansCarryRequest(t *testing.T) {
+	srv := tenantServer(t)
+	var resps []routeResp
+	decode := func(line []byte) {
+		var resp routeResp
+		if err := json.Unmarshal(line, &resp); err != nil {
+			t.Fatalf("bad response %q: %v", line, err)
+		}
+		resps = append(resps, resp)
+	}
+	decode(post(t, srv, `{"tenant":"beta","workload":"perm","seed":2}`, "application/json").Body.Bytes())
+	batch := `{"tenant":"gamma","workload":"bitrev"}
+{"tenant":"nope","workload":"perm"}
+{"tenant":"alpha","workload":"random","k":8,"seed":4}
+{"tenant":"beta","messages":[{"src":1,"dst":2}]}`
+	sc := bufio.NewScanner(post(t, srv, batch, "application/x-ndjson").Body)
+	for sc.Scan() {
+		decode(sc.Bytes())
+	}
+	if len(resps) != 5 {
+		t.Fatalf("%d responses, want 5", len(resps))
+	}
+
+	respond := map[uint64]fattree.Span{}
+	engine := map[uint64]int32{}
+	for _, span := range srv.spans.Spans() {
+		switch span.Kind {
+		case fattree.SpanRespond:
+			if _, dup := respond[span.Trace]; dup {
+				t.Fatalf("two respond spans for trace %x", span.Trace)
+			}
+			respond[span.Trace] = span
+		case fattree.SpanEngine:
+			engine[span.Trace] = span.Tenant
+		}
+	}
+	traced := 0
+	for _, resp := range resps {
+		if resp.TraceID == 0 {
+			if resp.Error == "" {
+				t.Fatalf("untraced response without an error: %+v", resp)
+			}
+			continue
+		}
+		traced++
+		span, ok := respond[uint64(resp.TraceID)]
+		if !ok {
+			t.Fatalf("no respond span for trace %x", uint64(resp.TraceID))
+		}
+		want := srv.tenantIdx[resp.Tenant].idx
+		if span.Tenant != want || engine[uint64(resp.TraceID)] != want || span.Err != (resp.Error != "") {
+			t.Fatalf("trace %x (tenant %s = %d): respond span %+v, engine span tenant %d",
+				uint64(resp.TraceID), resp.Tenant, want, span, engine[uint64(resp.TraceID)])
+		}
+	}
+	if traced != 4 || len(respond) != traced {
+		t.Fatalf("%d traced responses and %d respond spans, want 4 of each", traced, len(respond))
+	}
+}
+
 // TestRunRingCapacity pins the /runs retention container: a full ring
 // overwrites oldest-first, never grows, and reports newest-first.
 func TestRunRingCapacity(t *testing.T) {
@@ -495,13 +560,13 @@ func TestTenantEngineWiring(t *testing.T) {
 				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 					t.Fatal(err)
 				}
-				var wire routeWire
+				var wire routeWireJSON
 				if err := json.Unmarshal([]byte(body), &wire); err != nil {
 					t.Fatal(err)
 				}
 				ms := fattree.MessageSet{}
 				if wire.Workload != "" {
-					ms = buildWorkload(wire.Workload, n, wire.K, wire.Seed)
+					ms = appendWorkload(nil, wire.Workload, n, wire.K, wire.Seed)
 				}
 				for _, m := range wire.Messages {
 					ms = append(ms, fattree.Message{Src: m.Src, Dst: m.Dst})

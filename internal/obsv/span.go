@@ -146,7 +146,20 @@ func (r *SpanRing) Spans() []Span {
 
 // TraceID formats a trace ID the way it appears in responses, exemplars, and
 // span exports: 16 lowercase hex digits.
-func TraceID(trace uint64) string { return fmt.Sprintf("%016x", trace) }
+func TraceID(trace uint64) string {
+	var buf [16]byte
+	return string(AppendTraceID(buf[:0], trace))
+}
+
+// AppendTraceID appends trace as TraceID formats it, without allocating
+// once dst has room.
+func AppendTraceID(dst []byte, trace uint64) []byte {
+	const hex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[trace>>shift&0xf])
+	}
+	return dst
+}
 
 // WriteChromeTrace exports the buffered spans as Chrome trace_event JSON
 // (chrome://tracing, ui.perfetto.dev): one track per tenant, one complete

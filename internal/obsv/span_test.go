@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +131,30 @@ func TestSpanKindStrings(t *testing.T) {
 	}
 	if got := TraceID(0x2a); got != "000000000000002a" {
 		t.Errorf("TraceID(0x2a) = %q", got)
+	}
+}
+
+// TestAppendTraceID pins the hand-rolled hex against fmt's %016x, and
+// appending into room allocates nothing.
+func TestAppendTraceID(t *testing.T) {
+	traces := []uint64{0, 1, math.MaxUint64, 0x2a, 1 << 63}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 1000; i++ {
+		traces = append(traces, rng.Uint64())
+	}
+	buf := []byte("prefix:")
+	for _, trace := range traces {
+		want := fmt.Sprintf("%016x", trace)
+		if got := AppendTraceID(buf, trace); string(got) != "prefix:"+want {
+			t.Fatalf("AppendTraceID(%#x) = %q, want prefix:%s", trace, got, want)
+		}
+		if got := TraceID(trace); got != want {
+			t.Fatalf("TraceID(%#x) = %q, want %s", trace, got, want)
+		}
+	}
+	dst := make([]byte, 0, 16)
+	if a := testing.AllocsPerRun(100, func() { dst = AppendTraceID(dst[:0], 0xdeadbeef) }); a != 0 {
+		t.Errorf("AppendTraceID into room: %.1f allocs, want 0", a)
 	}
 }
 

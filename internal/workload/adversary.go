@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fattree/internal/core"
 )
@@ -25,15 +24,16 @@ func LevelStress(n, level, k int, seed int64) core.MessageSet {
 		panic(fmt.Sprintf("workload: LevelStress level %d outside [0,%d)", level, lgn))
 	}
 	requireMessages("LevelStress", k)
-	rng := rand.New(rand.NewSource(seed))
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
 	subtreeLeaves := n >> uint(level+1) // leaves under each child of a level node
 	ms := make(core.MessageSet, 0, k)
 	for len(ms) < k {
-		node := rng.Intn(1 << uint(level)) // which switch at the level
+		node := rng.intn(1 << uint(level)) // which switch at the level
 		base := node * 2 * subtreeLeaves
-		src := base + rng.Intn(subtreeLeaves)
-		dst := base + subtreeLeaves + rng.Intn(subtreeLeaves)
-		if rng.Intn(2) == 0 {
+		src := base + rng.intn(subtreeLeaves)
+		dst := base + subtreeLeaves + rng.intn(subtreeLeaves)
+		if rng.intn(2) == 0 {
 			src, dst = dst, src
 		}
 		ms = append(ms, core.Message{Src: src, Dst: dst})
@@ -55,11 +55,12 @@ func Funnel(n, lo, width, k int, seed int64) core.MessageSet {
 	if lo < 0 || width < 1 || lo+width > n {
 		panic(fmt.Sprintf("workload: Funnel window [%d,%d) outside [0,%d)", lo, lo+width, n))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
 	ms := make(core.MessageSet, 0, k)
 	for len(ms) < k {
-		src := rng.Intn(n)
-		dst := lo + rng.Intn(width)
+		src := rng.intn(n)
+		dst := lo + rng.intn(width)
 		if src != dst {
 			ms = append(ms, core.Message{Src: src, Dst: dst})
 		}
@@ -72,17 +73,18 @@ func Funnel(n, lo, width, k int, seed int64) core.MessageSet {
 // [1, maxCap] with cap(k) <= cap(k-1).
 func RandomTreeProfile(n, maxCap int, seed int64) *core.FatTree {
 	requirePow2("RandomTreeProfile", n)
-	rng := rand.New(rand.NewSource(seed))
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
 	lgn := 0
 	for 1<<uint(lgn) < n {
 		lgn++
 	}
 	caps := make([]int, lgn+1)
-	cur := 1 + rng.Intn(maxCap)
+	cur := 1 + rng.intn(maxCap)
 	for k := 0; k <= lgn; k++ {
 		caps[k] = cur
 		if cur > 1 {
-			cur = 1 + rng.Intn(cur)
+			cur = 1 + rng.intn(cur)
 		}
 	}
 	return core.New(n, func(k int) int { return caps[k] })

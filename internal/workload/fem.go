@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fattree/internal/core"
 )
@@ -57,8 +56,14 @@ func NewGridMesh(rows, cols int) *FEMesh {
 // advantage comes from a good layout.
 func NewGridMeshShuffled(rows, cols int, seed int64) *FEMesh {
 	m := NewGridMesh(rows, cols)
-	rng := rand.New(rand.NewSource(seed))
-	m.Assign = rng.Perm(rows * cols)
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
+	m.Assign = make([]int, rows*cols)
+	for i := range m.Assign { // rand.Perm's shuffle, draw for draw
+		j := rng.intn(i + 1)
+		m.Assign[i] = m.Assign[j]
+		m.Assign[j] = i
+	}
 	return m
 }
 

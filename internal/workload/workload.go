@@ -13,7 +13,7 @@ package workload
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
+	"slices"
 
 	"fattree/internal/core"
 )
@@ -22,56 +22,78 @@ import (
 // processor sends exactly one message and receives exactly one message.
 // Fixed points (p -> p) are dropped since self-messages never enter the
 // network, so the result may have slightly fewer than n messages.
-func RandomPermutation(n int, seed int64) core.MessageSet {
+func RandomPermutation(n int, seed int64) core.MessageSet { return appendPermutation(nil, n, seed) }
+
+func appendPermutation(dst core.MessageSet, n int, seed int64) core.MessageSet {
 	requireProcs("RandomPermutation", n)
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	ms := make(core.MessageSet, 0, n)
-	for src, dst := range perm {
-		if src != dst {
-			ms = append(ms, core.Message{Src: src, Dst: dst})
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	// rand.Perm's shuffle, with the permutation held in the Dst fields, so
+	// the draws (and the set a seed names) are exactly Perm's.
+	perm := dst[base:]
+	for i := range perm {
+		j := rng.intn(i + 1)
+		perm[i].Dst = perm[j].Dst
+		perm[j].Dst = i
+	}
+	// Compact in place, dropping fixed points: the write index never passes
+	// the read index.
+	w := base
+	for src, m := range perm {
+		if m.Dst != src {
+			dst[w] = core.Message{Src: src, Dst: m.Dst}
+			w++
 		}
 	}
-	return ms
+	return dst[:w]
 }
 
 // Random returns k messages with independently uniform sources and
 // destinations (excluding self-loops).
-func Random(n, k int, seed int64) core.MessageSet {
+func Random(n, k int, seed int64) core.MessageSet { return appendRandom(nil, n, k, seed) }
+
+func appendRandom(dst core.MessageSet, n, k int, seed int64) core.MessageSet {
 	requireProcs("Random", n)
 	requireMessages("Random", k)
-	rng := rand.New(rand.NewSource(seed))
-	ms := make(core.MessageSet, 0, k)
-	for len(ms) < k {
-		s, d := rng.Intn(n), rng.Intn(n)
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
+	dst = slices.Grow(dst, k)
+	for end := len(dst) + k; len(dst) < end; {
+		s, d := rng.intn(n), rng.intn(n)
 		if s != d {
-			ms = append(ms, core.Message{Src: s, Dst: d})
+			dst = append(dst, core.Message{Src: s, Dst: d})
 		}
 	}
-	return ms
+	return dst
 }
 
 // BitReversal returns the bit-reversal permutation on n = 2^L processors:
 // processor with binary address b_{L-1}..b_0 sends to b_0..b_{L-1}. This is a
 // classic worst case for tree-structured networks — almost all messages cross
 // the root.
-func BitReversal(n int) core.MessageSet {
+func BitReversal(n int) core.MessageSet { return appendBitReversal(nil, n) }
+
+func appendBitReversal(dst core.MessageSet, n int) core.MessageSet {
 	requirePow2("BitReversal", n)
 	lgn := bits.Len(uint(n)) - 1
-	ms := make(core.MessageSet, 0, n)
+	dst = slices.Grow(dst, n)
 	for p := 0; p < n; p++ {
 		d := int(bits.Reverse64(uint64(p)) >> (64 - lgn))
 		if d != p {
-			ms = append(ms, core.Message{Src: p, Dst: d})
+			dst = append(dst, core.Message{Src: p, Dst: d})
 		}
 	}
-	return ms
+	return dst
 }
 
 // Transpose returns the matrix-transpose permutation: viewing the L address
 // bits as two halves (row, col), processor (r, c) sends to (c, r). n must be
 // an even power of two.
-func Transpose(n int) core.MessageSet {
+func Transpose(n int) core.MessageSet { return appendTranspose(nil, n) }
+
+func appendTranspose(dst core.MessageSet, n int) core.MessageSet {
 	requirePow2("Transpose", n)
 	lgn := bits.Len(uint(n)) - 1
 	if lgn%2 != 0 {
@@ -79,57 +101,63 @@ func Transpose(n int) core.MessageSet {
 	}
 	half := lgn / 2
 	mask := (1 << half) - 1
-	ms := make(core.MessageSet, 0, n)
+	dst = slices.Grow(dst, n)
 	for p := 0; p < n; p++ {
 		row, col := p>>half, p&mask
 		d := col<<half | row
 		if d != p {
-			ms = append(ms, core.Message{Src: p, Dst: d})
+			dst = append(dst, core.Message{Src: p, Dst: d})
 		}
 	}
-	return ms
+	return dst
 }
 
 // Shuffle returns the perfect-shuffle permutation (cyclic left rotation of the
 // address bits), the interconnection pattern of Schwartz's ultracomputer and
 // Stone's shuffle network which the paper discusses.
-func Shuffle(n int) core.MessageSet {
+func Shuffle(n int) core.MessageSet { return appendShuffle(nil, n) }
+
+func appendShuffle(dst core.MessageSet, n int) core.MessageSet {
 	requirePow2("Shuffle", n)
 	lgn := bits.Len(uint(n)) - 1
-	ms := make(core.MessageSet, 0, n)
+	dst = slices.Grow(dst, n)
 	for p := 0; p < n; p++ {
 		d := ((p << 1) | (p >> (lgn - 1))) & (n - 1)
 		if d != p {
-			ms = append(ms, core.Message{Src: p, Dst: d})
+			dst = append(dst, core.Message{Src: p, Dst: d})
 		}
 	}
-	return ms
+	return dst
 }
 
 // Reversal returns the "mirror" permutation p -> n-1-p, which sends every
 // message across the root.
-func Reversal(n int) core.MessageSet {
-	ms := make(core.MessageSet, 0, n)
+func Reversal(n int) core.MessageSet { return appendReversal(nil, n) }
+
+func appendReversal(dst core.MessageSet, n int) core.MessageSet {
+	dst = slices.Grow(dst, n)
 	for p := 0; p < n; p++ {
 		if d := n - 1 - p; d != p {
-			ms = append(ms, core.Message{Src: p, Dst: d})
+			dst = append(dst, core.Message{Src: p, Dst: d})
 		}
 	}
-	return ms
+	return dst
 }
 
 // AllToAll returns the complete exchange: every processor sends one message to
 // every other processor — n(n-1) messages. Use small n.
-func AllToAll(n int) core.MessageSet {
-	ms := make(core.MessageSet, 0, n*(n-1))
+func AllToAll(n int) core.MessageSet { return appendAllToAll(nil, n) }
+
+func appendAllToAll(dst core.MessageSet, n int) core.MessageSet {
+	dst = slices.Grow(dst, n*(n-1))
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s != d {
-				ms = append(ms, core.Message{Src: s, Dst: d})
+				dst = append(dst, core.Message{Src: s, Dst: d})
 			}
 		}
 	}
-	return ms
+	return dst
 }
 
 // KLocal returns k messages whose destinations are uniform within a window of
@@ -138,16 +166,21 @@ func AllToAll(n int) core.MessageSet {
 // the regime where fat-trees route "locally without soaking up the precious
 // bandwidth higher up in the tree".
 func KLocal(n, k, radius int, seed int64) core.MessageSet {
+	return appendKLocal(nil, n, k, radius, seed)
+}
+
+func appendKLocal(dst core.MessageSet, n, k, radius int, seed int64) core.MessageSet {
 	requireProcs("KLocal", n)
 	requireMessages("KLocal", k)
 	if radius < 1 {
 		panic("workload: KLocal radius must be >= 1")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	ms := make(core.MessageSet, 0, k)
-	for len(ms) < k {
-		s := rng.Intn(n)
-		off := rng.Intn(2*radius+1) - radius
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
+	dst = slices.Grow(dst, k)
+	for end := len(dst) + k; len(dst) < end; {
+		s := rng.intn(n)
+		off := rng.intn(2*radius+1) - radius
 		d := s + off
 		if d < 0 {
 			d = 0
@@ -156,42 +189,80 @@ func KLocal(n, k, radius int, seed int64) core.MessageSet {
 			d = n - 1
 		}
 		if d != s {
-			ms = append(ms, core.Message{Src: s, Dst: d})
+			dst = append(dst, core.Message{Src: s, Dst: d})
 		}
 	}
-	return ms
+	return dst
 }
 
 // NearestNeighbor returns the 1-D nearest-neighbour exchange: each processor
 // sends to both neighbours (boundary processors to their single neighbour) —
 // the communication pattern of a 1-D stencil computation.
-func NearestNeighbor(n int) core.MessageSet {
-	ms := make(core.MessageSet, 0, 2*n)
+func NearestNeighbor(n int) core.MessageSet { return appendNearestNeighbor(nil, n) }
+
+func appendNearestNeighbor(dst core.MessageSet, n int) core.MessageSet {
+	dst = slices.Grow(dst, 2*n)
 	for p := 0; p < n; p++ {
 		if p > 0 {
-			ms = append(ms, core.Message{Src: p, Dst: p - 1})
+			dst = append(dst, core.Message{Src: p, Dst: p - 1})
 		}
 		if p < n-1 {
-			ms = append(ms, core.Message{Src: p, Dst: p + 1})
+			dst = append(dst, core.Message{Src: p, Dst: p + 1})
 		}
 	}
-	return ms
+	return dst
 }
 
 // HotSpot returns k messages all destined to processor 0 from uniformly random
 // sources — the adversarial concentration workload. The load factor is driven
 // by the destination's leaf channel.
-func HotSpot(n, k int, seed int64) core.MessageSet {
+func HotSpot(n, k int, seed int64) core.MessageSet { return appendHotSpot(nil, n, k, seed) }
+
+func appendHotSpot(dst core.MessageSet, n, k int, seed int64) core.MessageSet {
 	requireProcs("HotSpot", n)
 	requireMessages("HotSpot", k)
-	rng := rand.New(rand.NewSource(seed))
-	ms := make(core.MessageSet, 0, k)
-	for len(ms) < k {
-		if s := rng.Intn(n); s != 0 {
-			ms = append(ms, core.Message{Src: s, Dst: 0})
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
+	dst = slices.Grow(dst, k)
+	for end := len(dst) + k; len(dst) < end; {
+		if s := rng.intn(n); s != 0 {
+			dst = append(dst, core.Message{Src: s, Dst: 0})
 		}
 	}
-	return ms
+	return dst
+}
+
+// Append appends the named workload to dst and returns the extended set, so
+// a caller that reuses one set across calls allocates nothing once it has
+// grown. The names are the command-line menu: perm, random, bitrev,
+// transpose, shuffle, reversal, nn, alltoall, hotspot and local. k sizes
+// random, hotspot and local; radius sizes local; seed seeds the randomized
+// ones. Each builds the same set as its generator above. An unknown name
+// panics.
+func Append(dst core.MessageSet, name string, n, k, radius int, seed int64) core.MessageSet {
+	switch name {
+	case "perm":
+		return appendPermutation(dst, n, seed)
+	case "random":
+		return appendRandom(dst, n, k, seed)
+	case "bitrev":
+		return appendBitReversal(dst, n)
+	case "transpose":
+		return appendTranspose(dst, n)
+	case "shuffle":
+		return appendShuffle(dst, n)
+	case "reversal":
+		return appendReversal(dst, n)
+	case "nn":
+		return appendNearestNeighbor(dst, n)
+	case "alltoall":
+		return appendAllToAll(dst, n)
+	case "hotspot":
+		return appendHotSpot(dst, n, k, seed)
+	case "local":
+		return appendKLocal(dst, n, k, radius, seed)
+	}
+	panic(fmt.Sprintf("workload: unknown workload %q", name))
 }
 
 // ExternalIO returns an I/O workload through the root interface (Section II:
@@ -205,13 +276,14 @@ func ExternalIO(n, reads, writes int, seed int64) core.MessageSet {
 	}
 	requireMessages("ExternalIO", reads)
 	requireMessages("ExternalIO", writes)
-	rng := rand.New(rand.NewSource(seed))
+	rng := getSource(seed)
+	defer sourcePool.Put(rng)
 	ms := make(core.MessageSet, 0, reads+writes)
 	for i := 0; i < reads; i++ {
-		ms = append(ms, core.Message{Src: core.External, Dst: rng.Intn(n)})
+		ms = append(ms, core.Message{Src: core.External, Dst: rng.intn(n)})
 	}
 	for i := 0; i < writes; i++ {
-		ms = append(ms, core.Message{Src: rng.Intn(n), Dst: core.External})
+		ms = append(ms, core.Message{Src: rng.intn(n), Dst: core.External})
 	}
 	return ms
 }

@@ -9,6 +9,15 @@ import "fattree/internal/workload"
 // dropped).
 func RandomPermutation(n int, seed int64) MessageSet { return workload.RandomPermutation(n, seed) }
 
+// AppendWorkload appends the named workload to dst and returns the extended
+// set: perm, random, bitrev, transpose, shuffle, reversal, nn, alltoall,
+// hotspot or local, each the same set as its generator here. k sizes random,
+// hotspot and local, radius sizes local. Reusing dst across calls makes a
+// call allocation-free once dst has grown. An unknown name panics.
+func AppendWorkload(dst MessageSet, name string, n, k, radius int, seed int64) MessageSet {
+	return workload.Append(dst, name, n, k, radius, seed)
+}
+
 // Random is k messages with uniform endpoints.
 func Random(n, k int, seed int64) MessageSet { return workload.Random(n, k, seed) }
 
