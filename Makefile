@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-extra fuzz bench-json bench-diff serve trace-demo check
+.PHONY: all build test race lint lint-extra fuzz bench-json bench-diff serve trace-demo perfbench check
 
 all: check
 
@@ -75,13 +75,22 @@ trace-demo:
 # Short fuzz shakeout of the cross-check targets: the scheduler against its
 # binary-shaped k-ary twin and a reused arena, the engine's streaming and
 # k-ary planes against the test-only Fig. 3 reference engine, the /v1/route
-# wire codec against encoding/json, and the workload source against
-# math/rand.
+# handler on the real mux, its wire codec against encoding/json, and the
+# workload source against math/rand.
 fuzz:
 	$(GO) test ./internal/sched/ -fuzz FuzzSchedule -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzEnginePlaneEquivalence -fuzztime 10s
+	$(GO) test ./cmd/ftserve/ -run '^$$' -fuzz FuzzRouteHandler -fuzztime 10s
 	$(GO) test ./cmd/ftserve/ -run '^$$' -fuzz FuzzRouteWire -fuzztime 10s
 	$(GO) test ./cmd/ftserve/ -run '^$$' -fuzz FuzzRouteRespEncode -fuzztime 10s
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s
 
-check: build lint test
+# perfbench (the end-to-end benchmark program) is a module of its own that
+# imports the facade, so ./... from the root never builds it: vet and test it
+# explicitly, so a facade change that breaks it fails here, not in a
+# benchmark run.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
+check: build lint test perfbench

@@ -124,6 +124,10 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 		// the contract) and wire histories.
 		checkCycles(t, mkEngine(), mkRef(), ms)
 
+		// The lone pass forced on every cycle and on none: the tiny trees
+		// never reach it through the gate, the 256-leaf ones nearly always.
+		checkLoneGates(t, mkEngine, mkRef, ms, want)
+
 		// Engine reuse: one engine runs many scenarios back to back, so any
 		// state the scratch arena leaks between runs (a stale key list, a
 		// dirty wire guard) breaks the lockstep comparison with a reused

@@ -25,7 +25,8 @@ import (
 //
 //   - Injection sorts the (leaf, index) keys once per cycle — a dense
 //     cycle's only sort — and admits the first capAt(leaf) flights of each
-//     leaf.
+//     leaf. The keys are appended in flight-index order, so a radix sort
+//     that is stable by leaf (sortByNode) gives the (leaf, index) order.
 //   - A step routes its nodes in ascending order and emits each winner keyed
 //     by the node whose channel it now holds. Re-keyed by parent, every group
 //     is a left-child run followed by a right-child run, both ascending, and
@@ -47,14 +48,16 @@ import (
 //     the LCA the flight climbs alone. It then joins the carried lists of
 //     the level where it meets another flight through that level's arrival
 //     list (arrUp, or arrTurn when it turns there), merged in by carryUp.
-//   - Down: one more sort, of the admitted (dstLeaf, index) keys, gives
-//     sdown[i] the same way. A flight about to enter a down contest above
+//   - Down: one more radix sort, of the admitted (dstLeaf, index) keys,
+//     gives sdown[i] the same way. A flight about to enter a down contest above
 //     sdown[i] — a turner at its LCA, or a winner of a down step — descends
 //     alone to its leaf at once.
-//   - A lone hop is a one-request node run: an unobserved ideal switch
-//     applies the same wire rule (idealWire) and wire guards as a carried
-//     run; partial, lossy or observed hops route the one-key run through
-//     routeStreamNode.
+//   - A lone hop is a one-request node run. On an unobserved engine with
+//     ideal switches and no injected loss, climbIdeal and descendIdeal
+//     route a flight's lone hops in one straight loop each, with idealWire's
+//     rule, its widened-child checks and a claim and release of every wire
+//     guard bit; partial, lossy or observed hops route the one-key run
+//     through routeStreamNode (loneHop).
 //
 // Dense cycles skip detection and the pass; the sweeps test the cycle's
 // gate flag before they look at sdown.
@@ -141,14 +144,30 @@ type streamState struct {
 	merged         []uint64
 	one            [1]uint64
 
+	// loneGate overrides the loneSparsity gate for tests: +1 runs the lone
+	// pass on every cycle, -1 on none, 0 leaves the gate in charge.
+	loneGate int8
+
+	// sortByNode's scratch: the digit count table and the ping-pong buffer.
+	radixCount []int
+	radixBuf   []uint64
+
 	sh streamShard
 }
 
 // loneSparsity gates the lone pass: a cycle takes it only when
-// loneSparsity*len(pending) < n. Detecting lone hops costs one extra sort
-// per cycle, and at this density most hops below the top few levels are
-// lone; denser cycles skip detection and run the carried lists alone.
+// loneSparsity*len(pending) < n. Detecting lone hops costs one more radix
+// sort per cycle, and at this density most hops below the top few levels
+// are lone; denser cycles skip detection and run the carried lists alone.
 const loneSparsity = 8
+
+// radixMin is the shortest key list sortByNode radix-sorts; shorter lists
+// go to slices.Sort, whose insertion sort wins below it.
+const radixMin = 64
+
+// radixDigit is sortByNode's widest digit in bits: leaf spans up to 11
+// levels sort in one pass, 2^20 leaves in two passes of 10 bits.
+const radixDigit = 11
 
 // streamShard is the node-run scratch of the streaming plane: the per-run
 // wire guards, the lazy special-switch table, and the drop tally.
@@ -177,13 +196,12 @@ type streamShard struct {
 // wireSet is a bitset over the wires of one channel.
 type wireSet []uint64
 
-// fit returns s with room for width wires. Growth happens only between
-// runs, when every bit is clear, so nothing needs copying.
-func (s wireSet) fit(width int) wireSet {
-	if words := (width + 63) >> 6; words > len(s) {
-		return make(wireSet, words)
+// fit makes room in *s for width wires. Growth happens only between runs,
+// when every bit is clear, so nothing needs copying.
+func (s *wireSet) fit(width int) {
+	if words := (width + 63) >> 6; words > len(*s) {
+		*s = make(wireSet, words)
 	}
-	return s
 }
 
 // add marks wire w and reports whether it was already marked.
@@ -392,6 +410,62 @@ func mergeKeys(dst, a, b []uint64) []uint64 {
 	return append(dst, b[j:]...)
 }
 
+// sortByNode sorts keys into (node, index) order. Every key's node must be
+// a leaf, and keys must be appended in ascending flight index, as injection
+// and the lone pass append them, shuffled runs included: a sort that is
+// stable by node then leaves each node's keys in index order, which is the
+// order slices.Sort gives. Lists shorter than radixMin go to slices.Sort;
+// sorted lists, such as a dense permutation's, return after one check; the
+// rest take a least-significant-digit radix sort over the node's leaf
+// bits, skipping a pass whose digit every key shares.
+//
+//ftlint:hotpath
+func (st *streamState) sortByNode(keys []uint64) {
+	if len(keys) < radixMin {
+		slices.Sort(keys)
+		return
+	}
+	for p := 1; keys[p-1] < keys[p]; p++ {
+		if p+1 == len(keys) {
+			return
+		}
+	}
+	passes := (st.levels + radixDigit - 1) / radixDigit
+	width := (st.levels + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	if len(st.radixCount) < 1<<width {
+		st.radixCount = make([]int, 1<<width)
+	}
+	count := st.radixCount[:1<<width]
+	if cap(st.radixBuf) < len(keys) {
+		st.radixBuf = make([]uint64, len(keys), len(keys)+len(keys)/2)
+	}
+	src, dst := keys, st.radixBuf[:len(keys)]
+	for shift := 32; shift < 32+st.levels; shift += width {
+		clear(count)
+		for _, k := range src {
+			count[k>>shift&mask]++
+		}
+		if count[src[0]>>shift&mask] == len(src) {
+			continue // one digit: the pass would not move a key
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := k >> shift & mask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
 // runCycleStream is the streaming delivery-cycle data plane: sorted
 // injection, the upward and downward sweeps over the carried key lists, and
 // collect.
@@ -404,6 +478,9 @@ func (e *Engine) runCycleStream(pending core.MessageSet) ([]bool, CycleResult) {
 		e.observeInject(pending, flights)
 	}
 	st.sparse = loneSparsity*len(pending) < st.n
+	if st.loneGate != 0 {
+		st.sparse = st.loneGate > 0
+	}
 	if st.sparse {
 		st.lonePass()
 	}
@@ -426,9 +503,9 @@ func (e *Engine) runCycleStream(pending core.MessageSet) ([]bool, CycleResult) {
 // injectStream starts a delivery cycle without per-processor counters.
 // External inputs are admitted onto the root down channel in message order
 // and become the first down step's descenders. Internal sources are sorted
-// by (leaf, index), which lines up every leaf's messages in message-index
-// order and makes "the first capAt(leaf) win, the rest defer" identical to
-// admission in message order; the winners are left in st.up and st.turn,
+// by (leaf, index) with sortByNode, which lines up every leaf's messages in
+// message-index order and makes "the first capAt(leaf) win, the rest defer"
+// identical to admission in message order; the winners are left in st.up and st.turn,
 // keyed by their leaf, for the lone pass and the first carryUp. A final pass
 // lays out the wire-history arena in message-index order.
 //
@@ -466,7 +543,7 @@ func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 		keys = append(keys, uint64(t.Leaf(m.Src))<<32|uint64(uint32(i)))
 	}
 	st.desc = desc
-	slices.Sort(keys)
+	st.sortByNode(keys)
 
 	up, turn := st.up[:0], st.turn[:0]
 	n := st.n
@@ -660,10 +737,10 @@ func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep 
 	var dRounds, dFaults int64
 
 	if upSweep {
-		sh.upUsed = sh.upUsed.fit(capParent)
+		sh.upUsed.fit(capParent)
 	} else {
-		sh.downUsed[0] = sh.downUsed[0].fit(capChild)
-		sh.downUsed[1] = sh.downUsed[1].fit(st.capAt(2*v + 1))
+		sh.downUsed[0].fit(capChild)
+		sh.downUsed[1].fit(st.capAt(2*v + 1))
 	}
 
 	if st.kind == concentrator.KindIdeal && !st.lossOn {
@@ -741,6 +818,16 @@ func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep 
 	}
 }
 
+// The widened-child panics. A materialized concentrator rejects an input
+// wire beyond its width, and the ideal rule keeps that check: an up request
+// from a right child whose override widens it past its sibling (the input
+// index concatenates the two), or a turning request on a child wider than
+// the down port, which a switch sizes by its left child.
+const (
+	errUpWidened   = "sim: up request wire exceeds switch input width (widened right-child override)"
+	errDownWidened = "sim: down request wire exceeds switch input width (widened child override)"
+)
+
 // idealWire is the wire rule of an ideal switch at node v: the wire that
 // flight f, the rank-j request for its output port, wins — in the up
 // channel above v when upSweep, else in the down channel into the child it
@@ -756,10 +843,7 @@ func idealWire(f *flight, v, j, capParent, capChild int, upSweep bool) int {
 	if upSweep {
 		right := f.node == 2*v+1
 		if right && f.wire >= capChild {
-			// A materialized concentrator rejects a concatenated input index
-			// beyond their width — reachable only when an override widens
-			// a right child past its sibling.
-			panic("sim: up request wire exceeds switch input width (widened right-child override)")
+			panic(errUpWidened)
 		}
 		switch {
 		case capParent >= 2*capChild && right:
@@ -772,7 +856,7 @@ func idealWire(f *flight, v, j, capParent, capChild int, upSweep bool) int {
 		return -1
 	}
 	if f.state == flightUp && f.wire >= capChild {
-		panic("sim: down request wire exceeds switch input width (widened child override)")
+		panic(errDownWidened)
 	}
 	if j < capChild {
 		return j
@@ -785,10 +869,12 @@ func idealWire(f *flight, v, j, capParent, capChild int, upSweep bool) int {
 // alone in the up contests at the levels above both its LCA and the deepest
 // level whose subtree holds another cycle source (its neighbours in the
 // sorted injection keys tell which). It is alone in the down contests at the
-// levels above sdown[i], found the same way from a sort of the admitted
-// destinations. A lone climber that meets another flight joins that level's
+// levels above sdown[i], found the same way from a radix sort of the
+// admitted destinations (sortByNode; they are appended in flight-index
+// order). A lone climber that meets another flight joins that level's
 // carried lists through arrUp or arrTurn; a turner alone below its LCA
-// descends to its leaf. Going up, sources deferred at their leaf count as
+// descends to its leaf. On an unobserved ideal lossless engine the hops
+// are the straight-line loops of climbIdeal and descendIdeal. Going up, sources deferred at their leaf count as
 // neighbours, and flights dropped later count both ways, so detection errs
 // towards the carried lists, whose outcome for a one-request run is the
 // same.
@@ -812,7 +898,7 @@ func (st *streamState) lonePass() {
 			dk = append(dk, uint64(d)<<32|uint64(uint32(i)))
 		}
 	}
-	slices.Sort(dk)
+	st.sortByNode(dk)
 	for p, k := range dk {
 		sdown[uint32(k)] = int8(st.shareLevel(dk, p))
 	}
@@ -870,12 +956,15 @@ func (st *streamState) shareLevel(keys []uint64, p int) int {
 //ftlint:hotpath
 func (st *streamState) loneClimb(i, s int) {
 	f := &st.e.scr.flights[i]
-	leaf := f.node
-	for l := st.levels - 1; l > s; l-- {
-		st.loneHop(i, leaf>>uint(st.levels-l), l, true)
-		if f.state != flightUp { // dropped, or delivered out of the root
-			return
+	if st.inlineHops() {
+		st.climbIdeal(f, s)
+	} else {
+		for l := st.levels - 1; l > s && f.state == flightUp; l-- {
+			st.loneHop(i, f.node>>1, l, true)
 		}
+	}
+	if f.state != flightUp { // dropped, or delivered out of the root
+		return
 	}
 	key := uint64(f.node)<<32 | uint64(uint32(i))
 	switch {
@@ -894,6 +983,10 @@ func (st *streamState) loneClimb(i, s int) {
 //ftlint:hotpath
 func (st *streamState) loneDescend(i, d int) {
 	f := &st.e.scr.flights[i]
+	if st.inlineHops() {
+		st.descendIdeal(f, d)
+		return
+	}
 	for l := d; l < st.levels; l++ {
 		st.loneHop(i, f.dstLeaf>>uint(st.levels-l), l, false)
 		if f.state != flightDown { // dropped, or delivered into the leaf
@@ -902,39 +995,103 @@ func (st *streamState) loneDescend(i, d int) {
 	}
 }
 
-// loneHop routes flight i alone through node v at level vLevel: a
-// one-request node run. An unobserved ideal switch applies idealWire
-// directly, keeping its widened-child checks, and claims and releases the
-// won wire's guard bit. Any other switch, or an attached observer, routes
-// the one-key run through routeStreamNode: partial and lossy switches are
-// built and drawn from as on the carried path, and the observer records
-// the run.
+// inlineHops reports whether lone hops take the straight-line loops of
+// climbIdeal and descendIdeal: ideal switches, no injected loss and no
+// observer, so a hop has no switch to build, no RNG to draw from and no
+// event to record.
+//
+//ftlint:hotpath
+func (st *streamState) inlineHops() bool {
+	return st.kind == concentrator.KindIdeal && !st.lossOn && st.e.obs == nil
+}
+
+// climbIdeal routes flight f up alone through the levels below s, one hop
+// per ancestor, with idealWire's rule for a one-request run: the hop
+// passes its wire through (a right child's offset by the left child's
+// width) when the parent channel is at least twice the child's, and wins
+// wire 0 otherwise. Each hop keeps the widened-right-child check and claims
+// and releases its guard bit. Every capacity is at least 1 (core.New and
+// SetChannelCapacity reject less), so a lone ideal hop always wins. The
+// history goes straight into the arena; the flight's node, wire and
+// history length live in locals and are stored once.
+//
+//ftlint:hotpath
+func (st *streamState) climbIdeal(f *flight, s int) {
+	sh := &st.sh
+	hist := st.e.scr.histArena
+	node, wire, h := f.node, f.wire, f.histOff+f.histLen
+	for l := st.levels - 1; l > s; l-- {
+		v := node >> 1
+		capParent, capChild := st.levelCaps[l], st.levelCaps[l+1]
+		if st.ov != nil {
+			capParent, capChild = st.capAt(v), st.capAt(2*v)
+		}
+		right := node&1 == 1
+		if right && wire >= capChild {
+			panic(errUpWidened)
+		}
+		switch {
+		case capParent < 2*capChild:
+			wire = 0
+		case right:
+			wire += capChild
+		}
+		sh.upUsed.fit(capParent)
+		sh.claimUp(wire, capParent)
+		sh.upUsed[wire>>6] = 0
+		hist[h] = wire
+		h++
+		node = v
+	}
+	f.node, f.wire, f.histLen = node, wire, h-f.histOff
+	if node == 1 && f.msg.Dst == core.External {
+		// The root up channel is the external interface: delivered.
+		f.state = flightDone
+	}
+}
+
+// descendIdeal routes flight f down alone from level d to its leaf. A lone
+// request is rank 0 at its down port, so by idealWire's rule each hop wins
+// wire 0, checked against the port width (a turner's first hop) and
+// claimed and released against the child's own capacity.
+//
+//ftlint:hotpath
+func (st *streamState) descendIdeal(f *flight, d int) {
+	sh := &st.sh
+	hist := st.e.scr.histArena
+	levels := st.levels
+	dst, h := f.dstLeaf, f.histOff+f.histLen
+	turning := f.state == flightUp
+	for l := d; l < levels; l++ {
+		child := dst >> uint(levels-l-1)
+		side := child & 1
+		capPort, capChild := st.levelCaps[l+1], st.levelCaps[l+1]
+		if st.ov != nil {
+			// A switch sizes both down ports by its left child.
+			capPort, capChild = st.capAt(child&^1), st.capAt(child)
+		}
+		if turning && f.wire >= capPort {
+			panic(errDownWidened)
+		}
+		turning = false
+		sh.downUsed[side].fit(capChild)
+		sh.claimDown(side, 0, capChild)
+		sh.downUsed[side][0] = 0
+		hist[h] = 0
+		h++
+	}
+	f.node, f.wire, f.histLen, f.state = dst, 0, h-f.histOff, flightDone
+}
+
+// loneHop routes flight i alone through node v at level vLevel on an engine
+// whose hops are not inline: a one-key run through routeStreamNode, so
+// partial and lossy switches are built and drawn from as on the carried
+// path, and the observer records the run.
 //
 //ftlint:hotpath
 func (st *streamState) loneHop(i, v, vLevel int, upSweep bool) {
-	if st.kind != concentrator.KindIdeal || st.lossOn || st.e.obs != nil {
-		st.one[0] = uint64(v)<<32 | uint64(uint32(i))
-		st.routeStreamNode(v, st.one[:], vLevel, upSweep)
-		return
-	}
-	sh := &st.sh
-	f := &st.e.scr.flights[i]
-	capChild := st.capAt(2 * v)
-	if upSweep {
-		capParent := st.capAt(v)
-		sh.upUsed = sh.upUsed.fit(capParent)
-		st.applyUp(f, v, idealWire(f, v, 0, capParent, capChild, true), capParent)
-		if f.state != flightLost { // releaseRun for a one-flight run
-			sh.upUsed[f.wire>>6] = 0
-		}
-		return
-	}
-	side := (f.dstLeaf >> uint(st.levels-vLevel-1)) & 1
-	sh.downUsed[side] = sh.downUsed[side].fit(st.capAt(2*v + side))
-	st.applyDown(f, v, idealWire(f, v, 0, 0, capChild, false), side, vLevel, st.levels)
-	if f.state != flightLost { // releaseRun for a one-flight run
-		sh.downUsed[side][f.wire>>6] = 0
-	}
+	st.one[0] = uint64(v)<<32 | uint64(uint32(i))
+	st.routeStreamNode(v, st.one[:], vLevel, upSweep)
 }
 
 // applyUp applies one upward-sweep outcome: the wire guard, the history

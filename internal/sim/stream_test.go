@@ -197,7 +197,66 @@ func TestStreamMatchesDense(t *testing.T) {
 				cD.Dropped != cC.Dropped || cD.Deferred != cC.Deferred {
 				t.Fatalf("compact outcome counters diverge: %+v vs %+v", cD, cC)
 			}
+
+			checkLoneGates(t, sc.engine, sc.ref, sc.ms, want)
 		})
+	}
+}
+
+// checkLoneGates runs ms with the lone pass forced on every cycle and on
+// none. Detection may miss a lone hop but never invents one, so both runs
+// must equal the reference: Stats, and every cycle's delivered flags and
+// wire histories. At the gate's own density tiny trees never take the
+// pass, and sparse ones always do.
+func checkLoneGates(t *testing.T, mk func() *Engine, mkRef func() *refEngine, ms core.MessageSet, want Stats) {
+	t.Helper()
+	gated := func(gate int8) *Engine {
+		e := mk()
+		e.stream.loneGate = gate
+		return e
+	}
+	for _, gate := range []int8{1, -1} {
+		if got := gated(gate).Run(ms); !reflect.DeepEqual(got, want) {
+			t.Fatalf("lone gate %+d: stream diverges from the reference\nref    %+v\nstream %+v", gate, want, got)
+		}
+		checkCycles(t, gated(gate), mkRef(), ms)
+	}
+}
+
+// TestRadixByNode checks sortByNode against slices.Sort on keys appended
+// in ascending index order: empty, single and the sizes around radixMin,
+// random leaves, every key on one leaf, and leaves already sorted or
+// reverse-sorted, over leaf spans of one to twenty levels (one radix pass
+// up to radixDigit bits, two beyond). One state serves every size of a
+// span, so the count table and buffer are reused.
+func TestRadixByNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, levels := range []int{1, 8, 11, 12, 20} {
+		st := &streamState{levels: levels}
+		span := 1 << levels
+		inputs := []struct {
+			name string
+			leaf func(i, size int) int
+		}{
+			{"random", func(int, int) int { return rng.Intn(span) }},
+			{"one-leaf", func(int, int) int { return span / 3 }},
+			{"sorted", func(i, size int) int { return i * span / size }},
+			{"reverse", func(i, size int) int { return (size - 1 - i) * span / size }},
+		}
+		for _, size := range []int{0, 1, 63, 64, 65, 4096} {
+			for _, in := range inputs {
+				keys := make([]uint64, size)
+				for i := range keys {
+					keys[i] = uint64(span+in.leaf(i, size))<<32 | uint64(i)
+				}
+				want := slices.Clone(keys)
+				slices.Sort(want)
+				st.sortByNode(keys)
+				if !slices.Equal(keys, want) {
+					t.Fatalf("levels %d, %d %s keys: sortByNode\n got %x\nwant %x", levels, size, in.name, keys, want)
+				}
+			}
+		}
 	}
 }
 
@@ -271,9 +330,9 @@ func TestStreamWireGuard(t *testing.T) {
 	}
 	newShard := func() *streamShard {
 		sh := &streamShard{}
-		sh.upUsed = sh.upUsed.fit(width)
-		sh.downUsed[0] = sh.downUsed[0].fit(width)
-		sh.downUsed[1] = sh.downUsed[1].fit(width)
+		sh.upUsed.fit(width)
+		sh.downUsed[0].fit(width)
+		sh.downUsed[1].fit(width)
 		return sh
 	}
 	mustPanic := func(t *testing.T, what string, fn func()) {
