@@ -6,12 +6,16 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-extra fuzz bench-json bench-diff serve trace-demo perfbench check
+.PHONY: all build fmt test race lint lint-extra fuzz bench-json bench-diff serve trace-demo perfbench check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails when gofmt would change a file, and names the files.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -20,7 +24,7 @@ race:
 	$(GO) test -race -short ./...
 
 # Repository-specific analyzers (determinism, seed plumbing, float compares,
-# pool captures, error discards). Equivalent invocation via the go command:
+# error discards, hot-path allocations, loans, goroutine shutdown). Equivalent invocation via the go command:
 #   go build -o "$$(go env GOPATH)/bin/ftlint" ./cmd/ftlint
 #   go vet -vettool=$$(which ftlint) ./...
 lint:
@@ -60,8 +64,8 @@ bench-diff:
 	$(GO) run ./cmd/ftbench -bench -json > /tmp/bench-current.json
 	$(GO) run ./cmd/ftbenchdiff BENCH_8.json /tmp/bench-current.json
 
-# Run the live-telemetry daemon locally: Prometheus metrics at
-# http://127.0.0.1:8080/metrics while simulations rotate underneath.
+# Run the /v1/route daemon locally with one tenant, "default": POST requests
+# to http://127.0.0.1:8080/v1/route, Prometheus metrics at /metrics.
 serve:
 	$(GO) run ./cmd/ftserve -addr 127.0.0.1:8080
 
@@ -93,4 +97,4 @@ perfbench:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-check: build lint test perfbench
+check: build fmt lint test perfbench

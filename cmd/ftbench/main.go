@@ -26,7 +26,6 @@ import (
 	"fattree/internal/experiments"
 	"fattree/internal/metrics"
 	"fattree/internal/obsv"
-	"fattree/internal/par"
 )
 
 func main() {
@@ -39,7 +38,6 @@ func run() (code int) {
 	list := flag.Bool("list", false, "list experiments and exit")
 	seed := flag.Int64("seed", 1, "random seed for all experiments")
 	asJSON := flag.Bool("json", false, "emit results as JSON")
-	parallel := flag.Bool("parallel", false, "run experiments concurrently (results print in order)")
 	bench := flag.Bool("bench", false,
 		"run the delivery-engine micro-benchmarks (ns/op, B/op, allocs/op) instead of the experiment suite")
 	hist := flag.Bool("hist", false,
@@ -62,9 +60,6 @@ func run() (code int) {
 			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 			return 1
 		}
-		// The pprof label on the internal/par workers ("pool"="par") splits
-		// the CPU profile of a -parallel suite between the experiment
-		// workers and the coordinator.
 		defer func() {
 			if err := stop(); err != nil {
 				fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
@@ -134,37 +129,13 @@ func run() (code int) {
 	}
 
 	start := time.Now()
-	if *parallel {
-		// Bounded fan-out on the shared pool; par.Map returns outputs in
-		// experiment order, so the report reads identically to a serial run.
-		type rendered struct {
-			out string
-			err error
+	for _, e := range selected {
+		t0 := time.Now()
+		if err := e.RunAndPrint(os.Stdout, opts); err != nil {
+			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
+			return 1
 		}
-		outputs := par.Map(par.New(0), len(selected), func(i int) rendered {
-			e := selected[i]
-			var b strings.Builder
-			t0 := time.Now()
-			err := e.RunAndPrint(&b, opts)
-			fmt.Fprintf(&b, "(%s took %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
-			return rendered{out: b.String(), err: err}
-		})
-		for _, r := range outputs {
-			if r.err != nil {
-				fmt.Fprintf(os.Stderr, "ftbench: %v\n", r.err)
-				return 1
-			}
-			fmt.Print(r.out)
-		}
-	} else {
-		for _, e := range selected {
-			t0 := time.Now()
-			if err := e.RunAndPrint(os.Stdout, opts); err != nil {
-				fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("(%s took %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
-		}
+		fmt.Printf("(%s took %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
 	fmt.Printf("suite complete: %d experiments in %v\n", len(selected), time.Since(start).Round(time.Millisecond))
 	return 0

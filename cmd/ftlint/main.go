@@ -4,7 +4,7 @@
 // Standalone, over go list patterns resolved in the current module:
 //
 //	ftlint ./...
-//	ftlint -only nondeterm,poolcapture ./internal/sim/...
+//	ftlint -only nondeterm,seedplumbing ./internal/sim/...
 //
 // As a vet tool, driven by the go command (which adds caching and testdata
 // handling):

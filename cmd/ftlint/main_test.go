@@ -58,7 +58,9 @@ const badMetricsSource = `package metrics
 func Same(a, b float64) bool { return a == b }
 `
 
-const badParSource = `package par
+const badServeSource = `package main
+
+func main() { Spin() }
 
 func Spin() {
 	go func() {
@@ -87,7 +89,7 @@ func badModule(t *testing.T) string {
 		"go.mod":                  "module badmod\n\ngo 1.22\n",
 		"internal/sim/bad.go":     badSimSource,
 		"internal/metrics/bad.go": badMetricsSource,
-		"internal/par/bad.go":     badParSource,
+		"cmd/ftserve/bad.go":      badServeSource,
 		"internal/sched/bad.go":   badSchedSource,
 	})
 }
@@ -204,7 +206,7 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("ftlint -list: %v\n%s", err, out)
 	}
 	for _, name := range []string{
-		"nondeterm", "poolcapture", "floatcompare", "seedplumbing", "errdiscard",
+		"nondeterm", "floatcompare", "seedplumbing", "errdiscard",
 		"hotalloc", "callgraphhotalloc", "loanescape", "goroshutdown",
 	} {
 		if !strings.Contains(string(out), name) {

@@ -1,8 +1,7 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,18 +10,6 @@ import (
 
 	"fattree"
 )
-
-// testConfig returns a small two-tree configuration with a bounded run
-// budget, suitable for driving the sim loop synchronously in tests.
-func testConfig(t *testing.T, extra ...string) config {
-	t.Helper()
-	args := append([]string{"-n", "16,32", "-workloads", "perm,random", "-runs", "4"}, extra...)
-	cfg, err := parseConfig(args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg
-}
 
 func TestParseConfigErrors(t *testing.T) {
 	for _, tc := range []struct {
@@ -33,9 +20,10 @@ func TestParseConfigErrors(t *testing.T) {
 		{"size too small", []string{"-n", "2"}},
 		{"unknown workload", []string{"-workloads", "nope"}},
 		{"transpose odd lg", []string{"-n", "32", "-workloads", "transpose"}},
-		{"unknown policy", []string{"-policy", "offline"}},
 		{"unknown switches", []string{"-switches", "nope"}},
 		{"loss out of range", []string{"-loss", "1.5"}},
+		// -policy, -runs and -history are not flags: refused, not ignored.
+		{"unknown policy", []string{"-policy", "offline"}},
 		{"negative runs", []string{"-runs", "-1"}},
 		{"bad history", []string{"-history", "0"}},
 		{"unknown flag", []string{"-nope"}},
@@ -48,37 +36,44 @@ func TestParseConfigErrors(t *testing.T) {
 			}
 		})
 	}
-	cfg, err := parseConfig([]string{"-n", "64,256", "-workloads", "transpose", "-policy", "random"})
+	cfg, err := parseConfig([]string{"-n", "64", "-workloads", "transpose"})
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if len(cfg.sizes) != 2 || cfg.sizes[1] != 256 || cfg.policy != "random" {
+	if len(cfg.sizes) != 1 || cfg.sizes[0] != 64 || len(cfg.tenants) != 1 || cfg.tenants[0] != "default" {
 		t.Fatalf("parsed config wrong: %+v", cfg)
 	}
 }
 
-// completedServer runs the bounded sim loop to completion and returns the
-// server ready for handler tests.
-func completedServer(t *testing.T, extra ...string) *server {
-	t.Helper()
-	srv, err := newServer(testConfig(t, extra...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.simLoop(context.Background())
-	return srv
-}
-
 // get performs one request against the server's mux.
-func get(t *testing.T, srv *server, path string) *httptest.ResponseRecorder {
+func get(t testing.TB, srv *server, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	srv.mux().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 	return rec
 }
 
+// servedServer returns a tenant server (see tenantServer) that has served
+// one perm and one random request on each of alpha and beta. On lossy
+// switches a request may stall (422); it still counts as served.
+func servedServer(t *testing.T, extra ...string) *server {
+	t.Helper()
+	srv := tenantServer(t, extra...)
+	for _, tn := range []string{"alpha", "beta"} {
+		for _, body := range []string{
+			`{"tenant":"` + tn + `","workload":"perm","seed":3}`,
+			`{"tenant":"` + tn + `","workload":"random","k":48,"seed":5}`,
+		} {
+			if rec := post(t, srv, body, "application/json"); rec.Code != 200 && rec.Code != 422 {
+				t.Fatalf("setup request %s: status %d: %s", body, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	return srv
+}
+
 func TestEndpoints(t *testing.T) {
-	srv := completedServer(t)
+	srv := servedServer(t)
 	for _, tc := range []struct {
 		path   string
 		status int
@@ -88,13 +83,14 @@ func TestEndpoints(t *testing.T) {
 		{"/readyz", 200, []string{"ready"}},
 		{"/metrics", 200, []string{
 			"fattree_server_ready 1",
-			`fattree_server_runs_total{tree="16",workload="perm"}`,
-			`fattree_cycles_total{tree="16"}`,
-			`fattree_cycles_total{tree="32"}`,
-			`fattree_delivery_latency_cycles_bucket{tree="16",le="+Inf"}`,
-			`fattree_level_utilization_permille_bucket{tree="32",level="0",le="+Inf"}`,
+			`fattree_server_info{go_version=`,
+			`fattree_requests_total{tenant="alpha"} 2`,
+			`fattree_cycles_total{tenant="alpha"}`,
+			`fattree_cycles_total{tenant="beta"}`,
+			`fattree_delivery_latency_cycles_bucket{tenant="alpha",le="+Inf"}`,
+			`fattree_level_utilization_permille_bucket{tenant="beta",level="0",le="+Inf"}`,
 		}},
-		{"/runs", 200, []string{`"total": 4`, `"workload": "perm"`, `"delivered"`}},
+		{"/runs", 200, []string{`"total": 4`, `"ready": true`, `"uptime_seconds"`}},
 		{"/debug/pprof/cmdline", 200, nil},
 		{"/nosuch", 404, nil},
 	} {
@@ -114,7 +110,7 @@ func TestEndpoints(t *testing.T) {
 }
 
 func TestMetricsExpositionValid(t *testing.T) {
-	srv := completedServer(t, "-loss", "0.05", "-switches", "partial", "-policy", "random")
+	srv := servedServer(t, "-loss", "0.02", "-switches", "partial")
 	rec := get(t, srv, "/metrics")
 	if err := fattree.ValidatePromExposition(rec.Body.Bytes()); err != nil {
 		t.Fatalf("/metrics is not valid exposition: %v", err)
@@ -122,58 +118,52 @@ func TestMetricsExpositionValid(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("Content-Type = %q", ct)
 	}
+	if !strings.Contains(rec.Body.String(), `switches="partial"`) {
+		t.Fatal("fattree_server_info does not report the partial switches")
+	}
 }
 
+// TestReadyzBeforeFirstRun checks a server that is not yet accepting
+// requests (ftserve marks itself ready once its listener is up): /readyz
+// answers 503 while /metrics and /healthz serve.
 func TestReadyzBeforeFirstRun(t *testing.T) {
-	srv, err := newServer(testConfig(t))
+	cfg, err := parseConfig([]string{"-n", "16", "-tenants", "alpha"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := newServer(cfg)
 	if rec := get(t, srv, "/readyz"); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz before first run: status %d, want 503", rec.Code)
+		t.Fatalf("/readyz before the listener is up: status %d, want 503", rec.Code)
 	}
-	// /metrics and /healthz must serve fine before readiness.
 	if rec := get(t, srv, "/metrics"); rec.Code != 200 ||
 		!strings.Contains(rec.Body.String(), "fattree_server_ready 0") {
-		t.Fatalf("/metrics before first run: %d", rec.Code)
+		t.Fatalf("/metrics before readiness: %d", rec.Code)
+	}
+	if rec := get(t, srv, "/healthz"); rec.Code != 200 {
+		t.Fatalf("/healthz before readiness: %d", rec.Code)
 	}
 }
 
-func TestRunsHistoryBounded(t *testing.T) {
-	srv := completedServer(t, "-runs", "9", "-history", "3")
-	rec := get(t, srv, "/runs")
-	var doc struct {
-		Total int         `json:"total"`
-		Runs  []runRecord `json:"runs"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Total != 9 || len(doc.Runs) != 3 {
-		t.Fatalf("total=%d len(runs)=%d, want 9 and 3", doc.Total, len(doc.Runs))
-	}
-	// Newest first.
-	if doc.Runs[0].Seq != 9 || doc.Runs[2].Seq != 7 {
-		t.Fatalf("runs not newest-first: %+v", doc.Runs)
-	}
-}
-
-// TestScrapeDuringRun drives the sim loop and concurrent /metrics scrapes at
-// the same time: every scrape must be valid exposition and internally
-// consistent (the cycle-boundary snapshot contract), and nothing may race
-// (run with -race in CI).
+// TestScrapeDuringRun scrapes /metrics and /runs while three clients route
+// requests on lossy partial switches: every scrape must be valid exposition
+// and internally consistent (the cycle-boundary snapshot contract), and
+// nothing may race (run with -race in CI).
 func TestScrapeDuringRun(t *testing.T) {
-	cfg := testConfig(t, "-runs", "60", "-loss", "0.03", "-switches", "partial")
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := tenantServer(t, "-loss", "0.03", "-switches", "partial")
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.simLoop(context.Background())
-	}()
+	for _, tn := range []string{"alpha", "beta", "gamma"} {
+		wg.Add(1)
+		go func(tn string) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				body := fmt.Sprintf(`{"tenant":%q,"workload":"random","k":64,"seed":%d}`, tn, i)
+				if rec := post(t, srv, body, "application/json"); rec.Code != 200 && rec.Code != 422 {
+					t.Errorf("tenant %s: status %d: %s", tn, rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}(tn)
+	}
 	for i := 0; i < 50; i++ {
 		rec := get(t, srv, "/metrics")
 		if rec.Code != 200 {
@@ -183,7 +173,7 @@ func TestScrapeDuringRun(t *testing.T) {
 			t.Fatalf("scrape %d invalid: %v", i, err)
 		}
 		if rec := get(t, srv, "/runs"); rec.Code != 200 {
-			t.Fatalf("/runs during run: status %d", rec.Code)
+			t.Fatalf("/runs during traffic: status %d", rec.Code)
 		}
 	}
 	wg.Wait()

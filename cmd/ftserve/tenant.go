@@ -1,21 +1,20 @@
 package main
 
-// This file is the tenant-serving mode of ftserve (-tenants): the
-// /v1/route request API, the per-tenant bounded queues with explicit
-// backpressure, the dispatcher that schedules tenants on the shared
-// internal/par pool, and the span instrumentation around the whole request
-// path. Requests of one tenant are processed serially in arrival order by
-// whichever pool worker drains that tenant's queue — the serial merge point
-// that keeps the tenant's engine counters and RED block bit-identical across
-// worker counts. The steady-state request path (dequeue → span → RunServe →
-// RED merge → span → completion signal) is allocation-free. The HTTP rim
-// around it (body read, wire decode and encode, workload materialization)
-// works in pooled buffers and allocates only in net/http (TestRouteHandlerAllocs);
-// it stays outside the //ftlint:hotpath boundary.
+// This file is the request path of ftserve: the /v1/route API, the
+// per-tenant bounded queues with explicit backpressure, the tenant loops,
+// and the span instrumentation around the whole request path. Each tenant
+// has one goroutine that serves its queue in arrival order, so a tenant's
+// engine counters and RED block depend only on its own request sequence,
+// and a slow tenant delays no other (the Go scheduler time-slices the loops
+// when they outnumber the CPUs). The steady-state request path (dequeue →
+// span → RunServe → RED merge → span → completion signal) is
+// allocation-free. The HTTP rim around it (body read, wire decode and
+// encode, workload materialization) works in pooled buffers and allocates
+// only in net/http (TestRouteHandlerAllocs); it stays outside the
+// //ftlint:hotpath boundary.
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,6 +22,7 @@ import (
 	"sync"
 
 	"fattree"
+	"fattree/internal/obsv"
 )
 
 // maxRouteBody bounds a /v1/route body (single or per NDJSON batch).
@@ -39,10 +39,6 @@ const minWireMessage = len(`{"dst":1},`)
 // meaning 4n) that does.
 const maxRouteMessages = maxRouteBody / minWireMessage
 
-// tenantBatch bounds how many requests one tenant drains per pool round, so
-// a hot tenant cannot starve the others between rounds.
-const tenantBatch = 64
-
 // tenant is one served tenant: a persistent engine and observer plus the
 // RED instrument block and the bounded request queue.
 type tenant struct {
@@ -55,7 +51,7 @@ type tenant struct {
 }
 
 // routeReq is one request, pooled and reused across requests with its
-// decoded wire form and message set. The dispatcher fills
+// decoded wire form and message set. The tenant loop fills
 // stats/waitUS/durUS/failed and signals done; the handler owns the request
 // before enqueue and after receiving from done.
 type routeReq struct {
@@ -99,10 +95,7 @@ var rimPool = sync.Pool{New: func() any { return new(rimBuf) }}
 // writes.
 const flushSize = 4 << 10
 
-// tenantMode reports whether this server was started with -tenants.
-func (s *server) tenantMode() bool { return len(s.tenants) > 0 }
-
-// servedTotal returns the number of requests processed by the dispatcher.
+// servedTotal returns the number of requests the tenant loops processed.
 func (s *server) servedTotal() int { return int(s.served.Load()) }
 
 // getReq takes a pooled request, ready for reuse.
@@ -118,10 +111,6 @@ func (s *server) getReq() *routeReq {
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	buf := rimPool.Get().(*rimBuf)
 	defer rimPool.Put(buf)
-	if !s.tenantMode() {
-		writeRouteResp(w, http.StatusNotFound, &routeResp{Error: "tenant mode disabled (start ftserve with -tenants)"}, buf)
-		return
-	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeRouteResp(w, http.StatusMethodNotAllowed, &routeResp{Error: "POST only"}, buf)
@@ -240,8 +229,8 @@ func (s *server) routeOne(body []byte) (routeResp, int) {
 		Msgs: int32(len(req.ms)),
 	})
 
-	// Admission: the RLock pairs with beginDrain's Lock so no request can
-	// slip into a queue after the dispatcher's final drain round started.
+	// Admission: the RLock pairs with beginDrain's Lock, so no request
+	// enters a queue once beginDrain returns and stop may close the queues.
 	s.drainMu.RLock()
 	if s.draining {
 		s.drainMu.RUnlock()
@@ -249,12 +238,9 @@ func (s *server) routeOne(body []byte) (routeResp, int) {
 		return routeResp{Error: "draining"}, http.StatusServiceUnavailable
 	}
 	req.enqueuedNS = s.spans.Now()
-	select {
-	case tn.queue <- req:
-		tn.red.QueueEnter()
-		s.drainMu.RUnlock()
-	default:
-		s.drainMu.RUnlock()
+	sent := obsv.Enqueue(tn.red, tn.queue, req)
+	s.drainMu.RUnlock()
+	if !sent {
 		tn.red.RejectRequest()
 		s.spans.Push(fattree.Span{
 			Trace: trace, Tenant: tn.idx, Kind: fattree.SpanQueue,
@@ -263,10 +249,6 @@ func (s *server) routeOne(body []byte) (routeResp, int) {
 		s.reqPool.Put(req)
 		return routeResp{TraceID: traceID(trace), Tenant: tn.name, tenant: tn.idx,
 			Error: "tenant queue full"}, http.StatusTooManyRequests
-	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
 	}
 	<-req.done
 
@@ -355,57 +337,31 @@ func (s *server) beginDrain() {
 	s.drainMu.Unlock()
 }
 
-// tenantLoop is the dispatcher: it fans the tenants out over the shared
-// worker pool, each round draining up to tenantBatch requests per tenant in
-// arrival order, and sleeps on the wake channel when every queue is empty.
-// On cancellation (or a spent -runs budget) it drains every queue to empty —
-// in-flight requests complete — and returns.
-func (s *server) tenantLoop(ctx context.Context) {
-	for {
-		processed := s.drainRound()
-		if s.cfg.runs > 0 && s.served.Load() >= int64(s.cfg.runs) {
-			s.beginDrain()
-			for s.drainRound() > 0 {
-			}
-			return
-		}
-		if processed == 0 {
-			select {
-			case <-ctx.Done():
-				s.beginDrain()
-				for s.drainRound() > 0 {
-				}
-				return
-			case <-s.wake:
-			}
-		}
+// startLoops starts every tenant's loop.
+func (s *server) startLoops() {
+	for _, tn := range s.tenants {
+		s.loops.Add(1)
+		go tn.loop(s)
 	}
 }
 
-// drainRound runs one pool round over all tenants and returns the number of
-// requests processed. Only the dispatcher calls it.
-func (s *server) drainRound() int {
-	s.pool.ForEach(len(s.tenants), s.drainTenant)
-	processed := 0
-	for i, c := range s.drainCounts {
-		processed += c
-		s.drainCounts[i] = 0
+// loop serves the tenant's queue in arrival order until stop closes it.
+func (tn *tenant) loop(s *server) {
+	defer s.loops.Done()
+	for req := range tn.queue {
+		tn.process(s, req)
 	}
-	return processed
 }
 
-// drainBatch processes up to tenantBatch queued requests of this tenant, in
-// arrival order, and returns how many it processed.
-func (tn *tenant) drainBatch(s *server) int {
-	for n := 0; n < tenantBatch; n++ {
-		select {
-		case req := <-tn.queue:
-			tn.process(s, req)
-		default:
-			return n
-		}
+// stop drains the server: new requests are refused, every queued request
+// completes, and stop returns once every tenant loop has exited. Call it
+// once, after startLoops.
+func (s *server) stop() {
+	s.beginDrain()
+	for _, tn := range s.tenants {
+		close(tn.queue)
 	}
-	return tenantBatch
+	s.loops.Wait()
 }
 
 // process is the observed steady-state request path: dequeue accounting,

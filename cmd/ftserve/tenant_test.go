@@ -2,20 +2,22 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fattree"
 )
 
-// tenantServer builds a tenant-mode server and runs its dispatcher until the
-// test ends; the returned server is ready for handler calls.
+// tenantServer builds a server with tenants alpha, beta and gamma and runs
+// its tenant loops until the test ends; the returned server is ready for
+// handler calls.
 func tenantServer(t testing.TB, extra ...string) *server {
 	t.Helper()
 	args := append([]string{"-n", "16", "-workloads", "perm,random,bitrev", "-tenants", "alpha,beta,gamma"}, extra...)
@@ -23,21 +25,10 @@ func tenantServer(t testing.TB, extra ...string) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(cfg)
 	srv.ready.Store(true)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.tenantLoop(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
+	srv.startLoops()
+	t.Cleanup(srv.stop)
 	return srv
 }
 
@@ -120,14 +111,6 @@ func TestRouteClientErrors(t *testing.T) {
 	}
 }
 
-func TestRouteDisabledWithoutTenants(t *testing.T) {
-	srv := completedServer(t)
-	rec := post(t, srv, `{"tenant":"alpha","workload":"perm"}`, "application/json")
-	if rec.Code != 404 {
-		t.Fatalf("rotation-mode /v1/route: status %d, want 404", rec.Code)
-	}
-}
-
 func TestRouteBatchNDJSON(t *testing.T) {
 	srv := tenantServer(t)
 	batch := `{"tenant":"alpha","workload":"perm","seed":1}
@@ -166,18 +149,15 @@ func TestRouteBatchNDJSON(t *testing.T) {
 	}
 }
 
-// TestRouteBackpressure fills a tenant's queue without a running dispatcher:
-// the overflow request must be rejected with 429 + Retry-After while the
-// queued one completes once the dispatcher drains.
+// TestRouteBackpressure fills a tenant's queue before its loop starts: the
+// overflow request must be rejected with 429 + Retry-After while the queued
+// one completes once the loop runs.
 func TestRouteBackpressure(t *testing.T) {
 	cfg, err := parseConfig([]string{"-n", "16", "-tenants", "alpha", "-queue", "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(cfg)
 	srv.ready.Store(true)
 
 	first := make(chan *httptest.ResponseRecorder, 1)
@@ -195,10 +175,9 @@ func TestRouteBackpressure(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 
-	// One manual dispatcher round completes the queued request.
-	if n := srv.drainRound(); n != 1 {
-		t.Fatalf("drainRound processed %d, want 1", n)
-	}
+	// The tenant loop completes the queued request.
+	srv.startLoops()
+	t.Cleanup(srv.stop)
 	if rec := <-first; rec.Code != 200 {
 		t.Fatalf("queued request: status %d", rec.Code)
 	}
@@ -217,10 +196,7 @@ func TestRouteDrainRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(cfg)
 	srv.ready.Store(true)
 
 	queued := make(chan *httptest.ResponseRecorder, 1)
@@ -238,19 +214,22 @@ func TestRouteDrainRefusal(t *testing.T) {
 		t.Fatalf("route while draining: status %d body %s", rec.Code, rec.Body.String())
 	}
 
-	// Already-admitted work still completes.
-	for srv.drainRound() > 0 {
-	}
+	// Already-admitted work still completes: stop serves the queue to
+	// empty before it joins the loop.
+	srv.startLoops()
+	srv.stop()
 	if rec := <-queued; rec.Code != 200 {
 		t.Fatalf("queued request during drain: status %d", rec.Code)
 	}
 }
 
-// TestTenantWorkerEquivalence replays the same per-tenant request mix at
-// worker counts 1, 2, and GOMAXPROCS: every tenant's engine counters and RED
-// block must be bit-identical to the serial run (the per-tenant serial merge
-// point), no matter how the dispatcher pool interleaves tenants.
+// TestTenantWorkerEquivalence posts the same per-tenant request mix twice:
+// from three concurrent clients, one per tenant, and then one tenant at a
+// time. Each tenant's loop serves its own queue in arrival order, so every
+// tenant's engine counters and RED block must be bit-identical between the
+// two runs, however the loops interleave.
 func TestTenantWorkerEquivalence(t *testing.T) {
+	tenants := []string{"alpha", "beta", "gamma"}
 	requests := func(tenant string) []string {
 		var reqs []string
 		for i := 0; i < 6; i++ {
@@ -259,37 +238,87 @@ func TestTenantWorkerEquivalence(t *testing.T) {
 		}
 		return reqs
 	}
-	run := func(workers string) *server {
-		srv := tenantServer(t, "-workers", workers)
-		var wg sync.WaitGroup
-		for _, tn := range []string{"alpha", "beta", "gamma"} {
-			wg.Add(1)
-			go func(tn string) {
-				defer wg.Done()
-				for _, body := range requests(tn) {
-					if rec := post(t, srv, body, "application/json"); rec.Code != 200 {
-						t.Errorf("tenant %s: status %d: %s", tn, rec.Code, rec.Body.String())
-						return
-					}
-				}
-			}(tn)
+	send := func(srv *server, tn string) {
+		for _, body := range requests(tn) {
+			if rec := post(t, srv, body, "application/json"); rec.Code != 200 {
+				t.Errorf("tenant %s: status %d: %s", tn, rec.Code, rec.Body.String())
+				return
+			}
 		}
-		wg.Wait()
-		return srv
 	}
 
-	base := run("1")
-	for _, workers := range []string{"2", "0"} {
-		srv := run(workers)
-		for i, tn := range srv.tenants {
-			if !fattree.ObserversEqual(base.tenants[i].obs, tn.obs) {
-				t.Errorf("-workers %s: tenant %s engine counters diverge from serial", workers, tn.name)
-			}
-			if !fattree.REDEqual(base.tenants[i].red, tn.red) {
-				t.Errorf("-workers %s: tenant %s RED counters diverge from serial", workers, tn.name)
-			}
+	concurrent := tenantServer(t)
+	var wg sync.WaitGroup
+	for _, tn := range tenants {
+		wg.Add(1)
+		go func(tn string) {
+			defer wg.Done()
+			send(concurrent, tn)
+		}(tn)
+	}
+	wg.Wait()
+
+	serial := tenantServer(t)
+	for _, tn := range tenants {
+		send(serial, tn)
+	}
+
+	for i, tn := range serial.tenants {
+		if !fattree.ObserversEqual(tn.obs, concurrent.tenants[i].obs) {
+			t.Errorf("tenant %s: engine counters differ between concurrent and serial clients", tn.name)
+		}
+		if !fattree.REDEqual(tn.red, concurrent.tenants[i].red) {
+			t.Errorf("tenant %s: RED counters differ between concurrent and serial clients", tn.name)
 		}
 	}
+}
+
+// TestTenantIsolation queues requests on alpha that each run until the
+// offer budget cuts them off (422, a few hundred ms apiece), then posts one
+// small request to beta. Beta's own loop must answer it while at least two
+// of alpha's requests are still queued or running, and (outside -race, whose
+// timings are not the daemon's) within 50 ms.
+func TestTenantIsolation(t *testing.T) {
+	srv := tenantServer(t, "-tenants", "alpha,beta")
+	const slow = 4
+	var alphaDone atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < slow; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rec := post(t, srv, `{"tenant":"alpha","workload":"random","k":100000}`, "application/json"); rec.Code != 422 {
+				t.Errorf("alpha: status %d, want 422 (offer budget): %s", rec.Code, rec.Body.String())
+			}
+			alphaDone.Add(1)
+		}()
+	}
+	// Every admitted request has entered alpha's queue: it is either still
+	// there or has left it, which records one queue wait.
+	alpha := srv.tenantIdx["alpha"]
+	for {
+		snap := alpha.red.Snapshot()
+		if snap.QueueDepth+snap.QueueWaitMicros.Count >= slow {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	rec := post(t, srv, `{"tenant":"beta","workload":"perm","seed":1}`, "application/json")
+	latency := time.Since(start)
+	done := alphaDone.Load()
+	if rec.Code != 200 {
+		t.Fatalf("beta: status %d: %s", rec.Code, rec.Body.String())
+	}
+	t.Logf("beta answered in %v with %d of alpha's %d requests done", latency, done, slow)
+	if done > slow-2 {
+		t.Errorf("beta was answered after %d of alpha's %d requests completed; want at least 2 still queued or running", done, slow)
+	}
+	if !raceEnabled && latency > 50*time.Millisecond {
+		t.Errorf("beta took %v behind alpha's queue, want < 50ms", latency)
+	}
+	wg.Wait()
 }
 
 // TestTenantMetricsExposition checks the tenant-mode scrape: RED families and
@@ -434,33 +463,6 @@ func TestRespondSpansCarryRequest(t *testing.T) {
 	}
 }
 
-// TestRunRingCapacity pins the /runs retention container: a full ring
-// overwrites oldest-first, never grows, and reports newest-first.
-func TestRunRingCapacity(t *testing.T) {
-	r := newRunRing(3)
-	for seq := 1; seq <= 7; seq++ {
-		r.push(runRecord{Seq: seq})
-	}
-	if r.len() != 3 || r.cap() != 3 {
-		t.Fatalf("len=%d cap=%d, want 3/3", r.len(), r.cap())
-	}
-	got := r.newestFirst(nil)
-	for i, want := range []int{7, 6, 5} {
-		if got[i].Seq != want {
-			t.Fatalf("newestFirst[%d].Seq = %d, want %d", i, got[i].Seq, want)
-		}
-	}
-	// Storage must not move once allocated: push reuses the same backing
-	// array (the old append-then-reslice grew a new one on every wrap).
-	before := &r.buf[0]
-	for seq := 8; seq <= 100; seq++ {
-		r.push(runRecord{Seq: seq})
-	}
-	if before != &r.buf[0] {
-		t.Fatal("runRing reallocated its storage")
-	}
-}
-
 // TestTenantRunsEndpoint checks /runs tenant-mode semantics: total counts
 // served requests. A request is counted before its client is answered, so
 // one read right after the last response sees every request.
@@ -524,9 +526,9 @@ func TestRouteRejectsOversizedK(t *testing.T) {
 	}
 }
 
-// TestTenantEngineWiring pins how initTenants wires a tenant's engine — the
+// TestTenantEngineWiring pins how newServer wires a tenant's engine — the
 // tree, the switch kind, the per-tenant seeds and the loss model — against
-// an engine built independently with the seeds initTenants documents: every
+// an engine built independently with the seeds newServer documents: every
 // response reports that engine's RunServe stats, and the observers hold
 // identical counters at the end. Ideal and partial-lossy switches both run.
 // Plane parity itself is checked in internal/sim.
@@ -598,10 +600,7 @@ func TestServeRouteAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(cfg)
 	tn := srv.tenants[0]
 	ms := fattree.RandomPermutation(64, 42)
 	req := &routeReq{ms: ms, trace: 7, done: make(chan struct{}, 1)}

@@ -52,8 +52,6 @@ func TestSmokeCmds(t *testing.T) {
 			[]string{`"id": "E12"`, `"rows"`}},
 		{"./cmd/ftbench", []string{"-list"},
 			[]string{"E1", "E25", "A2"}},
-		{"./cmd/ftbench", []string{"-quick", "-parallel", "-run", "E1,E12"},
-			[]string{"E1", "E12", "suite complete"}},
 		{"./cmd/ftsim", []string{"-kary", "8,4;2,1;1,2", "-workload", "random", "-policy", "online"},
 			[]string{"k-ary 8,4;2,1;1,2", "delivered 128/128"}},
 		{"./cmd/ftdesign", []string{"-n", "1024", "-radix", "36", "-budget", "60000"},
@@ -148,6 +146,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ftlint unknown analyzer", "ftlint", []string{"-only", "nope", "./..."}, 2},
 		{"ftserve bad n", "ftserve", []string{"-n", "63"}, 2},
 		{"ftserve unknown workload", "ftserve", []string{"-workloads", "nope"}, 2},
+		// -policy is not a flag of ftserve: refused, not ignored.
 		{"ftserve unknown policy", "ftserve", []string{"-policy", "offline"}, 2},
 		{"ftserve transpose odd lg", "ftserve", []string{"-n", "32", "-workloads", "transpose"}, 2},
 		{"ftserve positional args", "ftserve", []string{"extra"}, 2},
@@ -177,14 +176,13 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ftsim missing schedule", "ftsim", []string{"-n", "16", "-load-schedule", "/nonexistent/s.json"}, 1},
 		{"ftload unreachable server", "ftload", []string{"-addr", "127.0.0.1:9", "-tenants", "alpha",
 			"-requests", "2", "-scrape", "0", "-timeout", "2s"}, 1},
-		{"ftserve unlistenable addr", "ftserve", []string{"-addr", "256.256.256.256:0", "-runs", "1"}, 1},
+		{"ftserve unlistenable addr", "ftserve", []string{"-addr", "256.256.256.256:0"}, 1},
 		{"ftbenchdiff missing file", "ftbenchdiff", []string{"/nonexistent/a.json", "/nonexistent/b.json"}, 1},
 
 		// Success exits 0.
 		{"ftsim counters run", "ftsim", []string{"-n", "16", "-policy", "online", "-counters"}, 0},
 		{"ftdesign good spec", "ftdesign", []string{"-n", "1024", "-radix", "36", "-budget", "60000"}, 0},
 		{"ftsim kary greedy", "ftsim", []string{"-kary", "3,4;1,1;2,1", "-workload", "reversal", "-policy", "greedy"}, 0},
-		{"ftserve bounded run", "ftserve", []string{"-addr", "127.0.0.1:0", "-n", "16", "-runs", "2"}, 0},
 	}
 	for _, c := range cases {
 		c := c

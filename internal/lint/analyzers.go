@@ -12,7 +12,6 @@ func All() []*Analyzer {
 		HotAlloc,
 		LoanEscape,
 		Nondeterm,
-		PoolCapture,
 		SeedPlumbing,
 	}
 }

@@ -10,10 +10,9 @@ import (
 )
 
 // GoroShutdown pins the graceful-shutdown contract of the long-running
-// subsystems: every goroutine started in cmd/ftserve or internal/par must be
-// provably joinable, so SIGTERM can never strand a worker mid-simulation or
-// leak a sim loop past the daemon's exit. A `go` statement passes when the
-// analyzer can prove one of:
+// daemon: every goroutine started in cmd/ftserve must be provably joinable,
+// so SIGTERM can never strand a tenant loop mid-request or leak one past the
+// daemon's exit. A `go` statement passes when the analyzer can prove one of:
 //
 //   - the goroutine signals a sync.WaitGroup (a Done call, usually deferred,
 //     anywhere in its body or — via call-graph facts — in a function it
@@ -35,12 +34,12 @@ import (
 // so cancellable loops may live in other packages than the go statement.
 var GoroShutdown = &Analyzer{
 	Name: "goroshutdown",
-	Doc: "requires every goroutine in cmd/ftserve and internal/par to be provably joinable: " +
+	Doc: "requires every goroutine in cmd/ftserve to be provably joinable: " +
 		"WaitGroup-signalled, cancellable via ctx.Done()/quit-channel select (transitively, " +
 		"across packages via facts), or awaited through a channel the spawner receives from",
 	NeedsFacts: true,
 	Match: func(path string) bool {
-		return pathHasSuffix(path, "cmd/ftserve") || pathHasSuffix(path, "internal/par")
+		return pathHasSuffix(path, "cmd/ftserve")
 	},
 	Run: runGoroShutdown,
 }

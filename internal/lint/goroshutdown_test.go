@@ -12,7 +12,6 @@ func TestGoroShutdownFixture(t *testing.T) {
 func TestGoroShutdownMatch(t *testing.T) {
 	for path, want := range map[string]bool{
 		"fattree/cmd/ftserve":    true,
-		"fattree/internal/par":   true,
 		"fattree/internal/sim":   false,
 		"fattree/internal/sched": false,
 		"fattree/cmd/ftsim":      false,

@@ -6,7 +6,7 @@ import (
 )
 
 // Nondeterm flags sources of nondeterminism inside the determinism-critical
-// packages (internal/sim, internal/sched, internal/par, internal/core):
+// packages (internal/sim, internal/sched, internal/core):
 //
 //   - calls to math/rand's global top-level functions (rand.Intn, rand.Perm,
 //     …), which draw from the shared process-wide source — the sanctioned
@@ -17,14 +17,14 @@ import (
 //     writes a slice element, or sends on a channel): Go randomizes map
 //     iteration order per run, so such loops must iterate sorted keys.
 //
-// These are exactly the invariants the parallel engine's bit-identical
-// guarantee rests on; see DESIGN.md "Determinism invariants".
+// These are exactly the invariants the engines' seed-for-seed reproducibility
+// rests on; see DESIGN.md "Determinism invariants".
 var Nondeterm = &Analyzer{
 	Name: "nondeterm",
 	Doc: "flags global math/rand calls, time.Now, and order-sensitive map iteration " +
-		"in the determinism-critical packages (sim, sched, par, core)",
+		"in the determinism-critical packages (sim, sched, core)",
 	Match: func(path string) bool {
-		for _, pkg := range []string{"internal/sim", "internal/sched", "internal/par", "internal/core"} {
+		for _, pkg := range []string{"internal/sim", "internal/sched", "internal/core"} {
 			if pathHasSuffix(path, pkg) {
 				return true
 			}

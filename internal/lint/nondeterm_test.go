@@ -10,7 +10,6 @@ func TestNondetermMatch(t *testing.T) {
 	for path, want := range map[string]bool{
 		"fattree/internal/sim":         true,
 		"fattree/internal/sched":       true,
-		"fattree/internal/par":         true,
 		"fattree/internal/core":        true,
 		"fattree/internal/metrics":     false,
 		"fattree/internal/experiments": false,

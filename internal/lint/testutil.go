@@ -27,8 +27,8 @@ import (
 //
 // Each backquoted or double-quoted string after "want" is a regexp that must
 // match one diagnostic reported on that line. Fixture-local imports resolve
-// to sibling directories under testdata/src (so a fixture can carry a fake
-// "par" package); everything else resolves through compiler export data,
+// to sibling directories under testdata/src (so a fixture can carry a
+// dependency of its own); everything else resolves through compiler export data,
 // exactly like whole-repo runs.
 
 // testingT is the subset of *testing.T the harness needs, split out so the

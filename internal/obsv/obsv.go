@@ -17,9 +17,7 @@
 //     trace_event JSON (chrome://tracing, Perfetto) and a JSONL stream; see
 //     export.go.
 //   - pprof plumbing: profile start/stop helpers for the CLIs' -profile
-//     flag family (profile.go) and runtime/pprof labels on the worker-pool
-//     goroutines (internal/par), so CPU profiles attribute samples to the
-//     pool's workers.
+//     flag family (profile.go).
 //
 // # Cost contract
 //

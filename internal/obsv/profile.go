@@ -16,10 +16,6 @@ import (
 //	cpu   CPU profile            -> <base>.cpu.pprof   (go tool pprof)
 //	mem   heap allocation profile-> <base>.mem.pprof   (go tool pprof)
 //	trace runtime execution trace-> <base>.trace.out   (go tool trace)
-//
-// The pool workers of internal/par carry pprof labels (pool=par), so CPU
-// samples taken inside a pool fan-out (ftbench -parallel, ftserve's tenant
-// dispatcher) are attributable in `go tool pprof -tagfocus`.
 
 // StartProfiles starts the requested profile kinds ("cpu", "mem", "trace",
 // comma-separated; empty starts nothing) writing to files derived from base.

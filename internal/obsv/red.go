@@ -8,11 +8,10 @@ import (
 
 // This file implements the per-tenant RED (rate, errors, duration)
 // instruments of the serving daemon. Each tenant of cmd/ftserve owns one RED
-// block; the request path updates it at the serial per-tenant merge point
-// (requests of one tenant are processed in arrival order), so the
-// deterministic members — request and error counts and the duration-in-
-// cycles histogram — are bit-identical across worker counts, exactly like
-// the engine counters. The wall-clock members (duration and queue wait in
+// block; the tenant's own loop updates it as it processes the tenant's
+// requests in arrival order, so the deterministic members — request and
+// error counts and the duration-in-cycles histogram — depend only on that
+// request sequence, exactly like the engine counters. The wall-clock members (duration and queue wait in
 // seconds) are real time and deliberately excluded from REDEqual.
 //
 // Exemplars: every histogram bucket keeps the trace ID and raw value of the
@@ -43,9 +42,9 @@ type RED struct {
 	errors    int64
 	queueDep  int64
 	queuePeak int64
-	durCycles Hist // delivery cycles per request (deterministic)
-	durMicros Hist // wall-clock request duration, µs
-	waitMicro Hist // bounded-queue wait, µs
+	durCycles Hist       // delivery cycles per request (deterministic)
+	durMicros Hist       // wall-clock request duration, µs
+	waitMicro Hist       // bounded-queue wait, µs
 	cyclesEx  []Exemplar // per durCycles bucket, incl. overflow
 	microsEx  []Exemplar // per durMicros bucket, incl. overflow
 }
@@ -94,11 +93,33 @@ func (r *RED) RejectRequest() {
 //ftlint:hotpath
 func (r *RED) QueueEnter() {
 	r.mu.Lock()
+	r.enter()
+	r.mu.Unlock()
+}
+
+// Enqueue sends v on the tenant's queue q unless q is full, and reports
+// whether it did. It records the entry under the lock QueueExit takes, so
+// a consumer that receives v at once cannot record its exit first and the
+// depth gauge never reads below zero.
+//
+//ftlint:hotpath
+func Enqueue[T any](r *RED, q chan<- T, v T) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	select {
+	case q <- v:
+		r.enter()
+		return true
+	default:
+		return false
+	}
+}
+
+func (r *RED) enter() {
 	r.queueDep++
 	if r.queueDep > r.queuePeak {
 		r.queuePeak = r.queueDep
 	}
-	r.mu.Unlock()
 }
 
 // QueueExit records a request leaving the queue after waiting waitMicros.
@@ -113,13 +134,13 @@ func (r *RED) QueueExit(waitMicros int64) {
 
 // REDSnap is a point-in-time copy of one RED block.
 type REDSnap struct {
-	Requests, Errors     int64
+	Requests, Errors      int64
 	QueueDepth, QueuePeak int64
-	DurationCycles  HistSnap
-	DurationMicros  HistSnap
-	QueueWaitMicros HistSnap
-	CyclesExemplars []Exemplar
-	MicrosExemplars []Exemplar
+	DurationCycles        HistSnap
+	DurationMicros        HistSnap
+	QueueWaitMicros       HistSnap
+	CyclesExemplars       []Exemplar
+	MicrosExemplars       []Exemplar
 }
 
 // Snapshot returns a consistent copy of the block.

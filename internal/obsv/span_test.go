@@ -231,3 +231,39 @@ func TestREDEqualAndAllocs(t *testing.T) {
 		t.Errorf("RED hot methods: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestREDEnqueueBeforeExit checks that Enqueue records a request's entry
+// before its consumer can record the exit: a consumer that receives at once
+// always sees the depth gauge count its request, and a full queue refuses
+// without counting.
+func TestREDEnqueueBeforeExit(t *testing.T) {
+	r := NewRED()
+	q := make(chan int, 1)
+	low := make(chan int64, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		minDepth := int64(1)
+		for range q {
+			minDepth = min(minDepth, r.Snapshot().QueueDepth)
+			r.QueueExit(1)
+		}
+		low <- minDepth
+	}()
+	for i := 0; i < 2000; i++ {
+		for !Enqueue(r, q, i) {
+		}
+	}
+	close(q)
+	<-done
+	if d := <-low; d < 1 {
+		t.Fatalf("a consumer saw queue depth %d for a request it had received, want >= 1", d)
+	}
+	r, full := NewRED(), make(chan int, 1)
+	if !Enqueue(r, full, 1) || Enqueue(r, full, 2) {
+		t.Fatal("Enqueue on a one-slot queue: want the first sent and the second refused")
+	}
+	if s := r.Snapshot(); s.QueueDepth != 1 || s.QueuePeak != 1 {
+		t.Fatalf("depth %d peak %d after one admitted and one refused, want 1/1", s.QueueDepth, s.QueuePeak)
+	}
+}
