@@ -24,9 +24,8 @@ race:
 	$(GO) test -race -short ./...
 
 # Repository-specific analyzers (determinism, seed plumbing, float compares,
-# error discards, hot-path allocations, loans, goroutine shutdown). Equivalent invocation via the go command:
-#   go build -o "$$(go env GOPATH)/bin/ftlint" ./cmd/ftlint
-#   go vet -vettool=$$(which ftlint) ./...
+# error discards, hot-path allocations, loans, goroutine shutdown), run by
+# cmd/ftlint after the toolchain's own vet.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ftlint ./...

@@ -1,15 +1,9 @@
-// Command ftlint is the multichecker for this repository's determinism and
-// numeric-safety analyzers (internal/lint). It runs in two modes:
-//
-// Standalone, over go list patterns resolved in the current module:
+// Command ftlint is the multichecker for this repository's determinism,
+// numeric-safety and allocation analyzers (internal/lint). It runs over go
+// list patterns resolved in the current module:
 //
 //	ftlint ./...
 //	ftlint -only nondeterm,seedplumbing ./internal/sim/...
-//
-// As a vet tool, driven by the go command (which adds caching and testdata
-// handling):
-//
-//	go vet -vettool=$(which ftlint) ./...
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load failure.
 // Sanctioned exceptions are annotated in source with
@@ -17,11 +11,9 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -43,57 +35,7 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-// printVersion answers the go command's `-V=full` probe. The output line
-// must end in a buildID= token hashing the executable: the go command folds
-// it into its vet cache key, so analyzer changes invalidate cached results.
-func printVersion() int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftlint: %v\n", err)
-		return 1
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftlint: %v\n", err)
-		return 1
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintf(os.Stderr, "ftlint: %v\n", err)
-		return 1
-	}
-	fmt.Printf("ftlint version devel buildID=%02x\n", h.Sum(nil))
-	return 0
-}
-
 func run(args []string) int {
-	// The go command probes its vet tool before use: `ftlint -V=full`
-	// must print a version line, and the single remaining argument of a
-	// real invocation is the package's vet.cfg file.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		return printVersion()
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		// The go command asks which analyzer flags the tool accepts, as a
-		// JSON array; ftlint always runs its full suite.
-		fmt.Println("[]")
-		return 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		n, err := lint.RunVetTool(args[0], lint.All())
-		if err != nil {
-			// Load failure, matching the standalone convention: exit 2.
-			fmt.Fprintf(os.Stderr, "ftlint: %v\n", err)
-			return 2
-		}
-		if n > 0 {
-			// Diagnostics reported: exit 1, like standalone mode.
-			return 1
-		}
-		return 0
-	}
-
 	fs := flag.NewFlagSet("ftlint", flag.ContinueOnError)
 	var (
 		only     = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
@@ -103,8 +45,7 @@ func run(args []string) int {
 	fs.Usage = func() {
 		fmt.Fprint(os.Stderr, "usage: ftlint [-only a,b] [-json] [-list] [packages]\n\n"+
 			"Runs the fat-tree determinism analyzers over the packages\n"+
-			"(go list patterns, default ./...). Also usable as\n"+
-			"`go vet -vettool=$(which ftlint) ./...`.\n\n")
+			"(go list patterns, default ./...).\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

@@ -66,7 +66,7 @@ func run(cfg config) error {
 		return err
 	}
 	fmt.Printf("ftserve: serving /v1/route on http://%s (tree %d, tenants %v, queue %d)\n",
-		ln.Addr(), cfg.sizes[0], cfg.tenants, cfg.queue)
+		ln.Addr(), cfg.n, cfg.tenants, cfg.queue)
 	srv.startLoops()
 	srv.ready.Store(true) // accepting requests the moment the listener is up
 

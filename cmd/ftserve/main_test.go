@@ -40,7 +40,7 @@ func TestParseConfigErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if len(cfg.sizes) != 1 || cfg.sizes[0] != 64 || len(cfg.tenants) != 1 || cfg.tenants[0] != "default" {
+	if cfg.n != 64 || len(cfg.tenants) != 1 || cfg.tenants[0] != "default" {
 		t.Fatalf("parsed config wrong: %+v", cfg)
 	}
 }

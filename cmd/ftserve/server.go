@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,7 @@ import (
 // config is the parsed ftserve command line.
 type config struct {
 	addr      string
-	sizes     []int // the one tree size -n names
+	n         int // processors at the leaves of the one shared tree
 	rootCap   int
 	workloads []string
 	switches  fattree.SwitchKind
@@ -41,12 +40,12 @@ var serveWorkloads = map[string]bool{
 // parseConfig parses and validates args; any error is a usage error (exit 2).
 func parseConfig(args []string) (config, error) {
 	var cfg config
-	var sizes, workloads, switches, tenants string
+	var workloads, switches, tenants string
 	fs := flag.NewFlagSet("ftserve", flag.ContinueOnError)
 	var usage bytes.Buffer
 	fs.SetOutput(&usage)
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "HTTP listen address (host:port; port 0 picks an ephemeral port)")
-	fs.StringVar(&sizes, "n", "256", "tree size: processors at the leaves (a power of two >= 4)")
+	fs.IntVar(&cfg.n, "n", 256, "tree size: processors at the leaves (a power of two >= 4)")
 	fs.IntVar(&cfg.rootCap, "w", 0, "root capacity of the tree (0 = n/4)")
 	fs.StringVar(&workloads, "workloads", "perm,random,transpose", "comma-separated menu of named workloads: perm|random|bitrev|transpose|shuffle|reversal|nn|alltoall|hotspot|local")
 	fs.StringVar(&switches, "switches", "ideal", "concentrator kind: ideal|partial")
@@ -61,17 +60,10 @@ func parseConfig(args []string) (config, error) {
 	if fs.NArg() > 0 {
 		return cfg, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	for _, f := range strings.Split(sizes, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 4 || n&(n-1) != 0 {
-			return cfg, fmt.Errorf("-n entries must be powers of two >= 4 (got %q)", f)
-		}
-		cfg.sizes = append(cfg.sizes, n)
+	n := cfg.n
+	if n < 4 || n&(n-1) != 0 {
+		return cfg, fmt.Errorf("-n must be a power of two >= 4 (got %d)", n)
 	}
-	if len(cfg.sizes) != 1 {
-		return cfg, fmt.Errorf("the tenants share one tree: -n must name exactly one size (got %v)", cfg.sizes)
-	}
-	n := cfg.sizes[0]
 	for _, w := range strings.Split(workloads, ",") {
 		w = strings.TrimSpace(w)
 		if !serveWorkloads[w] {
@@ -158,7 +150,7 @@ type server struct {
 // start with startLoops.
 func newServer(cfg config) *server {
 	s := &server{cfg: cfg, start: time.Now()}
-	n := cfg.sizes[0]
+	n := cfg.n
 	w := cfg.rootCap
 	if w == 0 {
 		w = n / 4

@@ -271,7 +271,7 @@ func (s *server) routeOne(body []byte) (routeResp, int) {
 // buildRequest materializes the decoded request's message set into req.ms.
 // A nonzero status reports a client error (the response explains it).
 func (s *server) buildRequest(tn *tenant, req *routeReq) (routeResp, int) {
-	n := s.cfg.sizes[0]
+	n := s.cfg.n
 	wire := &req.wire
 	switch {
 	case len(wire.workload) > 0 && len(wire.messages) > 0:
@@ -379,7 +379,7 @@ func (tn *tenant) process(s *server, req *routeReq) {
 		Trace: req.trace, Tenant: tn.idx, Kind: fattree.SpanQueue,
 		Start: req.enqueuedNS, Dur: wait,
 	})
-	//ftlint:ignore callgraphhotalloc RunServe's recorded witnesses are its validation error path (which feeds a panic) and the streaming plane's first-touch switch materialization; a warmed request path is allocation-free, pinned by TestServeRouteAllocs and BenchmarkServeRoute.
+	//ftlint:ignore hotalloc RunServe's recorded witnesses are its validation error path (which feeds a panic) and the streaming plane's first-touch switch materialization; a warmed request path is allocation-free, pinned by TestServeRouteAllocs and BenchmarkServeRoute.
 	st := tn.eng.RunServe(req.ms)
 	end := spans.Now()
 	req.stats = st

@@ -548,7 +548,7 @@ func TestTenantEngineWiring(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := tenantServer(t, tc.flags...)
 			tn := srv.tenantIdx["beta"]
-			n, i := srv.cfg.sizes[0], int64(tn.idx)
+			n, i := srv.cfg.n, int64(tn.idx)
 			ft := fattree.NewUniversal(n, n/4)
 			ref := fattree.NewObserver(ft)
 			eng := fattree.NewEngineWithOptions(ft, srv.cfg.switches, srv.cfg.seed+i,

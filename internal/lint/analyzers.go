@@ -5,7 +5,6 @@ package lint
 // enrolls it everywhere at once.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CallGraphHotAlloc,
 		ErrDiscard,
 		FloatCompare,
 		GoroShutdown,

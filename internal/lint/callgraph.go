@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the shared call-graph substrate under the interprocedural
-// analyzers (callgraphhotalloc, loanescape, goroshutdown): stable function
-// keys that survive the trip through a gob facts file, an index from declared
+// analyzers (hotalloc, loanescape, goroshutdown): stable function keys that
+// match across the packages facts connect, an index from declared
 // function objects to their syntax, static callee resolution, directive
 // detection, and closure-capture tests. Only statically resolvable calls
 // become edges — calls through func values, interface methods, and reflection

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -9,65 +8,29 @@ import (
 	"testing"
 )
 
-// This file tests the driver plumbing in-process: the facts-file format, the
-// topological ordering, the standalone Load→RunAnalyzers path, and the
-// -vettool protocol including the .vetx facts round trip. The cmd/ftlint
+// This file tests the driver plumbing in-process: the fact store, the
+// topological ordering, and the Load→RunAnalyzers path. The cmd/ftlint
 // smoke tests cover the same paths through the real binary; these run them
 // under the coverage profile.
 
-func TestFactsFileRoundTrip(t *testing.T) {
-	in := map[string][]byte{
-		"callgraphhotalloc": []byte("witness-payload"),
-		"loanescape":        []byte{0x00, 0x01, 0x02},
-	}
-	blob, err := encodeFactsFile(in)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	out, err := decodeFactsFile(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip lost entries: got %d, want %d", len(out), len(in))
-	}
-	for name, payload := range in {
-		if string(out[name]) != string(payload) {
-			t.Errorf("payload of %q corrupted: got %q, want %q", name, out[name], payload)
-		}
-	}
-}
-
-func TestFactsFileEmpty(t *testing.T) {
-	blob, err := encodeFactsFile(nil)
-	if err != nil {
-		t.Fatalf("encoding no facts: %v", err)
-	}
-	if len(blob) != 0 {
-		t.Fatalf("no facts must encode to an empty file (the pre-facts format), got %d bytes", len(blob))
-	}
-	out, err := decodeFactsFile(nil)
-	if err != nil {
-		t.Fatalf("decoding the empty file: %v", err)
-	}
-	if len(out) != 0 {
-		t.Fatalf("empty file decoded to %d entries", len(out))
-	}
-}
-
+// TestFactStore round-trips a typed fact between two passes of the same
+// analyzer and checks that another analyzer's passes do not see it.
 func TestFactStore(t *testing.T) {
-	s := make(factStore)
-	if got := s.get("p", "a"); got != nil {
-		t.Fatalf("empty store returned %q", got)
+	store := make(factStore)
+	dep := &Pass{Analyzer: HotAlloc, Pkg: types.NewPackage("m/dep", "dep"), facts: store}
+	user := &Pass{Analyzer: HotAlloc, Pkg: types.NewPackage("m/user", "user"), facts: store}
+	if got := user.ImportFacts("m/dep"); got != nil {
+		t.Fatalf("empty store returned %v", got)
 	}
-	s.set("p", "a", []byte("x"))
-	s.set("p", "b", []byte("y"))
-	if got := string(s.get("p", "a")); got != "x" {
-		t.Errorf(`get("p","a") = %q, want "x"`, got)
+	dep.ExportFacts(hotAllocFacts{"F": "allocates a map at dep.go:3"})
+	dep.ExportFacts(hotAllocFacts{"G": "allocates a map at dep.go:7"})
+	got, _ := user.ImportFacts("m/dep").(hotAllocFacts)
+	if len(got) != 1 || got["G"] == "" {
+		t.Errorf("ImportFacts after two exports = %v, want only the second", got)
 	}
-	s.set("p", "a", []byte("z"))
-	if got := string(s.get("p", "a")); got != "z" {
-		t.Errorf("overwrite did not stick: got %q", got)
+	other := &Pass{Analyzer: LoanEscape, Pkg: user.Pkg, facts: store}
+	if got := other.ImportFacts("m/dep"); got != nil {
+		t.Errorf("loanescape sees hotalloc's facts: %v", got)
 	}
 }
 
@@ -118,8 +81,8 @@ func writeTestModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// crossModule is the two-package shape every facts test wants: a hot root in
-// sim whose only allocation lives in concentrator.
+// crossModule is a two-package module: a hot root in sim whose only
+// allocation lives in concentrator.
 func crossModule(t *testing.T) string {
 	return writeTestModule(t, map[string]string{
 		"go.mod": "module xmod\n\ngo 1.22\n",
@@ -157,7 +120,7 @@ func TestRunAnalyzersCrossPackage(t *testing.T) {
 	if len(pkgs) != 2 {
 		t.Fatalf("Load returned %d packages, want 2", len(pkgs))
 	}
-	diags, err := RunAnalyzers(pkgs, []*Analyzer{CallGraphHotAlloc})
+	diags, err := RunAnalyzers(pkgs, []*Analyzer{HotAlloc})
 	if err != nil {
 		t.Fatalf("RunAnalyzers: %v", err)
 	}
@@ -165,121 +128,8 @@ func TestRunAnalyzersCrossPackage(t *testing.T) {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 	}
 	want := "hot path reaches an allocation in another package: concentrator.Route → allocates a map"
-	if got := diags[0].String(); !strings.Contains(got, want) || !strings.Contains(got, "[callgraphhotalloc]") {
+	if got := diags[0].String(); !strings.Contains(got, want) || !strings.Contains(got, "[hotalloc]") {
 		t.Errorf("diagnostic %q does not carry the cross-package witness %q", got, want)
-	}
-}
-
-// TestRunVetToolFactsRoundTrip exercises the -vettool protocol without the
-// go command in the middle: one VetxOnly invocation for the dependency
-// writes its facts file, and the dependent's invocation must read the
-// witness back from disk to produce the diagnostic.
-func TestRunVetToolFactsRoundTrip(t *testing.T) {
-	dir := crossModule(t)
-	exports, err := listExports(dir, "./...")
-	if err != nil {
-		t.Fatalf("listing export data: %v", err)
-	}
-	concExport, ok := exports["xmod/internal/concentrator"]
-	if !ok {
-		t.Fatalf("no export data for the concentrator package: %v", exports)
-	}
-	work := t.TempDir()
-	concVetx := filepath.Join(work, "conc.vetx")
-	simVetx := filepath.Join(work, "sim.vetx")
-
-	writeCfg := func(name string, cfg vetConfig) string {
-		t.Helper()
-		path := filepath.Join(work, name)
-		blob, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, blob, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	// Dependency first, facts only — the go command's order.
-	concCfg := writeCfg("conc.cfg", vetConfig{
-		ID:         "xmod/internal/concentrator",
-		Dir:        filepath.Join(dir, "internal", "concentrator"),
-		ImportPath: "xmod/internal/concentrator",
-		GoFiles:    []string{filepath.Join(dir, "internal", "concentrator", "c.go")},
-		VetxOnly:   true,
-		VetxOutput: concVetx,
-	})
-	n, err := RunVetTool(concCfg, All())
-	if err != nil {
-		t.Fatalf("RunVetTool(concentrator): %v", err)
-	}
-	if n != 0 {
-		t.Fatalf("VetxOnly invocation reported %d diagnostics", n)
-	}
-	blob, err := os.ReadFile(concVetx)
-	if err != nil {
-		t.Fatalf("the VetxOnly invocation must write its facts file: %v", err)
-	}
-	facts, err := decodeFactsFile(blob)
-	if err != nil {
-		t.Fatalf("decoding the facts file: %v", err)
-	}
-	if len(facts["callgraphhotalloc"]) == 0 {
-		t.Fatalf("facts file carries no callgraphhotalloc witness: %v", facts)
-	}
-
-	// Dependent second, fed the dependency's .vetx file.
-	simCfg := writeCfg("sim.cfg", vetConfig{
-		ID:          "xmod/internal/sim",
-		Dir:         filepath.Join(dir, "internal", "sim"),
-		ImportPath:  "xmod/internal/sim",
-		GoFiles:     []string{filepath.Join(dir, "internal", "sim", "hot.go")},
-		ImportMap:   map[string]string{"xmod/internal/concentrator": "xmod/internal/concentrator"},
-		PackageFile: map[string]string{"xmod/internal/concentrator": concExport},
-		PackageVetx: map[string]string{"xmod/internal/concentrator": concVetx},
-		VetxOutput:  simVetx,
-	})
-	n, err = RunVetTool(simCfg, All())
-	if err != nil {
-		t.Fatalf("RunVetTool(sim): %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("sim invocation reported %d diagnostics, want exactly the cross-package witness", n)
-	}
-	if _, err := os.Stat(simVetx); err != nil {
-		t.Errorf("sim invocation must write its own facts file too: %v", err)
-	}
-}
-
-// TestRunVetToolSkipsTestUnits: a unit carrying test sources is skipped but
-// must still write its (empty) facts file so the vet cache works.
-func TestRunVetToolSkipsTestUnits(t *testing.T) {
-	work := t.TempDir()
-	vetx := filepath.Join(work, "out.vetx")
-	blob, err := json.Marshal(vetConfig{
-		ID:         "p [p.test]",
-		ImportPath: "p [p.test]",
-		GoFiles:    []string{"p_test.go"},
-		VetxOutput: vetx,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(work, "vet.cfg")
-	if err := os.WriteFile(cfgPath, blob, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	n, err := RunVetTool(cfgPath, All())
-	if err != nil || n != 0 {
-		t.Fatalf("test unit: n=%d err=%v, want 0, nil", n, err)
-	}
-	st, err := os.Stat(vetx)
-	if err != nil {
-		t.Fatalf("test unit must write an empty facts file: %v", err)
-	}
-	if st.Size() != 0 {
-		t.Errorf("test unit's facts file has %d bytes, want 0", st.Size())
 	}
 }
 

@@ -1,84 +1,30 @@
 package lint
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // This file is the facts layer: the plumbing that lets an analyzer export a
 // per-package summary ("function F allocates", "function G is a loan",
 // "function H is ctx-aware") and have the pass analyzing a dependent package
 // read it back. It is what turns the intraprocedural analyzers into
-// whole-program ones — the call-graph hotalloc check follows a hot path from
+// whole-program ones — hotalloc follows a hot path from
 // sim.Engine.RunCycle into concentrator.Matcher.Run only because the
 // concentrator's allocation facts were computed first and handed to the sim
 // pass.
 //
-// Facts travel differently per driver, but analyzers never notice:
-//
-//   - Standalone (`ftlint ./...`) and fixture runs keep facts in a factStore
-//     keyed by (package, analyzer) and simply process packages in dependency
-//     order — `go list -deps` order is already topological, and topoOrder
-//     re-establishes it defensively from the type-checked import graph.
-//   - `go vet -vettool` runs analyze one package per process invocation. The
-//     go command hands each invocation the .vetx facts files its imports
-//     produced earlier (vet.cfg PackageVetx) and expects the tool to write
-//     this package's facts file (vet.cfg VetxOutput). encodeFactsFile and
-//     decodeFactsFile define that file's format: a gob-encoded
-//     analyzer-name → payload map, empty input decoding to no facts so the
-//     pre-facts empty files stay readable.
-//
-// Payload bytes are opaque to the drivers; each analyzer defines its own gob
-// schema (see the *Facts types in callgraph.go, loanescape.go,
-// goroshutdown.go).
+// Facts live in a factStore keyed by (package, analyzer), and packages are
+// processed in dependency order — `go list -deps` order is already
+// topological, and topoOrder re-establishes it defensively from the
+// type-checked import graph. A fact is a plain Go value whose type is
+// private to the analyzer that exports it (see hotAllocFacts, loanFacts,
+// goroFacts).
 
-// factStore holds per-package, per-analyzer fact payloads in memory — the
-// standalone and fixture equivalent of the vet driver's .vetx files.
-type factStore map[string]map[string][]byte
-
-// get returns the payload analyzer exported for pkgPath, or nil.
-func (s factStore) get(pkgPath, analyzer string) []byte {
-	return s[pkgPath][analyzer]
+// factKey identifies the facts one analyzer exported for one package.
+type factKey struct {
+	pkgPath, analyzer string
 }
 
-// set records analyzer's payload for pkgPath, overwriting any previous one.
-func (s factStore) set(pkgPath, analyzer string, payload []byte) {
-	m := s[pkgPath]
-	if m == nil {
-		m = make(map[string][]byte)
-		s[pkgPath] = m
-	}
-	m[analyzer] = payload
-}
-
-// encodeFactsFile serializes one package's facts — analyzer name → opaque
-// payload — into the bytes written to a .vetx file. An empty map encodes to
-// an empty file, mirroring the pre-facts format.
-func encodeFactsFile(m map[string][]byte) ([]byte, error) {
-	if len(m) == 0 {
-		return []byte{}, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("encoding facts: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeFactsFile parses the bytes of a .vetx facts file. Empty input means
-// no facts (packages skipped by the driver write empty files).
-func decodeFactsFile(data []byte) (map[string][]byte, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var m map[string][]byte
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("decoding facts: %v", err)
-	}
-	return m, nil
-}
+// factStore holds every exported fact of one run in memory.
+type factStore map[factKey]any
 
 // topoOrder returns pkgs sorted so every package appears after the packages
 // it imports (restricted to the analyzed set). Ties and roots are broken by

@@ -1,9 +1,6 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -44,11 +41,9 @@ var GoroShutdown = &Analyzer{
 	Run: runGoroShutdown,
 }
 
-// goroFacts is the gob payload exported per package: keys of functions whose
+// goroFacts is the fact exported per package: keys of functions whose
 // bodies (transitively) carry a shutdown signal.
-type goroFacts struct {
-	Shutdown map[string]bool
-}
+type goroFacts map[string]bool
 
 // quitChanName matches identifiers conventionally used for shutdown
 // channels.
@@ -86,18 +81,9 @@ func runGoroShutdown(pass *Pass) error {
 	}
 
 	// Phase 2: transitive closure, consulting imported facts.
-	imported := make(map[string]*goroFacts)
-	factsFor := func(pkgPath string) *goroFacts {
-		if f, ok := imported[pkgPath]; ok {
-			return f
-		}
-		f := decodeGoroFacts(pass.ImportFacts(pkgPath))
-		imported[pkgPath] = f
-		return f
-	}
 	calleeShutdown := func(fn *types.Func) bool {
-		f := factsFor(fn.Pkg().Path())
-		return f != nil && f.Shutdown[funcKey(fn)]
+		f, _ := pass.ImportFacts(fn.Pkg().Path()).(goroFacts)
+		return f[funcKey(fn)]
 	}
 	shutdown := make(map[*types.Func]bool, len(idx))
 	state := make(map[*types.Func]int, len(idx))
@@ -135,19 +121,13 @@ func runGoroShutdown(pass *Pass) error {
 		resolve(fn)
 	}
 
-	out := goroFacts{Shutdown: make(map[string]bool)}
+	out := make(goroFacts)
 	for fn, ok := range shutdown {
 		if ok {
-			out.Shutdown[funcKey(fn)] = true
+			out[funcKey(fn)] = true
 		}
 	}
-	if len(out.Shutdown) > 0 {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(out); err != nil {
-			return fmt.Errorf("encoding goroshutdown facts: %v", err)
-		}
-		pass.ExportFacts(buf.Bytes())
-	}
+	pass.ExportFacts(out)
 	if pass.FactsOnly {
 		return nil
 	}
@@ -351,16 +331,4 @@ func spawnerAwaits(pass *Pass, lit *ast.FuncLit, enclosing *ast.BlockStmt) bool 
 		return true
 	})
 	return awaited
-}
-
-// decodeGoroFacts parses an imported fact payload; nil in, nil out.
-func decodeGoroFacts(payload []byte) *goroFacts {
-	if len(payload) == 0 {
-		return nil
-	}
-	var f goroFacts
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
-		return nil
-	}
-	return &f
 }

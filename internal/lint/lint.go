@@ -1,13 +1,12 @@
 // Package lint is a suite of static analyzers that mechanically enforce the
-// determinism and numeric-safety invariants of this repository. The paper's
-// quantitative claims are validated by "paper bound vs. measured" tables, so
-// every measured number must be reproducible bit-for-bit; the invariants that
+// determinism, numeric-safety and allocation invariants of this repository.
+// The paper's quantitative claims are validated by "paper bound vs. measured"
+// tables, so every measured number must be reproducible bit-for-bit and the
+// delivery path must allocate nothing per cycle; the invariants that
 // guarantee it — all randomness flows through per-entity RNG streams derived
-// from (seed, node), parallel fan-outs write only per-index result slots and
-// merge in message-index order, float comparisons carry explicit tolerances —
-// previously lived only in code review. The analyzers here encode them as
-// machine-checked rules, runnable standalone via cmd/ftlint, through
-// `go vet -vettool`, or as `make lint`.
+// from (seed, node), float comparisons carry explicit tolerances, hot paths
+// reuse pooled scratch — previously lived only in code review. The analyzers
+// here encode them as machine-checked rules, run by cmd/ftlint (`make lint`).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API (Analyzer,
 // Pass, Reportf) but is built purely on the standard library's go/ast and
@@ -52,11 +51,9 @@ type Analyzer struct {
 	// dependents need the facts.
 	Match func(pkgPath string) bool
 	// NeedsFacts marks an analyzer that exports per-package facts for its
-	// dependents (and imports theirs). The drivers run fact-based analyzers
-	// over packages in dependency order — imports before importers — and
-	// plumb each package's exported payload to the passes analyzing its
-	// dependents: in memory for standalone and fixture runs, through the
-	// .vetx facts files for `go vet -vettool` runs.
+	// dependents (and imports theirs). RunAnalyzers and the fixture harness
+	// run packages in dependency order — imports before importers — so each
+	// pass sees the facts of the packages it imports.
 	NeedsFacts bool
 	// Run inspects one package and reports diagnostics through the pass.
 	Run func(*Pass) error
@@ -71,40 +68,28 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// FactsOnly is set when this pass runs only to compute exported facts —
-	// the package is outside the analyzer's Match scope, or the vet driver
-	// requested a facts-only (VetxOnly) analysis. Reportf is a no-op on a
-	// facts-only pass.
+	// FactsOnly is set when this pass runs only to compute exported facts:
+	// the package is outside the analyzer's Match scope, or it is a fixture's
+	// dependency. Reportf is a no-op on a facts-only pass.
 	FactsOnly bool
 
-	// importFacts returns the payload the same analyzer exported for a
-	// directly imported package, or nil when none is known (package outside
-	// the analyzed set, standard library, or analyzer exported nothing).
-	importFacts func(pkgPath string) []byte
-	// exportFacts records this package's payload for dependent passes.
-	exportFacts func(payload []byte)
-
+	facts factStore
 	diags *[]Diagnostic
 }
 
-// ImportFacts returns the fact payload this analyzer exported while analyzing
-// the directly imported package pkgPath, or nil when no facts are known for
-// it. The payload encoding is private to the analyzer (the drivers treat it
-// as opaque bytes).
-func (p *Pass) ImportFacts(pkgPath string) []byte {
-	if p.importFacts == nil {
-		return nil
-	}
-	return p.importFacts(pkgPath)
+// ImportFacts returns the facts this analyzer exported while analyzing the
+// imported package pkgPath, or nil when none are known (package outside the
+// analyzed set, standard library, or analyzer exported nothing). The value
+// is whatever the analyzer passed to ExportFacts; its type is private to the
+// analyzer.
+func (p *Pass) ImportFacts(pkgPath string) any {
+	return p.facts[factKey{pkgPath, p.Analyzer.Name}]
 }
 
-// ExportFacts records payload as this package's facts for dependent passes of
-// the same analyzer. Calling it more than once overwrites; a package with no
-// exportable facts simply never calls it.
-func (p *Pass) ExportFacts(payload []byte) {
-	if p.exportFacts != nil {
-		p.exportFacts(payload)
-	}
+// ExportFacts records facts as this package's facts for dependent passes of
+// the same analyzer. Calling it more than once overwrites.
+func (p *Pass) ExportFacts(facts any) {
+	p.facts[factKey{p.Pkg.Path(), p.Analyzer.Name}] = facts
 }
 
 // Diagnostic is one reported finding, resolved to a concrete file position.
@@ -145,10 +130,8 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 // RunAnalyzers applies every analyzer (subject to its Match filter) to every
 // package and returns the surviving diagnostics sorted by position. Packages
 // are processed in dependency order — imports before importers — so
-// fact-based analyzers see the facts of every analyzed import; facts flow
-// through an in-memory store, the standalone equivalent of the vet driver's
-// .vetx files. Findings on lines carrying an //ftlint:ignore directive for
-// the analyzer are dropped.
+// fact-based analyzers see the facts of every analyzed import. Findings on
+// lines carrying an //ftlint:ignore directive for the analyzer are dropped.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	store := make(factStore)
@@ -180,24 +163,19 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	return diags, nil
 }
 
-// runOne applies a single analyzer to a single package, appending to diags.
-// store may be nil for analyzers that use no facts; factsOnly suppresses
-// reporting (the pass runs solely to export facts).
+// runOne applies a single analyzer to a single package, appending to diags;
+// factsOnly suppresses reporting (the pass runs solely to export facts).
 func runOne(pkg *Package, a *Analyzer, diags *[]Diagnostic, store factStore, factsOnly bool) error {
-	pass := &Pass{
+	return a.Run(&Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		Info:      pkg.Info,
 		FactsOnly: factsOnly,
+		facts:     store,
 		diags:     diags,
-	}
-	if store != nil {
-		pass.importFacts = func(path string) []byte { return store.get(path, a.Name) }
-		pass.exportFacts = func(payload []byte) { store.set(pkg.PkgPath, a.Name, payload) }
-	}
-	return a.Run(pass)
+	})
 }
 
 // ignoreKey identifies one source line of one file.

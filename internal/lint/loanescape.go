@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -50,11 +48,9 @@ var LoanEscape = &Analyzer{
 // (or an internal) arena.
 const loanDirective = "//ftlint:loan"
 
-// loanFacts is the gob payload exported per package: the keys of every
+// loanFacts is the fact exported per package: the keys of every
 // //ftlint:loan function, so dependent packages recognize loan calls.
-type loanFacts struct {
-	Loans map[string]bool
-}
+type loanFacts map[string]bool
 
 func runLoanEscape(pass *Pass) error {
 	idx := declIndex(pass)
@@ -62,25 +58,18 @@ func runLoanEscape(pass *Pass) error {
 
 	// Local loan set + facts export.
 	localLoans := make(map[*types.Func]bool)
-	exported := loanFacts{Loans: make(map[string]bool)}
+	exported := make(loanFacts)
 	for _, fn := range order {
 		if hasFuncDirective(idx[fn], loanDirective) {
 			localLoans[fn] = true
-			exported.Loans[funcKey(fn)] = true
+			exported[funcKey(fn)] = true
 		}
 	}
-	if len(exported.Loans) > 0 {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(exported); err != nil {
-			return fmt.Errorf("encoding loan facts: %v", err)
-		}
-		pass.ExportFacts(buf.Bytes())
-	}
+	pass.ExportFacts(exported)
 	if pass.FactsOnly {
 		return nil
 	}
 
-	imported := make(map[string]*loanFacts)
 	// isLoanCall resolves whether call invokes a loan function, consulting
 	// imported facts across package boundaries.
 	isLoanCall := func(call *ast.CallExpr) (*types.Func, bool) {
@@ -91,13 +80,8 @@ func runLoanEscape(pass *Pass) error {
 		if fn.Pkg() == pass.Pkg {
 			return fn, localLoans[fn]
 		}
-		path := fn.Pkg().Path()
-		f, ok := imported[path]
-		if !ok {
-			f = decodeLoanFacts(pass.ImportFacts(path))
-			imported[path] = f
-		}
-		return fn, f != nil && f.Loans[funcKey(fn)]
+		f, _ := pass.ImportFacts(fn.Pkg().Path()).(loanFacts)
+		return fn, f[funcKey(fn)]
 	}
 
 	// Package-level variable initializers: a loan stored in a global is dead
@@ -279,16 +263,4 @@ func checkGoLoan(pass *Pass, g *ast.GoStmt, loaned map[types.Object]*types.Func,
 		}
 		return true
 	})
-}
-
-// decodeLoanFacts parses an imported fact payload; nil in, nil out.
-func decodeLoanFacts(payload []byte) *loanFacts {
-	if len(payload) == 0 {
-		return nil
-	}
-	var f loanFacts
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
-		return nil
-	}
-	return &f
 }

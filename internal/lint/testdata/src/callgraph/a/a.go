@@ -14,13 +14,11 @@ import (
 // closure literal built at the call site is the allocation under test.
 func visit(f func(int)) { f(0) }
 
-// route's own body trips the two rules the intraprocedural analyzer does not
-// cover (fmt and capturing closures); its map stays with hotalloc, so
-// callgraphhotalloc must not double-report it.
+// route's own body trips three rules: a map, a capturing closure, and fmt.
 //
 //ftlint:hotpath
 func route(msgs []int) string {
-	seen := make(map[int]bool, len(msgs)) // intraprocedural hotalloc's rule: not reported here
+	seen := make(map[int]bool, len(msgs)) // want `hot path allocates a map \(//ftlint:hotpath route\)`
 	for _, m := range msgs {
 		seen[m] = true
 	}
@@ -61,7 +59,7 @@ type engine struct {
 //ftlint:hotpath
 func (e *engine) step(n int) int {
 	e.check(n)
-	//ftlint:ignore callgraphhotalloc fixture-sanctioned warm-up formatting
+	//ftlint:ignore hotalloc fixture-sanctioned warm-up formatting
 	s := fmt.Sprint(n)
 	return len(s)
 }

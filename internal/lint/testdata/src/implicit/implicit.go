@@ -2,7 +2,7 @@
 // shard loops (internal/sim/stream.go): a per-level capacity profile with a
 // sparse override overlay, persistent scatter buffers that are reused across
 // cycles, and a lazily materialized special-switch table. The fixture pins
-// what the call-graph analyzer must and must not report on this shape —
+// what hotalloc must and must not report on this shape —
 // field-backed append reuse and map probes are clean, fresh-slice growth and
 // lazy map materialization reached from a hot root are diagnosed, and the
 // sanctioned lazy table carries an //ftlint:ignore.
@@ -92,7 +92,7 @@ func (st *state) route(flights []int) int {
 // engine uses: a one-time materialization documented in place.
 func (st *state) sanctioned(v int) int {
 	if st.special == nil {
-		//ftlint:ignore callgraphhotalloc one-time lazy table: populated on first contest, never on the steady state
+		//ftlint:ignore hotalloc one-time lazy table: populated on first contest, never on the steady state
 		st.special = make(map[int]int)
 	}
 	return st.special[v]

@@ -148,7 +148,7 @@ func (sc *Scheduler) OffLineObserved(ms core.MessageSet, o *obsv.Observer) *Sche
 //ftlint:hotpath
 func (sc *Scheduler) schedule(ms core.MessageSet, o *obsv.Observer) *Schedule {
 	t := sc.tree
-	//ftlint:ignore callgraphhotalloc Validate allocates only on its error path, which feeds the panic below; the happy path is allocation-free.
+	//ftlint:ignore hotalloc Validate allocates only on its error path, which feeds the panic below; the happy path is allocation-free.
 	if err := ms.Validate(t); err != nil {
 		panic(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // maxZeroStreak is how many consecutive no-progress drain cycles a shuffled
-// run tolerates: with random priorities (and possibly injected transient
-// faults) one cycle can deliver nothing by bad luck, and only a long streak
+// or lossy run tolerates: with random priorities or injected transient
+// faults one cycle can deliver nothing by bad luck, and only a long streak
 // indicates genuine livelock.
 const maxZeroStreak = 1000
 
@@ -21,8 +21,8 @@ const maxZeroStreak = 1000
 // every cycle c < horizon, arrive(c) supplies that cycle's new messages and
 // the cycle runs even if nothing is pending. After the horizon the loop
 // drains the carried losers until none remain or budget total cycles have
-// run. A drain cycle that delivers nothing ends the run; with shuffle set,
-// maxZeroStreak consecutive ones do. shuffle, when non-nil, reorders each
+// run. A drain cycle that delivers nothing ends the run; with shuffle set or
+// loss injected, maxZeroStreak consecutive ones do. shuffle, when non-nil, reorders each
 // cycle's offer (and its parallel first-offer stamps) in place before the
 // cycle runs; the order decides who wins at every concentrator. perCycle
 // keeps Stats.PerCycle, the only per-call growth in the loop.
@@ -35,12 +35,12 @@ const maxZeroStreak = 1000
 //ftlint:hotpath
 func (e *Engine) deliver(initial core.MessageSet, arrive func(c int) core.MessageSet,
 	horizon, budget int, shuffle func(core.MessageSet, []int64), perCycle bool) (stats Stats, latencySum int64) {
-	//ftlint:ignore callgraphhotalloc Validate allocates only on its error path, which feeds the panic below; the happy path is allocation-free.
+	//ftlint:ignore hotalloc Validate allocates only on its error path, which feeds the panic below; the happy path is allocation-free.
 	if err := initial.Validate(e.tree); err != nil {
 		panic(err)
 	}
 	stallLimit := 1
-	if shuffle != nil {
+	if shuffle != nil || (e.stream != nil && e.stream.lossOn) {
 		stallLimit = maxZeroStreak
 	}
 	pending := append(e.scr.pendA[:0], initial...)

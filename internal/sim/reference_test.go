@@ -27,6 +27,8 @@ type refEngine struct {
 	// requests and drops are the per-switch contest totals since
 	// construction, indexed by node.
 	requests, drops []int64
+
+	lossOn bool // injectLoss was called
 }
 
 // refFlight is one message inside a reference cycle.
@@ -65,6 +67,7 @@ func newRefEngine(t core.Topology, kind concentrator.Kind, seed int64) *refEngin
 // injectLoss wraps every switch in the transient-fault model, seeded per
 // node by seed+3v.
 func (r *refEngine) injectLoss(rate float64, seed int64) {
+	r.lossOn = true
 	for v := 1; v < len(r.sw); v++ {
 		r.sw[v].InjectLoss(rate, seed+int64(3*v))
 	}
@@ -204,9 +207,14 @@ func (r *refEngine) contest(v int, fl []refFlight, who []int, upSweep bool, res 
 
 // run is the Section II retry loop on the reference: every cycle offers the
 // undelivered messages in order, until all are delivered or a cycle
-// delivers nothing.
+// delivers nothing — with loss injected, until maxZeroStreak consecutive
+// cycles deliver nothing, since a fault can empty one cycle by chance.
 func (r *refEngine) run(ms core.MessageSet) Stats {
 	var st Stats
+	stallLimit, zeroStreak := 1, 0
+	if r.lossOn {
+		stallLimit = maxZeroStreak
+	}
 	pending := slices.Clone(ms)
 	for len(pending) > 0 && st.Cycles < maxCyclesDefault {
 		c := r.cycle(pending)
@@ -223,6 +231,11 @@ func (r *refEngine) run(ms core.MessageSet) Stats {
 		}
 		pending = next
 		if c.res.Delivered == 0 {
+			zeroStreak++
+		} else {
+			zeroStreak = 0
+		}
+		if zeroStreak >= stallLimit {
 			break
 		}
 	}

@@ -141,3 +141,28 @@ func TestRunServeOfferBudget(t *testing.T) {
 		t.Fatalf("small request after an over-budget one: %+v", st)
 	}
 }
+
+// TestRunServeLossyEngine: with transient loss injected, a drain cycle can
+// deliver nothing by chance, and RunServe must keep retrying instead of
+// reporting the request short — on ideal and on partial switches.
+func TestRunServeLossyEngine(t *testing.T) {
+	n := 64
+	ft := core.NewUniversal(n, n/4)
+	for _, sw := range []struct {
+		name string
+		kind concentrator.Kind
+	}{{"ideal", concentrator.KindIdeal}, {"partial", concentrator.KindPartial}} {
+		e := New(ft, sw.kind, 1)
+		e.InjectLoss(0.02, 4)
+		short := 0
+		for i := 0; i < 500; i++ {
+			ms := workload.RandomPermutation(n, int64(i))
+			if st := e.RunServe(ms); st.Delivered != len(ms) {
+				short++
+			}
+		}
+		if short > 0 {
+			t.Errorf("%s switches, loss 0.02: %d of 500 perm requests left short", sw.name, short)
+		}
+	}
+}

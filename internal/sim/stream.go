@@ -331,10 +331,10 @@ func (sh *streamShard) switchFor(st *streamState, v int) *streamSwitch {
 		return ss
 	}
 	if sh.special == nil {
-		//ftlint:ignore callgraphhotalloc one-time lazy table: populated only for partial or lossy switches, never on the ideal steady state.
+		//ftlint:ignore hotalloc one-time lazy table: populated only for partial or lossy switches, never on the ideal steady state.
 		sh.special = make(map[int]*streamSwitch)
 	}
-	//ftlint:ignore callgraphhotalloc one-time switch materialization on first contest; the ideal steady state never reaches it.
+	//ftlint:ignore hotalloc one-time switch materialization on first contest; the ideal steady state never reaches it.
 	sw := concentrator.NewSwitch(st.capAt(v), st.capAt(2*v), st.kind, st.seed+int64(v))
 	if st.lossOn {
 		sw.InjectLoss(st.lossRate, st.lossSeed+int64(3*v))
