@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race lint lint-extra fuzz bench-json bench-diff serve trace-demo perfbench check
+.PHONY: all build fmt test race lint lint-extra fuzz bench-json bench-diff bench-pair serve trace-demo perfbench check
 
 all: check
 
@@ -62,6 +62,19 @@ bench-json:
 bench-diff:
 	$(GO) run ./cmd/ftbench -bench -json > /tmp/bench-current.json
 	$(GO) run ./cmd/ftbenchdiff BENCH_8.json /tmp/bench-current.json
+
+# Paired end-to-end comparison with another revision: BASE is checked out
+# into a temporary git worktree, and each tree's own perfbench/run.sh runs
+# in A, B, B, A order for PAIRS pairs of BENCHMARK.json's run length. Per
+# end-to-end metric it prints each pair's ratio, the pairs the working tree
+# won, and the base's median and quartiles. Example:
+#   make bench-pair BASE=HEAD~1 WORKLOAD=sim-implicit PAIRS=10
+WORKLOAD ?= sim-implicit
+PAIRS ?= 10
+SEED ?= 1
+bench-pair:
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-pair BASE=<rev> [WORKLOAD=$(WORKLOAD)] [PAIRS=$(PAIRS)] [SEED=$(SEED)]"; exit 2; fi
+	$(GO) run ./cmd/ftbenchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # Run the /v1/route daemon locally with one tenant, "default": POST requests
 # to http://127.0.0.1:8080/v1/route, Prometheus metrics at /metrics.

@@ -36,6 +36,11 @@ func TestParseConfigErrors(t *testing.T) {
 			}
 		})
 	}
+	// A flag-parse error is named once, then the usage follows.
+	_, err := parseConfig([]string{"-n", "16,32"})
+	if err == nil || strings.Count(err.Error(), `"16,32"`) != 1 || !strings.Contains(err.Error(), "Usage of ftserve") {
+		t.Fatalf("parseConfig(-n 16,32) = %v, want the bad value named once, then the usage", err)
+	}
 	cfg, err := parseConfig([]string{"-n", "64", "-workloads", "transpose"})
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -55,7 +56,8 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&cfg.queue, "queue", 256, "per-tenant bounded queue capacity; a full queue answers 429 + Retry-After")
 	fs.IntVar(&cfg.spanCap, "span-cap", 4096, "request span ring capacity (/debug/spans.jsonl flight recorder)")
 	if err := fs.Parse(args); err != nil {
-		return cfg, fmt.Errorf("%w\n%s", err, usage.String())
+		// The flag set has already written the error line above the usage.
+		return cfg, errors.New(strings.TrimSuffix(usage.String(), "\n"))
 	}
 	if fs.NArg() > 0 {
 		return cfg, fmt.Errorf("unexpected arguments %q", fs.Args())

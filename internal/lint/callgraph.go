@@ -103,12 +103,16 @@ func declsInSourceOrder(idx map[*types.Func]*ast.FuncDecl) []*types.Func {
 // builtins, conversions, and interface methods produce no edge. Bodies of
 // nested function literals are included: their calls execute on behalf of the
 // enclosing function (or escape with it, which the analyzers treat the same
-// way, conservatively).
-func staticCallees(pass *Pass, body ast.Node, visit func(call *ast.CallExpr, callee *types.Func)) {
+// way, conservatively). With skipPanic, the argument trees of builtin panic
+// calls are not walked: a callee reached only there runs on a crash path.
+func staticCallees(pass *Pass, body ast.Node, skipPanic bool, visit func(call *ast.CallExpr, callee *types.Func)) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
+		}
+		if skipPanic && builtinName(pass, call) == "panic" {
+			return false
 		}
 		fn := calleeFunc(pass.Info, call)
 		if fn == nil || isAbstract(fn) {

@@ -68,7 +68,7 @@ func runGoroShutdown(pass *Pass) error {
 	for _, fn := range order {
 		decl := idx[fn]
 		direct[fn] = hasDirectShutdownSignal(pass, decl.Body)
-		staticCallees(pass, decl.Body, func(call *ast.CallExpr, callee *types.Func) {
+		staticCallees(pass, decl.Body, false, func(call *ast.CallExpr, callee *types.Func) {
 			switch {
 			case callee.Pkg() == pass.Pkg:
 				if _, declared := idx[callee]; declared {
@@ -166,7 +166,7 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt, enclosing *ast.BlockStmt, calleeOK f
 		}
 		// Transitive: a callee of the literal body carries the signal.
 		found := false
-		staticCallees(pass, lit.Body, func(_ *ast.CallExpr, callee *types.Func) {
+		staticCallees(pass, lit.Body, false, func(_ *ast.CallExpr, callee *types.Func) {
 			if !found && callee.Pkg() != nil && calleeOK(callee) {
 				found = true
 			}

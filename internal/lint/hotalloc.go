@@ -105,7 +105,9 @@ func runHotAlloc(pass *Pass) error {
 	for _, fn := range order {
 		decl := idx[fn]
 		sites[fn] = directAllocSites(pass, decl.Body)
-		staticCallees(pass, decl.Body, func(call *ast.CallExpr, callee *types.Func) {
+		// Crash paths may allocate: a callee reached only inside a panic
+		// argument is not on the hot path.
+		staticCallees(pass, decl.Body, true, func(call *ast.CallExpr, callee *types.Func) {
 			switch {
 			case callee.Pkg() == pass.Pkg:
 				if _, declared := idx[callee]; declared {

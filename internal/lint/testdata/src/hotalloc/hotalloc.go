@@ -181,6 +181,23 @@ func (s *scheduler) partitionArena(q []msg) int {
 	return len(bnd)
 }
 
+// mustFit calls a map-building helper only inside its panic argument: the
+// helper runs on the crash path alone, so nothing is flagged.
+//
+//ftlint:hotpath
+func mustFit(n, limit int) int {
+	if n > limit {
+		panic(overflowReport(n))
+	}
+	return n
+}
+
+// overflowReport allocates, but only mustFit's panic argument reaches it.
+func overflowReport(n int) int {
+	seen := map[int]bool{n: true}
+	return len(seen)
+}
+
 // cold is not annotated, so identical patterns pass: the analyzer only
 // polices declared hot paths.
 func cold(active []int) []int {

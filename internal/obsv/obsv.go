@@ -503,14 +503,22 @@ func (o *Observer) SwitchDelta(node, reqs, drops int, dRounds, dFaults int64) {
 // Advance records flight i winning a wire of the channel (chanNode, dir) at
 // switch `node` during a sweep.
 func (o *Observer) Advance(i int, m core.Message, node, chanNode, dir, wire int) {
-	o.C.WireUse[o.chIdx(chanNode, dir)]++
-	o.cycleLevelUse[o.lvl(chanNode)]++
+	o.Use(chanNode, dir, 1)
 	if o.ring != nil {
 		o.ring.push(Event{
 			Kind: EvAdvance, Cycle: o.C.Cycles, Node: int32(node), Flight: int32(i),
 			Src: int32(m.Src), Dst: int32(m.Dst), Wire: int32(wire),
 		})
 	}
+}
+
+// Use records count wires of the channel (chanNode, dir) won in one sweep
+// step: the counter adds of count Advance calls, without their events. The
+// streaming engine records a node run's winners this way when no event ring
+// is attached.
+func (o *Observer) Use(chanNode, dir, count int) {
+	o.C.WireUse[o.chIdx(chanNode, dir)] += int64(count)
+	o.cycleLevelUse[o.lvl(chanNode)] += int64(count)
 }
 
 // Block records flight i losing the concentrator contest at switch `node`

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -70,8 +71,10 @@ var engineFuzzSeeds = [][]byte{
 // (reference_test.go) bit for bit — total cycle count, per-cycle delivery
 // profile, drops, deferrals, delivered flags, and per-switch observer
 // counters. It also checks that attaching an observer does not perturb a
-// run, that the conservation law holds, and that a reused engine matches a
-// fresh one. This is the engine-level complement of sched's FuzzSchedule
+// run, that the conservation law holds, that a ring-attached observer counts
+// what a ring-less one does, that a fully delivered set takes at least ⌈λ⌉
+// cycles (exactly one for a one-cycle set on ideal lossless switches), and
+// that a reused engine matches a fresh one. This is the engine-level complement of sched's FuzzSchedule
 // and the machine-checked form of the determinism contract in DESIGN.md:
 // all per-switch randomness is seeded by (seed, node), and each switch sees
 // its requests in message-index order.
@@ -119,6 +122,31 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 				c.Offered, c.Delivered, c.Dropped, c.Deferred)
 		}
 		checkSwitchCounters(t, obsRef, ref)
+
+		// Observation by run: a ring-less observer adds each node run's
+		// winners per channel, a ring-attached one replays the run flight by
+		// flight. Every counter and histogram must agree.
+		traced := obsv.New(ft)
+		traced.EnableTrace(64)
+		e = mkEngine()
+		e.SetObserver(traced)
+		e.Run(ms)
+		if !obsv.CountersEqual(obsRef, traced) {
+			t.Fatalf("ring-less and ring-attached observers diverge\nring-less %+v\ntraced    %+v", obsRef.C, traced.C)
+		}
+
+		// The paper's lower bound (ROADMAP 5): every channel carries at most
+		// cap(c) messages per cycle, so a fully delivered set takes at least
+		// ⌈λ⌉ cycles, and on ideal lossless switches a one-cycle set (λ <= 1)
+		// takes exactly one.
+		if want.Delivered == len(ms) {
+			if lambda := core.LoadFactor(ft, ms); want.Cycles < int(math.Ceil(lambda)) {
+				t.Fatalf("delivered in %d cycles, below ⌈λ⌉ = ⌈%v⌉", want.Cycles, lambda)
+			}
+		}
+		if kind == concentrator.KindIdeal && loss == 0 && len(ms) > 0 && core.IsOneCycle(ft, ms) && want.Cycles != 1 {
+			t.Fatalf("one-cycle set took %d cycles on ideal switches: %+v", want.Cycles, want)
+		}
 
 		// Cycle by cycle: delivered flags (message-index order is part of
 		// the contract) and wire histories.

@@ -12,10 +12,11 @@ import (
 // the cycle data plane:
 //
 //   - after injection, reading the flight table in message-index order;
-//   - after each node run of the streaming plane (observeStreamRun), and in
-//     the k-ary plane's routeLevel after the level's switches are contested
-//     but before the buckets are reset (observeLevel), reading each switch's
-//     requests in message-index order;
+//   - after each node run of the streaming plane (observeStreamRun) and
+//     each of its lone hops (observeHop), and in the k-ary plane's
+//     routeLevel after the level's switches are contested but before the
+//     buckets are reset (observeLevel), reading each switch's requests in
+//     message-index order;
 //   - after collect, closing the cycle.
 //
 // Attaching an observer cannot perturb routing: it only reads engine state.
@@ -115,5 +116,68 @@ func (e *Engine) observeLevel(first int, upSweep bool) {
 				o.Deliver(i, f.msg, v)
 			}
 		}
+	}
+}
+
+// observeStreamRun records one routed node run of the streaming plane: the
+// contention record (with the hardware counter deltas), then the wires its
+// winners took — won[0] in the up channel above v on an up run, won[0] and
+// won[1] in the down channels into v's left and right children on a down
+// run. With no event ring that is one counter add per channel. With a ring
+// the run is replayed flight by flight in message-index order, as the
+// advance, block and deliver events observeLevel emits for the k-ary plane;
+// the counter totals are the same.
+//
+//ftlint:hotpath
+func (e *Engine) observeStreamRun(v int, run []uint64, upSweep bool, won [2]int, drops int, dRounds, dFaults int64) {
+	o := e.obs
+	o.SwitchDelta(v, len(run), drops, dRounds, dFaults)
+	if !o.Tracing() {
+		if upSweep {
+			o.Use(v, int(core.Up), won[0])
+		} else {
+			o.Use(2*v, int(core.Down), won[0])
+			o.Use(2*v+1, int(core.Down), won[1])
+		}
+		return
+	}
+	flights := e.scr.flights
+	for _, k := range run {
+		i := int(uint32(k))
+		f := &flights[i]
+		switch f.state {
+		case flightLost:
+			o.Block(i, f.msg, v)
+		case flightUp:
+			o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+		case flightDown:
+			o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
+		case flightDone:
+			if upSweep {
+				o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+			} else {
+				o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
+			}
+			o.Deliver(i, f.msg, v)
+		}
+	}
+}
+
+// observeHop records a lone hop of flight i through node v onto a wire of
+// the channel (chanNode, dir): a one-request run with no drop, which
+// delivers the flight when done.
+//
+//ftlint:hotpath
+func (e *Engine) observeHop(i, v, chanNode, dir, wire int, done bool) {
+	o := e.obs
+	o.SwitchDelta(v, 1, 0, 0, 0)
+	if !o.Tracing() {
+		o.Use(chanNode, dir, 1)
+		return
+	}
+	m := e.scr.flights[i].msg
+	o.Advance(i, m, v, chanNode, dir, wire)
+	if done {
+		o.Deliver(i, m, v)
 	}
 }

@@ -45,6 +45,18 @@ func TestObserverDoesNotPerturbRouting(t *testing.T) {
 			if !reflect.DeepEqual(plain, observed) {
 				t.Fatalf("observer perturbed the run\nplain    %+v\nobserved %+v", plain, observed)
 			}
+			// A ring-less observer counts per node run, the traced one per
+			// flight: the snapshots must agree.
+			counted := obsv.New(ft)
+			if got := mk(counted).Run(ms); !reflect.DeepEqual(plain, got) {
+				t.Fatalf("ring-less observer perturbed the run\nplain    %+v\nobserved %+v", plain, got)
+			}
+			if !obsv.CountersEqual(o, counted) {
+				t.Fatalf("ring-less observer diverges from the traced one\ntraced    %+v\nring-less %+v", o.C, counted.C)
+			}
+			if a, b := o.Snapshot(), counted.Snapshot(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("snapshots diverge\ntraced    %+v\nring-less %+v", a, b)
+			}
 			// The observer's outcome totals must agree with the engine's own.
 			c := &o.C
 			if c.Delivered != int64(plain.Delivered) || c.Dropped != int64(plain.Drops) ||

@@ -37,6 +37,14 @@ import (
 //     above — emitted per node as left-child winners, then right-child
 //     winners, so already ascending — with the level's turn list.
 //
+// On ideal switches without injected loss a step is one pass over its
+// request list (fuseUp, fuseDown): each flight of a node run gets its wire
+// by its switch's rule, claims its guard bit, records its history and is
+// sorted into the next list, all at once; the run's guard
+// bits are released and the run observed before its lone descents start.
+// Partial or lossy switches route each node run through a lazily built
+// switch first (routeStreamNode) and sort the winners after.
+//
 // A concentrator arbitrates only among the messages that meet at its node,
 // so a flight alone in a subtree crosses that subtree's switches with
 // nothing to contend with. On a sparse cycle (loneSparsity*len(pending) <
@@ -51,13 +59,13 @@ import (
 //   - Down: one more radix sort, of the admitted (dstLeaf, index) keys,
 //     gives sdown[i] the same way. A flight about to enter a down contest above
 //     sdown[i] — a turner at its LCA, or a winner of a down step — descends
-//     alone to its leaf at once.
-//   - A lone hop is a one-request node run. On an unobserved engine with
-//     ideal switches and no injected loss, climbIdeal and descendIdeal
-//     route a flight's lone hops in one straight loop each, with idealWire's
-//     rule, its widened-child checks and a claim and release of every wire
-//     guard bit; partial, lossy or observed hops route the one-key run
-//     through routeStreamNode (loneHop).
+//     alone to its leaf as soon as its run is done.
+//   - A lone hop is a one-request node run. With ideal switches and no
+//     injected loss, climbIdeal and descendIdeal route a flight's lone hops
+//     in one straight loop each, with the fused rule for rank 0, its
+//     widened-child checks and a claim and release of every wire guard bit;
+//     partial or lossy hops route the one-key run through routeStreamNode
+//     (loneHop).
 //
 // Dense cycles skip detection and the pass; the sweeps test the cycle's
 // gate flag before they look at sdown.
@@ -77,12 +85,16 @@ import (
 //     of an eager per-node switch — partial concentrators draw randomness
 //     only at construction and Lossy draws once per routed message, so lazy
 //     creation cannot perturb any RNG stream.
-//   - Observation: drop counts and observer events are recorded node by node
-//     in ascending node order, and in message-index order inside each node
-//     run. On a sparse cycle the lone hops are recorded as they are routed —
-//     the lone pass right after injection, a lone descent as soon as it
-//     starts — so the event ring is not in sweep order; every counter total
-//     and histogram is unchanged.
+//   - Observation: drop counts and observer records are made node run by
+//     node run in ascending node order. With no event ring a run is one
+//     SwitchDelta plus one wire-use add per channel it fills (the up
+//     channel above its node, or the two down channels below it); with a
+//     ring it is replayed flight by flight in message-index order, with the
+//     same counter totals. A lone hop is recorded as a one-request run. On a
+//     sparse cycle the lone hops are recorded as they are routed — the lone
+//     pass right after injection, a lone descent right after its run — so
+//     the event ring is not in sweep order; every counter total and
+//     histogram is unchanged.
 //   - Lone hops: ideal and passThrough concentrators are positional and
 //     stateless, so a one-request run has one outcome wherever it is routed
 //     in the cycle; a lossy switch draws from a separate stream per output
@@ -136,13 +148,15 @@ type streamState struct {
 	// arrTurn[l] collect the lone climbers that meet another flight at level
 	// l, keyed by their node at level l+1: the ones that climb on and the
 	// ones that turn at level l. merged is carryUp's buffer for folding them
-	// in, and one is a lone hop's one-key run.
+	// in, one is a lone hop's one-key run, and lone holds a fused node run's
+	// lone descenders until the run is released and observed.
 	sparse         bool
 	sdown          []int8
 	dkeys          []uint64
 	arrUp, arrTurn [][]uint64
 	merged         []uint64
 	one            [1]uint64
+	lone           []uint64
 
 	// loneGate overrides the loneSparsity gate for tests: +1 runs the lone
 	// pass on every cycle, -1 on none, 0 leaves the gate in charge.
@@ -185,10 +199,11 @@ type streamShard struct {
 
 	// Per-run wire guards, one bit per wire, grown to the widest channel
 	// routed. They check the hardware invariant that no channel wire is
-	// assigned twice in one sweep. A node
-	// run sets the bit of each wire it assigns and clears them again by
-	// walking its winners (releaseRun), so every bit is clear between runs
-	// and the cost is O(run), not O(channel width).
+	// assigned twice in one sweep. A node run sets the bit of each wire it
+	// assigns and clears them again before the next run: a positional run
+	// (rank j wins wire j) zeroes the words its winners fill, any other run
+	// walks its winners (releaseRun). Every bit is clear between runs and
+	// the cost is O(run), not O(channel width).
 	upUsed   wireSet
 	downUsed [2]wireSet // indexed by the child's side: 0 left, 1 right
 }
@@ -640,17 +655,120 @@ func (st *streamState) arrive(list []uint64, arr *[]uint64) []uint64 {
 
 // sweepUp runs the up step at level: it routes each node run of the request
 // list and sorts the winners into the flights that keep climbing and the
-// flights that turn at the parent.
+// flights that turn at the parent, then carries both to the level above.
 //
 //ftlint:hotpath
 func (st *streamState) sweepUp(level int) {
+	var up, turn []uint64
+	if st.inlineHops() {
+		up, turn = st.fuseUp(level)
+	} else {
+		up, turn = st.switchUp(level)
+	}
+	if level > 0 {
+		st.carryUp(level-1, up, turn)
+	}
+}
+
+// fuseUp is the up step on ideal lossless switches: one pass over the
+// request list routes and sorts every flight of each node run. A flight
+// gets the wire rule of its switch's parent port — passThrough when the up
+// channel is at least as wide as its two feeders (a right-child wire
+// offset by the left child's width), Ideal otherwise (rank j wins wire j,
+// the rest lose), the selection NewSwitch makes — with the
+// widened-right-child panic, its guard claim, its history entry and its new
+// node. It is then sorted as a climber, a turner, or a lone turner whose
+// descent waits until the run's guard bits are released and the run is
+// observed. A positional run releases its guards by clearing the winners'
+// words, a pass-through run by walking its winners (releaseRun).
+//
+//ftlint:hotpath
+func (st *streamState) fuseUp(level int) (up, turn []uint64) {
+	sh := &st.sh
 	keys := st.keys
 	flights := st.e.scr.flights
-	up, turn := st.up[:0], st.turn[:0]
-	sparse := st.sparse
+	hist := st.e.scr.histArena
+	up, turn, lone := st.up[:0], st.turn[:0], st.lone[:0]
+	sparse, sdown := st.sparse, st.sdown
+	capParent, capChild := st.levelCaps[level], st.levelCaps[level+1]
+	sh.upUsed.fit(capParent)
+	for p := 0; p < len(keys); {
+		start, v := p, keys[p]>>32
+		if st.ov != nil {
+			capParent, capChild = st.capAt(int(v)), st.capAt(int(2*v))
+			sh.upUsed.fit(capParent)
+		}
+		pass := capParent >= 2*capChild
+		root, parent := v == 1, int(v>>1)
+		lone = lone[:0]
+		won := 0
+		for ; p < len(keys) && keys[p]>>32 == v; p++ {
+			k := keys[p]
+			i := int(uint32(k))
+			f := &flights[i]
+			w := f.wire
+			if f.node&1 == 1 { // the right child's channel
+				if w >= capChild {
+					panic(errUpWidened)
+				}
+				if pass {
+					w += capChild
+				}
+			}
+			if !pass {
+				if p-start >= capParent {
+					f.state = flightLost
+					continue
+				}
+				w = p - start
+			}
+			sh.claimUp(w, capParent)
+			f.wire, f.node = w, int(v)
+			hist[f.histOff+f.histLen] = w
+			f.histLen++
+			won++
+			switch {
+			case root && f.msg.Dst == core.External:
+				// The root up channel is the external interface: delivered.
+				f.state = flightDone
+			case f.lca != parent:
+				up = append(up, k)
+			case sparse && level-1 > int(sdown[i]):
+				lone = append(lone, k)
+			default:
+				turn = append(turn, k)
+			}
+		}
+		run := keys[start:p]
+		if pass {
+			sh.releaseRun(flights, run, true)
+		} else {
+			clear(sh.upUsed[:(won+63)>>6])
+		}
+		sh.drops += len(run) - won
+		if st.e.obs != nil {
+			st.e.observeStreamRun(int(v), run, true, [2]int{won}, len(run)-won, 0, 0)
+		}
+		for _, k := range lone {
+			st.loneDescend(int(uint32(k)), level-1)
+		}
+	}
+	st.lone = lone
+	return up, turn
+}
+
+// switchUp is the up step on partial or lossy switches: each node run is
+// routed through its switch (routeStreamNode), then its winners are sorted.
+//
+//ftlint:hotpath
+func (st *streamState) switchUp(level int) (up, turn []uint64) {
+	keys := st.keys
+	flights := st.e.scr.flights
+	up, turn = st.up[:0], st.turn[:0]
 	for start := 0; start < len(keys); {
 		v, end := int(keys[start]>>32), runEnd(keys, start)
 		run := keys[start:end]
+		start = end
 		st.routeStreamNode(v, run, level, true)
 		for _, k := range run {
 			i := int(uint32(k))
@@ -659,7 +777,7 @@ func (st *streamState) sweepUp(level int) {
 				continue
 			}
 			if f.lca == v>>1 {
-				if sparse && level-1 > int(st.sdown[i]) {
+				if st.sparse && level-1 > int(st.sdown[i]) {
 					st.loneDescend(i, level-1)
 				} else {
 					turn = append(turn, k)
@@ -668,201 +786,254 @@ func (st *streamState) sweepUp(level int) {
 				up = append(up, k)
 			}
 		}
-		start = end
 	}
-	if level > 0 {
-		st.carryUp(level-1, up, turn)
-	}
+	return up, turn
 }
 
 // sweepDown runs the down step at level: the descenders carried from the
 // step above merge with the level's turn list into the request list, and
-// each node run's winners are carried down, left child's first.
+// each node run's winners are carried down, left child's first. The up list
+// is idle in the down sweep and holds each run's right-child winners.
 //
 //ftlint:hotpath
 func (st *streamState) sweepDown(level int) {
-	keys := mergeKeys(st.keys[:0], st.desc, st.turns[st.turnOff[level+1]:st.turnOff[level]])
-	st.keys = keys
-	flights := st.e.scr.flights
-	carry := level+1 < st.levels // the last step delivers every winner
-	sparse := st.sparse
-	desc, right := st.desc[:0], st.up[:0]
-	for start := 0; start < len(keys); {
-		v, end := int(keys[start]>>32), runEnd(keys, start)
-		run := keys[start:end]
-		st.routeStreamNode(v, run, level, false)
-		if carry {
-			// Left-child winners go straight to desc; right-child winners
-			// wait in right (the up list is idle in the down sweep). On a
-			// sparse cycle a winner alone below this level descends at once.
-			right = right[:0]
-			for _, k := range run {
-				i := int(uint32(k))
-				if f := &flights[i]; f.state == flightDown {
-					if sparse && level+1 > int(st.sdown[i]) {
-						st.loneDescend(i, level+1)
-						continue
-					}
-					k = uint64(f.node)<<32 | k&keyIndex
-					if f.node&1 == 0 {
-						desc = append(desc, k)
-					} else {
-						right = append(right, k)
-					}
-				}
-			}
-			desc = append(desc, right...)
-		}
-		start = end
+	st.keys = mergeKeys(st.keys[:0], st.desc, st.turns[st.turnOff[level+1]:st.turnOff[level]])
+	var desc, right []uint64
+	if st.inlineHops() {
+		desc, right = st.fuseDown(level)
+	} else {
+		desc, right = st.switchDown(level)
 	}
 	st.desc, st.up = desc, right[:0]
 }
 
-// routeStreamNode contests node v, at level vLevel, with the flights of run.
-// The ideal-concentrator case is routed inline — Ideal and passThrough
-// concentrators are positional and stateless, so the wire each request wins
-// is a pure function of its rank in the request list and the capacity
-// profile. Partial or lossy switches are materialized lazily and routed
-// with a concentrator request list.
+// fuseDown is the down step on ideal lossless switches: one pass over the
+// request list routes and carries every flight of each node run. Both down
+// ports are Ideal and sized by the left child: the rank-j request for a
+// port wins wire j below that width and loses from there on. A turner on a
+// child-side wire wider than the port panics, and each claim is checked
+// against the child's own capacity. The guards are released by clearing the
+// words the winners used; lone descenders wait, as in fuseUp.
+//
+//ftlint:hotpath
+func (st *streamState) fuseDown(level int) (desc, right []uint64) {
+	sh := &st.sh
+	keys := st.keys
+	flights := st.e.scr.flights
+	hist := st.e.scr.histArena
+	desc, right, lone := st.desc[:0], st.up[:0], st.lone[:0]
+	sparse, sdown := st.sparse, st.sdown
+	capPort := st.levelCaps[level+1]
+	caps := [2]int{capPort, capPort}
+	sh.downUsed[0].fit(capPort)
+	sh.downUsed[1].fit(capPort)
+	shift := uint(st.levels - level - 1)
+	last := level+1 == st.levels // the last step delivers every winner
+	for p := 0; p < len(keys); {
+		start, v := p, keys[p]>>32
+		if st.ov != nil {
+			capPort = st.capAt(int(2 * v))
+			caps = [2]int{capPort, st.capAt(int(2*v + 1))}
+			sh.downUsed[0].fit(caps[0])
+			sh.downUsed[1].fit(caps[1])
+		}
+		lone, right = lone[:0], right[:0]
+		var ranks [2]int
+		for ; p < len(keys) && keys[p]>>32 == v; p++ {
+			k := keys[p]
+			i := int(uint32(k))
+			f := &flights[i]
+			if f.state == flightUp && f.wire >= capPort {
+				panic(errDownWidened)
+			}
+			side := f.dstLeaf >> shift & 1
+			j := ranks[side]
+			ranks[side]++
+			if j >= capPort {
+				f.state = flightLost
+				continue
+			}
+			child := int(2*v) + side
+			sh.claimDown(side, j, caps[side])
+			f.wire, f.node = j, child
+			hist[f.histOff+f.histLen] = j
+			f.histLen++
+			if last {
+				f.state = flightDone
+				continue
+			}
+			f.state = flightDown
+			if sparse && level+1 > int(sdown[i]) {
+				lone = append(lone, k)
+				continue
+			}
+			k = uint64(child)<<32 | k&keyIndex
+			if side == 0 {
+				desc = append(desc, k)
+			} else {
+				right = append(right, k)
+			}
+		}
+		desc = append(desc, right...)
+		run := keys[start:p]
+		won := [2]int{min(ranks[0], capPort), min(ranks[1], capPort)}
+		clear(sh.downUsed[0][:(won[0]+63)>>6])
+		clear(sh.downUsed[1][:(won[1]+63)>>6])
+		drops := len(run) - won[0] - won[1]
+		sh.drops += drops
+		if st.e.obs != nil {
+			st.e.observeStreamRun(int(v), run, false, won, drops, 0, 0)
+		}
+		for _, k := range lone {
+			st.loneDescend(int(uint32(k)), level+1)
+		}
+	}
+	st.lone = lone
+	return desc, right
+}
+
+// switchDown is the down step on partial or lossy switches: each node run
+// is routed through its switch (routeStreamNode), then its winners are
+// carried down. On a sparse cycle a winner alone below this level descends
+// at once.
+//
+//ftlint:hotpath
+func (st *streamState) switchDown(level int) (desc, right []uint64) {
+	keys := st.keys
+	flights := st.e.scr.flights
+	carry := level+1 < st.levels // the last step delivers every winner
+	desc, right = st.desc[:0], st.up[:0]
+	for start := 0; start < len(keys); {
+		v, end := int(keys[start]>>32), runEnd(keys, start)
+		run := keys[start:end]
+		start = end
+		st.routeStreamNode(v, run, level, false)
+		if !carry {
+			continue
+		}
+		right = right[:0]
+		for _, k := range run {
+			i := int(uint32(k))
+			if f := &flights[i]; f.state == flightDown {
+				if st.sparse && level+1 > int(st.sdown[i]) {
+					st.loneDescend(i, level+1)
+					continue
+				}
+				k = uint64(f.node)<<32 | k&keyIndex
+				if f.node&1 == 0 {
+					desc = append(desc, k)
+				} else {
+					right = append(right, k)
+				}
+			}
+		}
+		desc = append(desc, right...)
+	}
+	return desc, right
+}
+
+// routeStreamNode contests node v, at level vLevel, with the flights of run
+// on a partial or lossy switch: the node's switch is materialized lazily and
+// routes the run as a concentrator request list. (Ideal lossless runs are
+// routed by fuseUp, fuseDown and the straight-line lone hops.)
 //
 //ftlint:hotpath
 func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep bool) {
 	sh := &st.sh
 	flights := st.e.scr.flights
-	leafLevel := st.levels
+	hist := st.e.scr.histArena
+	shift := uint(st.levels - vLevel - 1)
 	capParent := st.capAt(v)
-	capChild := st.capAt(2 * v) // a switch sizes both down ports by the left child
-	obs := st.e.obs != nil
-	drops0 := sh.drops
-	var dRounds, dFaults int64
-
+	caps := [2]int{st.capAt(2 * v), st.capAt(2*v + 1)} // each down channel's own width
 	if upSweep {
 		sh.upUsed.fit(capParent)
 	} else {
-		sh.downUsed[0].fit(capChild)
-		sh.downUsed[1].fit(st.capAt(2*v + 1))
+		sh.downUsed[0].fit(caps[0])
+		sh.downUsed[1].fit(caps[1])
 	}
 
-	if st.kind == concentrator.KindIdeal && !st.lossOn {
-		if upSweep {
-			for j, k := range run {
-				f := &flights[int(uint32(k))]
-				st.applyUp(f, v, idealWire(f, v, j, capParent, capChild, true), capParent)
-			}
-		} else {
-			var ranks [2]int // per-port ranks
-			for _, k := range run {
-				f := &flights[int(uint32(k))]
-				side := (f.dstLeaf >> uint(leafLevel-vLevel-1)) & 1
-				j := ranks[side]
-				ranks[side]++
-				st.applyDown(f, v, idealWire(f, v, j, capParent, capChild, false), side, vLevel, leafLevel)
+	reqs := sh.reqs[:0]
+	for _, k := range run {
+		f := &flights[int(uint32(k))]
+		// Climbing or turning at its LCA, a flight holds a child-side wire;
+		// descending, the parent-side down wire.
+		in := concentrator.Parent
+		if upSweep || f.state == flightUp {
+			in = concentrator.Left
+			if f.node == 2*v+1 {
+				in = concentrator.Right
 			}
 		}
-	} else {
-		// Partial or lossy: materialize the node's switch and route through
-		// it with the node's request list.
-		reqs := sh.reqs[:0]
-		for _, k := range run {
-			f := &flights[int(uint32(k))]
-			if upSweep {
-				in := concentrator.Left
-				if f.node == 2*v+1 {
-					in = concentrator.Right
-				}
-				reqs = append(reqs, concentrator.Request{In: in, InWire: f.wire, Out: concentrator.Parent})
-				continue
-			}
-			var in concentrator.Port
-			if f.state == flightUp { // turning at its LCA, still on a child-side wire
-				in = concentrator.Left
-				if f.node == 2*v+1 {
-					in = concentrator.Right
-				}
-			} else { // descending on the parent-side down wire
-				in = concentrator.Parent
-			}
-			out := concentrator.Left
-			if (f.dstLeaf>>uint(leafLevel-vLevel-1))&1 == 1 {
+		out := concentrator.Parent
+		if !upSweep {
+			out = concentrator.Left
+			if f.dstLeaf>>shift&1 == 1 {
 				out = concentrator.Right
 			}
-			reqs = append(reqs, concentrator.Request{In: in, InWire: f.wire, Out: out})
 		}
-		sh.reqs = reqs
+		reqs = append(reqs, concentrator.Request{In: in, InWire: f.wire, Out: out})
+	}
+	sh.reqs = reqs
 
-		ss := sh.switchFor(st, v)
-		outWires, _ := ss.sw.Route(reqs)
-		if obs {
-			r := ss.sw.MatchingRounds()
-			dRounds, ss.lastRounds = r-ss.lastRounds, r
-			fd := ss.sw.FaultDrops()
-			dFaults, ss.lastFaults = fd-ss.lastFaults, fd
+	ss := sh.switchFor(st, v)
+	outWires, _ := ss.sw.Route(reqs)
+	var won [2]int
+	drops := 0
+	for j, k := range run {
+		f := &flights[int(uint32(k))]
+		w := outWires[j]
+		if w < 0 {
+			f.state = flightLost
+			drops++
+			continue
 		}
-		for j, k := range run {
-			f := &flights[int(uint32(k))]
-			if upSweep {
-				st.applyUp(f, v, outWires[j], capParent)
-				continue
+		side := 0
+		if upSweep {
+			sh.claimUp(w, capParent)
+			f.node = v // now holds a wire in the up channel above v
+			if v == 1 && f.msg.Dst == core.External {
+				// The root up channel is the external interface: delivered.
+				f.state = flightDone
 			}
-			side := 0
+		} else {
 			if reqs[j].Out == concentrator.Right {
 				side = 1
 			}
-			st.applyDown(f, v, outWires[j], side, vLevel, leafLevel)
+			sh.claimDown(side, w, caps[side])
+			f.node = 2*v + side
+			f.state = flightDown
+			if vLevel+1 == st.levels {
+				f.state = flightDone
+			}
 		}
+		won[side]++
+		f.wire = w
+		hist[f.histOff+f.histLen] = w
+		f.histLen++
 	}
-
+	sh.drops += drops
 	sh.releaseRun(flights, run, upSweep)
-	if obs {
-		st.e.observeStreamRun(v, run, upSweep, sh.drops-drops0, dRounds, dFaults)
+	if st.e.obs != nil {
+		r := ss.sw.MatchingRounds()
+		dRounds := r - ss.lastRounds
+		ss.lastRounds = r
+		fd := ss.sw.FaultDrops()
+		dFaults := fd - ss.lastFaults
+		ss.lastFaults = fd
+		st.e.observeStreamRun(v, run, upSweep, won, drops, dRounds, dFaults)
 	}
 }
 
 // The widened-child panics. A materialized concentrator rejects an input
-// wire beyond its width, and the ideal rule keeps that check: an up request
-// from a right child whose override widens it past its sibling (the input
-// index concatenates the two), or a turning request on a child wider than
-// the down port, which a switch sizes by its left child.
+// wire beyond its width, and the ideal rules of fuseUp, fuseDown and the
+// lone hops keep that check: an up request from a right child whose
+// override widens it past its sibling (the input index concatenates the
+// two), or a turning request on a child wider than the down port, which a
+// switch sizes by its left child.
 const (
 	errUpWidened   = "sim: up request wire exceeds switch input width (widened right-child override)"
 	errDownWidened = "sim: down request wire exceeds switch input width (widened child override)"
 )
-
-// idealWire is the wire rule of an ideal switch at node v: the wire that
-// flight f, the rank-j request for its output port, wins — in the up
-// channel above v when upSweep, else in the down channel into the child it
-// heads for — or -1 when it loses. toParent is passThrough when the up
-// channel is at least as wide as its two feeders (a right-child wire is
-// offset by the left child's width), Ideal (positional: rank j wins wire j)
-// otherwise — the same selection NewSwitch makes. toLeft and toRight are
-// always Ideal (a down port is narrower than its feeders): rank j wins wire
-// j up to the port width capChild.
-//
-//ftlint:hotpath
-func idealWire(f *flight, v, j, capParent, capChild int, upSweep bool) int {
-	if upSweep {
-		right := f.node == 2*v+1
-		if right && f.wire >= capChild {
-			panic(errUpWidened)
-		}
-		switch {
-		case capParent >= 2*capChild && right:
-			return capChild + f.wire
-		case capParent >= 2*capChild:
-			return f.wire
-		case j < capParent:
-			return j
-		}
-		return -1
-	}
-	if f.state == flightUp && f.wire >= capChild {
-		panic(errDownWidened)
-	}
-	if j < capChild {
-		return j
-	}
-	return -1
-}
 
 // lonePass starts a sparse cycle: it finds how far each admitted flight is
 // alone and routes those hops at once, one flight at a time. A flight is
@@ -873,9 +1044,9 @@ func idealWire(f *flight, v, j, capParent, capChild int, upSweep bool) int {
 // admitted destinations (sortByNode; they are appended in flight-index
 // order). A lone climber that meets another flight joins that level's
 // carried lists through arrUp or arrTurn; a turner alone below its LCA
-// descends to its leaf. On an unobserved ideal lossless engine the hops
-// are the straight-line loops of climbIdeal and descendIdeal. Going up, sources deferred at their leaf count as
-// neighbours, and flights dropped later count both ways, so detection errs
+// descends to its leaf. On ideal lossless switches the hops are the
+// straight-line loops of climbIdeal and descendIdeal. Going up, sources
+// deferred at their leaf count as neighbours, and flights dropped later count both ways, so detection errs
 // towards the carried lists, whose outcome for a one-request run is the
 // same.
 //
@@ -957,7 +1128,7 @@ func (st *streamState) shareLevel(keys []uint64, p int) int {
 func (st *streamState) loneClimb(i, s int) {
 	f := &st.e.scr.flights[i]
 	if st.inlineHops() {
-		st.climbIdeal(f, s)
+		st.climbIdeal(i, s)
 	} else {
 		for l := st.levels - 1; l > s && f.state == flightUp; l-- {
 			st.loneHop(i, f.node>>1, l, true)
@@ -984,7 +1155,7 @@ func (st *streamState) loneClimb(i, s int) {
 func (st *streamState) loneDescend(i, d int) {
 	f := &st.e.scr.flights[i]
 	if st.inlineHops() {
-		st.descendIdeal(f, d)
+		st.descendIdeal(i, d)
 		return
 	}
 	for l := d; l < st.levels; l++ {
@@ -995,29 +1166,32 @@ func (st *streamState) loneDescend(i, d int) {
 	}
 }
 
-// inlineHops reports whether lone hops take the straight-line loops of
-// climbIdeal and descendIdeal: ideal switches, no injected loss and no
-// observer, so a hop has no switch to build, no RNG to draw from and no
-// event to record.
+// inlineHops reports whether node runs and lone hops are routed inline:
+// ideal switches and no injected loss, so a run has no switch to build and
+// no RNG to draw from. Node runs then take fuseUp and fuseDown, lone hops
+// the straight-line loops of climbIdeal and descendIdeal; an observer, if
+// attached, is told per run and per hop.
 //
 //ftlint:hotpath
 func (st *streamState) inlineHops() bool {
-	return st.kind == concentrator.KindIdeal && !st.lossOn && st.e.obs == nil
+	return st.kind == concentrator.KindIdeal && !st.lossOn
 }
 
-// climbIdeal routes flight f up alone through the levels below s, one hop
-// per ancestor, with idealWire's rule for a one-request run: the hop
-// passes its wire through (a right child's offset by the left child's
-// width) when the parent channel is at least twice the child's, and wins
-// wire 0 otherwise. Each hop keeps the widened-right-child check and claims
-// and releases its guard bit. Every capacity is at least 1 (core.New and
+// climbIdeal routes flight i up alone through the levels below s, one hop
+// per ancestor, with fuseUp's rule for a one-request run: the hop passes
+// its wire through (a right child's offset by the left child's width) when
+// the parent channel is at least twice the child's, and wins wire 0
+// otherwise. Each hop keeps the widened-right-child check and claims and
+// releases its guard bit. Every capacity is at least 1 (core.New and
 // SetChannelCapacity reject less), so a lone ideal hop always wins. The
 // history goes straight into the arena; the flight's node, wire and
-// history length live in locals and are stored once.
+// history length live in locals and are stored once. An observer records
+// each hop as a one-request run.
 //
 //ftlint:hotpath
-func (st *streamState) climbIdeal(f *flight, s int) {
+func (st *streamState) climbIdeal(i, s int) {
 	sh := &st.sh
+	f := &st.e.scr.flights[i]
 	hist := st.e.scr.histArena
 	node, wire, h := f.node, f.wire, f.histOff+f.histLen
 	for l := st.levels - 1; l > s; l-- {
@@ -1042,6 +1216,9 @@ func (st *streamState) climbIdeal(f *flight, s int) {
 		hist[h] = wire
 		h++
 		node = v
+		if st.e.obs != nil {
+			st.e.observeHop(i, v, v, int(core.Up), wire, v == 1 && f.msg.Dst == core.External)
+		}
 	}
 	f.node, f.wire, f.histLen = node, wire, h-f.histOff
 	if node == 1 && f.msg.Dst == core.External {
@@ -1050,14 +1227,15 @@ func (st *streamState) climbIdeal(f *flight, s int) {
 	}
 }
 
-// descendIdeal routes flight f down alone from level d to its leaf. A lone
-// request is rank 0 at its down port, so by idealWire's rule each hop wins
+// descendIdeal routes flight i down alone from level d to its leaf. A lone
+// request is rank 0 at its down port, so by fuseDown's rule each hop wins
 // wire 0, checked against the port width (a turner's first hop) and
 // claimed and released against the child's own capacity.
 //
 //ftlint:hotpath
-func (st *streamState) descendIdeal(f *flight, d int) {
+func (st *streamState) descendIdeal(i, d int) {
 	sh := &st.sh
+	f := &st.e.scr.flights[i]
 	hist := st.e.scr.histArena
 	levels := st.levels
 	dst, h := f.dstLeaf, f.histOff+f.histLen
@@ -1079,93 +1257,20 @@ func (st *streamState) descendIdeal(f *flight, d int) {
 		sh.downUsed[side][0] = 0
 		hist[h] = 0
 		h++
+		if st.e.obs != nil {
+			st.e.observeHop(i, child>>1, child, int(core.Down), 0, l+1 == levels)
+		}
 	}
 	f.node, f.wire, f.histLen, f.state = dst, 0, h-f.histOff, flightDone
 }
 
-// loneHop routes flight i alone through node v at level vLevel on an engine
-// whose hops are not inline: a one-key run through routeStreamNode, so
-// partial and lossy switches are built and drawn from as on the carried
-// path, and the observer records the run.
+// loneHop routes flight i alone through node v at level vLevel on a
+// partial or lossy engine: a one-key run through routeStreamNode, so the
+// switch is built and drawn from as on the carried path, and the observer
+// records the run.
 //
 //ftlint:hotpath
 func (st *streamState) loneHop(i, v, vLevel int, upSweep bool) {
 	st.one[0] = uint64(v)<<32 | uint64(uint32(i))
 	st.routeStreamNode(v, st.one[:], vLevel, upSweep)
-}
-
-// applyUp applies one upward-sweep outcome: the wire guard, the history
-// record, and the state transition of a Parent-port winner.
-//
-//ftlint:hotpath
-func (st *streamState) applyUp(f *flight, v, w, capParent int) {
-	if w < 0 {
-		f.state = flightLost
-		st.sh.drops++
-		return
-	}
-	st.sh.claimUp(w, capParent)
-	f.wire = w
-	st.e.scr.histArena[f.histOff+f.histLen] = w
-	f.histLen++
-	f.state = flightUp
-	f.node = v // now holds a wire in the up channel above v
-	if v == 1 && f.msg.Dst == core.External {
-		// The root up channel is the external interface: delivered.
-		f.state = flightDone
-	}
-}
-
-// applyDown applies one downward-sweep outcome into the child on side (0
-// left, 1 right), guarding the wire against that child's own (possibly
-// overridden) capacity.
-//
-//ftlint:hotpath
-func (st *streamState) applyDown(f *flight, v, w, side, vLevel, leafLevel int) {
-	if w < 0 {
-		f.state = flightLost
-		st.sh.drops++
-		return
-	}
-	child := 2*v + side
-	st.sh.claimDown(side, w, st.capAt(child))
-	f.wire = w
-	st.e.scr.histArena[f.histOff+f.histLen] = w
-	f.histLen++
-	f.node = child
-	f.state = flightDown
-	if vLevel+1 == leafLevel {
-		f.state = flightDone
-	}
-}
-
-// observeStreamRun records one routed node run: the contention record (with
-// the hardware counter deltas), then per flight the advance/block/deliver
-// events in message-index order — the same events observeLevel emits for the
-// k-ary plane.
-//
-//ftlint:hotpath
-func (e *Engine) observeStreamRun(v int, run []uint64, upSweep bool, drops int, dRounds, dFaults int64) {
-	o := e.obs
-	flights := e.scr.flights
-	o.SwitchDelta(v, len(run), drops, dRounds, dFaults)
-	for _, k := range run {
-		i := int(uint32(k))
-		f := &flights[i]
-		switch f.state {
-		case flightLost:
-			o.Block(i, f.msg, v)
-		case flightUp:
-			o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
-		case flightDown:
-			o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
-		case flightDone:
-			if upSweep {
-				o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
-			} else {
-				o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
-			}
-			o.Deliver(i, f.msg, v)
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -374,6 +375,97 @@ func TestStreamWireGuard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStreamFusedGuardRelease drives fuseUp and fuseDown on hand-built node
+// runs and checks their guard release: after every run, consecutive runs
+// included, every guard word is zero. The positional runs (a constant tree:
+// rank j wins wire j) release by clearing the winners' words; the
+// pass-through up runs (a doubling tree: the parent channel carries both
+// children's wires) walk their winners. Each run has more than 64 winners,
+// so the release spans several words. A duplicate wire inside a
+// pass-through run must still panic.
+func TestStreamFusedGuardRelease(t *testing.T) {
+	// setup builds an engine on ft and a run of count flights at node v,
+	// alternating children: each holds wire wire(j) on its child's channel
+	// (up runs) or turns there towards leaf (down runs).
+	setup := func(ft *core.FatTree, v, count int, wire func(j int) int) (*Engine, []uint64) {
+		e := New(ft, concentrator.KindIdeal, 0)
+		levels := ft.Levels()
+		e.scr.flights = make([]flight, count)
+		e.scr.histArena = make([]int, count*(2*levels+1))
+		run := make([]uint64, count)
+		for j := range run {
+			child := 2*v + j%2
+			e.scr.flights[j] = flight{
+				state: flightUp, node: child, wire: wire(j), lca: v,
+				dstLeaf: ft.Processors() + j%ft.Processors(), histOff: j * (2*levels + 1), histLen: 1,
+			}
+			run[j] = uint64(v)<<32 | uint64(j)
+		}
+		return e, run
+	}
+	zero := func(t *testing.T, what string, st *streamState) {
+		t.Helper()
+		for name, s := range map[string]wireSet{"up": st.sh.upUsed, "down-left": st.sh.downUsed[0], "down-right": st.sh.downUsed[1]} {
+			for i, word := range s {
+				if word != 0 {
+					t.Fatalf("%s: %s guard word %d = %#x after the run, want 0", what, name, i, word)
+				}
+			}
+		}
+	}
+
+	constant := core.NewConstant(4, 130) // 130-wire channels: positional everywhere
+	doubling := core.NewDoubling(256)    // the root carries both 128-wire children
+	for _, tc := range []struct {
+		name  string
+		ft    *core.FatTree
+		count int
+		wire  func(j int) int
+		up    bool
+	}{
+		{"up-positional", constant, 200, func(j int) int { return j / 2 }, true},
+		{"up-pass-through", doubling, 256, func(j int) int { return j / 2 }, true},
+		{"down-positional", constant, 250, func(int) int { return 0 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, run := setup(tc.ft, 1, tc.count, tc.wire)
+			st := e.stream
+			for rep := 0; rep < 3; rep++ {
+				for j := range e.scr.flights {
+					f := &e.scr.flights[j]
+					f.state, f.node, f.wire, f.histLen = flightUp, 2+j%2, tc.wire(j), 1
+				}
+				st.keys = run
+				if tc.up {
+					st.fuseUp(0)
+				} else {
+					st.fuseDown(0)
+				}
+				won := tc.count - st.sh.drops
+				st.sh.drops = 0
+				if won <= 64 {
+					t.Fatalf("rep %d: %d winners, want more than one guard word's worth", rep, won)
+				}
+				zero(t, fmt.Sprintf("rep %d", rep), st)
+			}
+		})
+	}
+
+	t.Run("duplicate-in-run", func(t *testing.T) {
+		// Two left-child flights on wire 5 pass through to the same parent
+		// wire.
+		e, run := setup(doubling, 1, 4, func(j int) int { return 5 })
+		e.scr.flights[2].node = 2
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "up-channel wire oversubscribed") {
+				t.Fatalf("recovered %q, want an up-channel wire oversubscribed panic", msg)
+			}
+		}()
+		e.stream.keys = run
+		e.stream.fuseUp(0)
+	})
 }
 
 // TestStreamHugeTopology exercises the headline capability at a size no
