@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race lint lint-extra fuzz bench-json bench-diff bench-pair serve trace-demo perfbench check
+.PHONY: all build fmt test race lint lint-extra loc fuzz bench-json bench-diff bench-pair serve trace-demo perfbench check
 
 all: check
 
@@ -29,6 +29,15 @@ race:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ftlint ./...
+
+# Non-test Go lines per package directory, then the total, leaving out
+# testdata, the perfbench module and the benchmark build cache.
+# Informational: it never fails.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './perfbench/*' \
+		! -path './.bench_build/*' -exec wc -l {} + | awk '$$2 != "total" { \
+		d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { s = "sort -k2"; for (d in n) printf "%7d %s\n", n[d], d | s; close(s); printf "%7d total\n", t }' || true
 
 # Third-party linters, gated on local availability (no network required).
 lint-extra:

@@ -231,7 +231,7 @@ func BenchmarkServeRoute(b *testing.B) {
 }
 
 // benchServeRoute is one BenchmarkServeRoute row on tree ft.
-func benchServeRoute(b *testing.B, ft fattree.Topology) {
+func benchServeRoute(b *testing.B, ft *fattree.FatTree) {
 	n := ft.Processors()
 	obs := fattree.NewObserver(ft)
 	eng := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 1,

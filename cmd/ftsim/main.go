@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"fattree"
+	"fattree/internal/core"
 	"fattree/internal/viz"
 )
 
@@ -33,7 +34,7 @@ func main() {
 	implicit := flag.Bool("implicit", false,
 		"keep no per-node state: attach the per-level (compact) observer and skip the -viz walkers, so -n can reach 2^20 in bounded memory")
 	kary := flag.String("kary", "",
-		"simulate a k-ary fat-tree instead of the binary universal profile: \"down;up;parallel[;root]\" with one comma-separated entry per tier, e.g. \"8,4;2,1;1,2\" (overrides -n and -w; requires ideal switches and -policy greedy|online)")
+		"simulate a k-ary fat-tree instead of the binary universal profile: \"down;up;parallel[;root]\" with one comma-separated entry per tier, e.g. \"8,4;2,1;1,2\" (overrides -n and -w; a non-binary descriptor requires ideal switches and -policy greedy|online)")
 	workloadName := flag.String("workload", "perm", "workload: perm|random|bitrev|transpose|shuffle|reversal|local|hotspot|nn|alltoall")
 	k := flag.Int("k", 0, "message count for random/local/hotspot (default 4n)")
 	radius := flag.Int("radius", 4, "radius for -workload local")
@@ -68,13 +69,6 @@ func main() {
 		for _, d := range karyDesc.Down {
 			*n *= d
 		}
-		switch *policy {
-		case "offline", "offlinebig":
-			usage("-policy %s needs the binary Theorem 1 scheduler; use -policy greedy or online with -kary", *policy)
-		}
-		if *switches == "partial" {
-			usage("-switches partial models the binary Section IV hardware; k-ary topologies route with ideal switches")
-		}
 	} else if *n < 2 || *n&(*n-1) != 0 {
 		usage("-n must be a power of two >= 2 (got %d)", *n)
 	}
@@ -97,21 +91,31 @@ func main() {
 	var obs *fattree.Observer
 	var stopProfiles func() error
 
-	// Every binary tree is computed from its per-level profile and routes on
-	// the streaming plane. Under -implicit the two visualizations that walk
+	// Every binary tree, -kary ones included, routes on the streaming plane
+	// and takes the Theorem 1 scheduler and partial switches; other arities
+	// take neither. Under -implicit the two visualizations that walk
 	// per-node state are skipped (they would build exactly the O(n) tables
-	// -implicit exists to avoid): vizTree stays nil. Under -kary it stays nil
-	// too (the viz walkers are binary).
-	var ft fattree.Topology
-	var vizTree *fattree.FatTree
+	// -implicit exists to avoid): vizTree stays nil. It stays nil for a
+	// non-binary tree too (the viz walkers are binary).
+	var ft *fattree.FatTree
 	if *kary != "" {
 		ft = fattree.NewKary(karyDesc)
 	} else {
-		bin := fattree.NewUniversal(*n, *w)
-		ft = bin
-		if !*implicit {
-			vizTree = bin
+		ft = fattree.NewUniversal(*n, *w)
+	}
+	binary := core.HeapIndexed(ft)
+	if !binary {
+		switch *policy {
+		case "offline", "offlinebig":
+			usage("-policy %s needs the binary Theorem 1 scheduler; use -policy greedy or online with a non-binary -kary", *policy)
 		}
+		if *switches == "partial" {
+			usage("-switches partial models the binary Section IV hardware; non-binary k-ary topologies route with ideal switches")
+		}
+	}
+	var vizTree *fattree.FatTree
+	if binary && !*implicit {
+		vizTree = ft
 	}
 	ms := buildWorkload(*workloadName, *n, *k, *radius, *seed)
 	lam := fattree.LoadFactor(ft, ms)

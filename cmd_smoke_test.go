@@ -183,6 +183,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ftsim counters run", "ftsim", []string{"-n", "16", "-policy", "online", "-counters"}, 0},
 		{"ftdesign good spec", "ftdesign", []string{"-n", "1024", "-radix", "36", "-budget", "60000"}, 0},
 		{"ftsim kary greedy", "ftsim", []string{"-kary", "3,4;1,1;2,1", "-workload", "reversal", "-policy", "greedy"}, 0},
+		{"ftsim binary kary partial switches", "ftsim", []string{"-kary", "2,2,2;2,2,1;1,1,1", "-switches", "partial", "-policy", "offline"}, 0},
 	}
 	for _, c := range cases {
 		c := c

@@ -3,8 +3,10 @@
 // Hardware-Efficient Supercomputing", IEEE Transactions on Computers C-34(10),
 // 1985). It provides:
 //
-//   - fat-tree topologies with arbitrary or universal channel-capacity
-//     profiles, message sets, routing paths, and load factors (Section II–III);
+//   - one fat-tree type, FatTree, for the paper's binary tree with arbitrary
+//     or universal channel-capacity profiles and for k-ary per-tier
+//     descriptors, with message sets, routing paths, and load factors
+//     (Section II–III);
 //   - the off-line schedulers of Theorem 1 and Corollary 2, built on the
 //     matching-and-tracing even-bisection primitive;
 //   - concentrator switches and a delivery-cycle simulator that drives the
@@ -34,20 +36,15 @@ import (
 
 // Core topology types.
 type (
-	// Topology is the interface the scheduler, simulator, and observability
-	// layers program against: a binary FatTree or a KaryFatTree.
-	Topology = core.Topology
-	// FatTree is the binary fat-tree routing network on n = 2^L processors,
-	// computed from its per-level capacity profile in O(levels) memory. The
-	// simulation engine routes it on the streaming plane, which carries
-	// sorted flight keys from level to level, so 2^20-endpoint networks
-	// simulate in bounded memory.
+	// FatTree is the fat-tree routing network, described per tier by level
+	// tables in O(levels) memory. The binary constructors (New,
+	// NewUniversal, ...) build the paper's tree, which the simulation engine
+	// routes on the streaming plane (sorted flight keys carried from level
+	// to level, so 2^20-endpoint networks simulate in bounded memory) and
+	// the Theorem 1 scheduler accepts. NewKary builds any other arity, with
+	// arbitrary radix and oversubscription; the engine routes it with inline
+	// ideal concentrators, and it schedules with ScheduleGreedy.
 	FatTree = core.FatTree
-	// KaryFatTree is the generalized k-ary fat-tree: per-tier down/up/
-	// parallel descriptors with arbitrary radix and oversubscription. The
-	// simulation engine routes it with inline ideal concentrators; the
-	// Theorem 1 scheduler requires a binary tree (use ScheduleGreedy).
-	KaryFatTree = core.KaryFatTree
 	// KaryDesc is a k-ary fat-tree descriptor: tier i (0 = the root tier)
 	// fans every level-i node out to Down[i] children, each reached by a
 	// channel of Up[i]×Parallel[i] wires.
@@ -104,19 +101,20 @@ func UniversalCapacity(n, w, level int) int { return core.UniversalCapacity(n, w
 // routes on the streaming plane; use NewUniversal.
 func NewImplicitUniversal(n, w int) *FatTree { return core.NewUniversal(n, w) }
 
-// NewKary builds a generalized k-ary fat-tree from a per-tier descriptor; n
-// is the product of the Down fan-outs. Validation is up-front, as in New.
-func NewKary(d KaryDesc) *KaryFatTree { return core.NewKary(d) }
+// NewKary builds a fat-tree from a per-tier descriptor; n is the product of
+// the Down fan-outs. An all-binary descriptor builds the same tree as the
+// binary constructors. Validation is up-front, as in New.
+func NewKary(d KaryDesc) *FatTree { return core.NewKary(d) }
 
 // NewLoads computes per-channel loads of ms on t.
-func NewLoads(t Topology, ms MessageSet) *Loads { return core.NewLoads(t, ms) }
+func NewLoads(t *FatTree, ms MessageSet) *Loads { return core.NewLoads(t, ms) }
 
 // LoadFactor returns λ(M) — the paper's lower bound on delivery cycles.
-func LoadFactor(t Topology, ms MessageSet) float64 { return core.LoadFactor(t, ms) }
+func LoadFactor(t *FatTree, ms MessageSet) float64 { return core.LoadFactor(t, ms) }
 
 // IsOneCycle reports whether ms respects every channel capacity and can
 // therefore be delivered in a single delivery cycle.
-func IsOneCycle(t Topology, ms MessageSet) bool { return core.IsOneCycle(t, ms) }
+func IsOneCycle(t *FatTree, ms MessageSet) bool { return core.IsOneCycle(t, ms) }
 
 // Lg is the paper's lg: max(1, ceil(log2 x)).
 func Lg(x int) int { return core.Lg(x) }
@@ -144,25 +142,25 @@ type (
 // schedule many message sets on one tree should hold a Scheduler and call its
 // methods; the package-level ScheduleOffline* functions construct a fresh one
 // per call.
-func NewScheduler(t Topology) *Scheduler { return sched.NewScheduler(t) }
+func NewScheduler(t *FatTree) *Scheduler { return sched.NewScheduler(t) }
 
 // ScheduleOffline runs the Theorem 1 off-line scheduler:
 // d = O(λ(M)·lg n) delivery cycles on any fat-tree.
-func ScheduleOffline(t Topology, ms MessageSet) *Schedule { return sched.OffLine(t, ms) }
+func ScheduleOffline(t *FatTree, ms MessageSet) *Schedule { return sched.OffLine(t, ms) }
 
 // ScheduleOfflineBig runs the Corollary 2 scheduler: on fat-trees whose
 // channels all have capacity at least α·lg n it uses at most
 // 2(α/(α-1))·λ(M) delivery cycles; on other fat-trees it remains correct but
 // falls back to Theorem 1 for the overflow.
-func ScheduleOfflineBig(t Topology, ms MessageSet) *Schedule { return sched.OffLineBig(t, ms) }
+func ScheduleOfflineBig(t *FatTree, ms MessageSet) *Schedule { return sched.OffLineBig(t, ms) }
 
 // ScheduleGreedy is the first-fit baseline scheduler (no bound).
-func ScheduleGreedy(t Topology, ms MessageSet) *Schedule { return sched.Greedy(t, ms) }
+func ScheduleGreedy(t *FatTree, ms MessageSet) *Schedule { return sched.Greedy(t, ms) }
 
 // EvenBisect splits a set of messages crossing node v (all in the same
 // direction) into halves whose load differs by at most one on every channel —
 // the matching-and-tracing primitive from the proof of Theorem 1.
-func EvenBisect(t Topology, v int, q MessageSet) (a, b MessageSet) {
+func EvenBisect(t *FatTree, v int, q MessageSet) (a, b MessageSet) {
 	return sched.EvenBisect(t, v, q)
 }
 
@@ -188,10 +186,10 @@ const (
 
 // NewEngine builds a delivery-cycle simulator for t with the given switch
 // kind.
-func NewEngine(t Topology, kind SwitchKind, seed int64) *Engine { return sim.New(t, kind, seed) }
+func NewEngine(t *FatTree, kind SwitchKind, seed int64) *Engine { return sim.New(t, kind, seed) }
 
 // NewEngineWithOptions is NewEngine with explicit Options.
-func NewEngineWithOptions(t Topology, kind SwitchKind, seed int64, opts Options) *Engine {
+func NewEngineWithOptions(t *FatTree, kind SwitchKind, seed int64, opts Options) *Engine {
 	return sim.NewWithOptions(t, kind, seed, opts)
 }
 
@@ -207,7 +205,7 @@ func RunOnlineRandom(e *Engine, ms MessageSet, seed int64) Stats {
 }
 
 // OnlineBound returns the randomized on-line envelope c·(λ + lg n·lg lg n).
-func OnlineBound(t Topology, lambda, c float64) float64 { return sim.OnlineBound(t, lambda, c) }
+func OnlineBound(t *FatTree, lambda, c float64) float64 { return sim.OnlineBound(t, lambda, c) }
 
 // BufferedStats summarizes a buffered (backpressure) delivery run.
 type BufferedStats = sim.BufferedStats
@@ -257,12 +255,12 @@ func ValidatePromExposition(text []byte) error { return obsv.ValidateExposition(
 
 // NewObserver builds an observer bound to t; every counter array is
 // preallocated so recording never allocates.
-func NewObserver(t Topology) *Observer { return obsv.New(t) }
+func NewObserver(t *FatTree) *Observer { return obsv.New(t) }
 
 // NewObserverCompact builds a per-level observer in O(levels) memory — the
 // observer for binary fat-trees too large for per-node counters, whose
 // per-level reports match a dense observer's exactly.
-func NewObserverCompact(t Topology) *Observer { return obsv.NewCompact(t) }
+func NewObserverCompact(t *FatTree) *Observer { return obsv.NewCompact(t) }
 
 // ObserversEqual reports whether two observers hold identical counter totals
 // — the parallel == serial equivalence assertion.
@@ -336,7 +334,7 @@ func StartProfiles(spec, base string) (func() error, error) {
 
 // ScheduleOfflineObserved is ScheduleOffline with per-level scheduler
 // counters recorded into o; the schedule is identical.
-func ScheduleOfflineObserved(t Topology, ms MessageSet, o *Observer) *Schedule {
+func ScheduleOfflineObserved(t *FatTree, ms MessageSet, o *Observer) *Schedule {
 	return sched.OffLineObserved(t, ms, o)
 }
 
@@ -355,7 +353,7 @@ type (
 )
 
 // UniformArrivals offers perCycle uniformly random messages every cycle.
-func UniformArrivals(t Topology, perCycle int, seed int64) ArrivalFunc {
+func UniformArrivals(t *FatTree, perCycle int, seed int64) ArrivalFunc {
 	return sim.UniformArrivals(t, perCycle, seed)
 }
 
@@ -367,7 +365,7 @@ func RunOpenLoop(e *Engine, arrivals ArrivalFunc, cycles int, seed int64) OpenLo
 
 // ScheduleOfflineCompact runs the Theorem 1 scheduler and then packs cycles
 // across levels greedily: same worst-case bound, fewer cycles in practice.
-func ScheduleOfflineCompact(t Topology, ms MessageSet) *Schedule {
+func ScheduleOfflineCompact(t *FatTree, ms MessageSet) *Schedule {
 	return sched.OffLineCompact(t, ms)
 }
 
@@ -377,39 +375,39 @@ func CompactSchedule(s *Schedule) *Schedule { return sched.Compact(s) }
 
 // ReadSchedule deserializes a JSON schedule (written with Schedule.WriteTo)
 // and binds it to t, verifying the machine matches.
-func ReadSchedule(r io.Reader, t Topology) (*Schedule, error) { return sched.ReadSchedule(r, t) }
+func ReadSchedule(r io.Reader, t *FatTree) (*Schedule, error) { return sched.ReadSchedule(r, t) }
 
 // RunSchedule plays an off-line schedule through the engine.
 func RunSchedule(e *Engine, s *Schedule) Stats { return sim.RunSchedule(e, s) }
 
 // DeliverOffline schedules ms with Theorem 1 and plays it on ideal switches:
 // zero drops, exactly len(schedule) cycles.
-func DeliverOffline(t Topology, ms MessageSet) (Stats, *Schedule) {
+func DeliverOffline(t *FatTree, ms MessageSet) (Stats, *Schedule) {
 	return sim.DeliverOffline(t, ms)
 }
 
 // MessageTicks, CycleTicks, ScheduleTicks and MaxCycleTicks model the
 // bit-serial clock (Fig. 2): O(lg n + payload) ticks per delivery cycle.
-func MessageTicks(t Topology, m Message, payloadBits int) int {
+func MessageTicks(t *FatTree, m Message, payloadBits int) int {
 	return sim.MessageTicks(t, m, payloadBits)
 }
 
 // CycleTicks returns the tick duration of one delivery cycle carrying ms.
-func CycleTicks(t Topology, ms MessageSet, payloadBits int) int {
+func CycleTicks(t *FatTree, ms MessageSet, payloadBits int) int {
 	return sim.CycleTicks(t, ms, payloadBits)
 }
 
 // ScheduleTicks totals the ticks of a sequence of delivery cycles.
-func ScheduleTicks(t Topology, cycles []MessageSet, payloadBits int) int {
+func ScheduleTicks(t *FatTree, cycles []MessageSet, payloadBits int) int {
 	return sim.ScheduleTicks(t, cycles, payloadBits)
 }
 
 // MaxCycleTicks returns the worst-case delivery-cycle duration.
-func MaxCycleTicks(t Topology, payloadBits int) int { return sim.MaxCycleTicks(t, payloadBits) }
+func MaxCycleTicks(t *FatTree, payloadBits int) int { return sim.MaxCycleTicks(t, payloadBits) }
 
 // PipelinedScheduleTicks models back-to-back delivery cycles with pipelined
 // frames: consecutive cycles separated by the frame length rather than the
 // full path traversal.
-func PipelinedScheduleTicks(t Topology, cycles []MessageSet, payloadBits int) int {
+func PipelinedScheduleTicks(t *FatTree, cycles []MessageSet, payloadBits int) int {
 	return sim.PipelinedScheduleTicks(t, cycles, payloadBits)
 }

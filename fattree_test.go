@@ -44,7 +44,7 @@ func TestPublicSchedulingPipeline(t *testing.T) {
 	if lam <= 0 {
 		t.Fatalf("λ = %v", lam)
 	}
-	for name, f := range map[string]func(fattree.Topology, fattree.MessageSet) *fattree.Schedule{
+	for name, f := range map[string]func(*fattree.FatTree, fattree.MessageSet) *fattree.Schedule{
 		"offline": fattree.ScheduleOffline,
 		"big":     fattree.ScheduleOfflineBig,
 		"greedy":  fattree.ScheduleGreedy,

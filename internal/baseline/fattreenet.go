@@ -19,8 +19,9 @@ type FatTreeNetwork struct {
 	layout *vlsi.TreeLayout
 }
 
-// NewFatTreeNetwork wraps ft with its geometric layout.
+// NewFatTreeNetwork wraps the binary tree ft with its geometric layout.
 func NewFatTreeNetwork(ft *core.FatTree) *FatTreeNetwork {
+	core.RequireHeapIndexed(ft, "baseline: NewFatTreeNetwork")
 	return &FatTreeNetwork{ft: ft, layout: vlsi.LayoutFatTree(ft)}
 }
 

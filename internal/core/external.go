@@ -23,17 +23,11 @@ func (m Message) IsExternal() bool { return m.Src == External || m.Dst == Extern
 func (t *FatTree) ExternalPath(m Message, buf []Channel) []Channel {
 	switch {
 	case m.Dst == External:
-		for v := t.Leaf(m.Src); v >= 1; v >>= 1 {
+		for v := t.Leaf(m.Src); v >= 1; v = t.Parent(v) {
 			buf = append(buf, Channel{Node: v, Dir: Up})
 		}
 	case m.Src == External:
-		start := len(buf)
-		for v := t.Leaf(m.Dst); v >= 1; v >>= 1 {
-			buf = append(buf, Channel{Node: v, Dir: Down})
-		}
-		for i, j := start, len(buf)-1; i < j; i, j = i+1, j-1 {
-			buf[i], buf[j] = buf[j], buf[i]
-		}
+		buf = t.appendDescent(buf, t.Leaf(m.Dst), 0)
 	default:
 		panic("core: ExternalPath on an internal message")
 	}
@@ -41,7 +35,7 @@ func (t *FatTree) ExternalPath(m Message, buf []Channel) []Channel {
 }
 
 // externalValidate checks an external message's processor endpoint.
-func externalValidate(t Topology, m Message) bool {
+func externalValidate(t *FatTree, m Message) bool {
 	if m.Src == External && m.Dst == External {
 		return false
 	}

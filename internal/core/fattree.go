@@ -10,12 +10,19 @@
 // capacities grow, so a fat-tree gets "thicker" toward the root, like a real
 // tree.
 //
-// Nodes are heap-indexed: the root is node 1, the children of node v are 2v
-// and 2v+1, and the leaves are nodes n..2n-1 (processor p sits at leaf n+p).
-// Following the paper, every node and the channel *beneath* it share a level
-// number equal to the node's distance from the root: the root and the external
-// root channel are at level 0, the processors and the channels leaving them
-// are at level lg n.
+// One type, FatTree, describes every fat-tree by per-tier level tables: tier
+// i fans each level-i node out to Down[i] children (SimGrid's
+// down;up;parallel descriptor). The paper's binary fat-tree is the case
+// Down[i] = 2, built by New and the profile constructors; NewKary builds any
+// other arity. Nodes are numbered level by level: the root is node 1 and the
+// children of consecutive nodes of one level occupy consecutive index ranges
+// of the next. On a binary tree this is the heap numbering — the children of
+// node v are 2v and 2v+1 and processor p sits at leaf n+p — which
+// HeapIndexed reports, so consumers bound to the binary shape keep their own
+// bit arithmetic. Following the paper, every node and the channel *beneath*
+// it share a level number equal to the node's distance from the root: the
+// root and the external root channel are at level 0, the processors and the
+// channels leaving them are at the leaf level.
 package core
 
 import (
@@ -46,24 +53,55 @@ func (d Direction) String() string {
 // of the edge between Node and its parent. The root channel (Node == 1)
 // connects the root to the external interface.
 type Channel struct {
-	Node int       // heap index of the node beneath the channel
+	Node int       // index of the node beneath the channel
 	Dir  Direction // Up (toward root) or Down (toward leaves)
 }
 
 // String renders the channel as e.g. "up(6)" for debugging output.
 func (c Channel) String() string { return fmt.Sprintf("%s(%d)", c.Dir, c.Node) }
 
-// FatTree is a fat-tree routing network on n = 2^L processors: the
-// level-uniform capacity profile plus a sparse per-channel override overlay.
-// Every query — parent/child/LCA navigation, per-channel capacities, subtree
-// intervals — is heap-index arithmetic over this O(levels)-sized state;
-// nothing is stored per node, so a 2^20-endpoint tree occupies a few dozen
-// machine words. The zero value is not usable; construct one with New,
-// NewUniversal, NewConstant or NewDoubling.
+// KaryDesc describes a fat-tree, one entry per tier. Tier i connects the
+// level-i nodes to their level-(i+1) children; tier 0 is the root tier and
+// tier len(Down)-1 is the leaf tier whose children are the processors. The
+// paper's binary fat-tree with capacity profile cap(k) is Down[i] = 2,
+// Up[i] = cap(i+1), Parallel[i] = 1, Root = cap(0).
+type KaryDesc struct {
+	// Down[i] is the number of children of every level-i node (the "down
+	// links" of the SimGrid descriptor). Each entry must be >= 2.
+	Down []int
+
+	// Up[i] is the number of uplinks from each level-(i+1) node toward its
+	// parent, and Parallel[i] the number of parallel wires per uplink, so the
+	// channel above a level-(i+1) node has capacity Up[i]·Parallel[i]. Both
+	// entries must be >= 1.
+	Up       []int
+	Parallel []int
+
+	// Root is the capacity of the external root channel (the level-0 channel
+	// between the root and the outside world). 0 selects the default
+	// Up[0]·Parallel[0] — the same width as the channels just below the root.
+	Root int
+}
+
+// FatTree is a fat-tree routing network on n = prod(Down) processors: the
+// per-tier level tables plus a sparse per-channel override overlay. Every
+// query — navigation, per-channel capacities, subtree intervals, paths — is
+// arithmetic over this O(levels)-sized state; nothing is stored per node, so
+// a 2^20-endpoint tree occupies a few dozen machine words. The zero value is
+// not usable; construct one with New, NewUniversal, NewConstant, NewDoubling,
+// NewUniversal2D or NewKary. Constructors panic on malformed input, and
+// SetChannelCapacity/FailNode validate every argument before mutating
+// anything.
 type FatTree struct {
-	n      int   // number of processors (power of two)
-	levels int   // lg n; leaves are at level `levels`
-	caps   []int // caps[k] = capacity of every channel at level k, 0 <= k <= levels
+	desc   KaryDesc
+	n      int   // processors, prod(Down)
+	levels int   // number of tiers; leaves live at level `levels`
+	nodes  int   // total node count (internal switches plus leaves)
+	caps   []int // caps[k] = capacity of the channel above a level-k node
+
+	levelFirst []int // levelFirst[k] = index of the first level-k node
+	levelCount []int // levelCount[k] = number of level-k nodes
+	leafStride []int // leafStride[k] = processors per level-k subtree
 
 	// override holds per-channel capacity overrides (same value for both
 	// directions), keyed by node index. It is nil unless SetChannelCapacity
@@ -72,24 +110,104 @@ type FatTree struct {
 	override map[int]int
 }
 
-// New builds a fat-tree on n processors whose channel capacity at level k is
-// capAt(k), for 0 <= k <= lg n. n must be a power of two and at least 2, and
-// capAt must return a positive capacity for every level; New panics otherwise,
-// since a malformed network is a programming error, not a runtime condition.
+// New builds a binary fat-tree on n processors whose channel capacity at
+// level k is capAt(k), for 0 <= k <= lg n. n must be a power of two and at
+// least 2, and capAt must return a positive capacity for every level; New
+// panics otherwise, since a malformed network is a programming error, not a
+// runtime condition.
 func New(n int, capAt func(level int) int) *FatTree {
 	if n < 2 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("core: n = %d must be a power of two and >= 2", n))
 	}
 	levels := bits.Len(uint(n)) - 1
-	caps := make([]int, levels+1)
+	desc := KaryDesc{Down: make([]int, levels), Up: make([]int, levels), Parallel: make([]int, levels)}
 	for k := 0; k <= levels; k++ {
 		c := capAt(k)
 		if c < 1 {
 			panic(fmt.Sprintf("core: capacity at level %d is %d; must be >= 1", k, c))
 		}
-		caps[k] = c
+		if k == 0 {
+			desc.Root = c
+			continue
+		}
+		desc.Down[k-1], desc.Up[k-1], desc.Parallel[k-1] = 2, c, 1
 	}
-	return &FatTree{n: n, levels: levels, caps: caps}
+	return NewKary(desc)
+}
+
+// NewKary validates desc and builds the fat-tree it describes. It panics on
+// a malformed descriptor — mismatched tier counts, an arity below 2, a link
+// count below 1, a negative root capacity — because a malformed network is a
+// programming error, exactly as in New.
+func NewKary(desc KaryDesc) *FatTree {
+	tiers := len(desc.Down)
+	if tiers < 1 {
+		panic("core: k-ary descriptor needs at least one tier")
+	}
+	if len(desc.Up) != tiers || len(desc.Parallel) != tiers {
+		panic(fmt.Sprintf("core: k-ary descriptor tier counts disagree: down=%d up=%d parallel=%d",
+			tiers, len(desc.Up), len(desc.Parallel)))
+	}
+	for i, d := range desc.Down {
+		if d < 2 {
+			panic(fmt.Sprintf("core: k-ary down[%d] = %d; every tier needs >= 2 children", i, d))
+		}
+		if desc.Up[i] < 1 {
+			panic(fmt.Sprintf("core: k-ary up[%d] = %d; must be >= 1", i, desc.Up[i]))
+		}
+		if desc.Parallel[i] < 1 {
+			panic(fmt.Sprintf("core: k-ary parallel[%d] = %d; must be >= 1", i, desc.Parallel[i]))
+		}
+	}
+	if desc.Root < 0 {
+		panic(fmt.Sprintf("core: k-ary root capacity %d must be >= 0 (0 selects the default)", desc.Root))
+	}
+
+	t := &FatTree{
+		desc:       cloneDesc(desc),
+		levels:     tiers,
+		caps:       make([]int, tiers+1),
+		levelFirst: make([]int, tiers+1),
+		levelCount: make([]int, tiers+1),
+		leafStride: make([]int, tiers+1),
+	}
+	t.levelFirst[0], t.levelCount[0] = 1, 1
+	for k := 0; k < tiers; k++ {
+		count := t.levelCount[k] * desc.Down[k]
+		if count > 1<<30 {
+			panic(fmt.Sprintf("core: k-ary tree too large: %d nodes at level %d", count, k+1))
+		}
+		t.levelCount[k+1] = count
+		t.levelFirst[k+1] = t.levelFirst[k] + t.levelCount[k]
+	}
+	t.n = t.levelCount[tiers]
+	t.nodes = t.levelFirst[tiers] + t.levelCount[tiers] - 1
+	for k := 0; k <= tiers; k++ {
+		t.leafStride[k] = t.n / t.levelCount[k]
+	}
+	t.caps[0] = desc.Root
+	if t.caps[0] == 0 {
+		t.caps[0] = desc.Up[0] * desc.Parallel[0]
+	}
+	for k := 1; k <= tiers; k++ {
+		t.caps[k] = desc.Up[k-1] * desc.Parallel[k-1]
+	}
+	return t
+}
+
+// cloneDesc deep-copies the descriptor so later caller mutations cannot
+// corrupt the built topology.
+func cloneDesc(d KaryDesc) KaryDesc {
+	out := KaryDesc{
+		Down:     make([]int, len(d.Down)),
+		Up:       make([]int, len(d.Up)),
+		Parallel: make([]int, len(d.Parallel)),
+		Root:     d.Root,
+	}
+	copy(out.Down, d.Down)
+	copy(out.Up, d.Up)
+	copy(out.Parallel, d.Parallel)
+	return out
 }
 
 // UniversalCapacity returns the channel capacity at the given level of a
@@ -145,68 +263,116 @@ func NewDoubling(n int) *FatTree {
 // Processors returns n, the number of processors (leaves).
 func (t *FatTree) Processors() int { return t.n }
 
-// Levels returns lg n, the level number of the leaves. Channels exist at
-// levels 0 (the external root channel) through Levels() (the channels between
-// processors and their parent switches).
+// Levels returns the level number of the leaves (lg n on a binary tree).
+// Channels exist at levels 0 (the external root channel) through Levels()
+// (the channels between processors and their parent switches).
 func (t *FatTree) Levels() int { return t.levels }
 
-// Nodes returns the total number of tree nodes, 2n-1 (internal switches plus
-// leaves).
-func (t *FatTree) Nodes() int { return 2*t.n - 1 }
+// Nodes returns the total number of tree nodes (internal switches plus
+// leaves): 2n-1 on a binary tree, fewer when tiers are wider.
+func (t *FatTree) Nodes() int { return t.nodes }
 
-// InternalNodes returns the number of switching nodes, n-1.
-func (t *FatTree) InternalNodes() int { return t.n - 1 }
+// InternalNodes returns the number of switching nodes (n-1 on a binary
+// tree).
+func (t *FatTree) InternalNodes() int { return t.nodes - t.n }
 
-// Leaf returns the heap index of processor p's leaf. It panics if p is out of
-// range.
+// Leaf returns the node index of processor p's leaf. It panics if p is out
+// of range.
 func (t *FatTree) Leaf(p int) int {
 	if p < 0 || p >= t.n {
 		panic(fmt.Sprintf("core: processor %d out of range [0,%d)", p, t.n))
 	}
-	return t.n + p
+	return t.levelFirst[t.levels] + p
 }
 
-// ProcessorOf returns the processor number of leaf node v, or -1 if v is not a
-// leaf.
+// ProcessorOf returns the processor number of leaf node v, or -1 if v is not
+// a leaf.
 func (t *FatTree) ProcessorOf(v int) int {
-	if v < t.n || v >= 2*t.n {
+	first := t.levelFirst[t.levels]
+	if v < first || v > t.nodes {
 		return -1
 	}
-	return v - t.n
+	return v - first
 }
 
 // Level returns the level (distance from the root) of node v. The root has
-// level 0 and leaves have level lg n.
+// level 0 and leaves have level Levels().
 func (t *FatTree) Level(v int) int {
-	if v < 1 || v >= 2*t.n {
-		panic(fmt.Sprintf("core: node %d out of range [1,%d)", v, 2*t.n))
+	if v < 1 || v > t.nodes {
+		panic(fmt.Sprintf("core: node %d out of range [1,%d)", v, t.nodes+1))
 	}
-	return bits.Len(uint(v)) - 1
+	return t.levelOf(v)
+}
+
+// levelOf is Level without the range check, scanning from the leaf level
+// first because most nodes are leaves.
+//
+//ftlint:hotpath
+func (t *FatTree) levelOf(v int) int {
+	for k := t.levels; k > 0; k-- {
+		if v >= t.levelFirst[k] {
+			return k
+		}
+	}
+	return 0
 }
 
 // Parent returns the parent of node v, or 0 for the root. v is not
 // range-checked; it is the hot-path navigation primitive.
 //
 //ftlint:hotpath
-func (t *FatTree) Parent(v int) int { return v >> 1 }
-
-// Children returns the contiguous child range of node v: (2v, 2) for an
-// internal node, (0, 0) for a leaf.
-func (t *FatTree) Children(v int) (first, count int) {
-	t.Level(v) // range-check
-	if v >= t.n {
-		return 0, 0
+func (t *FatTree) Parent(v int) int {
+	if v <= 1 {
+		return 0
 	}
-	return 2 * v, 2
+	k := t.levelOf(v)
+	return t.levelFirst[k-1] + (v-t.levelFirst[k])/t.desc.Down[k-1]
 }
 
-// LevelRange returns the contiguous node range of level k: [2^k, 2^(k+1)).
-// It panics if k is out of range.
+// Children returns the contiguous child range of node v: the first child
+// index and the child count ((2v, 2) on a binary tree), or (0, 0) for a
+// leaf.
+func (t *FatTree) Children(v int) (first, count int) {
+	k := t.Level(v)
+	if k == t.levels {
+		return 0, 0
+	}
+	return t.levelFirst[k+1] + (v-t.levelFirst[k])*t.desc.Down[k], t.desc.Down[k]
+}
+
+// LevelRange returns the contiguous node range of level k: the first index
+// and the node count ([2^k, 2^(k+1)) on a binary tree). It panics if k is
+// out of range.
 func (t *FatTree) LevelRange(k int) (first, count int) {
 	if k < 0 || k > t.levels {
 		panic(fmt.Sprintf("core: level %d out of range [0,%d]", k, t.levels))
 	}
-	return 1 << uint(k), 1 << uint(k)
+	return t.levelFirst[k], t.levelCount[k]
+}
+
+// AncestorAt returns node v's ancestor at level k (v itself when k is v's
+// level). It panics if v is out of range or k is below v's level.
+func (t *FatTree) AncestorAt(v, k int) int {
+	kv := t.Level(v)
+	if k < 0 || k > kv {
+		panic(fmt.Sprintf("core: level %d outside [0,%d] for node %d", k, kv, v))
+	}
+	lo := (v - t.levelFirst[kv]) * t.leafStride[kv]
+	return t.levelFirst[k] + lo/t.leafStride[k]
+}
+
+// SubtreeLeaves returns the half-open processor interval [lo, hi) of the
+// leaves under node v. For a leaf it is the single processor.
+func (t *FatTree) SubtreeLeaves(v int) (lo, hi int) {
+	k := t.Level(v)
+	lo = (v - t.levelFirst[k]) * t.leafStride[k]
+	return lo, lo + t.leafStride[k]
+}
+
+// Contains reports whether processor p lies in the subtree rooted at node v.
+func (t *FatTree) Contains(v, p int) bool {
+	lo, hi := t.SubtreeLeaves(v)
+	return p >= lo && p < hi
 }
 
 // CapacityAtLevel returns the (level-uniform) capacity of channels at level k.
@@ -222,28 +388,47 @@ func (t *FatTree) CapacityAtLevel(k int) int {
 // override. Both directions of an edge always share one capacity, as in the
 // paper (each tree edge corresponds to two channels of equal width).
 func (t *FatTree) Capacity(c Channel) int {
-	if t.override != nil {
-		if v, ok := t.override[c.Node]; ok {
-			return v
-		}
-	}
-	return t.caps[t.Level(c.Node)]
+	return t.capAtLevel(c.Node, t.Level(c.Node))
 }
 
 // CapAt returns the capacity of both channels of the edge above node v,
-// honouring overrides, without range-checking v. It is the O(1) hot-path
-// accessor behind the streaming engine; callers must guarantee 1 <= v < 2n
-// (bits.Len on an out-of-range index reads a wrong level or panics on the
-// slice access).
+// honouring overrides, without range-checking v — the O(1) hot-path
+// accessor. Callers must guarantee 1 <= v <= Nodes().
 //
 //ftlint:hotpath
-func (t *FatTree) CapAt(v int) int {
+func (t *FatTree) CapAt(v int) int { return t.capAtLevel(v, t.levelOf(v)) }
+
+// capAtLevel is CapAt for a node v known to sit at level k, so per-level
+// walks need not search for each node's level.
+//
+//ftlint:hotpath
+func (t *FatTree) capAtLevel(v, k int) int {
 	if t.override != nil {
 		if c, ok := t.override[v]; ok {
 			return c
 		}
 	}
-	return t.caps[bits.Len(uint(v))-1]
+	return t.caps[k]
+}
+
+// RootCapacity returns the capacity of the level-0 channel between the root
+// and the external interface.
+func (t *FatTree) RootCapacity() int { return t.Capacity(Channel{Node: 1, Dir: Up}) }
+
+// SetChannelCapacity overrides the capacity of both channels of the edge above
+// node v. cap must be >= 1 and v a valid node index in [1, Nodes()]; both are
+// validated up front, capacity first, before any mutation.
+func (t *FatTree) SetChannelCapacity(v, cap int) {
+	if cap < 1 {
+		panic(fmt.Sprintf("core: capacity %d must be >= 1", cap))
+	}
+	if v < 1 || v > t.nodes {
+		panic(fmt.Sprintf("core: node %d out of range [1,%d)", v, t.nodes+1))
+	}
+	if t.override == nil {
+		t.override = make(map[int]int)
+	}
+	t.override[v] = cap
 }
 
 // LevelCapTable returns a fresh copy of the per-level capacity table:
@@ -266,77 +451,42 @@ func (t *FatTree) Overrides(fn func(node, cap int)) {
 	}
 }
 
-// SetChannelCapacity overrides the capacity of both channels of the edge above
-// node v. cap must be >= 1 and v must be a valid heap node index in [1, 2n);
-// both are validated up front (before any mutation) with the same panics on
-// every Topology implementation, so a caller that survives the call on a
-// FatTree behaves identically on a binary-shaped KaryFatTree.
-func (t *FatTree) SetChannelCapacity(v, cap int) {
-	if cap < 1 {
-		panic(fmt.Sprintf("core: capacity %d must be >= 1", cap))
+// TotalWires returns the sum of capacities over all directed channels — a
+// crude "amount of communication hardware" figure used by the cost model and
+// the topology inspector. It is computed in O(levels + #overrides): level k
+// contributes levelCount[k] channels per direction at the level-uniform
+// capacity, and each override corrects its edge's contribution.
+func (t *FatTree) TotalWires() int {
+	total := 0
+	for k, c := range t.caps {
+		total += 2 * t.levelCount[k] * c
 	}
-	if v < 1 || v >= 2*t.n {
-		panic(fmt.Sprintf("core: node %d out of range [1,%d)", v, 2*t.n))
+	for v, c := range t.override {
+		total += 2 * (c - t.caps[t.levelOf(v)])
 	}
-	if t.override == nil {
-		t.override = make(map[int]int)
-	}
-	t.override[v] = cap
+	return total
 }
 
-// RootCapacity returns the capacity of the level-0 channel between the root
-// and the external interface.
-func (t *FatTree) RootCapacity() int { return t.Capacity(Channel{Node: 1, Dir: Up}) }
-
 // Channels calls fn for every directed channel of the fat-tree, in
-// deterministic order (node 1..2n-1, Up then Down). The root channel (node 1)
-// is included: it models the external interface. This iterator is inherently
-// O(n); size-independent callers should work per level instead.
+// deterministic order (node 1..Nodes(), Up then Down). The root channel
+// (node 1) is included: it models the external interface. This iterator is
+// inherently O(n); size-independent callers should work per level instead.
 func (t *FatTree) Channels(fn func(Channel)) {
-	for v := 1; v < 2*t.n; v++ {
+	for v := 1; v <= t.nodes; v++ {
 		fn(Channel{Node: v, Dir: Up})
 		fn(Channel{Node: v, Dir: Down})
 	}
 }
 
-// TotalWires returns the sum of capacities over all directed channels — a
-// crude "amount of communication hardware" figure used by the cost model and
-// the topology inspector. It is computed in O(levels + #overrides): level k
-// contributes 2^k channels per direction at the level-uniform capacity, and
-// each override corrects its edge's contribution.
-func (t *FatTree) TotalWires() int {
-	total := 0
-	for k, c := range t.caps {
-		total += 2 * (1 << uint(k)) * c
-	}
-	for v, c := range t.override {
-		total += 2 * (c - t.caps[bits.Len(uint(v))-1])
-	}
-	return total
-}
-
-// SubtreeLeaves returns the half-open processor interval [lo, hi) of the
-// leaves under node v. For a leaf it is the single processor.
-func (t *FatTree) SubtreeLeaves(v int) (lo, hi int) {
-	t.Level(v) // range-check
-	// Left-most descendant leaf: keep taking left children.
-	l, r := v, v
-	for l < t.n {
-		l = 2 * l
-		r = 2*r + 1
-	}
-	return l - t.n, r - t.n + 1
-}
-
-// Contains reports whether processor p lies in the subtree rooted at node v.
-func (t *FatTree) Contains(v, p int) bool {
-	lo, hi := t.SubtreeLeaves(v)
-	return p >= lo && p < hi
-}
-
-// String summarizes the fat-tree ("fat-tree(n=64, caps=[8 8 7 5 4 2 1])").
+// String summarizes the fat-tree: "fat-tree(n=64, caps=[8 8 7 5 4 2 1])" for
+// a binary tree, and the descriptor as well for any other arity
+// ("kary-fat-tree(n=64, down=[4 4 4], up=[2 2 1], parallel=[1 1 1], caps=[2 2 2 1])").
 func (t *FatTree) String() string {
-	return fmt.Sprintf("fat-tree(n=%d, caps=%v)", t.n, t.caps)
+	if HeapIndexed(t) {
+		return fmt.Sprintf("fat-tree(n=%d, caps=%v)", t.n, t.caps)
+	}
+	return fmt.Sprintf("kary-fat-tree(n=%d, down=%v, up=%v, parallel=%v, caps=%v)",
+		t.n, t.desc.Down, t.desc.Up, t.desc.Parallel, t.caps)
 }
 
 // ceilDiv returns ceil(a/b) for positive a, b.

@@ -16,7 +16,7 @@ import (
 // directions (capacity never drops below one — the last wire is assumed
 // repairable). It returns the number of degraded edges. The fat-tree is
 // modified in place via capacity overrides.
-func DegradeChannels(t Topology, probability, severity float64, seed int64) int {
+func DegradeChannels(t *FatTree, probability, severity float64, seed int64) int {
 	if probability < 0 || probability > 1 || severity < 0 || severity > 1 {
 		panic("core: DegradeChannels needs probability and severity in [0,1]")
 	}
@@ -44,7 +44,7 @@ func DegradeChannels(t Topology, probability, severity float64, seed int64) int 
 // still-connected configuration; a totally dead switch would disconnect the
 // tree, which the tree topology cannot tolerate — the paper's fat-tree has no
 // path diversity between a fixed leaf pair).
-func FailNode(t Topology, v int) {
+func FailNode(t *FatTree, v int) {
 	// Validate v before mutating anything: a bad index must not leave the
 	// tree half-failed (the first SetChannelCapacity would otherwise apply
 	// and then panic on a child, or — for v = 0 — panic after no-op guards).

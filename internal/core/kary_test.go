@@ -8,7 +8,7 @@ import (
 
 // karyRef is an explicitly materialized reference tree: every pointer and
 // capacity is stored per node, built by breadth-first expansion from the root
-// with none of KaryFatTree's level-order index arithmetic. Queries are
+// with none of FatTree's level-order index arithmetic. Queries are
 // answered by walking pointers, so agreement with the arithmetic
 // implementation on every node and every leaf pair is a genuine check.
 type karyRef struct {
@@ -134,8 +134,8 @@ var karyProfiles = []KaryDesc{
 }
 
 // TestKaryQueryParity checks every navigation, capacity, and path query of
-// KaryFatTree against the pointer-walking reference on every node and every
-// leaf pair, for each non-binary profile.
+// a non-binary FatTree against the pointer-walking reference on every node
+// and every leaf pair, for each non-binary profile.
 func TestKaryQueryParity(t *testing.T) {
 	for _, desc := range karyProfiles {
 		desc := desc
@@ -249,80 +249,6 @@ func TestKaryQueryParity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestKaryBinaryShapeMatchesFatTree pins the numbering degeneration the
-// simulation equivalence tests rely on: an all-binary descriptor produces a
-// KaryFatTree that answers every query exactly like the materialized binary
-// FatTree with the same capacity profile.
-func TestKaryBinaryShapeMatchesFatTree(t *testing.T) {
-	const n = 32
-	ft := NewUniversal(n, 8)
-	caps := ft.LevelCapTable()
-	desc := KaryDesc{
-		Down:     make([]int, ft.Levels()),
-		Up:       make([]int, ft.Levels()),
-		Parallel: make([]int, ft.Levels()),
-		Root:     caps[0],
-	}
-	for i := 0; i < ft.Levels(); i++ {
-		desc.Down[i] = 2
-		desc.Up[i] = caps[i+1]
-		desc.Parallel[i] = 1
-	}
-	kt := NewKary(desc)
-
-	if !HeapIndexed(kt) {
-		t.Fatal("binary-shaped KaryFatTree must be heap-indexed")
-	}
-	if kt.Nodes() != ft.Nodes() || kt.Levels() != ft.Levels() || kt.Processors() != ft.Processors() {
-		t.Fatalf("shape mismatch: kary %v vs binary %v", kt, ft)
-	}
-	for v := 1; v <= ft.Nodes(); v++ {
-		if kt.Level(v) != ft.Level(v) || kt.Parent(v) != ft.Parent(v) || kt.CapAt(v) != ft.CapAt(v) {
-			t.Fatalf("node %d: kary (level %d, parent %d, cap %d) vs binary (level %d, parent %d, cap %d)",
-				v, kt.Level(v), kt.Parent(v), kt.CapAt(v), ft.Level(v), ft.Parent(v), ft.CapAt(v))
-		}
-		kf, kc := kt.Children(v)
-		ff, fc := ft.Children(v)
-		if kf != ff || kc != fc {
-			t.Fatalf("Children(%d): kary (%d,%d) vs binary (%d,%d)", v, kf, kc, ff, fc)
-		}
-	}
-	for p := 0; p < n; p++ {
-		if kt.Leaf(p) != ft.Leaf(p) {
-			t.Fatalf("Leaf(%d): kary %d vs binary %d", p, kt.Leaf(p), ft.Leaf(p))
-		}
-		for q := 0; q < n; q++ {
-			m := Message{Src: p, Dst: q}
-			if kt.LCA(p, q) != ft.LCA(p, q) {
-				t.Fatalf("LCA(%d,%d): kary %d vs binary %d", p, q, kt.LCA(p, q), ft.LCA(p, q))
-			}
-			if !reflect.DeepEqual(kt.Path(m, nil), ft.Path(m, nil)) {
-				t.Fatalf("Path(%d->%d) differs", p, q)
-			}
-		}
-	}
-	if kt.TotalWires() != ft.TotalWires() {
-		t.Fatalf("TotalWires: kary %d vs binary %d", kt.TotalWires(), ft.TotalWires())
-	}
-	// Loads — and hence every λ figure — agree too.
-	ms := Reversal(n)
-	if l1, l2 := LoadFactor(kt, ms), LoadFactor(ft, ms); l1 != l2 {
-		t.Fatalf("LoadFactor: kary %g vs binary %g", l1, l2)
-	}
-}
-
-// Reversal is a tiny local copy of the workload generator (the core package
-// cannot import internal/workload).
-func Reversal(n int) MessageSet {
-	ms := make(MessageSet, 0, n)
-	for p := 0; p < n; p++ {
-		if d := n - 1 - p; d != p {
-			ms = append(ms, Message{Src: p, Dst: d})
-		}
-	}
-	return ms
 }
 
 // TestKaryValidation pins the constructor panics and the validate-before-

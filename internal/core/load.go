@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // This file implements the load machinery of Section III: load(M, c) is the
 // number of messages of a message set M that must pass through channel c, the
 // load factor λ(M, c) = load(M, c)/cap(c), and the load factor of the whole
@@ -10,9 +12,9 @@ package core
 // Loads records, for every edge of a fat-tree, how many messages of some
 // message set traverse its Up and Down channels. Index by node id.
 type Loads struct {
-	tree  Topology
+	tree  *FatTree
 	nodes int  // highest node index, cached so the scans below stay O(1) per probe
-	heap  bool // heap-indexed tree: the path walks below use the inline v/2 parent
+	heap  bool // heap-indexed tree: the path walks below use the inline v/2 parent and xor LCA
 	up    []int
 	down  []int
 }
@@ -20,7 +22,7 @@ type Loads struct {
 // NewLoads computes the per-channel loads of ms on t in O(|ms|·levels) time:
 // the up channel above node v carries the messages whose source lies in v's
 // subtree and whose destination does not; symmetrically for down.
-func NewLoads(t Topology, ms MessageSet) *Loads {
+func NewLoads(t *FatTree, ms MessageSet) *Loads {
 	nodes := t.Nodes()
 	l := &Loads{
 		tree:  t,
@@ -36,8 +38,8 @@ func NewLoads(t Topology, ms MessageSet) *Loads {
 }
 
 // parent steps one level toward the root: the inline heap shift on
-// heap-indexed trees (keeping the scheduler's λ recomputation free of
-// interface calls), the topology's Parent otherwise.
+// heap-indexed trees (keeping the scheduler's λ recomputation free of the
+// level-table scan), the tree's Parent otherwise.
 //
 //ftlint:hotpath
 func (l *Loads) parent(v int) int {
@@ -48,35 +50,32 @@ func (l *Loads) parent(v int) int {
 }
 
 // Add accounts one message's path into the load table.
-func (l *Loads) Add(m Message) {
-	if m.IsExternal() {
-		l.addExternal(m, 1)
-		return
-	}
-	t := l.tree
-	lca := t.LCA(m.Src, m.Dst)
-	for v := t.Leaf(m.Src); v != lca; v = l.parent(v) {
-		l.up[v]++
-	}
-	for v := t.Leaf(m.Dst); v != lca; v = l.parent(v) {
-		l.down[v]++
-	}
-}
+func (l *Loads) Add(m Message) { l.walk(m, 1) }
 
 // Remove un-accounts one message's path. Removing a message that was never
 // added produces negative loads; callers own that invariant.
-func (l *Loads) Remove(m Message) {
+func (l *Loads) Remove(m Message) { l.walk(m, -1) }
+
+// walk adds delta to every channel on m's path. The LCA is the heap xor
+// on heap-indexed trees, the tree's LCA otherwise.
+func (l *Loads) walk(m Message, delta int) {
 	if m.IsExternal() {
-		l.addExternal(m, -1)
+		l.addExternal(m, delta)
 		return
 	}
 	t := l.tree
-	lca := t.LCA(m.Src, m.Dst)
-	for v := t.Leaf(m.Src); v != lca; v = l.parent(v) {
-		l.up[v]--
+	a, b := t.Leaf(m.Src), t.Leaf(m.Dst)
+	var lca int
+	if l.heap {
+		lca = a >> uint(bits.Len(uint(a^b)))
+	} else {
+		lca = t.LCA(m.Src, m.Dst)
 	}
-	for v := t.Leaf(m.Dst); v != lca; v = l.parent(v) {
-		l.down[v]--
+	for v := a; v != lca; v = l.parent(v) {
+		l.up[v] += delta
+	}
+	for v := b; v != lca; v = l.parent(v) {
+		l.down[v] += delta
 	}
 }
 
@@ -119,14 +118,24 @@ func (l *Loads) Factor(c Channel) float64 {
 // MaxFactor returns λ(M) = max over channels of λ(M, c), together with a
 // channel achieving it. For an empty message set it returns 0 and the root
 // channel.
-func (l *Loads) MaxFactor() (float64, Channel) {
+func (l *Loads) MaxFactor() (float64, Channel) { return l.maxFactor(0) }
+
+// maxFactor is MaxFactor under the fictitious capacities max(1, cap(c)-slack)
+// (slack 0 leaves every capacity as it is). It walks the level tables, so no
+// node's level is searched for.
+func (l *Loads) maxFactor(slack int) (float64, Channel) {
+	t := l.tree
 	best := 0.0
 	arg := Channel{Node: 1, Dir: Up}
-	for v := 1; v <= l.nodes; v++ {
-		for _, c := range [2]Channel{{Node: v, Dir: Up}, {Node: v, Dir: Down}} {
-			f := l.Factor(c)
-			if f > best {
-				best, arg = f, c
+	for k := 0; k <= t.levels; k++ {
+		first := t.levelFirst[k]
+		for v := first; v < first+t.levelCount[k]; v++ {
+			c := float64(fictitious(t.capAtLevel(v, k), slack))
+			if f := float64(l.up[v]) / c; f > best {
+				best, arg = f, Channel{Node: v, Dir: Up}
+			}
+			if f := float64(l.down[v]) / c; f > best {
+				best, arg = f, Channel{Node: v, Dir: Down}
 			}
 		}
 	}
@@ -137,30 +146,20 @@ func (l *Loads) MaxFactor() (float64, Channel) {
 // the accounted message set is a one-cycle message set (λ(M) <= 1): a fat-tree
 // with ideal concentrator switches routes such a set in a single delivery
 // cycle.
-func (l *Loads) Fits() bool {
-	for v := 1; v <= l.nodes; v++ {
-		if l.up[v] > l.tree.Capacity(Channel{Node: v, Dir: Up}) {
-			return false
-		}
-		if l.down[v] > l.tree.Capacity(Channel{Node: v, Dir: Down}) {
-			return false
-		}
-	}
-	return true
-}
+func (l *Loads) Fits() bool { return l.FitsWithSlack(0) }
 
 // FitsWithSlack reports whether load(c) <= cap(c) - slack for every channel
 // whose capacity exceeds slack, and load(c) <= cap(c) otherwise. It implements
 // the fictitious capacities cap'(c) = cap(c) - lg n of Corollary 2.
 func (l *Loads) FitsWithSlack(slack int) bool {
-	for v := 1; v <= l.nodes; v++ {
-		capUp := l.tree.Capacity(Channel{Node: v, Dir: Up})
-		capDown := l.tree.Capacity(Channel{Node: v, Dir: Down})
-		if l.up[v] > fictitious(capUp, slack) {
-			return false
-		}
-		if l.down[v] > fictitious(capDown, slack) {
-			return false
+	t := l.tree
+	for k := 0; k <= t.levels; k++ {
+		first := t.levelFirst[k]
+		for v := first; v < first+t.levelCount[k]; v++ {
+			c := fictitious(t.capAtLevel(v, k), slack)
+			if l.up[v] > c || l.down[v] > c {
+				return false
+			}
 		}
 	}
 	return true
@@ -177,29 +176,20 @@ func fictitious(cap, slack int) int {
 }
 
 // LoadFactor is a convenience wrapper: it computes λ(M) for ms on t.
-func LoadFactor(t Topology, ms MessageSet) float64 {
+func LoadFactor(t *FatTree, ms MessageSet) float64 {
 	f, _ := NewLoads(t, ms).MaxFactor()
 	return f
 }
 
 // IsOneCycle reports whether ms is a one-cycle message set on t
 // (load(M,c) <= cap(c) for every channel).
-func IsOneCycle(t Topology, ms MessageSet) bool {
+func IsOneCycle(t *FatTree, ms MessageSet) bool {
 	return NewLoads(t, ms).Fits()
 }
 
 // LoadFactorWithSlack computes the load factor λ'(M) under the fictitious
 // capacities cap'(c) = max(1, cap(c) - slack) used in Corollary 2.
-func LoadFactorWithSlack(t Topology, ms MessageSet, slack int) float64 {
-	l := NewLoads(t, ms)
-	best := 0.0
-	for v := 1; v <= t.Nodes(); v++ {
-		for _, c := range [2]Channel{{Node: v, Dir: Up}, {Node: v, Dir: Down}} {
-			f := float64(l.Load(c)) / float64(fictitious(t.Capacity(c), slack))
-			if f > best {
-				best = f
-			}
-		}
-	}
-	return best
+func LoadFactorWithSlack(t *FatTree, ms MessageSet, slack int) float64 {
+	f, _ := NewLoads(t, ms).maxFactor(slack)
+	return f
 }

@@ -25,7 +25,7 @@ type MessageSet []Message
 // External pseudo-processor on one side) and that no message is a self-loop
 // (a message from a processor to itself never enters the routing network).
 // It returns the first violation found.
-func (ms MessageSet) Validate(t Topology) error {
+func (ms MessageSet) Validate(t *FatTree) error {
 	n := t.Processors()
 	for i, m := range ms {
 		if m.IsExternal() {

@@ -20,21 +20,20 @@ func mustPanicMsg(t *testing.T, label, want string, fn func()) {
 	fn()
 }
 
-// binaryTrees returns an 8-leaf FatTree and a binary-shaped KaryFatTree:
-// the two Topology implementations whose node numbering is the heap's.
-func binaryTrees() map[string]Topology {
-	return map[string]Topology{
+// binaryTrees returns two 8-leaf binary trees, one from the profile
+// constructor and one from an all-binary NewKary descriptor.
+func binaryTrees() map[string]*FatTree {
+	return map[string]*FatTree{
 		"materialized": NewUniversal(8, 4),
 		"binary-kary":  NewKary(KaryDesc{Down: []int{2, 2, 2}, Up: []int{2, 2, 1}, Parallel: []int{1, 1, 1}}),
 	}
 }
 
-// TestSetChannelCapacityValidation pins the bugfix that made out-of-range
-// validation identical across Topology implementations: a FatTree and a
-// binary-shaped KaryFatTree must reject cap < 1 and v outside [1, 2n) with
-// the same panics, in the same order (capacity first), and must not mutate
-// anything on a rejected call. The boundary nodes 1 and 2n-1 must be
-// accepted by both.
+// TestSetChannelCapacityValidation pins SetChannelCapacity's validation on
+// binary trees from either constructor: they must reject cap < 1 and v
+// outside [1, 2n) with the same panics, in the same order (capacity first),
+// and must not mutate anything on a rejected call. The boundary nodes 1 and
+// 2n-1 must be accepted by both.
 func TestSetChannelCapacityValidation(t *testing.T) {
 	const n = 8
 	for name, tr := range binaryTrees() {
@@ -47,9 +46,7 @@ func TestSetChannelCapacityValidation(t *testing.T) {
 			mustPanicMsg(t, "v=0", fmt.Sprintf(rangeMsg, 0), func() { tr.SetChannelCapacity(0, 2) })
 			mustPanicMsg(t, "v=-1", fmt.Sprintf(rangeMsg, -1), func() { tr.SetChannelCapacity(-1, 2) })
 			mustPanicMsg(t, "v=2n", fmt.Sprintf(rangeMsg, 2*n), func() { tr.SetChannelCapacity(2*n, 2) })
-			// Both arguments invalid: the capacity check fires first on both
-			// implementations, so error behavior cannot depend on which
-			// implementation a caller holds.
+			// Both arguments invalid: the capacity check fires first.
 			mustPanicMsg(t, "both-bad", capMsg, func() { tr.SetChannelCapacity(0, 0) })
 
 			// Rejected calls must not have mutated the overlay.

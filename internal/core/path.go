@@ -1,37 +1,34 @@
 package core
 
-import "math/bits"
-
 // Routing in the fat-tree is basically easy since every message has a unique
-// path in the underlying complete binary tree: a message from processor i to
-// processor j goes up the tree to their least common ancestor and then back
-// down according to the least significant bits of j. This file computes those
-// paths.
+// path in the underlying tree: a message from processor i to processor j goes
+// up the tree to their least common ancestor and then back down toward j.
+// This file computes those paths from the level tables.
 
-// LCA returns the heap index of the least common ancestor of processors p and
-// q (their leaves' lowest common tree ancestor).
+// LCA returns the node index of the least common ancestor of processors p
+// and q (their leaves' lowest common tree ancestor): the deepest level at
+// which both lie in the same subtree.
 func (t *FatTree) LCA(p, q int) int {
-	a, b := t.Leaf(p), t.Leaf(q)
-	// Heap-index LCA: strip low bits until the indices share their common
-	// prefix. Since both leaves are at the same depth, xor's bit length tells
-	// how many levels to climb.
-	diff := uint(a ^ b)
-	shift := bits.Len(diff)
-	return a >> shift
+	t.Leaf(p) // range-check
+	t.Leaf(q)
+	for k := t.levels; k > 0; k-- {
+		s := t.leafStride[k]
+		if p/s == q/s {
+			return t.levelFirst[k] + p/s
+		}
+	}
+	return 1
 }
 
 // PathLength returns the number of channels on the unique path of message m:
 // up from the source leaf to the LCA, then down to the destination leaf. A
 // message between distinct leaves under a common parent traverses 2 channels;
-// an external message traverses lg n + 1 channels (leaf to root interface).
+// an external message traverses Levels()+1 channels (leaf to root interface).
 func (t *FatTree) PathLength(m Message) int {
 	if m.IsExternal() {
 		return t.levels + 1
 	}
-	lca := t.LCA(m.Src, m.Dst)
-	leafDepth := t.levels
-	lcaDepth := t.Level(lca)
-	return 2 * (leafDepth - lcaDepth)
+	return 2 * (t.levels - t.Level(t.LCA(m.Src, m.Dst)))
 }
 
 // Path appends the channels of message m's unique path to buf and returns the
@@ -45,57 +42,44 @@ func (t *FatTree) Path(m Message, buf []Channel) []Channel {
 		return t.ExternalPath(m, buf)
 	}
 	lca := t.LCA(m.Src, m.Dst)
-	// Ascend from source leaf: the up channel above each node strictly below
-	// the LCA is used.
-	for v := t.Leaf(m.Src); v != lca; v >>= 1 {
+	for v := t.Leaf(m.Src); v != lca; v = t.Parent(v) {
 		buf = append(buf, Channel{Node: v, Dir: Up})
 	}
-	// Descend to destination leaf: collect the nodes below the LCA on the way
-	// down, then emit their Down channels in root-to-leaf order.
+	// The descent channels are collected leaf-to-LCA, then reversed so the
+	// path reads source→destination.
+	return t.appendDescent(buf, t.Leaf(m.Dst), lca)
+}
+
+// appendDescent appends the Down channels from just below stop to leaf, in
+// root-to-leaf order.
+func (t *FatTree) appendDescent(buf []Channel, leaf, stop int) []Channel {
 	start := len(buf)
-	for v := t.Leaf(m.Dst); v != lca; v >>= 1 {
+	for v := leaf; v != stop; v = t.Parent(v) {
 		buf = append(buf, Channel{Node: v, Dir: Down})
 	}
-	// The descent channels were collected leaf-to-LCA; reverse them so the
-	// path reads source→destination.
 	for i, j := start, len(buf)-1; i < j; i, j = i+1, j-1 {
 		buf[i], buf[j] = buf[j], buf[i]
 	}
 	return buf
 }
 
-// AddressBits returns the number of destination-address bits needed to route
-// m from its source: one bit per switching decision, which is the number of
-// Down channels on the path, i.e. the depth below the LCA. The paper bounds
-// this by 2·lg n for a general (externally addressed) message; internal
-// messages need only the suffix below the LCA.
+// AddressBits returns the number of switching decisions needed to route m
+// from its source: one per Down channel on the path, i.e. the depth below the
+// LCA. On a binary tree each decision is one address bit, and the paper
+// bounds this by 2·lg n for a general (externally addressed) message;
+// internal messages need only the suffix below the LCA.
 func (t *FatTree) AddressBits(m Message) int {
-	lca := t.LCA(m.Src, m.Dst)
-	return t.levels - t.Level(lca)
+	return t.levels - t.Level(t.LCA(m.Src, m.Dst))
 }
 
 // CrossesNode reports whether message m's path passes through switching node
 // v, i.e. v lies on the unique tree path between the two leaves (inclusive of
 // the LCA, exclusive of the leaves themselves unless v is a leaf endpoint).
 func (t *FatTree) CrossesNode(v int, m Message) bool {
-	// v is on the path iff v is an ancestor-or-self of exactly the portion of
-	// the path: equivalently, v is an ancestor of src-leaf or dst-leaf and a
-	// descendant-or-self of the LCA.
 	lca := t.LCA(m.Src, m.Dst)
-	if !isAncestorOrSelf(lca, v) {
+	ka, kv := t.Level(lca), t.Level(v)
+	if ka > kv || t.AncestorAt(v, ka) != lca {
 		return false
 	}
-	return isAncestorOrSelf(v, t.Leaf(m.Src)) || isAncestorOrSelf(v, t.Leaf(m.Dst))
-}
-
-// isAncestorOrSelf reports whether heap node a is an ancestor of (or equal to)
-// heap node b.
-func isAncestorOrSelf(a, b int) bool {
-	for b >= a {
-		if b == a {
-			return true
-		}
-		b >>= 1
-	}
-	return false
+	return t.Contains(v, m.Src) || t.Contains(v, m.Dst)
 }

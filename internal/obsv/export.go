@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 )
 
 // This file exports the event ring to the two interchange formats the
@@ -44,13 +43,14 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// levelOf returns the tree level of heap node v (root = 0); injection and
-// deferral events at leaves report the leaf level.
-func levelOf(v int32) int {
+// eventLevel returns the tree level of event node v (root = 0), folded
+// through the observer's level geometry; injection and deferral events at
+// leaves report the leaf level.
+func (o *Observer) eventLevel(v int32) int {
 	if v <= 0 {
 		return 0
 	}
-	return bits.Len(uint(v)) - 1
+	return o.lvl(int(v))
 }
 
 // WriteChromeTrace exports the observer's buffered events as Chrome
@@ -111,7 +111,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 		default:
 			events = append(events, chromeEvent{
 				Name: fmt.Sprintf("%s %d->%d", e.Kind, e.Src, e.Dst), Phase: "i",
-				TS: ts, PID: 1, TID: levelOf(e.Node) + 1, Scope: "t",
+				TS: ts, PID: 1, TID: o.eventLevel(e.Node) + 1, Scope: "t",
 				Args: map[string]any{
 					"node": e.Node, "flight": e.Flight, "wire": e.Wire,
 				},
@@ -158,7 +158,7 @@ func (o *Observer) WriteJSONL(w io.Writer) error {
 		}
 		err = enc.Encode(jsonlEvent{
 			Kind: e.Kind.String(), Cycle: e.Cycle, Node: e.Node,
-			Level: levelOf(e.Node), Flight: e.Flight,
+			Level: o.eventLevel(e.Node), Flight: e.Flight,
 			Src: e.Src, Dst: e.Dst, Wire: e.Wire, Count: e.Count,
 		})
 	})

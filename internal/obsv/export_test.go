@@ -136,10 +136,19 @@ func TestStartProfiles(t *testing.T) {
 }
 
 func TestLevelOf(t *testing.T) {
-	cases := map[int32]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 7: 2, 8: 3}
+	binary := New(core.NewConstant(8, 1))
+	cases := map[int32]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 7: 2, 8: 3, 15: 3}
 	for v, want := range cases {
-		if got := levelOf(v); got != want {
-			t.Fatalf("levelOf(%d) = %d, want %d", v, got, want)
+		if got := binary.eventLevel(v); got != want {
+			t.Fatalf("binary eventLevel(%d) = %d, want %d", v, got, want)
+		}
+	}
+	// A 3x4 k-ary tree numbers its 3 switches 2..4 and its leaves 5..16.
+	kary := New(core.NewKary(core.KaryDesc{Down: []int{3, 4}, Up: []int{2, 1}, Parallel: []int{1, 1}}))
+	cases = map[int32]int{0: 0, 1: 0, 2: 1, 4: 1, 5: 2, 8: 2, 16: 2}
+	for v, want := range cases {
+		if got := kary.eventLevel(v); got != want {
+			t.Fatalf("k-ary eventLevel(%d) = %d, want %d", v, got, want)
 		}
 	}
 }

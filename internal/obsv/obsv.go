@@ -169,7 +169,7 @@ type Observer struct {
 // the tree's size so recording never allocates. The per-node arrays make this
 // the *dense* observer — O(n) memory; use NewCompact for topologies too large
 // to materialize.
-func New(t core.Topology) *Observer {
+func New(t *core.FatTree) *Observer {
 	nodes := t.Nodes() + 1
 	o := &Observer{
 		nodes:  nodes,
@@ -203,7 +203,7 @@ func New(t core.Topology) *Observer {
 
 // bindLevels snapshots the topology's level geometry so the recording hooks
 // can fold node ids to levels without touching the tree again.
-func (o *Observer) bindLevels(t core.Topology) {
+func (o *Observer) bindLevels(t *core.FatTree) {
 	o.heap = core.HeapIndexed(t)
 	o.lvlFirst = make([]int, o.levels+1)
 	o.lvlCount = make([]int, o.levels+1)
@@ -236,7 +236,7 @@ func (o *Observer) lvl(v int) int {
 // same information as a dense observer's aggregation; per-node attribution is
 // unavailable. Only the streaming engine (and the scheduler's SchedLevel
 // hook) can drive a compact observer; the k-ary engine rejects it.
-func NewCompact(t core.Topology) *Observer {
+func NewCompact(t *core.FatTree) *Observer {
 	levels := t.Levels()
 	o := &Observer{
 		nodes:     t.Nodes() + 1,

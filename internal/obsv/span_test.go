@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -252,6 +253,7 @@ func TestREDEnqueueBeforeExit(t *testing.T) {
 	}()
 	for i := 0; i < 2000; i++ {
 		for !Enqueue(r, q, i) {
+			runtime.Gosched() // let the consumer drain; a busy spin starves it on one CPU
 		}
 	}
 	close(q)

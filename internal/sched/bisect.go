@@ -28,7 +28,8 @@ import (
 // same direction: every source in one child subtree of v and every destination
 // in the other. EvenBisect panics if q violates that precondition, since it is
 // only ever called on the crossing sets the schedulers construct.
-func EvenBisect(t core.Topology, v int, q core.MessageSet) (a, b core.MessageSet) {
+func EvenBisect(t *core.FatTree, v int, q core.MessageSet) (a, b core.MessageSet) {
+	core.RequireHeapIndexed(t, "sched: EvenBisect")
 	if len(q) == 0 {
 		return nil, nil
 	}
@@ -55,7 +56,8 @@ func EvenBisect(t core.Topology, v int, q core.MessageSet) (a, b core.MessageSet
 // ends are matched hierarchically over the whole tree; the external ends all
 // live at the interface and are paired consecutively. Every channel's load —
 // including the root channel's — splits to within one.
-func EvenBisectExternal(t core.Topology, q core.MessageSet) (a, b core.MessageSet) {
+func EvenBisectExternal(t *core.FatTree, q core.MessageSet) (a, b core.MessageSet) {
+	core.RequireHeapIndexed(t, "sched: EvenBisectExternal")
 	if len(q) == 0 {
 		return nil, nil
 	}
@@ -74,7 +76,7 @@ func EvenBisectExternal(t core.Topology, q core.MessageSet) (a, b core.MessageSe
 // evenBisectOwned runs bisectPart with freshly allocated scratch and returns
 // independently owned halves (b is nil when every message lands on side 0,
 // preserving the historical return shape for k <= 1 edge cases).
-func evenBisectOwned(t core.Topology, v int, q core.MessageSet, external, outbound bool) (a, b core.MessageSet) {
+func evenBisectOwned(t *core.FatTree, v int, q core.MessageSet, external, outbound bool) (a, b core.MessageSet) {
 	k := len(q)
 	bi := bisector{
 		partner: make([]int32, 2*k),

@@ -92,7 +92,7 @@ func Compact(s *Schedule) *Schedule {
 // OffLineCompact runs the Theorem 1 scheduler and compacts the result. It
 // constructs a fresh Scheduler per call; loops should hold a Scheduler and
 // call its OffLineCompact method instead.
-func OffLineCompact(t core.Topology, ms core.MessageSet) *Schedule {
+func OffLineCompact(t *core.FatTree, ms core.MessageSet) *Schedule {
 	//ftlint:ignore loanescape fresh Scheduler per call: its arena is unreachable elsewhere, so the result is independently owned
 	return NewScheduler(t).OffLineCompact(ms)
 }

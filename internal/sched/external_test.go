@@ -49,7 +49,7 @@ func TestSchedulersHandleExternalTraffic(t *testing.T) {
 		workload.ExternalIO(64, 30, 30, 1),
 		workload.RandomPermutation(64, 2),
 	)
-	for name, f := range map[string]func(core.Topology, core.MessageSet) *Schedule{
+	for name, f := range map[string]func(*core.FatTree, core.MessageSet) *Schedule{
 		"OffLine":    OffLine,
 		"OffLineBig": OffLineBig,
 		"Greedy":     Greedy,

@@ -51,8 +51,8 @@ func sameSchedule(t *testing.T, label string, want, got *Schedule) {
 }
 
 // FuzzSchedule cross-checks the Theorem 1 scheduler against its run on the
-// binary-shaped KaryFatTree twin of the tree and against a reused arena-backed Scheduler on fuzz-generated message
-// sets: every schedule must verify as a valid partition of the input, and a
+// tree NewKary builds from the same binary descriptor and against a reused
+// arena-backed Scheduler on fuzz-generated message sets: every schedule must verify as a valid partition of the input, and a
 // reused scheduler must match a fresh one across shrinking and regrowing
 // message sets (the arena reuse contract of DESIGN.md §9). Seed inputs live
 // in testdata/fuzz/FuzzSchedule.
@@ -70,8 +70,8 @@ func FuzzSchedule(f *testing.F) {
 		sc := NewScheduler(ft)
 		sameSchedule(t, "scheduler", serial, sc.OffLine(ms))
 		// Twin phase: the scheduler is pure heap-index arithmetic, so running
-		// it against the binary-shaped KaryFatTree with the same capacity
-		// profile must reproduce the FatTree schedule bit for bit.
+		// it against the NewKary tree with the same binary descriptor must
+		// reproduce the profile-built tree's schedule bit for bit.
 		caps := ft.LevelCapTable()
 		desc := core.KaryDesc{
 			Down:     make([]int, ft.Levels()),

@@ -110,8 +110,8 @@ func TestEvenBisectDuplicates(t *testing.T) {
 	}
 }
 
-func schedulersUnderTest() map[string]func(core.Topology, core.MessageSet) *Schedule {
-	return map[string]func(core.Topology, core.MessageSet) *Schedule{
+func schedulersUnderTest() map[string]func(*core.FatTree, core.MessageSet) *Schedule {
+	return map[string]func(*core.FatTree, core.MessageSet) *Schedule{
 		"OffLine":    OffLine,
 		"OffLineBig": OffLineBig,
 		"Greedy":     Greedy,

@@ -13,7 +13,7 @@ import (
 // M_1, ..., M_d: each cycle respects every channel capacity, so a fat-tree
 // with ideal concentrator switches delivers each cycle in one delivery cycle.
 type Schedule struct {
-	Tree   core.Topology
+	Tree   *core.FatTree
 	Cycles []core.MessageSet
 
 	// LoadFactor is λ(M), the lower bound on the number of delivery cycles.
@@ -107,7 +107,7 @@ type crossing struct {
 // iterate nodes in ascending id order without sorting.
 //
 //ftlint:hotpath
-func groupByLCA(t core.Topology, ms core.MessageSet) (byNode []crossing, extOut, extIn core.MessageSet) {
+func groupByLCA(t *core.FatTree, ms core.MessageSet) (byNode []crossing, extOut, extIn core.MessageSet) {
 	byNode = make([]crossing, t.Processors())
 	for _, m := range ms {
 		if m.IsExternal() {
@@ -147,7 +147,7 @@ func (x *crossing) empty() bool { return len(x.lr) == 0 && len(x.rl) == 0 }
 // OffLine constructs a fresh Scheduler per call, so the returned schedule is
 // independently owned; loops that schedule many message sets on one tree
 // should hold a Scheduler and call its OffLine method instead.
-func OffLine(t core.Topology, ms core.MessageSet) *Schedule {
+func OffLine(t *core.FatTree, ms core.MessageSet) *Schedule {
 	//ftlint:ignore loanescape fresh Scheduler per call: its arena is unreachable elsewhere, so the result is independently owned
 	return NewScheduler(t).OffLine(ms)
 }
@@ -157,7 +157,7 @@ func OffLine(t core.Topology, ms core.MessageSet) *Schedule {
 // cycles the level contributed to the schedule and how many messages have
 // their LCA there (index lg n + 1 holds the external-traffic block). The
 // schedule produced is identical to OffLine's.
-func OffLineObserved(t core.Topology, ms core.MessageSet, o *obsv.Observer) *Schedule {
+func OffLineObserved(t *core.FatTree, ms core.MessageSet, o *obsv.Observer) *Schedule {
 	//ftlint:ignore loanescape fresh Scheduler per call: its arena is unreachable elsewhere, so the result is independently owned
 	return NewScheduler(t).OffLineObserved(ms, o)
 }
@@ -171,7 +171,7 @@ func OffLineObserved(t core.Topology, ms core.MessageSet, o *obsv.Observer) *Sch
 // the tree is at most lg n per channel, absorbed by the fictitious slack.
 // The schedule length is the smallest power of two >= λ'(M), hence
 // d <= 2·λ'(M) = 2(α/(α-1))·λ(M) when capacities are >= α·lg n.
-func OffLineBig(t core.Topology, ms core.MessageSet) *Schedule {
+func OffLineBig(t *core.FatTree, ms core.MessageSet) *Schedule {
 	if !core.HeapIndexed(t) {
 		panic("sched: the Theorem 1 scheduler requires a heap-indexed binary fat-tree; use Greedy for k-ary topologies")
 	}
@@ -247,7 +247,7 @@ func OffLineBig(t core.Topology, ms core.MessageSet) *Schedule {
 // trimToCapacity greedily keeps a maximal prefix-feasible subset of cycle:
 // messages are admitted in order as long as no channel on their path exceeds
 // its capacity; the rest are returned as overflow.
-func trimToCapacity(t core.Topology, cycle core.MessageSet) (fit, over core.MessageSet) {
+func trimToCapacity(t *core.FatTree, cycle core.MessageSet) (fit, over core.MessageSet) {
 	loads := core.NewLoads(t, nil)
 	var buf []core.Channel
 	for _, m := range cycle {
@@ -271,7 +271,7 @@ func trimToCapacity(t core.Topology, cycle core.MessageSet) (fit, over core.Mess
 
 // bisectRounds splits q into 2^rounds parts by repeated even bisection at
 // node v.
-func bisectRounds(t core.Topology, v int, q core.MessageSet, rounds int) []core.MessageSet {
+func bisectRounds(t *core.FatTree, v int, q core.MessageSet, rounds int) []core.MessageSet {
 	return bisectRoundsWith(q, rounds, func(p core.MessageSet) (core.MessageSet, core.MessageSet) {
 		return EvenBisect(t, v, p)
 	})
@@ -297,7 +297,7 @@ func bisectRoundsWith(q core.MessageSet, rounds int,
 // machinery. It is correct (cycles are one-cycle sets) but offers no bound
 // better than d <= Σ load — on adversarial inputs it can be a lg n factor or
 // worse off the Theorem 1 schedule.
-func Greedy(t core.Topology, ms core.MessageSet) *Schedule {
+func Greedy(t *core.FatTree, ms core.MessageSet) *Schedule {
 	if err := ms.Validate(t); err != nil {
 		panic(err)
 	}

@@ -30,7 +30,7 @@ import (
 // Scheduler per call, so their results are independently owned — existing
 // one-shot callers keep value semantics.
 type Scheduler struct {
-	tree core.Topology
+	tree *core.FatTree
 	n    int         // processors
 	caps []int       // caps[v] = capacity of both channels above node v
 	lam  *core.Loads // persistent load table, cleared per call, for λ(M)
@@ -102,7 +102,7 @@ type nodeState struct {
 // NewScheduler returns a reusable Theorem 1 scheduler for t. The capacity
 // table is snapshotted here; SetChannelCapacity calls made after construction
 // are not observed.
-func NewScheduler(t core.Topology) *Scheduler {
+func NewScheduler(t *core.FatTree) *Scheduler {
 	if !core.HeapIndexed(t) {
 		panic("sched: the Theorem 1 scheduler requires a heap-indexed binary fat-tree; use Greedy for k-ary topologies")
 	}
@@ -122,7 +122,7 @@ func NewScheduler(t core.Topology) *Scheduler {
 }
 
 // Tree returns the fat-tree the scheduler is bound to.
-func (sc *Scheduler) Tree() core.Topology { return sc.tree }
+func (sc *Scheduler) Tree() *core.FatTree { return sc.tree }
 
 // OffLine schedules ms with the Theorem 1 algorithm. The returned schedule is
 // a loan from the scheduler's arena, valid until the next call.
@@ -504,7 +504,7 @@ func (sc *Scheduler) copyPart(bnd []int32, flip bool, i, cur int) int {
 // scratch; out must not alias q.
 //
 //ftlint:hotpath
-func bisectPart(t core.Topology, v int, q, out []core.Message, bi *bisector, external, outbound bool) int {
+func bisectPart(t *core.FatTree, v int, q, out []core.Message, bi *bisector, external, outbound bool) int {
 	k := len(q)
 	if k == 0 {
 		return 0
@@ -530,7 +530,7 @@ func bisectPart(t core.Topology, v int, q, out []core.Message, bi *bisector, ext
 			keys[i] = int64(p)<<32 | int64(i)
 		}
 		slices.Sort(keys)
-		unmatched = matchSorted(t, 1, keys, 0, k, 0, partner)
+		unmatched = matchSorted(t.Processors(), 1, keys, 0, k, 0, partner)
 		for i := 0; i+1 < k; i += 2 {
 			partner[2*i+1] = int32(2*(i+1) + 1)
 			partner[2*(i+1)+1] = int32(2*i + 1)
@@ -546,12 +546,12 @@ func bisectPart(t core.Topology, v int, q, out []core.Message, bi *bisector, ext
 			keys[i] = int64(m.Src)<<32 | int64(i)
 		}
 		slices.Sort(keys)
-		unmatched = matchSorted(t, srcChild, keys, 0, k, 0, partner)
+		unmatched = matchSorted(t.Processors(), srcChild, keys, 0, k, 0, partner)
 		for i, m := range q {
 			keys[i] = int64(m.Dst)<<32 | int64(i)
 		}
 		slices.Sort(keys)
-		matchSorted(t, dstChild, keys, 0, k, 1, partner)
+		matchSorted(t.Processors(), dstChild, keys, 0, k, 1, partner)
 	}
 
 	// Tracing: follow strings, alternating sides; start with the unmatched
@@ -594,14 +594,18 @@ func bisectPart(t core.Topology, v int, q, out []core.Message, bi *bisector, ext
 // search. At each leaf consecutive ends pair up; at each internal node the
 // (at most one) unmatched end from each child is paired. End ids are
 // 2·index+endBit (endBit 0 = source/processor ends, 1 = destination ends).
-// It returns the single unmatched end, or -1.
+// It returns the single unmatched end, or -1. n is the tree's processor
+// count: heap node v at level k = bits.Len(v)-1 spans the n>>k processors
+// from (v-2^k)·(n>>k).
 //
 //ftlint:hotpath
-func matchSorted(t core.Topology, node int, keys []int64, lo, hi, endBit int, partner []int32) int32 {
+func matchSorted(n, node int, keys []int64, lo, hi, endBit int, partner []int32) int32 {
 	if lo >= hi {
 		return -1
 	}
-	plo, phi := t.SubtreeLeaves(node)
+	k := uint(bits.Len(uint(node)) - 1)
+	plo := (node - 1<<k) * (n >> k)
+	phi := plo + n>>k
 	if plo+1 == phi {
 		for i := lo; i+1 < hi; i += 2 {
 			a := int32(keys[i]&0xffffffff)<<1 | int32(endBit)
@@ -624,8 +628,8 @@ func matchSorted(t core.Topology, node int, keys []int64, lo, hi, endBit int, pa
 			top = h
 		}
 	}
-	l := matchSorted(t, 2*node, keys, lo, cut, endBit, partner)
-	r := matchSorted(t, 2*node+1, keys, cut, hi, endBit, partner)
+	l := matchSorted(n, 2*node, keys, lo, cut, endBit, partner)
+	r := matchSorted(n, 2*node+1, keys, cut, hi, endBit, partner)
 	if l != -1 && r != -1 {
 		partner[l] = r
 		partner[r] = l

@@ -53,7 +53,7 @@ func (s *Schedule) WriteTo(w io.Writer) (int64, error) {
 // ReadSchedule deserializes a schedule and binds it to the given fat-tree,
 // verifying that the tree matches the one the schedule was compiled for
 // (processor count and level capacities).
-func ReadSchedule(r io.Reader, t core.Topology) (*Schedule, error) {
+func ReadSchedule(r io.Reader, t *core.FatTree) (*Schedule, error) {
 	var sj scheduleJSON
 	if err := json.NewDecoder(r).Decode(&sj); err != nil {
 		return nil, fmt.Errorf("sched: decoding schedule: %w", err)

@@ -39,10 +39,10 @@ type BufferedStats struct {
 // terminates far earlier.
 const bufferedLimit = 1 << 22
 
-// RunBuffered delivers ms on t with per-channel FIFO queues of the given
-// depth (measured in messages; the paper's wire-parallel channels forward
-// cap(c) messages per hop). queueDepth must be at least 1. Source processors
-// buffer their own backlog without limit, as in Section II.
+// RunBuffered delivers ms on the binary tree t with per-channel FIFO queues
+// of the given depth (measured in messages; the paper's wire-parallel
+// channels forward cap(c) messages per hop). queueDepth must be at least 1.
+// Source processors buffer their own backlog without limit, as in Section II.
 func RunBuffered(t *core.FatTree, ms core.MessageSet, queueDepth int) BufferedStats {
 	return runBuffered(t, ms, queueDepth, nil)
 }
@@ -58,6 +58,7 @@ func RunBufferedObserved(t *core.FatTree, ms core.MessageSet, queueDepth int, o 
 
 // runBuffered is the shared implementation; o may be nil.
 func runBuffered(t *core.FatTree, ms core.MessageSet, queueDepth int, o *obsv.Observer) BufferedStats {
+	core.RequireHeapIndexed(t, "sim: RunBuffered")
 	if queueDepth < 1 {
 		panic(fmt.Sprintf("sim: queue depth %d must be >= 1", queueDepth))
 	}

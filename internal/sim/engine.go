@@ -16,17 +16,18 @@
 //
 // # The data planes
 //
-// A binary fat-tree (any heap-indexed Topology) routes on the streaming plane
-// of stream.go: each sweep step carries sorted (node, flight) key lists to
-// the next, so a cycle does O(flights × path length) work and engine memory
-// is independent of the processor count. Ideal switches are computed inline
+// A binary fat-tree (core.HeapIndexed) routes on the streaming plane of
+// stream.go: each sweep step carries sorted (node, flight) key lists to the
+// next, so a cycle does O(flights × path length) work and engine memory is
+// independent of the processor count. Ideal switches are computed inline
 // from the capacity profile; partial or lossy switches are built lazily the
-// first time their node is contested. A KaryFatTree routes on the level-table
-// plane of kary.go. Both planes keep every transient — the flight table, the
-// key lists or buckets, the wire guards and the wire histories — in a
-// per-engine scratch arena reused from cycle to cycle: the first cycle after
-// construction (or after a growth in problem size) warms the arena, and
-// later cycles allocate nothing. See DESIGN.md "Scratch-arena ownership" for
+// first time their node is contested. A fat-tree of any other arity routes
+// on the level-table plane of kary.go. Both planes keep every transient —
+// the flight table, the key lists or buckets, the wire guards and the wire
+// histories — in a per-engine scratch arena reused from cycle to cycle: the
+// first cycle after construction (or after a growth in problem size) warms
+// the arena, and later cycles allocate nothing. See DESIGN.md "Scratch-arena
+// ownership" for
 // the reuse rules.
 //
 // # Determinism
@@ -39,8 +40,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"fattree/internal/concentrator"
 	"fattree/internal/core"
 	"fattree/internal/obsv"
@@ -74,7 +73,7 @@ type Options struct {
 // intended mode and produces results identical to a fresh engine (the
 // engine-reuse equivalence tests pin this).
 type Engine struct {
-	tree core.Topology
+	tree *core.FatTree
 
 	// obs is the attached observability layer, nil when disabled. It is a
 	// concrete pointer (never an interface) so the disabled hot path is a
@@ -87,7 +86,7 @@ type Engine struct {
 	// Exactly one plane is set. stream is the plane of every binary fat-tree
 	// (stream.go): it carries sorted (node, flight) key lists from one sweep
 	// step to the next, so memory is O(messages × path length), independent
-	// of n. kary is the level-table plane of a KaryFatTree (kary.go).
+	// of n. kary is the level-table plane of a non-binary tree (kary.go).
 	stream *streamState
 	kary   *karyState
 }
@@ -115,22 +114,20 @@ type scratch struct {
 // Section III, or Pippenger-style partial per Section IV). seed feeds the
 // partial constructions and is offset by the node id, so every switch draws
 // from its own stream.
-func New(t core.Topology, kind concentrator.Kind, seed int64) *Engine {
+func New(t *core.FatTree, kind concentrator.Kind, seed int64) *Engine {
 	return NewWithOptions(t, kind, seed, Options{})
 }
 
-// NewWithOptions is New with explicit Options. A KaryFatTree selects the
-// level-table plane (kary.go), which routes with inline ideal concentrators;
-// every other topology must be heap-indexed (core.HeapIndexed) and selects
-// the streaming plane (stream.go).
-func NewWithOptions(t core.Topology, kind concentrator.Kind, seed int64, opts Options) *Engine {
+// NewWithOptions is New with explicit Options. A binary tree
+// (core.HeapIndexed) selects the streaming plane (stream.go); any other
+// arity selects the level-table plane (kary.go), which routes with inline
+// ideal concentrators.
+func NewWithOptions(t *core.FatTree, kind concentrator.Kind, seed int64, opts Options) *Engine {
 	var e *Engine
-	if kt, ok := t.(*core.KaryFatTree); ok {
-		e = newKaryEngine(kt, kind)
-	} else if core.HeapIndexed(t) {
+	if core.HeapIndexed(t) {
 		e = newStreamEngine(t, kind, seed)
 	} else {
-		panic(fmt.Sprintf("sim: %v is neither a KaryFatTree nor heap-indexed", t))
+		e = newKaryEngine(t, kind)
 	}
 	if opts.Observer != nil {
 		e.SetObserver(opts.Observer)
@@ -139,7 +136,7 @@ func NewWithOptions(t core.Topology, kind concentrator.Kind, seed int64, opts Op
 }
 
 // Tree returns the fat-tree the engine simulates.
-func (e *Engine) Tree() core.Topology { return e.tree }
+func (e *Engine) Tree() *core.FatTree { return e.tree }
 
 // InjectLoss adds a transient-fault model to every switch: each routed
 // message is independently corrupted with the given rate and must be retried

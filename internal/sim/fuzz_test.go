@@ -66,8 +66,8 @@ var engineFuzzSeeds = [][]byte{
 
 // FuzzEnginePlaneEquivalence cross-checks the engine's data planes on
 // fuzz-generated scenarios: for any tree shape, switch kind, and loss rate,
-// the streaming plane, and on ideal lossless switches the k-ary plane on the
-// tree's binary-shaped twin, must reproduce the dense reference engine
+// the streaming plane, and on ideal lossless switches the k-ary plane built
+// directly on the same tree, must reproduce the dense reference engine
 // (reference_test.go) bit for bit — total cycle count, per-cycle delivery
 // profile, drops, deferrals, delivered flags, and per-switch observer
 // counters. It also checks that attaching an observer does not perturb a
@@ -186,26 +186,15 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 			t.Fatalf("reused RunCycle diverges: ref %+v %v, stream %+v %v", rc.res, rc.delivered, rsr, rsd)
 		}
 
-		// K-ary phase, part 1: a binary-shaped KaryFatTree routes through the
-		// k-ary engine, and on ideal lossless switches that engine must
-		// reproduce the reference bit for bit — the concentrator rules
-		// collapse to the same wire assignment when every tier is binary.
+		// K-ary phase, part 1: the level-table plane, built directly on the
+		// same binary tree, must reproduce the reference bit for bit on ideal
+		// lossless switches — the concentrator rules collapse to the same
+		// wire assignment when every tier is binary.
 		if kind == concentrator.KindIdeal && loss == 0 {
-			caps := ft.LevelCapTable()
-			bdesc := core.KaryDesc{
-				Down:     make([]int, ft.Levels()),
-				Up:       make([]int, ft.Levels()),
-				Parallel: make([]int, ft.Levels()),
-				Root:     caps[0],
-			}
-			for i := 0; i < ft.Levels(); i++ {
-				bdesc.Down[i], bdesc.Up[i], bdesc.Parallel[i] = 2, caps[i+1], 1
-			}
-			bkt := core.NewKary(bdesc)
-			o := obsv.New(bkt)
-			e := NewWithOptions(bkt, concentrator.KindIdeal, seed, Options{Observer: o})
+			e := newKaryEngine(ft, concentrator.KindIdeal)
+			e.SetObserver(obsv.New(ft))
 			if stats := e.Run(ms); !reflect.DeepEqual(stats, want) {
-				t.Fatalf("binary-shaped k-ary engine diverges from the reference\nref  %+v\nkary %+v", want, stats)
+				t.Fatalf("k-ary plane diverges from the reference\nref  %+v\nkary %+v", want, stats)
 			}
 		}
 

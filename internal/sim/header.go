@@ -33,7 +33,7 @@ type Header struct {
 // child) — followed by enough wire-select bits to name the assigned wire in
 // the next channel (ceil(lg cap) bits, the concentrator cascade's decision
 // bits). payloadBits zero bits stand in for the data.
-func EncodeHeader(t core.Topology, wp WirePath, payloadBits int) Header {
+func EncodeHeader(t *core.FatTree, wp WirePath, payloadBits int) Header {
 	if !core.HeapIndexed(t) {
 		panic("sim: the Fig. 2 frame format is binary (one routing bit per hop); k-ary topologies have no header encoding")
 	}
@@ -71,7 +71,7 @@ func EncodeHeader(t core.Topology, wp WirePath, payloadBits int) Header {
 // from the message's first channel with its assigned wire, and returns the
 // channels and wires traversed. It is the software model of the switches
 // consuming the frame; the result must equal the original wire path.
-func DecodeHeader(t core.Topology, msg core.Message, firstWire int, h Header) ([]core.Channel, []int, error) {
+func DecodeHeader(t *core.FatTree, msg core.Message, firstWire int, h Header) ([]core.Channel, []int, error) {
 	if !core.HeapIndexed(t) {
 		panic("sim: the Fig. 2 frame format is binary (one routing bit per hop); k-ary topologies have no header encoding")
 	}
@@ -144,7 +144,7 @@ func selectBits(cap int) int {
 // 1 (M bit) + steering + payload. The paper's 2·lg n address-bit bound shows
 // up as the steering term's routing bits; wire-select bits add the
 // concentrator decisions of Section IV.
-func FrameLength(t core.Topology, m core.Message, payloadBits int) int {
+func FrameLength(t *core.FatTree, m core.Message, payloadBits int) int {
 	path := t.Path(m, nil)
 	total := 1 + payloadBits
 	for i := 1; i < len(path); i++ {

@@ -5,10 +5,10 @@ import (
 	"fattree/internal/core"
 )
 
-// This file is the delivery-cycle data plane for generalized k-ary fat-trees
-// (core.KaryFatTree): inject, a bucketed upward sweep, a bucketed downward
-// sweep, collect. Every node and level is found through the topology's
-// level-order tables (Parent, Children, LevelRange, AncestorAt). Each sweep
+// This file is the delivery-cycle data plane for fat-trees whose tiers are
+// not all binary (!core.HeapIndexed): inject, a bucketed upward sweep, a
+// bucketed downward sweep, collect. Every node and level is found through
+// the tree's level-order tables (Parent, Children, LevelRange, AncestorAt). Each sweep
 // step touches every in-flight message once to bucket it under its owning
 // switch, and the buckets, injection counters and capacity table are
 // allocated once at construction.
@@ -36,7 +36,7 @@ import (
 
 // karyState is the per-engine state of the k-ary plane.
 type karyState struct {
-	t *core.KaryFatTree
+	t *core.FatTree
 	// node[v] is internal node v's routing scratch; leaf slots stay empty.
 	node []karyNodeScratch
 
@@ -74,7 +74,7 @@ type karyNodeScratch struct {
 
 // newKaryEngine builds the k-ary delivery engine. Only ideal concentrators
 // are supported.
-func newKaryEngine(t *core.KaryFatTree, kind concentrator.Kind) *Engine {
+func newKaryEngine(t *core.FatTree, kind concentrator.Kind) *Engine {
 	if kind != concentrator.KindIdeal {
 		panic("sim: k-ary topologies route with ideal concentrators only; partial concentrators model the binary Section IV hardware")
 	}

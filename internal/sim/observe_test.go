@@ -203,7 +203,7 @@ func TestObserverReuseAndReset(t *testing.T) {
 // TestCompactObserverOnFatTree pins the observer choice on each plane: an
 // engine on a binary FatTree accepts a compact observer, whose per-level
 // summary equals a dense observer's on the same run, and an engine on a
-// KaryFatTree still rejects one.
+// non-binary tree still rejects one.
 func TestCompactObserverOnFatTree(t *testing.T) {
 	ft := core.NewUniversal(64, 16)
 	ms := workload.Random(64, 256, 5)

@@ -17,7 +17,7 @@ import (
 
 // OnlineBound returns the Greenberg–Leiserson envelope c·(λ + lg n·lg lg n)
 // with constant c, the figure RunOnlineRandom is measured against.
-func OnlineBound(t core.Topology, lambda float64, c float64) float64 {
+func OnlineBound(t *core.FatTree, lambda float64, c float64) float64 {
 	lg := float64(core.Lg(t.Processors()))
 	lglg := math.Log2(lg)
 	if lglg < 1 {

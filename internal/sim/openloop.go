@@ -34,7 +34,7 @@ type ArrivalFunc func(cycle int) core.MessageSet
 
 // UniformArrivals builds an arrival process offering `perCycle` uniformly
 // random messages every cycle, seeded.
-func UniformArrivals(t core.Topology, perCycle int, seed int64) ArrivalFunc {
+func UniformArrivals(t *core.FatTree, perCycle int, seed int64) ArrivalFunc {
 	rng := rand.New(rand.NewSource(seed))
 	n := t.Processors()
 	return func(int) core.MessageSet {

@@ -20,7 +20,7 @@ import (
 // sweep and the down sweep run level by level, each level's nodes in
 // ascending order and each node's requests in message-index order.
 type refEngine struct {
-	t    core.Topology
+	t    *core.FatTree
 	caps []int
 	sw   []*concentrator.Switch // indexed by internal node 1..n-1
 
@@ -49,7 +49,7 @@ type refCycle struct {
 	hist      [][]int // each delivered message's wires in path order, nil otherwise
 }
 
-func newRefEngine(t core.Topology, kind concentrator.Kind, seed int64) *refEngine {
+func newRefEngine(t *core.FatTree, kind concentrator.Kind, seed int64) *refEngine {
 	n := t.Processors()
 	r := &refEngine{
 		t:        t,
@@ -244,7 +244,7 @@ func (r *refEngine) run(ms core.MessageSet) Stats {
 
 // refSettings compiles a schedule on an ideal reference engine, the
 // reference counterpart of CompileSettings.
-func refSettings(t core.Topology, s *sched.Schedule) [][]WirePath {
+func refSettings(t *core.FatTree, s *sched.Schedule) [][]WirePath {
 	r := newRefEngine(t, concentrator.KindIdeal, 0)
 	out := make([][]WirePath, len(s.Cycles))
 	for ci, cyc := range s.Cycles {

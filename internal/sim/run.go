@@ -69,7 +69,7 @@ func RunSchedule(e *Engine, s *sched.Schedule) Stats {
 // DeliverOffline is the headline convenience API: schedule ms with Theorem 1
 // and play the schedule through ideal-switch hardware. The returned stats
 // satisfy Cycles = len(schedule) and Drops = 0 for any valid input.
-func DeliverOffline(t core.Topology, ms core.MessageSet) (Stats, *sched.Schedule) {
+func DeliverOffline(t *core.FatTree, ms core.MessageSet) (Stats, *sched.Schedule) {
 	s := sched.OffLine(t, ms)
 	e := New(t, concentrator.KindIdeal, 0)
 	return RunSchedule(e, s), s

@@ -106,7 +106,7 @@ func TestEngineWorkersIgnored(t *testing.T) {
 	n := 64
 	binary := core.NewUniversal(n, 16)
 	kary := core.NewKary(core.KaryDesc{Down: []int{4, 4, 4}, Up: []int{2, 2, 1}, Parallel: []int{1, 1, 1}})
-	for name, tree := range map[string]core.Topology{"stream": binary, "kary": kary} {
+	for name, tree := range map[string]*core.FatTree{"stream": binary, "kary": kary} {
 		ms := workload.Random(tree.Processors(), 2*tree.Processors(), 3)
 		e := NewWithOptions(tree, concentrator.KindIdeal, 0, Options{Workers: 8})
 		e.RunCycle(ms) // warm the scratch arena

@@ -28,7 +28,7 @@ type WirePath struct {
 // Settings is a compiled schedule: the complete switch program for a message
 // set.
 type Settings struct {
-	Tree   core.Topology
+	Tree   *core.FatTree
 	Cycles [][]WirePath
 }
 
@@ -49,7 +49,7 @@ func (st *Settings) Messages() int {
 // assignments. It panics if the schedule drops anything — a valid one-cycle
 // partition never does on ideal switches, so a panic means the schedule was
 // not verified.
-func CompileSettings(t core.Topology, s *sched.Schedule) *Settings {
+func CompileSettings(t *core.FatTree, s *sched.Schedule) *Settings {
 	e := New(t, concentrator.KindIdeal, 0)
 	st := &Settings{Tree: t, Cycles: make([][]WirePath, len(s.Cycles))}
 	for ci, cyc := range s.Cycles {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"fattree/internal/concentrator"
@@ -241,5 +242,31 @@ func TestLocalTrafficUsesShortCycles(t *testing.T) {
 	if CycleTicks(ft, local, 8) >= CycleTicks(ft, global, 8) {
 		t.Errorf("local cycle (%d ticks) not faster than global (%d ticks)",
 			CycleTicks(ft, local, 8), CycleTicks(ft, global, 8))
+	}
+}
+
+// TestBinaryKaryRoutesOnStreamPlane pins plane dispatch by shape: NewKary on
+// the all-binary descriptor of a profile builds the profile's tree, so it
+// routes on the streaming plane, takes partial switches and loss injection,
+// and runs exactly as the profile-built tree does.
+func TestBinaryKaryRoutesOnStreamPlane(t *testing.T) {
+	ft := core.NewUniversal(16, 4)
+	caps := ft.LevelCapTable()
+	desc := core.KaryDesc{Down: make([]int, ft.Levels()), Up: make([]int, ft.Levels()),
+		Parallel: make([]int, ft.Levels()), Root: caps[0]}
+	for i := range desc.Down {
+		desc.Down[i], desc.Up[i], desc.Parallel[i] = 2, caps[i+1], 1
+	}
+	ms := workload.Random(16, 64, 3)
+	run := func(tree *core.FatTree) Stats {
+		e := New(tree, concentrator.KindPartial, 5)
+		if e.stream == nil {
+			t.Fatalf("%v did not route on the streaming plane", tree)
+		}
+		e.InjectLoss(0.05, 6)
+		return e.Run(ms)
+	}
+	if want, got := run(ft), run(core.NewKary(desc)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("binary NewKary tree diverges from the profile-built tree\nprofile %+v\nkary    %+v", want, got)
 	}
 }

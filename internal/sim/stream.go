@@ -280,7 +280,7 @@ type streamSwitch struct {
 }
 
 // newStreamEngine builds the streaming engine for a heap-indexed fat-tree.
-func newStreamEngine(t core.Topology, kind concentrator.Kind, seed int64) *Engine {
+func newStreamEngine(t *core.FatTree, kind concentrator.Kind, seed int64) *Engine {
 	e := &Engine{tree: t}
 	st := &streamState{
 		e:         e,

@@ -16,7 +16,7 @@ import "fattree/internal/core"
 // a delivery cycle: one tick per channel for the head (the M bit plus the
 // leading address bit are examined in constant time per node), plus the
 // payload and M bit trailing through the final channel.
-func MessageTicks(t core.Topology, m core.Message, payloadBits int) int {
+func MessageTicks(t *core.FatTree, m core.Message, payloadBits int) int {
 	return t.PathLength(m) + payloadBits + 2
 }
 
@@ -24,7 +24,7 @@ func MessageTicks(t core.Topology, m core.Message, payloadBits int) int {
 // set ms: the maximum message completion time, or 0 for an empty cycle.
 // Processors synchronize on the longest path, buffering departures as
 // Section II describes.
-func CycleTicks(t core.Topology, ms core.MessageSet, payloadBits int) int {
+func CycleTicks(t *core.FatTree, ms core.MessageSet, payloadBits int) int {
 	max := 0
 	for _, m := range ms {
 		if ticks := MessageTicks(t, m, payloadBits); ticks > max {
@@ -35,7 +35,7 @@ func CycleTicks(t core.Topology, ms core.MessageSet, payloadBits int) int {
 }
 
 // ScheduleTicks totals the clock ticks of a sequence of delivery cycles.
-func ScheduleTicks(t core.Topology, cycles []core.MessageSet, payloadBits int) int {
+func ScheduleTicks(t *core.FatTree, cycles []core.MessageSet, payloadBits int) int {
 	total := 0
 	for _, cyc := range cycles {
 		total += CycleTicks(t, cyc, payloadBits)
@@ -46,7 +46,7 @@ func ScheduleTicks(t core.Topology, cycles []core.MessageSet, payloadBits int) i
 // MeanMessageTicks returns the average per-message completion time within a
 // cycle — the latency figure that exhibits the locality advantage (local
 // messages finish long before the cycle's global stragglers).
-func MeanMessageTicks(t core.Topology, ms core.MessageSet, payloadBits int) float64 {
+func MeanMessageTicks(t *core.FatTree, ms core.MessageSet, payloadBits int) float64 {
 	if len(ms) == 0 {
 		return 0
 	}
@@ -60,7 +60,7 @@ func MeanMessageTicks(t core.Topology, ms core.MessageSet, payloadBits int) floa
 // MaxCycleTicks returns the worst-case delivery-cycle duration of the
 // fat-tree: the longest possible path (2·lg n channels) plus payload — the
 // O(lg n) bound quoted for an entire delivery cycle in Section II.
-func MaxCycleTicks(t core.Topology, payloadBits int) int {
+func MaxCycleTicks(t *core.FatTree, payloadBits int) int {
 	return 2*t.Levels() + payloadBits + 2
 }
 
@@ -72,7 +72,7 @@ func MaxCycleTicks(t core.Topology, payloadBits int) int {
 // ("synchronized by delivery cycle ... can be built with different design
 // decisions") motivates this optimistic accounting; the conservative figure
 // is ScheduleTicks.
-func PipelinedScheduleTicks(t core.Topology, cycles []core.MessageSet, payloadBits int) int {
+func PipelinedScheduleTicks(t *core.FatTree, cycles []core.MessageSet, payloadBits int) int {
 	if len(cycles) == 0 {
 		return 0
 	}
@@ -84,7 +84,7 @@ func PipelinedScheduleTicks(t core.Topology, cycles []core.MessageSet, payloadBi
 
 // longestDrain returns the extra path latency of the longest message in any
 // non-final cycle beyond the frame spacing (0 when frames dominate).
-func longestDrain(t core.Topology, cycles []core.MessageSet, payloadBits int) int {
+func longestDrain(t *core.FatTree, cycles []core.MessageSet, payloadBits int) int {
 	extra := 0
 	for _, cyc := range cycles[:len(cycles)-1] {
 		for _, m := range cyc {

@@ -40,11 +40,15 @@ func (tr *Trace) Messages() int {
 	return total
 }
 
-// Validate checks all phases against a fat-tree. Phase message endpoints
+// Validate checks all phases against a fat-tree, which must be binary (the
+// phases run on the Theorem 1 scheduler). Phase message endpoints
 // must name processors the trace itself declares (< tr.Procs), not merely
 // processors the tree happens to have: a 64-processor trace placed on a
 // 1024-processor tree must still reject a message to processor 1000.
 func (tr *Trace) Validate(t *core.FatTree) error {
+	if !core.HeapIndexed(t) {
+		return fmt.Errorf("trace: %s needs a binary (heap-indexed) fat-tree; got %v", tr.Name, t)
+	}
 	if t.Processors() < tr.Procs {
 		return fmt.Errorf("trace: %s needs %d processors, tree has %d", tr.Name, tr.Procs, t.Processors())
 	}

@@ -21,6 +21,7 @@ const barWidth = 40
 // bar length proportional to the level's channel capacity — the Fig. 1
 // picture, sideways.
 func Silhouette(w io.Writer, t *core.FatTree) {
+	core.RequireHeapIndexed(t, "viz: Silhouette")
 	maxCap := t.CapacityAtLevel(0)
 	fmt.Fprintf(w, "fat-tree silhouette (n=%d, root capacity %d)\n", t.Processors(), t.RootCapacity())
 	for k := 0; k <= t.Levels(); k++ {
@@ -41,6 +42,7 @@ func Silhouette(w io.Writer, t *core.FatTree) {
 // levels (λ > 1) are flagged — they are the channels that force extra
 // delivery cycles.
 func Utilization(w io.Writer, t *core.FatTree, ms core.MessageSet) {
+	core.RequireHeapIndexed(t, "viz: Utilization")
 	loads := core.NewLoads(t, ms)
 	fmt.Fprintf(w, "per-level peak utilization (%d messages, λ = %.2f)\n",
 		len(ms), core.LoadFactor(t, ms))
@@ -87,6 +89,7 @@ func DecompositionProfile(w io.Writer, t *decomp.Tree) {
 // 'o' <100%, '#' full). Level-sequential Theorem 1 schedules show a
 // staircase; compacted schedules fill the rectangle.
 func ScheduleGantt(w io.Writer, t *core.FatTree, cycles []core.MessageSet) {
+	core.RequireHeapIndexed(t, "viz: ScheduleGantt")
 	fmt.Fprintf(w, "schedule occupancy (%d cycles x %d levels)\n", len(cycles), t.Levels()+1)
 	grids := make([][]byte, t.Levels()+1)
 	for k := range grids {

@@ -50,8 +50,9 @@ func (tl *TreeLayout) AspectRatio() float64 {
 	return hi / lo
 }
 
-// LayoutFatTree computes the recursive placement of t.
+// LayoutFatTree computes the recursive placement of the binary tree t.
 func LayoutFatTree(t *core.FatTree) *TreeLayout {
+	core.RequireHeapIndexed(t, "vlsi: LayoutFatTree")
 	tl := &TreeLayout{
 		Tree:     t,
 		Switches: make([]PlacedBox, t.Processors()),
