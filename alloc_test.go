@@ -57,6 +57,42 @@ func TestRouteCycleImplicitZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRunOnlineImplicitAllocs pins BenchmarkRunOnlineImplicit's
+// allocations: a warmed RunOnline on the 2^20-endpoint tree allocates only
+// the Stats.PerCycle profile it hands to the caller, as many times as
+// growing a fresh slice to one entry per cycle does. The retry loop and
+// the streaming plane under it allocate nothing (RunServe, which skips the
+// profile, is pinned at 0 by BenchmarkServeRoute).
+func TestRunOnlineImplicitAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard is covered at full size in CI")
+	}
+	const n = 1 << 20
+	ft := fattree.NewUniversal(n, n/4)
+	ms := fattree.Random(n, n/1024, 1)
+	e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
+	cycles := fattree.RunOnline(e, ms).Cycles // warm the scratch arena
+	allocs := testing.AllocsPerRun(10, func() {
+		if stats := fattree.RunOnline(e, ms); stats.Delivered != len(ms) {
+			t.Fatalf("delivered %d of %d", stats.Delivered, len(ms))
+		}
+	})
+	profile := testing.AllocsPerRun(10, func() {
+		var perCycle []int
+		for range cycles {
+			perCycle = append(perCycle, 0)
+		}
+		profileSink = perCycle
+	})
+	if allocs != profile {
+		t.Errorf("%v allocs/op over %d cycles, want %v (the per-cycle profile only)", allocs, cycles, profile)
+	}
+}
+
+// profileSink makes TestRunOnlineImplicitAllocs' profile escape, as the
+// one RunOnline returns does.
+var profileSink []int
+
 // TestOffLineScheduleAllocs pins the scheduler half of the allocation
 // contract: a warmed reusable Scheduler runs the full Theorem 1 pipeline —
 // λ computation, LCA grouping, repeated even-bisection, one-cycle assembly —

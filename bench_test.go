@@ -216,6 +216,26 @@ func BenchmarkRouteCycleImplicit(b *testing.B) {
 	}
 }
 
+// BenchmarkRunOnlineImplicit is the go test twin of perfbench's sim-implicit
+// workload: one RunOnline call of n/1024 random messages on a warmed engine
+// over the 2^20-endpoint universal tree, a few sparse cycles on the
+// streaming plane per call. Its allocs/op are the Stats.PerCycle profile
+// RunOnline returns and nothing else, as TestRunOnlineImplicitAllocs pins.
+func BenchmarkRunOnlineImplicit(b *testing.B) {
+	const n = 1 << 20
+	ft := fattree.NewUniversal(n, n/4)
+	ms := fattree.Random(n, n/1024, 1)
+	e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
+	fattree.RunOnline(e, ms) // warm the scratch arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if stats := fattree.RunOnline(e, ms); stats.Delivered != len(ms) {
+			b.Fatalf("delivered %d of %d", stats.Delivered, len(ms))
+		}
+	}
+}
+
 // BenchmarkServeRoute measures the steady-state request path of the
 // multi-tenant daemon: queue accounting, span pushes, one RunServe call on a
 // warmed persistent engine with its observer attached, and the RED merge —

@@ -129,9 +129,12 @@ func main() {
 	fmt.Printf("fat-tree n=%d w=%d%s   workload %s: %d messages, λ = %.2f (lower bound on cycles)\n",
 		*n, ft.RootCapacity(), kindNote, *workloadName, len(ms), lam)
 	if *showViz {
-		if vizTree != nil {
+		switch {
+		case vizTree != nil:
 			viz.Utilization(os.Stdout, vizTree, ms)
-		} else {
+		case !binary:
+			fmt.Println("(-viz utilization bars are drawn for binary trees only; skipped for this non-binary tree)")
+		default:
 			fmt.Println("(-viz utilization bars walk per-node state; skipped under -implicit)")
 		}
 	}
@@ -223,9 +226,12 @@ func main() {
 		fmt.Printf("schedule: %d delivery cycles (bound %.1f, utilization %.2f)\n",
 			s.Length(), s.Bound, s.Utilization())
 		if *showViz {
-			if vizTree != nil {
+			switch {
+			case vizTree != nil:
 				viz.ScheduleGantt(os.Stdout, vizTree, s.Cycles)
-			} else {
+			case !binary:
+				fmt.Println("(-viz schedule Gantt is drawn for binary trees only; skipped for this non-binary tree)")
+			default:
 				fmt.Println("(-viz schedule Gantt walks per-node state; skipped under -implicit)")
 			}
 		}

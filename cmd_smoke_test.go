@@ -54,6 +54,13 @@ func TestSmokeCmds(t *testing.T) {
 			[]string{"E1", "E25", "A2"}},
 		{"./cmd/ftsim", []string{"-kary", "8,4;2,1;1,2", "-workload", "random", "-policy", "online"},
 			[]string{"k-ary 8,4;2,1;1,2", "delivered 128/128"}},
+		{"./cmd/ftsim", []string{"-kary", "4,4;1,1;1,1", "-policy", "online", "-viz"},
+			[]string{"(-viz utilization bars are drawn for binary trees only; skipped for this non-binary tree)"}},
+		{"./cmd/ftsim", []string{"-kary", "4,4;1,1;1,1", "-policy", "greedy", "-viz"},
+			[]string{"(-viz schedule Gantt is drawn for binary trees only; skipped for this non-binary tree)"}},
+		{"./cmd/ftsim", []string{"-n", "64", "-implicit", "-policy", "offline", "-viz"},
+			[]string{"(-viz utilization bars walk per-node state; skipped under -implicit)",
+				"(-viz schedule Gantt walks per-node state; skipped under -implicit)"}},
 		{"./cmd/ftdesign", []string{"-n", "1024", "-radix", "36", "-budget", "60000"},
 			[]string{"best: 3-tier", "one-cycle λ check: PASS"}},
 		{"./cmd/ftdesign", []string{"-n", "64", "-radix", "10", "-budget", "4000", "-oversub", "2", "-all"},

@@ -45,17 +45,3 @@ func externalValidate(t *FatTree, m Message) bool {
 	}
 	return p >= 0 && p < t.Processors()
 }
-
-// addExternal accounts an external message's path into the load table.
-func (l *Loads) addExternal(m Message, delta int) {
-	t := l.tree
-	if m.Dst == External {
-		for v := t.Leaf(m.Src); v >= 1; v = l.parent(v) {
-			l.up[v] += delta
-		}
-		return
-	}
-	for v := t.Leaf(m.Dst); v >= 1; v = l.parent(v) {
-		l.down[v] += delta
-	}
-}

@@ -56,27 +56,53 @@ func (l *Loads) Add(m Message) { l.walk(m, 1) }
 // added produces negative loads; callers own that invariant.
 func (l *Loads) Remove(m Message) { l.walk(m, -1) }
 
-// walk adds delta to every channel on m's path. The LCA is the heap xor
-// on heap-indexed trees, the tree's LCA otherwise.
-func (l *Loads) walk(m Message, delta int) {
-	if m.IsExternal() {
-		l.addExternal(m, delta)
-		return
-	}
+// AddFits is Add that also reports whether every channel on m's path is
+// within its capacity afterwards. Only those channels change, so on loads
+// that fit before the call the result is what Fits would return, in
+// O(levels) instead of O(nodes).
+func (l *Loads) AddFits(m Message) bool {
 	t := l.tree
-	a, b := t.Leaf(m.Src), t.Leaf(m.Dst)
-	var lca int
-	if l.heap {
-		lca = a >> uint(bits.Len(uint(a^b)))
-	} else {
-		lca = t.LCA(m.Src, m.Dst)
+	a, b, stop := l.ends(m)
+	fits := true
+	for v, k := a, t.levels; v != stop; v, k = l.parent(v), k-1 {
+		l.up[v]++
+		fits = fits && l.up[v] <= t.capAtLevel(v, k)
 	}
-	for v := a; v != lca; v = l.parent(v) {
+	for v, k := b, t.levels; v != stop; v, k = l.parent(v), k-1 {
+		l.down[v]++
+		fits = fits && l.down[v] <= t.capAtLevel(v, k)
+	}
+	return fits
+}
+
+// walk adds delta to every channel on m's path.
+func (l *Loads) walk(m Message, delta int) {
+	a, b, stop := l.ends(m)
+	for v := a; v != stop; v = l.parent(v) {
 		l.up[v] += delta
 	}
-	for v := b; v != lca; v = l.parent(v) {
+	for v := b; v != stop; v = l.parent(v) {
 		l.down[v] += delta
 	}
+}
+
+// ends returns the leaves where m's up and down walks start and the node
+// where both stop: the LCA (the heap xor on heap-indexed trees, the tree's
+// LCA otherwise), or 0, the root's parent, for an external message. The
+// half an external message lacks starts at 0 and so is empty.
+func (l *Loads) ends(m Message) (up, down, stop int) {
+	t := l.tree
+	switch {
+	case m.Dst == External:
+		return t.Leaf(m.Src), 0, 0
+	case m.Src == External:
+		return 0, t.Leaf(m.Dst), 0
+	}
+	up, down = t.Leaf(m.Src), t.Leaf(m.Dst)
+	if l.heap {
+		return up, down, up >> uint(bits.Len(uint(up^down)))
+	}
+	return up, down, t.LCA(m.Src, m.Dst)
 }
 
 // Clear resets every channel's load to zero, so a long-lived Loads can be

@@ -158,3 +158,82 @@ func TestLevelStressNoLogFactor(t *testing.T) {
 		}
 	}
 }
+
+// TestGreedyMatchesFullFitsReference checks Greedy's path-only capacity
+// check against a reference copy that re-checks every channel of the trial
+// cycle (Loads.Fits) for each placement: on random message sets, external
+// messages included, over binary trees (random profiles, some with channel
+// overrides) and k-ary trees, both must build the same cycles.
+func TestGreedyMatchesFullFitsReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var ft *core.FatTree
+		if rng.Intn(2) == 0 {
+			n := 1 << (2 + rng.Intn(5)) // 4..64
+			ft = workload.RandomTreeProfile(n, 6, seed)
+			for range rng.Intn(4) {
+				ft.SetChannelCapacity(1+rng.Intn(ft.Nodes()), 1+rng.Intn(4))
+			}
+		} else {
+			tiers := 1 + rng.Intn(3)
+			desc := core.KaryDesc{
+				Down:     make([]int, tiers),
+				Up:       make([]int, tiers),
+				Parallel: make([]int, tiers),
+				Root:     1 + rng.Intn(4),
+			}
+			for i := range tiers {
+				desc.Down[i], desc.Up[i], desc.Parallel[i] = 2+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(2)
+			}
+			ft = core.NewKary(desc)
+		}
+		n := ft.Processors()
+		ms := make(core.MessageSet, 1+rng.Intn(4*n))
+		for i := range ms {
+			src, dst := rng.Intn(n), rng.Intn(n-1)
+			if dst >= src {
+				dst++
+			}
+			switch rng.Intn(8) {
+			case 0:
+				src = core.External
+			case 1:
+				dst = core.External
+			}
+			ms[i] = core.Message{Src: src, Dst: dst}
+		}
+		got, want := Greedy(ft, ms).Cycles, greedyFullFits(ft, ms)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: Greedy built %d cycles, the full-Fits reference %d", seed, len(got), len(want))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// greedyFullFits is the reference for Greedy: the same first-fit placement,
+// with every trial placement re-checking the whole trial cycle (Loads.Fits).
+func greedyFullFits(ft *core.FatTree, ms core.MessageSet) []core.MessageSet {
+	var loads []*core.Loads
+	var cycles []core.MessageSet
+	for _, m := range ms {
+		placed := false
+		for i, l := range loads {
+			l.Add(m)
+			if l.Fits() {
+				cycles[i] = append(cycles[i], m)
+				placed = true
+				break
+			}
+			l.Remove(m)
+		}
+		if !placed {
+			loads = append(loads, core.NewLoads(ft, core.MessageSet{m}))
+			cycles = append(cycles, core.MessageSet{m})
+		}
+	}
+	return cycles
+}

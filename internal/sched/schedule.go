@@ -306,8 +306,8 @@ func Greedy(t *core.FatTree, ms core.MessageSet) *Schedule {
 	for _, m := range ms {
 		placed := false
 		for i, l := range cycleLoads {
-			l.Add(m)
-			if l.Fits() {
+			// The cycle fits without m, so only m's path can overflow.
+			if l.AddFits(m) {
 				s.Cycles[i] = append(s.Cycles[i], m)
 				placed = true
 				break

@@ -190,15 +190,26 @@ func (e *Engine) RunCycle(pending core.MessageSet) ([]bool, CycleResult) {
 	return e.runCycle(pending)
 }
 
-// growInts returns s resized to n entries, reusing its backing array when
+// grow returns s resized to n entries, reusing its backing array when
 // the capacity suffices and preserving existing contents on growth.
-func growInts(s []int, n int) []int {
+func grow[T int | uint64](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	out := make([]int, n, n+n/2)
+	out := make([]T, n, n+n/2)
 	copy(out, s)
 	return out
+}
+
+// b2i is 1 for true and 0 for false. It compiles to a SETcc, not a jump,
+// so it turns a data-dependent choice into arithmetic.
+//
+//ftlint:hotpath
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // collect finishes a delivery cycle: delivered flags (engine-owned scratch)

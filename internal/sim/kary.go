@@ -141,7 +141,7 @@ func (e *Engine) injectKary(pending core.MessageSet) ([]flight, CycleResult) {
 			}
 			off := arenaLen
 			arenaLen += levels + 1
-			scr.histArena = growInts(scr.histArena, arenaLen)
+			scr.histArena = grow(scr.histArena, arenaLen)
 			flights[i] = flight{
 				msg: m, state: flightDown, node: 1, wire: rootInjected,
 				dstLeaf: kt.Leaf(m.Dst),
@@ -171,7 +171,7 @@ func (e *Engine) injectKary(pending core.MessageSet) ([]flight, CycleResult) {
 		}
 		off := arenaLen
 		arenaLen += pathLen
-		scr.histArena = growInts(scr.histArena, arenaLen)
+		scr.histArena = grow(scr.histArena, arenaLen)
 		flights[i] = flight{
 			msg: m, state: flightUp, node: leaf, wire: used,
 			lca: lca, dstLeaf: dstLeaf,

@@ -45,6 +45,21 @@ import (
 // Partial or lossy switches route each node run through a lazily built
 // switch first (routeStreamNode) and sort the winners after.
 //
+// The choices those passes make per flight follow address bits — the
+// destination's side going down, the arrival child and whether the LCA is
+// reached going up — which are coin flips under random traffic, so a jump
+// on them is mispredicted about half the time. The ideal passes, the lone
+// climb and both merges (siblingMerge, mergeKeys) therefore decide by
+// arithmetic: the output lists are sized once per step to the request
+// list, a winner's key is written to both candidate lists and only the
+// chosen list's cursor advances (by the bit, or by 1 minus it); a right
+// child's wire offset is the child bit times the offset; and a merge stores
+// the smaller key and advances each cursor by the compare's 0 or 1. What
+// keeps a jump is rare: a drop, a root external output, a lone flight on a
+// sparse cycle, and the checks, each of which leads with its operand that
+// is always false on a well-formed tree, so the jump is taken only when the
+// check fails.
+//
 // A concentrator arbitrates only among the messages that meet at its node,
 // so a flight alone in a subtree crosses that subtree's switches with
 // nothing to contend with. On a sparse cycle (loneSparsity*len(pending) <
@@ -364,9 +379,13 @@ func (sh *streamShard) switchFor(st *streamState, v int) *streamSwitch {
 // winners keyed by the node whose channel they hold do: each parent's group
 // is then its left child's run followed by its right child's run, both in
 // message-index order, and one linear merge per group puts them in order.
+// dst is grown once; each merge step stores the smaller index and advances
+// the cursor it came from by the compare's 0 or 1 (indices are distinct).
 //
 //ftlint:hotpath
 func siblingMerge(dst, src []uint64) []uint64 {
+	o := len(dst)
+	dst = grow(dst, o+len(src))
 	for i := 0; i < len(src); {
 		c := src[i] >> 32
 		parent := c >> 1 << 32
@@ -377,19 +396,20 @@ func siblingMerge(dst, src []uint64) []uint64 {
 		}
 		l, r := i, j
 		for l < j && r < k {
-			if src[l]&keyIndex < src[r]&keyIndex {
-				dst = append(dst, parent|src[l]&keyIndex)
-				l++
-			} else {
-				dst = append(dst, parent|src[r]&keyIndex)
-				r++
-			}
+			a, b := src[l]&keyIndex, src[r]&keyIndex
+			left := b2i(a < b)
+			dst[o] = parent | min(a, b)
+			o++
+			l += left
+			r += 1 - left
 		}
 		for ; l < j; l++ {
-			dst = append(dst, parent|src[l]&keyIndex)
+			dst[o] = parent | src[l]&keyIndex
+			o++
 		}
 		for ; r < k; r++ {
-			dst = append(dst, parent|src[r]&keyIndex)
+			dst[o] = parent | src[r]&keyIndex
+			o++
 		}
 		i = k
 	}
@@ -407,22 +427,26 @@ func runEnd(keys []uint64, start int) int {
 	return end
 }
 
-// mergeKeys appends to dst the merge of the ascending key lists a and b.
+// mergeKeys appends to dst the merge of the ascending key lists a and b,
+// whose keys are distinct: into dst grown once, each step stores the
+// smaller key and advances each cursor by the compare's 0 or 1.
 //
 //ftlint:hotpath
 func mergeKeys(dst, a, b []uint64) []uint64 {
+	o := len(dst)
+	dst = grow(dst, o+len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
+		x, y := a[i], b[j]
+		first := b2i(x < y)
+		dst[o] = min(x, y)
+		o++
+		i += first
+		j += 1 - first
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	o += copy(dst[o:], a[i:])
+	copy(dst[o:], b[j:])
+	return dst
 }
 
 // sortByNode sorts keys into (node, index) order. Every key's node must be
@@ -610,7 +634,7 @@ func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 		}
 		f.histOff = arenaLen
 		arenaLen += pathLen
-		scr.histArena = growInts(scr.histArena, arenaLen)
+		scr.histArena = grow(scr.histArena, arenaLen)
 		scr.histArena[f.histOff] = f.wire
 	}
 	return flights, res
@@ -682,13 +706,23 @@ func (st *streamState) sweepUp(level int) {
 // observed. A positional run releases its guards by clearing the winners'
 // words, a pass-through run by walking its winners (releaseRun).
 //
+// The sort does not jump on the climb bit (LCA above the parent): up and
+// turn are sized to the request list, the key goes to both, and the bit
+// advances one cursor and 1 minus it the other. The right-child offset is
+// the child bit times the run's offset (capChild on a pass-through run, 0
+// otherwise). Only a root external output and a lone turner take a branch,
+// and the widened-right-child check tests the wire, never too wide on a
+// well-formed tree, before the child bit.
+//
 //ftlint:hotpath
 func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 	sh := &st.sh
 	keys := st.keys
 	flights := st.e.scr.flights
 	hist := st.e.scr.histArena
-	up, turn, lone := st.up[:0], st.turn[:0], st.lone[:0]
+	up, turn = grow(st.up[:0], len(keys)), grow(st.turn[:0], len(keys))
+	lone := st.lone[:0]
+	nu, nt := 0, 0
 	sparse, sdown := st.sparse, st.sdown
 	capParent, capChild := st.levelCaps[level], st.levelCaps[level+1]
 	sh.upUsed.fit(capParent)
@@ -699,6 +733,7 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 			sh.upUsed.fit(capParent)
 		}
 		pass := capParent >= 2*capChild
+		off := capChild * b2i(pass) // a right child's wire offset
 		root, parent := v == 1, int(v>>1)
 		lone = lone[:0]
 		won := 0
@@ -707,14 +742,10 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 			i := int(uint32(k))
 			f := &flights[i]
 			w := f.wire
-			if f.node&1 == 1 { // the right child's channel
-				if w >= capChild {
-					panic(errUpWidened)
-				}
-				if pass {
-					w += capChild
-				}
+			if w >= capChild && f.node&1 == 1 {
+				panic(errUpWidened)
 			}
+			w += f.node & 1 * off
 			if !pass {
 				if p-start >= capParent {
 					f.state = flightLost
@@ -727,17 +758,19 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 			hist[f.histOff+f.histLen] = w
 			f.histLen++
 			won++
-			switch {
-			case root && f.msg.Dst == core.External:
+			if root && f.msg.Dst == core.External {
 				// The root up channel is the external interface: delivered.
 				f.state = flightDone
-			case f.lca != parent:
-				up = append(up, k)
-			case sparse && level-1 > int(sdown[i]):
-				lone = append(lone, k)
-			default:
-				turn = append(turn, k)
+				continue
 			}
+			climb := b2i(f.lca != parent)
+			if sparse && level-1 > int(sdown[i]) && climb == 0 {
+				lone = append(lone, k)
+				continue
+			}
+			up[nu], turn[nt] = k, k
+			nu += climb
+			nt += 1 - climb
 		}
 		run := keys[start:p]
 		if pass {
@@ -754,7 +787,7 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 		}
 	}
 	st.lone = lone
-	return up, turn
+	return up[:nu], turn[:nt]
 }
 
 // switchUp is the up step on partial or lossy switches: each node run is
@@ -815,13 +848,22 @@ func (st *streamState) sweepDown(level int) {
 // against the child's own capacity. The guards are released by clearing the
 // words the winners used; lone descenders wait, as in fuseUp.
 //
+// The side bit of the destination chooses the list without a jump: desc
+// and the right scratch are sized to the request list, each carried
+// winner's re-keyed key is written to both, and desc's cursor advances by
+// 1 minus the side, right's by the side; a run's right winners are then
+// copied after its left ones. The widened-turner check tests the wire
+// before the state, as in fuseUp.
+//
 //ftlint:hotpath
 func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 	sh := &st.sh
 	keys := st.keys
 	flights := st.e.scr.flights
 	hist := st.e.scr.histArena
-	desc, right, lone := st.desc[:0], st.up[:0], st.lone[:0]
+	desc, right = grow(st.desc[:0], len(keys)), grow(st.up[:0], len(keys))
+	lone := st.lone[:0]
+	nd := 0
 	sparse, sdown := st.sparse, st.sdown
 	capPort := st.levelCaps[level+1]
 	caps := [2]int{capPort, capPort}
@@ -837,13 +879,14 @@ func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 			sh.downUsed[0].fit(caps[0])
 			sh.downUsed[1].fit(caps[1])
 		}
-		lone, right = lone[:0], right[:0]
+		lone = lone[:0]
+		nr := 0
 		var ranks [2]int
 		for ; p < len(keys) && keys[p]>>32 == v; p++ {
 			k := keys[p]
 			i := int(uint32(k))
 			f := &flights[i]
-			if f.state == flightUp && f.wire >= capPort {
+			if f.wire >= capPort && f.state == flightUp {
 				panic(errDownWidened)
 			}
 			side := f.dstLeaf >> shift & 1
@@ -868,13 +911,11 @@ func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 				continue
 			}
 			k = uint64(child)<<32 | k&keyIndex
-			if side == 0 {
-				desc = append(desc, k)
-			} else {
-				right = append(right, k)
-			}
+			desc[nd], right[nr] = k, k
+			nd += 1 - side
+			nr += side
 		}
-		desc = append(desc, right...)
+		nd += copy(desc[nd:], right[:nr])
 		run := keys[start:p]
 		won := [2]int{min(ranks[0], capPort), min(ranks[1], capPort)}
 		clear(sh.downUsed[0][:(won[0]+63)>>6])
@@ -889,7 +930,7 @@ func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 		}
 	}
 	st.lone = lone
-	return desc, right
+	return desc[:nd], right
 }
 
 // switchDown is the down step on partial or lossy switches: each node run
@@ -1181,7 +1222,9 @@ func (st *streamState) inlineHops() bool {
 // per ancestor, with fuseUp's rule for a one-request run: the hop passes
 // its wire through (a right child's offset by the left child's width) when
 // the parent channel is at least twice the child's, and wins wire 0
-// otherwise. Each hop keeps the widened-right-child check and claims and
+// otherwise — by arithmetic, not a jump: the wire plus the child bit times
+// the child's width, times the pass-through bit. Each hop keeps the
+// widened-right-child check, wire first as in fuseUp, and claims and
 // releases its guard bit. Every capacity is at least 1 (core.New and
 // SetChannelCapacity reject less), so a lone ideal hop always wins. The
 // history goes straight into the arena; the flight's node, wire and
@@ -1200,16 +1243,10 @@ func (st *streamState) climbIdeal(i, s int) {
 		if st.ov != nil {
 			capParent, capChild = st.capAt(v), st.capAt(2*v)
 		}
-		right := node&1 == 1
-		if right && wire >= capChild {
+		if wire >= capChild && node&1 == 1 {
 			panic(errUpWidened)
 		}
-		switch {
-		case capParent < 2*capChild:
-			wire = 0
-		case right:
-			wire += capChild
-		}
+		wire = (wire + node&1*capChild) * b2i(capParent >= 2*capChild)
 		sh.upUsed.fit(capParent)
 		sh.claimUp(wire, capParent)
 		sh.upUsed[wire>>6] = 0
