@@ -156,22 +156,32 @@ func TestOffLineCompactAllocs(t *testing.T) {
 // TestRouteCycleObservedSteadyStateAllocs pins the "cheap when enabled" half:
 // counters are flat-array adds and trace events are fixed-slot ring writes,
 // so even an observed steady-state cycle allocates nothing once the ring has
-// been created.
+// been created — per-node and per-level, with and without a ring (ring-less
+// per-node is what every ftserve tenant carries).
 func TestRouteCycleObservedSteadyStateAllocs(t *testing.T) {
 	n := 256
 	ft := fattree.NewUniversal(n, n/4)
 	ms := fattree.RandomPermutation(n, 1)
-	o := fattree.NewObserver(ft)
-	o.EnableTrace(1 << 12)
-	e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0,
-		fattree.Options{Observer: o})
-	e.RunCycle(ms) // warm the arena and fill the ring to steady state
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, res := e.RunCycle(ms); res.Delivered == 0 {
-			t.Fatal("cycle delivered nothing")
+	for _, g := range []struct {
+		name string
+		bind func(*fattree.FatTree) *fattree.Observer
+	}{{"per-node", fattree.NewObserver}, {"per-level", fattree.NewObserverCompact}} {
+		for _, ring := range []bool{false, true} {
+			o := g.bind(ft)
+			if ring {
+				o.EnableTrace(1 << 12)
+			}
+			e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0,
+				fattree.Options{Observer: o})
+			e.RunCycle(ms) // warm the arena and fill the ring to steady state
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, res := e.RunCycle(ms); res.Delivered == 0 {
+					t.Fatal("cycle delivered nothing")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s observer, ring %v: %v allocs/op, want 0 (recording must not allocate)", g.name, ring, allocs)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs/op with observers enabled, want 0 (ring writes must not allocate)", allocs)
 	}
 }

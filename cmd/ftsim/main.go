@@ -32,7 +32,7 @@ func main() {
 	n := flag.Int("n", 256, "number of processors (power of two)")
 	w := flag.Int("w", 0, "root capacity (default n/4)")
 	implicit := flag.Bool("implicit", false,
-		"keep no per-node state: attach the per-level (compact) observer and skip the -viz walkers, so -n can reach 2^20 in bounded memory")
+		"keep no per-node state: attach the per-level observer and skip the -viz walkers, so -n can reach 2^20 in bounded memory")
 	kary := flag.String("kary", "",
 		"simulate a k-ary fat-tree instead of the binary universal profile: \"down;up;parallel[;root]\" with one comma-separated entry per tier, e.g. \"8,4;2,1;1,2\" (overrides -n and -w; a non-binary descriptor requires ideal switches and -policy greedy|online)")
 	workloadName := flag.String("workload", "perm", "workload: perm|random|bitrev|transpose|shuffle|reversal|local|hotspot|nn|alltoall")
@@ -57,9 +57,6 @@ func main() {
 
 	var karyDesc fattree.KaryDesc
 	if *kary != "" {
-		if *implicit {
-			usage("-kary and -implicit are mutually exclusive")
-		}
 		var err error
 		karyDesc, err = parseKaryDesc(*kary)
 		if err != nil {
@@ -147,8 +144,8 @@ func main() {
 	}
 
 	if *counters || *hist || *histJSON != "" || *traceOut != "" || *traceJSONL != "" {
-		// The compact observer folds per-node counters into per-level arrays
-		// — O(levels) instead of O(n), required at -implicit scales.
+		// The per-level observer folds per-node counters into per-level
+		// arrays — O(levels) instead of O(n), required at -implicit scales.
 		if *implicit {
 			obs = fattree.NewObserverCompact(ft)
 		} else {

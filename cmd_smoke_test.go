@@ -3,10 +3,12 @@ package fattree_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -172,7 +174,6 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ftdesign bad oversub", "ftdesign", []string{"-n", "64", "-radix", "36", "-budget", "100", "-oversub", "0.5"}, 2},
 		{"ftdesign infeasible budget", "ftdesign", []string{"-n", "1024", "-radix", "36", "-budget", "1"}, 2},
 		{"ftdesign infeasible radix", "ftdesign", []string{"-n", "1022", "-radix", "6", "-budget", "99999"}, 2},
-		{"ftsim kary with implicit", "ftsim", []string{"-kary", "4,4;1,1;1,1", "-implicit"}, 2},
 		{"ftsim kary bad descriptor", "ftsim", []string{"-kary", "4;1;1;1;1"}, 2},
 		{"ftsim kary offline policy", "ftsim", []string{"-kary", "4,4;1,1;1,1", "-policy", "offline"}, 2},
 		{"ftsim kary partial switches", "ftsim", []string{"-kary", "4,4;1,1;1,1", "-switches", "partial"}, 2},
@@ -188,6 +189,7 @@ func TestCLIExitCodes(t *testing.T) {
 
 		// Success exits 0.
 		{"ftsim counters run", "ftsim", []string{"-n", "16", "-policy", "online", "-counters"}, 0},
+		{"ftsim kary with implicit", "ftsim", []string{"-kary", "4,4;1,1;1,1", "-implicit", "-policy", "online", "-counters"}, 0},
 		{"ftdesign good spec", "ftdesign", []string{"-n", "1024", "-radix", "36", "-budget", "60000"}, 0},
 		{"ftsim kary greedy", "ftsim", []string{"-kary", "3,4;1,1;2,1", "-workload", "reversal", "-policy", "greedy"}, 0},
 		{"ftsim binary kary partial switches", "ftsim", []string{"-kary", "2,2,2;2,2,1;1,1,1", "-switches", "partial", "-policy", "offline"}, 0},
@@ -200,8 +202,28 @@ func TestCLIExitCodes(t *testing.T) {
 			if got != c.want {
 				t.Errorf("%s %v: exit %d, want %d\noutput:\n%s", c.bin, c.args, got, c.want, out)
 			}
+			if got == 0 && slices.Contains(c.args, "-counters") {
+				checkConservationLine(t, out)
+			}
 		})
 	}
+}
+
+// checkConservationLine finds the -counters report's first line in out and
+// checks the law it prints: offered = delivered + dropped + deferred.
+func checkConservationLine(t *testing.T, out string) {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		var cycles, offered, delivered, dropped, deferred, retried int
+		if n, _ := fmt.Sscanf(line, "observed %d cycles: offered %d = delivered %d + dropped %d + deferred %d (retried %d)",
+			&cycles, &offered, &delivered, &dropped, &deferred, &retried); n == 6 {
+			if offered == 0 || offered != delivered+dropped+deferred {
+				t.Errorf("conservation line does not balance: %q", line)
+			}
+			return
+		}
+	}
+	t.Errorf("no -counters conservation line in output:\n%s", out)
 }
 
 // TestSmokeTraceOut runs a real simulation with -trace-out/-trace-jsonl and

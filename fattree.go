@@ -253,13 +253,14 @@ func WritePrometheus(w io.Writer, snaps ...LabeledSnapshot) error {
 // returning the first syntax or histogram-consistency violation.
 func ValidatePromExposition(text []byte) error { return obsv.ValidateExposition(text) }
 
-// NewObserver builds an observer bound to t; every counter array is
+// NewObserver builds a per-node observer bound to t; every counter array is
 // preallocated so recording never allocates.
 func NewObserver(t *FatTree) *Observer { return obsv.New(t) }
 
 // NewObserverCompact builds a per-level observer in O(levels) memory — the
-// observer for binary fat-trees too large for per-node counters, whose
-// per-level reports match a dense observer's exactly.
+// observer for fat-trees too large for per-node counters, whose per-level
+// reports match a per-node observer's exactly. Either kind attaches to any
+// engine.
 func NewObserverCompact(t *FatTree) *Observer { return obsv.NewCompact(t) }
 
 // ObserversEqual reports whether two observers hold identical counter totals

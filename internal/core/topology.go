@@ -29,9 +29,9 @@ func RequireHeapIndexed(t *FatTree, who string) {
 // node v (index 0 is unused), built from the per-level profile and the
 // override overlay in effect at the call. The result is O(n) memory by
 // definition — callers that must stay independent of n (the streaming
-// engine, the compact observer) use LevelCapTable and CapAt instead; this
-// helper exists for consumers whose own state is per-node anyway, such as
-// the scheduler arena, the k-ary engine and the dense observer.
+// engine, the observer) use LevelCapTable and CapAt instead; this helper
+// exists for consumers whose own state is per-node anyway, such as the
+// scheduler arena and the k-ary engine.
 func CapTableOf(t *FatTree) []int {
 	table := make([]int, t.Nodes()+1)
 	caps := t.LevelCapTable()

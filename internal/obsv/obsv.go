@@ -12,6 +12,9 @@
 //     Hopcroft–Karp matching rounds, retries under loss injection)
 //     accumulated into flat arrays preallocated when the observer is bound
 //     to a tree, so recording is an array add — no maps, no allocation.
+//     A slot map fixed at binding sends each node to its counter slot: the
+//     node itself on a per-node observer (New), its level on a per-level
+//     one (NewCompact). Both take the same hooks on every engine plane.
 //   - A fixed-capacity ring-buffer event tracer (cycle start/end, flight
 //     injected/advanced/blocked/delivered) with exporters to Chrome
 //     trace_event JSON (chrome://tracing, Perfetto) and a JSONL stream; see
@@ -46,10 +49,11 @@ import (
 	"fattree/internal/core"
 )
 
-// Counters is the flat-array tally block of one Observer. Arrays are indexed
-// the same way as the engine's own arenas: channels by 2·node+dir (dir 0 =
-// Up, 1 = Down) and switches by heap node id, so recording is a single array
-// add and cross-run comparison is plain slice equality.
+// Counters is the flat-array tally block of one Observer. Switch arrays are
+// indexed by slot — the node id on a per-node observer, the node's level on
+// a per-level one — and channel arrays by 2·slot+dir (dir 0 = Up, 1 = Down),
+// so recording is a single array add and cross-run comparison is plain
+// slice equality.
 type Counters struct {
 	// Cycles is the number of delivery cycles observed.
 	Cycles int64
@@ -71,7 +75,7 @@ type Counters struct {
 	// cycle bound.
 	Retried int64
 
-	// WireUse[2·node+dir] counts wire-cycles actually carrying a message in
+	// WireUse[2·slot+dir] counts wire-cycles actually carrying a message in
 	// that channel: injections onto leaf up channels and the root down
 	// channel, upward-sweep grants onto the up channel above the switch, and
 	// downward-sweep grants onto the down channel above the chosen child.
@@ -79,24 +83,24 @@ type Counters struct {
 	// against the Theorem-bound capacity (see Report).
 	WireUse []int64
 
-	// Per-switch concentrator contention, indexed by heap node id (internal
-	// nodes 1..n-1): requests contesting the node's concentrators, grants
-	// (requests that won an output wire), and drops (requests lost to
-	// congestion, a partial-concentrator miss, or an injected fault).
+	// Per-switch concentrator contention, indexed by slot: requests
+	// contesting the switch's concentrators, grants (requests that won an
+	// output wire), and drops (requests lost to congestion, a
+	// partial-concentrator miss, or an injected fault).
 	Requests []int64
 	Grants   []int64
 	Drops    []int64
 
-	// MatchRounds[node] counts Hopcroft–Karp BFS phases run by the node's
+	// MatchRounds[slot] counts Hopcroft–Karp BFS phases run by the node's
 	// partial concentrators (0 for ideal switches) — the matching effort the
 	// Section IV hardware would spend in its routing circuitry.
 	MatchRounds []int64
 
-	// Faults[node] counts drops caused by injected transient faults (the
-	// Lossy wrapper) rather than congestion; Drops[node] includes them.
+	// Faults[slot] counts drops caused by injected transient faults (the
+	// Lossy wrapper) rather than congestion; Drops[slot] includes them.
 	Faults []int64
 
-	// Buffered-simulator counters (RunBufferedObserved), per channel:
+	// Buffered-simulator counters (RunBufferedObserved), per channel slot:
 	// head-of-line stalls charged to the full downstream channel and the
 	// peak queue occupancy observed.
 	Stalls    []int64
@@ -111,9 +115,10 @@ type Counters struct {
 }
 
 // Observer collects counters, histograms, and (optionally) an event trace
-// from the simulator. Bind it to a tree with New, attach it to an engine
-// with sim.Engine.SetObserver (or sim.Options.Observer), and read the
-// counters directly, render them with Report, or take an immutable Snapshot.
+// from the simulator. Bind it to a tree with New (per node) or NewCompact
+// (per level), attach it to an engine with sim.Engine.SetObserver (or
+// sim.Options.Observer), and read the counters directly, render them with
+// Report, or take an immutable Snapshot.
 //
 // An Observer must be driven by one simulation goroutine at a time (the
 // engine invokes it only from its deterministic serial merge points), and
@@ -133,83 +138,103 @@ type Observer struct {
 	// Latencies, Stall, Queue, SchedLevel) lock around themselves.
 	mu sync.Mutex
 
-	nodes  int   // tree nodes + 1 (valid ids are 1..nodes-1)
-	levels int   // leaf level
-	caps   []int // capacity of the channel above node v, by node id; nil when compact
+	nodes  int // tree nodes + 1 (valid ids are 1..nodes-1)
+	levels int // leaf level
 
+	// The slot map: a node v at level k records into counter slot
+	// k + perNode·(v − k) — v itself on a per-node observer (perNode 1),
+	// k on a per-level one (perNode 0) — and its channels into 2·slot+dir.
 	// heap marks a heap-indexed tree, whose node levels fold with one
-	// bits.Len; other shapes (k-ary fat-trees) fold through the lvlFirst
-	// table built from the topology's LevelRange.
+	// bits.Len; other shapes (k-ary fat-trees) fold through lvlFirst.
+	perNode  int
 	heap     bool
 	lvlFirst []int
 	lvlCount []int
 
-	// compact marks a per-level observer (NewCompact): channel and switch
-	// arrays are indexed by tree level instead of heap node id, so the
-	// footprint is O(levels) and independent of n. The streaming engine
-	// drives it through the same hooks (node ids are folded to levels on
-	// entry); the k-ary engine requires a dense observer.
-	compact   bool
-	levelCaps []int       // compact only: per-level capacity profile
-	ovCaps    map[int]int // compact only: per-channel override snapshot
-	mixed     []bool      // compact only: level has overrides with differing caps
+	// levelCap and levelWires are each level's channel capacity (-1 when
+	// two of its channels differ) and total capacity, bound at
+	// construction from the level table and the overrides.
+	levelCap   []int
+	levelWires []int64
 
 	// hist holds the fixed-size distribution instruments (see hist.go);
 	// cycleLevelUse accumulates the current cycle's per-level wire use so
-	// CycleEnd can bucket the cycle's utilization, and levelWires memoizes
-	// each level's total channel capacity (the denominator).
+	// CycleEnd can bucket the cycle's utilization against levelWires.
 	hist          hists
 	cycleLevelUse []int64
-	levelWires    []int64
 
 	ring *Ring // nil until EnableTrace
 }
 
-// New returns an observer bound to t: every counter array is preallocated to
-// the tree's size so recording never allocates. The per-node arrays make this
-// the *dense* observer — O(n) memory; use NewCompact for topologies too large
-// to materialize.
-func New(t *core.FatTree) *Observer {
-	nodes := t.Nodes() + 1
+// New returns a per-node observer bound to t: channel and switch counters
+// are indexed by node id, so the footprint is O(n). Every counter array is
+// preallocated so recording never allocates.
+func New(t *core.FatTree) *Observer { return bind(t, 1) }
+
+// NewCompact returns a per-level observer bound to t: channel and switch
+// counters are aggregated per tree level, so the footprint is O(levels) —
+// independent of n — and a 2^20-endpoint run can still assert the
+// conservation laws and per-level utilization. Totals, histograms and
+// PerLevel equal a per-node observer's on the same run; per-node
+// attribution is unavailable.
+func NewCompact(t *core.FatTree) *Observer { return bind(t, 0) }
+
+// bind builds an observer whose slot map keeps one slot per node (perNode
+// 1) or per level (perNode 0), snapshotting the tree's level geometry and
+// each level's capacity so recording never touches the tree again.
+func bind(t *core.FatTree, perNode int) *Observer {
+	levels := t.Levels()
 	o := &Observer{
-		nodes:  nodes,
-		levels: t.Levels(),
-		caps:   core.CapTableOf(t),
+		nodes:         t.Nodes() + 1,
+		levels:        levels,
+		perNode:       perNode,
+		heap:          core.HeapIndexed(t),
+		lvlFirst:      make([]int, levels+1),
+		lvlCount:      make([]int, levels+1),
+		levelCap:      t.LevelCapTable(),
+		levelWires:    make([]int64, levels+1),
+		hist:          newHists(levels),
+		cycleLevelUse: make([]int64, levels+1),
 	}
-	o.bindLevels(t)
-	o.C = Counters{
-		WireUse:       make([]int64, 2*nodes),
-		Requests:      make([]int64, nodes),
-		Grants:        make([]int64, nodes),
-		Drops:         make([]int64, nodes),
-		MatchRounds:   make([]int64, nodes),
-		Faults:        make([]int64, nodes),
-		Stalls:        make([]int64, 2*nodes),
-		QueuePeak:     make([]int64, 2*nodes),
-		LevelCycles:   make([]int64, t.Levels()+2),
-		LevelMessages: make([]int64, t.Levels()+2),
+	for k := 0; k <= levels; k++ {
+		o.lvlFirst[k], o.lvlCount[k] = t.LevelRange(k)
+		o.levelWires[k] = int64(o.lvlCount[k]) * int64(o.levelCap[k])
 	}
-	o.hist = newHists(t.Levels())
-	o.cycleLevelUse = make([]int64, t.Levels()+1)
-	o.levelWires = make([]int64, t.Levels()+1)
-	for level := 0; level <= t.Levels(); level++ {
-		first, count := o.lvlFirst[level], o.lvlCount[level]
-		for v := first; v < first+count; v++ {
-			o.levelWires[level] += int64(o.caps[v])
+	// A level is mixed when two of its channels differ: two overrides
+	// disagree, or an override differs from a channel left at the base.
+	ovCap, ovCount := make([]int, levels+1), make([]int, levels+1)
+	t.Overrides(func(node, c int) {
+		k := o.lvl(node)
+		o.levelWires[k] += int64(c - o.levelCap[k])
+		if ovCount[k] == 0 {
+			ovCap[k] = c
+		} else if ovCap[k] != c {
+			ovCap[k] = -1
+		}
+		ovCount[k]++
+	})
+	for k, n := range ovCount {
+		switch {
+		case n == o.lvlCount[k]: // every channel overridden
+			o.levelCap[k] = ovCap[k]
+		case n > 0 && ovCap[k] != o.levelCap[k]:
+			o.levelCap[k] = -1
 		}
 	}
-	return o
-}
-
-// bindLevels snapshots the topology's level geometry so the recording hooks
-// can fold node ids to levels without touching the tree again.
-func (o *Observer) bindLevels(t *core.FatTree) {
-	o.heap = core.HeapIndexed(t)
-	o.lvlFirst = make([]int, o.levels+1)
-	o.lvlCount = make([]int, o.levels+1)
-	for k := 0; k <= o.levels; k++ {
-		o.lvlFirst[k], o.lvlCount[k] = t.LevelRange(k)
+	slots := o.slot(o.nodes-1, levels) + 1 // the last node is a leaf
+	o.C = Counters{
+		WireUse:       make([]int64, 2*slots),
+		Requests:      make([]int64, slots),
+		Grants:        make([]int64, slots),
+		Drops:         make([]int64, slots),
+		MatchRounds:   make([]int64, slots),
+		Faults:        make([]int64, slots),
+		Stalls:        make([]int64, 2*slots),
+		QueuePeak:     make([]int64, 2*slots),
+		LevelCycles:   make([]int64, levels+2),
+		LevelMessages: make([]int64, levels+2),
 	}
+	return o
 }
 
 // lvl folds a node id to its tree level: one bits.Len on heap-indexed trees,
@@ -228,54 +253,16 @@ func (o *Observer) lvl(v int) int {
 	return 0
 }
 
-// NewCompact returns an observer bound to t whose channel and switch counters
-// are aggregated per tree level rather than per node, so its footprint is
-// O(levels) — independent of n — and a 2^20-endpoint run can still assert the
-// conservation laws and per-level utilization. Totals (Cycles, Offered,
-// Delivered, Dropped, Deferred, Retried), histograms, and PerLevel carry the
-// same information as a dense observer's aggregation; per-node attribution is
-// unavailable. Only the streaming engine (and the scheduler's SchedLevel
-// hook) can drive a compact observer; the k-ary engine rejects it.
-func NewCompact(t *core.FatTree) *Observer {
-	levels := t.Levels()
-	o := &Observer{
-		nodes:     t.Nodes() + 1,
-		levels:    levels,
-		compact:   true,
-		levelCaps: t.LevelCapTable(),
-		mixed:     make([]bool, levels+1),
-	}
-	o.bindLevels(t)
-	o.C = Counters{
-		WireUse:       make([]int64, 2*(levels+1)),
-		Requests:      make([]int64, levels+1),
-		Grants:        make([]int64, levels+1),
-		Drops:         make([]int64, levels+1),
-		MatchRounds:   make([]int64, levels+1),
-		Faults:        make([]int64, levels+1),
-		Stalls:        make([]int64, 2*(levels+1)),
-		QueuePeak:     make([]int64, 2*(levels+1)),
-		LevelCycles:   make([]int64, levels+2),
-		LevelMessages: make([]int64, levels+2),
-	}
-	o.hist = newHists(levels)
-	o.cycleLevelUse = make([]int64, levels+1)
-	o.levelWires = make([]int64, levels+1)
-	for level := 0; level <= levels; level++ {
-		o.levelWires[level] = int64(o.lvlCount[level]) * int64(o.levelCaps[level])
-	}
-	t.Overrides(func(node, cap int) {
-		level := o.lvl(node)
-		o.levelWires[level] += int64(cap - o.levelCaps[level])
-		if cap != o.levelCaps[level] {
-			o.mixed[level] = true
-		}
-		if o.ovCaps == nil {
-			o.ovCaps = make(map[int]int)
-		}
-		o.ovCaps[node] = cap
-	})
-	return o
+// slot maps node v, at level k, to its counter slot.
+//
+//ftlint:hotpath
+func (o *Observer) slot(v, k int) int { return k + o.perNode*(v-k) }
+
+// chSlot maps the buffered simulator's channel index 2·node+dir to the
+// channel's counter index.
+func (o *Observer) chSlot(ch int) int {
+	v := ch >> 1
+	return 2*o.slot(v, o.lvl(v)) + ch&1
 }
 
 // Levels returns the leaf level (lg n) of the bound tree.
@@ -283,40 +270,6 @@ func (o *Observer) Levels() int { return o.levels }
 
 // Nodes returns one past the largest valid node id of the bound tree.
 func (o *Observer) Nodes() int { return o.nodes }
-
-// Compact reports whether the observer aggregates per level (NewCompact)
-// rather than per node.
-func (o *Observer) Compact() bool { return o.compact }
-
-// ChannelCapacity returns the capacity of the channel above node v (both
-// directions share one capacity), as snapshotted at New/NewCompact.
-func (o *Observer) ChannelCapacity(v int) int {
-	if o.compact {
-		if c, ok := o.ovCaps[v]; ok {
-			return c
-		}
-		return o.levelCaps[o.lvl(v)]
-	}
-	return o.caps[v]
-}
-
-// chIdx folds a (node, dir) channel to its counter index: 2·node+dir on a
-// dense observer, 2·level+dir on a compact one.
-func (o *Observer) chIdx(node, dir int) int {
-	if o.compact {
-		return 2*o.lvl(node) + dir
-	}
-	return 2*node + dir
-}
-
-// swIdx folds a switch node to its counter index: the node id on a dense
-// observer, its level on a compact one.
-func (o *Observer) swIdx(node int) int {
-	if o.compact {
-		return o.lvl(node)
-	}
-	return node
-}
 
 // EnableTrace attaches a fixed-capacity event ring buffer. The ring holds
 // the most recent `capacity` events; older events are overwritten (the
@@ -455,8 +408,9 @@ func (o *Observer) Latencies(lat []int64) {
 // wire of the channel above `node` (the source leaf, or the root for
 // external inputs).
 func (o *Observer) Inject(i int, m core.Message, node, wire int) {
-	o.C.WireUse[o.chIdx(node, channelDirOf(node, m))]++
-	o.cycleLevelUse[o.lvl(node)]++
+	k := o.lvl(node)
+	o.C.WireUse[2*o.slot(node, k)+channelDirOf(node, m)]++
+	o.cycleLevelUse[k]++
 	if o.ring != nil {
 		o.ring.push(Event{
 			Kind: EvInject, Cycle: o.C.Cycles, Node: int32(node), Flight: int32(i),
@@ -489,9 +443,9 @@ func (o *Observer) Defer(i int, m core.Message, node int) {
 // counters for the step (Hopcroft–Karp BFS rounds, fault corruptions). The
 // engine differences each switch's cumulative counters itself — a binary
 // engine builds its partial and lossy switches lazily, so the observer holds
-// no per-switch baseline. Works on dense and compact observers alike.
+// no per-switch baseline.
 func (o *Observer) SwitchDelta(node, reqs, drops int, dRounds, dFaults int64) {
-	i := o.swIdx(node)
+	i := o.slot(node, o.lvl(node))
 	o.C.Requests[i] += int64(reqs)
 	o.C.Grants[i] += int64(reqs - drops)
 	o.C.Drops[i] += int64(drops)
@@ -517,8 +471,9 @@ func (o *Observer) Advance(i int, m core.Message, node, chanNode, dir, wire int)
 // streaming engine records a node run's winners this way when no event ring
 // is attached.
 func (o *Observer) Use(chanNode, dir, count int) {
-	o.C.WireUse[o.chIdx(chanNode, dir)] += int64(count)
-	o.cycleLevelUse[o.lvl(chanNode)] += int64(count)
+	k := o.lvl(chanNode)
+	o.C.WireUse[2*o.slot(chanNode, k)+dir] += int64(count)
+	o.cycleLevelUse[k] += int64(count)
 }
 
 // Block records flight i losing the concentrator contest at switch `node`
@@ -547,7 +502,7 @@ func (o *Observer) Deliver(i int, m core.Message, node int) {
 // (2·node+dir index ch).
 func (o *Observer) Stall(ch int) {
 	o.mu.Lock()
-	o.C.Stalls[o.chIdx(ch>>1, ch&1)]++
+	o.C.Stalls[o.chSlot(ch)]++
 	o.mu.Unlock()
 }
 
@@ -555,7 +510,7 @@ func (o *Observer) Stall(ch int) {
 // bucketing every non-empty occupancy into the queue-depth histogram.
 func (o *Observer) Queue(ch, depth int) {
 	o.mu.Lock()
-	ch = o.chIdx(ch>>1, ch&1)
+	ch = o.chSlot(ch)
 	if int64(depth) > o.C.QueuePeak[ch] {
 		o.C.QueuePeak[ch] = int64(depth)
 	}
@@ -592,48 +547,26 @@ type LevelSummary struct {
 }
 
 // PerLevel aggregates the channel and switch counters by tree level: level k
-// covers the channels above the 2^k nodes at depth k and the concentrator
+// covers the channels above the nodes at depth k and the concentrator
 // activity of the switches there (leaf level channels carry injections; the
-// leaf "switches" are processors, so their contention fields are zero).
+// leaf "switches" are processors, so their contention fields are zero). Each
+// row sums the level's slot range: its nodes' slots on a per-node observer,
+// the level's one slot on a per-level one.
 func (o *Observer) PerLevel() []LevelSummary {
 	out := make([]LevelSummary, o.levels+1)
-	if o.compact {
-		for level := 0; level <= o.levels; level++ {
-			s := &out[level]
-			s.Level = level
-			s.Nodes = o.lvlCount[level]
-			s.Capacity = o.levelCaps[level]
-			if o.mixed[level] {
-				s.Capacity = -1
-			}
-			s.Wires = o.levelWires[level]
-			s.WireUse = o.C.WireUse[2*level] + o.C.WireUse[2*level+1]
-			s.Requests = o.C.Requests[level]
-			s.Grants = o.C.Grants[level]
-			s.Drops = o.C.Drops[level]
-			s.MatchRounds = o.C.MatchRounds[level]
-			if o.C.Cycles > 0 && s.Wires > 0 {
-				s.Utilization = float64(s.WireUse) / float64(o.C.Cycles*2*s.Wires)
-			}
-		}
-		return out
-	}
-	for level := 0; level <= o.levels; level++ {
-		first, count := o.lvlFirst[level], o.lvlCount[level]
+	for level := range out {
 		s := &out[level]
 		s.Level = level
-		s.Nodes = count
-		s.Capacity = o.caps[first]
-		for v := first; v < first+count; v++ {
-			if o.caps[v] != s.Capacity {
-				s.Capacity = -1 // per-channel overrides make the level mixed
-			}
-			s.Wires += int64(o.caps[v])
-			s.WireUse += o.C.WireUse[2*v] + o.C.WireUse[2*v+1]
-			s.Requests += o.C.Requests[v]
-			s.Grants += o.C.Grants[v]
-			s.Drops += o.C.Drops[v]
-			s.MatchRounds += o.C.MatchRounds[v]
+		s.Nodes = o.lvlCount[level]
+		s.Capacity = o.levelCap[level]
+		s.Wires = o.levelWires[level]
+		lo := o.slot(o.lvlFirst[level], level)
+		for i := lo; i <= lo+o.perNode*(s.Nodes-1); i++ {
+			s.WireUse += o.C.WireUse[2*i] + o.C.WireUse[2*i+1]
+			s.Requests += o.C.Requests[i]
+			s.Grants += o.C.Grants[i]
+			s.Drops += o.C.Drops[i]
+			s.MatchRounds += o.C.MatchRounds[i]
 		}
 		if o.C.Cycles > 0 && s.Wires > 0 {
 			// Both directions of every channel are available each cycle.

@@ -168,12 +168,56 @@ func TestPerLevelAndReport(t *testing.T) {
 	}
 }
 
+// TestPerLevelMixedCapacity pins each level's capacity and total wires on
+// both granularities against a walk of the tree's channels: a level reads
+// mixed (-1) only when two of its channels differ, whatever overrides put
+// them there.
 func TestPerLevelMixedCapacity(t *testing.T) {
-	tr := core.NewUniversal(8, 4)
-	tr.SetChannelCapacity(2, 1+tr.CapAt(3))
-	o := New(tr)
-	rows := o.PerLevel()
-	if rows[1].Capacity != -1 {
-		t.Fatalf("level 1 capacity = %d, want -1 (mixed)", rows[1].Capacity)
+	cases := []struct {
+		name  string
+		set   func(tr *core.FatTree)
+		level int
+		want  int
+	}{
+		{"root overridden", func(tr *core.FatTree) { tr.SetChannelCapacity(1, 9) }, 0, 9},
+		{"every node of a level overridden", func(tr *core.FatTree) {
+			for v := 4; v < 8; v++ {
+				tr.SetChannelCapacity(v, 3)
+			}
+		}, 2, 3},
+		{"every node of a level, two values", func(tr *core.FatTree) {
+			for v := 4; v < 8; v++ {
+				tr.SetChannelCapacity(v, 2+v%2)
+			}
+		}, 2, -1},
+		{"one node of a level overridden", func(tr *core.FatTree) { tr.SetChannelCapacity(2, 1+tr.CapAt(3)) }, 1, -1},
+		{"one node overridden to the base", func(tr *core.FatTree) { tr.SetChannelCapacity(9, tr.CapAt(8)) }, 3, 1},
+	}
+	for _, c := range cases {
+		for _, g := range []struct {
+			name string
+			bind func(*core.FatTree) *Observer
+		}{{"per-node", New}, {"per-level", NewCompact}} {
+			tr := core.NewUniversal(16, 4)
+			c.set(tr)
+			rows := g.bind(tr).PerLevel()
+			for level, row := range rows {
+				first, count := tr.LevelRange(level)
+				capacity, wires := tr.CapAt(first), int64(0)
+				for v := first; v < first+count; v++ {
+					if tr.CapAt(v) != capacity {
+						capacity = -1
+					}
+					wires += int64(tr.CapAt(v))
+				}
+				if row.Capacity != capacity || row.Wires != wires {
+					t.Errorf("%s, %s: level %d capacity %d wires %d, want %d and %d",
+						c.name, g.name, level, row.Capacity, row.Wires, capacity, wires)
+				}
+			}
+			if got := rows[c.level].Capacity; got != c.want {
+				t.Errorf("%s, %s: level %d capacity %d, want %d", c.name, g.name, c.level, got, c.want)
+			}
+		}
 	}
 }

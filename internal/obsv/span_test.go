@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanRingOverwriteOldest(t *testing.T) {
@@ -233,34 +233,32 @@ func TestREDEqualAndAllocs(t *testing.T) {
 	}
 }
 
-// TestREDEnqueueBeforeExit checks that Enqueue records a request's entry
-// before its consumer can record the exit: a consumer that receives at once
-// always sees the depth gauge count its request, and a full queue refuses
-// without counting.
+// TestREDEnqueueBeforeExit checks that Enqueue sends only under the lock
+// QueueExit takes, so a consumer that receives a request at once cannot
+// record its exit before the entry is counted: while the test holds that
+// lock, a producer's Enqueue must not reach the waiting consumer. Parking
+// the consumer hands the CPU to the producer, so one CPU suffices. A full
+// queue refuses without counting.
 func TestREDEnqueueBeforeExit(t *testing.T) {
-	r := NewRED()
-	q := make(chan int, 1)
-	low := make(chan int64, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		minDepth := int64(1)
-		for range q {
-			minDepth = min(minDepth, r.Snapshot().QueueDepth)
-			r.QueueExit(1)
-		}
-		low <- minDepth
-	}()
-	for i := 0; i < 2000; i++ {
-		for !Enqueue(r, q, i) {
-			runtime.Gosched() // let the consumer drain; a busy spin starves it on one CPU
-		}
+	r, q := NewRED(), make(chan int, 1)
+	sent := make(chan bool, 1)
+	r.mu.Lock()
+	go func() { sent <- Enqueue(r, q, 1) }()
+	select {
+	case <-q:
+		r.mu.Unlock()
+		t.Fatal("Enqueue sent while the RED lock was held: its consumer could record the exit first")
+	case <-time.After(100 * time.Millisecond):
 	}
-	close(q)
-	<-done
-	if d := <-low; d < 1 {
-		t.Fatalf("a consumer saw queue depth %d for a request it had received, want >= 1", d)
+	r.mu.Unlock()
+	if !<-sent {
+		t.Fatal("Enqueue refused an empty queue")
 	}
+	<-q
+	if s := r.Snapshot(); s.QueueDepth != 1 || s.QueuePeak != 1 {
+		t.Fatalf("depth %d peak %d after one admitted request, want 1/1", s.QueueDepth, s.QueuePeak)
+	}
+
 	r, full := NewRED(), make(chan int, 1)
 	if !Enqueue(r, full, 1) || Enqueue(r, full, 2) {
 		t.Fatal("Enqueue on a one-slot queue: want the first sent and the second refused")

@@ -219,7 +219,7 @@ func runBuffered(t *core.FatTree, ms core.MessageSet, queueDepth int, o *obsv.Ob
 				queues[c] = queues[c][k:]
 			}
 		}
-		for c := range queues {
+		for c := 2; c < n2; c++ { // channels 0 and 1 name no node
 			if len(queues[c]) > stats.MaxQueue {
 				stats.MaxQueue = len(queues[c])
 			}

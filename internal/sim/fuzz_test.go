@@ -72,8 +72,10 @@ var engineFuzzSeeds = [][]byte{
 // profile, drops, deferrals, delivered flags, and per-switch observer
 // counters. It also checks that attaching an observer does not perturb a
 // run, that the conservation law holds, that a ring-attached observer counts
-// what a ring-less one does, that a fully delivered set takes at least ⌈λ⌉
-// cycles (exactly one for a one-cycle set on ideal lossless switches), and
+// what a ring-less one does, that on every plane a per-level observer
+// reports what a per-node one does, that a fully delivered set takes at
+// least ⌈λ⌉ cycles (exactly one for a one-cycle set on ideal lossless
+// switches), and
 // that a reused engine matches a fresh one. This is the engine-level complement of sched's FuzzSchedule
 // and the machine-checked form of the determinism contract in DESIGN.md:
 // all per-switch randomness is seeded by (seed, node), and each switch sees
@@ -122,6 +124,12 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 				c.Offered, c.Delivered, c.Dropped, c.Deferred)
 		}
 		checkSwitchCounters(t, obsRef, ref)
+		// A per-level observer must fold to the same per-level report.
+		perLevel := obsv.NewCompact(ft)
+		e = mkEngine()
+		e.SetObserver(perLevel)
+		e.Run(ms)
+		checkSameLevels(t, ft, obsRef, perLevel)
 
 		// Observation by run: a ring-less observer adds each node run's
 		// winners per channel, a ring-attached one replays the run flight by
@@ -191,11 +199,15 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 		// lossless switches — the concentrator rules collapse to the same
 		// wire assignment when every tier is binary.
 		if kind == concentrator.KindIdeal && loss == 0 {
-			e := newKaryEngine(ft, concentrator.KindIdeal)
-			e.SetObserver(obsv.New(ft))
-			if stats := e.Run(ms); !reflect.DeepEqual(stats, want) {
-				t.Fatalf("k-ary plane diverges from the reference\nref  %+v\nkary %+v", want, stats)
+			perNode, perLevel := obsv.New(ft), obsv.NewCompact(ft)
+			for _, o := range []*obsv.Observer{perNode, perLevel} {
+				e := newKaryEngine(ft, concentrator.KindIdeal)
+				e.SetObserver(o)
+				if stats := e.Run(ms); !reflect.DeepEqual(stats, want) {
+					t.Fatalf("k-ary plane diverges from the reference\nref  %+v\nkary %+v", want, stats)
+				}
 			}
+			checkSameLevels(t, ft, perNode, perLevel)
 		}
 
 		// K-ary phase, part 2: on genuinely non-binary topologies the observed
@@ -225,5 +237,10 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 		if again := ek.Run(kms); !reflect.DeepEqual(again, karyStats) {
 			t.Fatalf("reused k-ary engine diverges\nfirst  %+v\nsecond %+v", karyStats, again)
 		}
+		karyLevel := obsv.NewCompact(kt)
+		ek = NewWithOptions(kt, concentrator.KindIdeal, seed, Options{Observer: karyLevel})
+		ek.Run(kms)
+		ek.Run(kms)
+		checkSameLevels(t, kt, karyRef, karyLevel)
 	})
 }

@@ -22,23 +22,18 @@ import (
 // Attaching an observer cannot perturb routing: it only reads engine state.
 
 // SetObserver attaches an observer to the engine (nil detaches). The observer
-// must be bound to a tree of the same size. A binary engine takes a dense
-// (obsv.New) or a compact (obsv.NewCompact) observer; a k-ary engine takes a
-// dense one only. Attaching snapshots the cumulative hardware counters of
-// every switch built so far, so per-run deltas start at the attach point.
-// The observer must not be shared with another engine running concurrently.
+// must be bound to a tree of the same size; it may keep its counters per node
+// (obsv.New) or per level (obsv.NewCompact) on either plane, since every hook
+// reaches the counters through the observer's slot map. Attaching snapshots
+// the cumulative hardware counters of every switch built so far, so per-run
+// deltas start at the attach point. The observer must not be shared with
+// another engine running concurrently.
 func (e *Engine) SetObserver(o *obsv.Observer) {
 	if o != nil {
 		if o.Nodes() != e.tree.Nodes()+1 {
 			panic("sim: observer is bound to a tree of a different size")
 		}
-		if e.kary != nil {
-			// The k-ary plane routes with inline ideal concentrators and keeps
-			// its counters per node.
-			if o.Compact() {
-				panic("sim: the k-ary engine requires a dense observer (obsv.New); compact observers attach to binary fat-tree engines")
-			}
-		} else {
+		if e.kary == nil {
 			e.stream.primeSpecials()
 		}
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -200,29 +199,73 @@ func TestObserverReuseAndReset(t *testing.T) {
 	}
 }
 
-// TestCompactObserverOnFatTree pins the observer choice on each plane: an
-// engine on a binary FatTree accepts a compact observer, whose per-level
-// summary equals a dense observer's on the same run, and an engine on a
-// non-binary tree still rejects one.
+// TestCompactObserverOnFatTree pins that either granularity attaches to
+// either plane: on the binary streaming plane and on non-binary k-ary trees,
+// a per-level observer reports what a per-node one does on the same run.
 func TestCompactObserverOnFatTree(t *testing.T) {
 	ft := core.NewUniversal(64, 16)
 	ms := workload.Random(64, 256, 5)
-	dense, compact := obsv.New(ft), obsv.NewCompact(ft)
-	for _, o := range []*obsv.Observer{dense, compact} {
+	perNode, perLevel := obsv.New(ft), obsv.NewCompact(ft)
+	for _, o := range []*obsv.Observer{perNode, perLevel} {
 		NewWithOptions(ft, concentrator.KindPartial, 2, Options{Observer: o}).Run(ms)
 	}
-	if want, got := dense.PerLevel(), compact.PerLevel(); !reflect.DeepEqual(want, got) {
-		t.Fatalf("compact per-level summary diverges\ndense   %+v\ncompact %+v", want, got)
-	}
+	checkSameLevels(t, ft, perNode, perLevel)
 
-	kt := core.NewKary(core.KaryDesc{Down: []int{4, 4}, Up: []int{2, 1}, Parallel: []int{1, 1}})
-	e := New(kt, concentrator.KindIdeal, 0)
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "requires a dense observer") {
-			t.Fatalf("k-ary engine accepted a compact observer (recovered %q)", msg)
+	for _, desc := range []core.KaryDesc{
+		{Down: []int{4, 4}, Up: []int{2, 1}, Parallel: []int{1, 1}},
+		{Down: []int{5, 5}, Up: []int{2, 1}, Parallel: []int{3, 2}, Root: 7},
+		{Down: []int{4, 2, 3}, Up: []int{3, 2, 1}, Parallel: []int{1, 1, 1}},
+	} {
+		kt := core.NewKary(desc)
+		kms := workload.Random(kt.Processors(), 4*kt.Processors(), 5)
+		perNode, perLevel := obsv.New(kt), obsv.NewCompact(kt)
+		for _, o := range []*obsv.Observer{perNode, perLevel} {
+			NewWithOptions(kt, concentrator.KindIdeal, 0, Options{Observer: o}).Run(kms)
 		}
-	}()
-	e.SetObserver(obsv.NewCompact(kt))
+		checkSameLevels(t, kt, perNode, perLevel)
+	}
+}
+
+// checkSameLevels fails unless the per-level observer level reports what the
+// per-node observer node does after the same runs on ft: the per-node slots
+// folded by level equal the per-level slots (sums; QueuePeak a maximum), and
+// the snapshots — outcome totals, scheduler levels, histograms and PerLevel
+// rows — are equal once the slot-indexed arrays are set aside.
+func checkSameLevels(t *testing.T, ft *core.FatTree, node, level *obsv.Observer) {
+	t.Helper()
+	a, b := node.Snapshot(), level.Snapshot()
+	x, y := &a.Counters, &b.Counters
+	for _, p := range []struct {
+		name       string
+		nodes, lvl []int64
+		width      int
+	}{
+		{"WireUse", x.WireUse, y.WireUse, 2}, {"Requests", x.Requests, y.Requests, 1},
+		{"Grants", x.Grants, y.Grants, 1}, {"Drops", x.Drops, y.Drops, 1},
+		{"MatchRounds", x.MatchRounds, y.MatchRounds, 1}, {"Faults", x.Faults, y.Faults, 1},
+		{"Stalls", x.Stalls, y.Stalls, 2}, {"QueuePeak", x.QueuePeak, y.QueuePeak, 2},
+	} {
+		folded := make([]int64, len(p.lvl))
+		for i, c := range p.nodes[p.width:] {
+			v, d := 1+i/p.width, i%p.width
+			j := p.width*ft.Level(v) + d
+			if p.name == "QueuePeak" {
+				folded[j] = max(folded[j], c)
+			} else {
+				folded[j] += c
+			}
+		}
+		if !reflect.DeepEqual(folded, p.lvl) {
+			t.Fatalf("%s folded by level %v, per-level observer %v", p.name, folded, p.lvl)
+		}
+	}
+	for _, c := range []*obsv.Counters{x, y} {
+		c.WireUse, c.Requests, c.Grants, c.Drops = nil, nil, nil, nil
+		c.MatchRounds, c.Faults, c.Stalls, c.QueuePeak = nil, nil, nil, nil
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("per-level observer diverges from per-node\nper-node  %+v\nper-level %+v", a, b)
+	}
 }
 
 // TestSetObserverRejectsWrongTree pins the size check at attach time.
@@ -263,4 +306,7 @@ func TestRunBufferedObserved(t *testing.T) {
 	if peak != int64(plain.MaxQueue) {
 		t.Fatalf("per-channel queue peak %d != aggregate %d", peak, plain.MaxQueue)
 	}
+	perLevel := obsv.NewCompact(ft)
+	RunBufferedObserved(ft, ms, 2, perLevel)
+	checkSameLevels(t, ft, o, perLevel)
 }

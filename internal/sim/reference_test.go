@@ -283,7 +283,7 @@ func checkCycles(t *testing.T, e *Engine, r *refEngine, ms core.MessageSet) {
 	}
 }
 
-// checkSwitchCounters demands that a dense observer's per-switch counters
+// checkSwitchCounters demands that a per-node observer's per-switch counters
 // equal the reference's: requests, drops, matching rounds and faults. The
 // observer must have been attached to a fresh engine that routed the same
 // traffic as r.

@@ -160,9 +160,9 @@ func (sc *streamScenario) ref() *refEngine {
 // TestStreamMatchesDense pins the headline equivalence: for every scenario
 // the streaming plane reproduces the dense reference engine bit for bit —
 // Stats including the per-cycle delivery profile, every cycle's delivered
-// flags and wire histories, and a dense observer's per-switch requests,
+// flags and wire histories, and a per-node observer's per-switch requests,
 // drops, matching rounds and faults. Attaching an observer must not perturb
-// the run, and a compact observer must report the dense observer's
+// the run, and a per-level observer must report the per-node observer's
 // per-level aggregation.
 func TestStreamMatchesDense(t *testing.T) {
 	for _, sc := range streamScenarios() {
@@ -182,22 +182,15 @@ func TestStreamMatchesDense(t *testing.T) {
 			}
 			checkSwitchCounters(t, oDense, ref)
 
-			// A compact observer must report the same per-level aggregation
-			// as the dense observer, in O(levels) memory.
-			oCompact := obsv.NewCompact(sc.ft)
-			eC := sc.engine()
-			eC.SetObserver(oCompact)
-			if got := eC.Run(sc.ms); !reflect.DeepEqual(got, want) {
-				t.Fatalf("compact observer perturbed the stream run")
+			// A per-level observer must report what the per-node one does,
+			// in O(levels) memory.
+			oLevel := obsv.NewCompact(sc.ft)
+			eL := sc.engine()
+			eL.SetObserver(oLevel)
+			if got := eL.Run(sc.ms); !reflect.DeepEqual(got, want) {
+				t.Fatalf("per-level observer perturbed the stream run")
 			}
-			if want, got := oDense.PerLevel(), oCompact.PerLevel(); !reflect.DeepEqual(want, got) {
-				t.Fatalf("compact per-level summary diverges\ndense   %+v\ncompact %+v", want, got)
-			}
-			cD, cC := &oDense.C, &oCompact.C
-			if cD.Offered != cC.Offered || cD.Delivered != cC.Delivered ||
-				cD.Dropped != cC.Dropped || cD.Deferred != cC.Deferred {
-				t.Fatalf("compact outcome counters diverge: %+v vs %+v", cD, cC)
-			}
+			checkSameLevels(t, sc.ft, oDense, oLevel)
 
 			checkLoneGates(t, sc.engine, sc.ref, sc.ms, want)
 		})

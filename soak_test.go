@@ -71,9 +71,9 @@ func TestSoakLargeUniversality(t *testing.T) {
 // hard bytes/endpoint ceiling (the measured figure is ~9 B/endpoint, see
 // EXPERIMENTS.md §A6; the ceiling leaves room for allocator jitter, not for a
 // per-node table — any O(n) state blows through it immediately). Second,
-// a fresh engine with a compact observer attached reproduces the unobserved
-// run. Third, the conservation law exported at /metrics holds on the compact
-// observer's counters: every offered message is delivered, dropped, or
+// a fresh engine with a per-level observer attached reproduces the
+// unobserved run. Third, the conservation law exported at /metrics holds on
+// the per-level observer's counters: every offered message is delivered, dropped, or
 // deferred.
 func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	if testing.Short() {
