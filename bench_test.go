@@ -219,8 +219,9 @@ func BenchmarkRouteCycleImplicit(b *testing.B) {
 // BenchmarkRunOnlineImplicit is the go test twin of perfbench's sim-implicit
 // workload: one RunOnline call of n/1024 random messages on a warmed engine
 // over the 2^20-endpoint universal tree, a few sparse cycles on the
-// streaming plane per call. Its allocs/op are the Stats.PerCycle profile
-// RunOnline returns and nothing else, as TestRunOnlineImplicitAllocs pins.
+// streaming plane per call. Its one alloc/op is the Stats.PerCycle profile
+// RunOnline returns, as TestRunOnlineImplicitAllocs and the CI bench-guard
+// pin.
 func BenchmarkRunOnlineImplicit(b *testing.B) {
 	const n = 1 << 20
 	ft := fattree.NewUniversal(n, n/4)

@@ -165,8 +165,8 @@ func routeCycleBench(n int, obs *fattree.Observer) func(*testing.B) {
 // footprint is the delta of two
 // GC'd heap readings around topology + engine construction and one warm-up
 // cycle, so it captures exactly what the data plane retains at steady state —
-// O(messages × path length) arena plus the O(levels) capacity profile,
-// independent of n. The CI memory-guard pins the same figure out of
+// the O(messages) flight table and key lists plus the O(levels) capacity
+// profile, independent of n. The CI memory-guard pins the same figure out of
 // TestSoakImplicitHugeBoundedMemory.
 func implicitRouteBench(n int) benchResult {
 	ms := fattree.Random(n, n/64, 1)

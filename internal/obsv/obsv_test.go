@@ -112,6 +112,56 @@ func TestExternalInjectUsesRootDownChannel(t *testing.T) {
 	}
 }
 
+// TestStallAndQueueDirection pins the buffered-channel map of Stall and
+// Queue: channel 2·v+dir lands in the slot of node v (the node itself per
+// node, its level per level) and in direction dir, so the up and down
+// channels above one node keep apart. The two directions get different
+// counts, and every other entry must stay zero.
+func TestStallAndQueueDirection(t *testing.T) {
+	binary := core.NewUniversal(16, 4)
+	kary := core.NewKary(core.KaryDesc{Down: []int{4, 4}, Up: []int{2, 1}, Parallel: []int{1, 1}})
+	karyNode, _ := kary.LevelRange(1)
+	for _, tc := range []struct {
+		name string
+		tr   *core.FatTree
+		v    int
+	}{{"binary", binary, 5}, {"kary", kary, karyNode + 1}} {
+		for _, g := range []struct {
+			name string
+			bind func(*core.FatTree) *Observer
+			slot func(tr *core.FatTree, v int) int
+		}{
+			{"per-node", New, func(_ *core.FatTree, v int) int { return v }},
+			{"per-level", NewCompact, func(tr *core.FatTree, v int) int { return tr.Level(v) }},
+		} {
+			t.Run(tc.name+"/"+g.name, func(t *testing.T) {
+				o := g.bind(tc.tr)
+				up, down := 2*tc.v+int(core.Up), 2*tc.v+int(core.Down)
+				o.Stall(up)
+				o.Stall(down)
+				o.Stall(down)
+				o.Queue(up, 3)
+				o.Queue(down, 7)
+				s := g.slot(tc.tr, tc.v)
+				for _, c := range []struct {
+					name     string
+					got      []int64
+					up, down int64
+				}{{"stalls", o.C.Stalls, 1, 2}, {"queue peak", o.C.QueuePeak, 3, 7}} {
+					want := make([]int64, len(c.got))
+					want[2*s+int(core.Up)], want[2*s+int(core.Down)] = c.up, c.down
+					for i := range want {
+						if c.got[i] != want[i] {
+							t.Fatalf("%s[%d] = %d, want %d (node %d in slot %d: up %d, down %d)",
+								c.name, i, c.got[i], want[i], tc.v, s, c.up, c.down)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestCountersEqualAndReset(t *testing.T) {
 	tr := core.NewUniversal(8, 4)
 	a, b := New(tr), New(tr)

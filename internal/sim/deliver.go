@@ -25,12 +25,14 @@ const maxZeroStreak = 1000
 // loss injected, maxZeroStreak consecutive ones do. shuffle, when non-nil, reorders each
 // cycle's offer (and its parallel first-offer stamps) in place before the
 // cycle runs; the order decides who wins at every concentrator. perCycle
-// keeps Stats.PerCycle, the only per-call growth in the loop.
+// keeps Stats.PerCycle: each cycle's deliveries are counted in the engine's
+// scratch, and one exactly sized copy is handed back when the run ends, the
+// loop's only allocation however many cycles it runs.
 //
-// Pending sets and first-offer stamps ping-pong through the engine's scratch
-// arena, so a warmed engine runs the loop without allocating. The stamps give
-// every delivery's latency, (c+1) − first offer cycle, whose sum is returned
-// and whose per-cycle batch goes to the observer.
+// Pending sets, first-offer stamps and delivery counts live in the engine's
+// scratch arena, so a warmed engine runs the loop without allocating. The
+// stamps give every delivery's latency, (c+1) − first offer cycle, whose sum
+// is returned and whose per-cycle batch goes to the observer.
 //
 //ftlint:hotpath
 func (e *Engine) deliver(initial core.MessageSet, arrive func(c int) core.MessageSet,
@@ -51,6 +53,7 @@ func (e *Engine) deliver(initial core.MessageSet, arrive func(c int) core.Messag
 	}
 	agesNext := e.scr.ageB[:0]
 	lat := e.scr.latBuf[:0]
+	counts := e.scr.perCycle[:0]
 	zeroStreak := 0
 	for c := 0; c < horizon || (len(pending) > 0 && c < budget); c++ {
 		if c > 0 && len(pending) > 0 && e.obs != nil {
@@ -73,7 +76,7 @@ func (e *Engine) deliver(initial core.MessageSet, arrive func(c int) core.Messag
 		stats.Drops += res.Dropped
 		stats.Deferrals += res.Deferred
 		if perCycle {
-			stats.PerCycle = append(stats.PerCycle, res.Delivered)
+			counts = append(counts, res.Delivered)
 		}
 		next, agesNext, lat = next[:0], agesNext[:0], lat[:0]
 		for i, ok := range delivered {
@@ -107,6 +110,11 @@ func (e *Engine) deliver(initial core.MessageSet, arrive func(c int) core.Messag
 	}
 	e.scr.pendA, e.scr.pendB = pending[:0], next[:0]
 	e.scr.ageA, e.scr.ageB, e.scr.latBuf = ages[:0], agesNext[:0], lat[:0]
+	e.scr.perCycle = counts[:0]
+	if len(counts) > 0 {
+		stats.PerCycle = make([]int, len(counts))
+		copy(stats.PerCycle, counts)
+	}
 	return stats, latencySum
 }
 

@@ -23,12 +23,17 @@
 // from the capacity profile; partial or lossy switches are built lazily the
 // first time their node is contested. A fat-tree of any other arity routes
 // on the level-table plane of kary.go. Both planes keep every transient —
-// the flight table, the key lists or buckets, the wire guards and the wire
-// histories — in a per-engine scratch arena reused from cycle to cycle: the
-// first cycle after construction (or after a growth in problem size) warms
-// the arena, and later cycles allocate nothing. See DESIGN.md "Scratch-arena
-// ownership" for
+// the flight table, the key lists or buckets and the wire guards — in a
+// per-engine scratch arena reused from cycle to cycle: the first cycle after
+// construction (or after a growth in problem size) warms the arena, and
+// later cycles allocate nothing. See DESIGN.md "Scratch-arena ownership" for
 // the reuse rules.
+//
+// Like a switch of Section II, the engine keeps no record of the wires it
+// granted: a flight holds only the wire of the channel it occupies now. The
+// whole wire path of a message, which only the off-line switch settings of
+// settings.go need, is read back from an observer's event ring, whose
+// inject and advance events carry each flight's wires in path order.
 //
 // # Determinism
 //
@@ -85,8 +90,8 @@ type Engine struct {
 
 	// Exactly one plane is set. stream is the plane of every binary fat-tree
 	// (stream.go): it carries sorted (node, flight) key lists from one sweep
-	// step to the next, so memory is O(messages × path length), independent
-	// of n. kary is the level-table plane of a non-binary tree (kary.go).
+	// step to the next, so memory is O(messages), independent of n. kary is
+	// the level-table plane of a non-binary tree (kary.go).
 	stream *streamState
 	kary   *karyState
 }
@@ -97,7 +102,10 @@ type Engine struct {
 type scratch struct {
 	flights   []flight
 	delivered []bool
-	histArena []int // flat wire-history storage; flights hold offsets into it
+
+	// pending is the current cycle's offer, set for the cycle's duration:
+	// the observer hooks read flight i's message as pending[i].
+	pending core.MessageSet
 
 	// Ping-pong pending buffers for the retry loop (deliver).
 	pendA, pendB core.MessageSet
@@ -108,6 +116,10 @@ type scratch struct {
 	// from them, and a warmed engine reuses their storage without
 	// allocating.
 	ageA, ageB, latBuf []int64
+
+	// perCycle counts each cycle's deliveries in a run of the retry loop;
+	// the loop hands back one exactly sized copy as Stats.PerCycle.
+	perCycle []int
 }
 
 // New builds the engine with concentrators of the given kind (ideal per
@@ -158,17 +170,15 @@ type CycleResult struct {
 }
 
 // flight tracks one message inside a cycle: its state, the node beneath the
-// channel whose wire it currently holds, the wire index, and its slice of
-// the engine's flat wire-history arena.
+// channel whose wire it currently holds, the wire index, its LCA and its
+// destination leaf. Flight i carries message pending[i] of the cycle's
+// offer, which the flight does not copy.
 type flight struct {
-	msg     core.Message
 	state   int // flightUp, flightDown, flightDone, flightLost
 	node    int // node beneath the current channel (leaf after injection)
 	wire    int // wire held in the current channel
-	lca     int
-	dstLeaf int // heap index of the destination leaf (0 when Dst is External)
-	histOff int // offset of this flight's wire history in scr.histArena
-	histLen int // wires recorded so far (path order)
+	lca     int // 0 for an external input or output
+	dstLeaf int // node id of the destination leaf (0 when Dst is External)
 }
 
 const (
@@ -192,11 +202,11 @@ func (e *Engine) RunCycle(pending core.MessageSet) ([]bool, CycleResult) {
 
 // grow returns s resized to n entries, reusing its backing array when
 // the capacity suffices and preserving existing contents on growth.
-func grow[T int | uint64](s []T, n int) []T {
+func grow(s []uint64, n int) []uint64 {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	out := make([]T, n, n+n/2)
+	out := make([]uint64, n, n+n/2)
 	copy(out, s)
 	return out
 }
@@ -236,27 +246,13 @@ func (e *Engine) collect(pending core.MessageSet, flights []flight, res *CycleRe
 // runCycle is one delivery cycle on the engine's plane.
 //
 //ftlint:hotpath
-func (e *Engine) runCycle(pending core.MessageSet) ([]bool, CycleResult) {
+func (e *Engine) runCycle(pending core.MessageSet) (delivered []bool, res CycleResult) {
+	e.scr.pending = pending
 	if e.kary != nil {
-		return e.runCycleKary(pending)
+		delivered, res = e.runCycleKary(pending)
+	} else {
+		delivered, res = e.runCycleStream(pending)
 	}
-	return e.runCycleStream(pending)
-}
-
-// histories materializes the per-message wire paths of the last cycle as
-// freshly allocated slices safe to retain: hist[i] is message i's wire
-// sequence in path order, nil unless it was delivered. Used by the settings
-// compiler; the hot retry loop never materializes.
-func (e *Engine) histories(flights []flight) [][]int {
-	hist := make([][]int, len(flights))
-	for i := range flights {
-		f := &flights[i]
-		if f.state != flightDone {
-			continue
-		}
-		h := make([]int, f.histLen)
-		copy(h, e.scr.histArena[f.histOff:f.histOff+f.histLen])
-		hist[i] = h
-	}
-	return hist
+	e.scr.pending = nil
+	return delivered, res
 }

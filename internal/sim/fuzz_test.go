@@ -157,7 +157,7 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 		}
 
 		// Cycle by cycle: delivered flags (message-index order is part of
-		// the contract) and wire histories.
+		// the contract) and wire paths, read from an event ring.
 		checkCycles(t, mkEngine(), mkRef(), ms)
 
 		// The lone pass forced on every cycle and on none: the tiny trees

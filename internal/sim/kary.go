@@ -113,8 +113,7 @@ func newKaryEngine(t *core.FatTree, kind concentrator.Kind) *Engine {
 // cycle (the processor buffers them, per Section II). Inputs from the
 // external world inject into the root down channel; outputs carry the
 // sentinel LCA 0 ("above the root") so the upward sweep forwards them through
-// every switch and out the root channel. Each admitted flight reserves its
-// exact path length in the wire-history arena.
+// every switch and out the root channel.
 //
 //ftlint:hotpath
 func (e *Engine) injectKary(pending core.MessageSet) ([]flight, CycleResult) {
@@ -129,25 +128,15 @@ func (e *Engine) injectKary(pending core.MessageSet) ([]flight, CycleResult) {
 	scr.flights = flights
 	var res CycleResult
 
-	levels := kt.Levels()
-	arenaLen := 0
 	rootInjected := 0 // root down-channel wires used by inputs
 	for i, m := range pending {
 		if m.Src == core.External {
 			if rootInjected >= ks.caps[1] {
-				flights[i] = flight{msg: m, state: flightLost}
+				flights[i] = flight{state: flightLost}
 				res.Deferred++
 				continue
 			}
-			off := arenaLen
-			arenaLen += levels + 1
-			scr.histArena = grow(scr.histArena, arenaLen)
-			flights[i] = flight{
-				msg: m, state: flightDown, node: 1, wire: rootInjected,
-				dstLeaf: kt.Leaf(m.Dst),
-				histOff: off, histLen: 1,
-			}
-			scr.histArena[off] = rootInjected
+			flights[i] = flight{state: flightDown, node: 1, wire: rootInjected, dstLeaf: kt.Leaf(m.Dst)}
 			rootInjected++
 			continue
 		}
@@ -157,27 +146,17 @@ func (e *Engine) injectKary(pending core.MessageSet) ([]flight, CycleResult) {
 			used = ks.injUsed[m.Src]
 		}
 		if used >= ks.caps[leaf] {
-			flights[i] = flight{msg: m, state: flightLost}
+			flights[i] = flight{state: flightLost}
 			res.Deferred++
 			continue
 		}
 		lca := 0 // sentinel: the message exits through the root interface
 		dstLeaf := 0
-		pathLen := levels + 1
 		if m.Dst != core.External {
 			lca = kt.LCA(m.Src, m.Dst)
 			dstLeaf = kt.Leaf(m.Dst)
-			pathLen = 2 * (levels - kt.Level(lca))
 		}
-		off := arenaLen
-		arenaLen += pathLen
-		scr.histArena = grow(scr.histArena, arenaLen)
-		flights[i] = flight{
-			msg: m, state: flightUp, node: leaf, wire: used,
-			lca: lca, dstLeaf: dstLeaf,
-			histOff: off, histLen: 1,
-		}
-		scr.histArena[off] = used
+		flights[i] = flight{state: flightUp, node: leaf, wire: used, lca: lca, dstLeaf: dstLeaf}
 		ks.injStamp[m.Src] = ks.epoch
 		ks.injUsed[m.Src] = used + 1
 	}
@@ -314,11 +293,9 @@ func (e *Engine) routeKaryGathered(v int, flights []flight, who []int, upSweep b
 			}
 			ns.upStamp[w] = ns.gen
 			f.wire = w
-			e.scr.histArena[f.histOff+f.histLen] = w
-			f.histLen++
 			f.state = flightUp
 			f.node = v
-			if v == 1 && f.msg.Dst == core.External {
+			if v == 1 && f.dstLeaf == 0 {
 				// The root up channel is the external interface: delivered.
 				f.state = flightDone
 			}
@@ -350,8 +327,6 @@ func (e *Engine) routeKaryGathered(v int, flights []flight, who []int, upSweep b
 		}
 		ns.downStamp[c][w] = ns.gen
 		f.wire = w
-		e.scr.histArena[f.histOff+f.histLen] = w
-		f.histLen++
 		f.node = child
 		f.state = flightDown
 		if vLevel+1 == leafLevel {

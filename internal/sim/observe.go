@@ -19,7 +19,11 @@ import (
 //     message-index order;
 //   - after collect, closing the cycle.
 //
-// Attaching an observer cannot perturb routing: it only reads engine state.
+// A hook reads flight i's message as pending[i] of the cycle's offer. With
+// an event ring, the inject and advance events of a flight carry every wire
+// it was granted, in path order: they are the only record of a wire path
+// (settings.go reads it back). Attaching an observer cannot perturb routing:
+// it only reads engine state.
 
 // SetObserver attaches an observer to the engine (nil detaches). The observer
 // must be bound to a tree of the same size; it may keep its counters per node
@@ -53,16 +57,16 @@ func (e *Engine) observeInject(pending core.MessageSet, flights []flight) {
 	t := e.tree
 	o.CycleStart(len(pending))
 	for i := range flights {
-		f := &flights[i]
+		f, m := &flights[i], pending[i]
 		if f.state == flightLost { // deferred: never entered the network
 			node := 1
-			if f.msg.Src != core.External {
-				node = t.Leaf(f.msg.Src)
+			if m.Src != core.External {
+				node = t.Leaf(m.Src)
 			}
-			o.Defer(i, f.msg, node)
+			o.Defer(i, m, node)
 			continue
 		}
-		o.Inject(i, f.msg, f.node, f.wire)
+		o.Inject(i, m, f.node, f.wire)
 	}
 }
 
@@ -76,7 +80,7 @@ func (e *Engine) observeInject(pending core.MessageSet, flights []flight) {
 func (e *Engine) observeLevel(first int, upSweep bool) {
 	o := e.obs
 	ks := e.kary
-	flights := e.scr.flights
+	flights, pending := e.scr.flights, e.scr.pending
 	for _, v := range ks.nodes {
 		bucket := ks.buckets[v-first]
 		// Every bucketed flight was live when the contest started, so the
@@ -90,25 +94,25 @@ func (e *Engine) observeLevel(first int, upSweep bool) {
 		// Inline ideal routing has no hardware counters to difference.
 		o.SwitchDelta(v, len(bucket), dropped, 0, 0)
 		for _, i := range bucket {
-			f := &flights[i]
+			f, m := &flights[i], pending[i]
 			switch f.state {
 			case flightLost:
-				o.Block(i, f.msg, v)
+				o.Block(i, m, v)
 			case flightUp:
 				// Ascended: now holds a wire in the up channel above v.
-				o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+				o.Advance(i, m, v, v, int(core.Up), f.wire)
 			case flightDown:
 				// Turned or descended: holds the down channel above f.node.
-				o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
+				o.Advance(i, m, v, f.node, int(core.Down), f.wire)
 			case flightDone:
 				if upSweep {
 					// External output: delivered through the root up channel.
-					o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+					o.Advance(i, m, v, v, int(core.Up), f.wire)
 				} else {
 					// Reached the destination leaf's down channel.
-					o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
+					o.Advance(i, m, v, f.node, int(core.Down), f.wire)
 				}
-				o.Deliver(i, f.msg, v)
+				o.Deliver(i, m, v)
 			}
 		}
 	}
@@ -136,24 +140,24 @@ func (e *Engine) observeStreamRun(v int, run []uint64, upSweep bool, won [2]int,
 		}
 		return
 	}
-	flights := e.scr.flights
+	flights, pending := e.scr.flights, e.scr.pending
 	for _, k := range run {
 		i := int(uint32(k))
-		f := &flights[i]
+		f, m := &flights[i], pending[i]
 		switch f.state {
 		case flightLost:
-			o.Block(i, f.msg, v)
+			o.Block(i, m, v)
 		case flightUp:
-			o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+			o.Advance(i, m, v, v, int(core.Up), f.wire)
 		case flightDown:
-			o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
+			o.Advance(i, m, v, f.node, int(core.Down), f.wire)
 		case flightDone:
 			if upSweep {
-				o.Advance(i, f.msg, v, v, int(core.Up), f.wire)
+				o.Advance(i, m, v, v, int(core.Up), f.wire)
 			} else {
-				o.Advance(i, f.msg, v, f.node, int(core.Down), f.wire)
+				o.Advance(i, m, v, f.node, int(core.Down), f.wire)
 			}
-			o.Deliver(i, f.msg, v)
+			o.Deliver(i, m, v)
 		}
 	}
 }
@@ -170,7 +174,7 @@ func (e *Engine) observeHop(i, v, chanNode, dir, wire int, done bool) {
 		o.Use(chanNode, dir, 1)
 		return
 	}
-	m := e.scr.flights[i].msg
+	m := e.scr.pending[i]
 	o.Advance(i, m, v, chanNode, dir, wire)
 	if done {
 		o.Deliver(i, m, v)

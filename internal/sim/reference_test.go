@@ -258,13 +258,14 @@ func refSettings(t *core.FatTree, s *sched.Schedule) [][]WirePath {
 
 // checkCycles runs ms through e and r in lockstep, carrying each cycle's
 // losers to the next, and demands the reference's CycleResult, delivered
-// flags and wire histories every cycle.
+// flags and wire paths every cycle. The engine's paths are read from the
+// event ring of a per-level observer (runCycleTraced), so e must have no
+// observer of its own.
 func checkCycles(t *testing.T, e *Engine, r *refEngine, ms core.MessageSet) {
 	t.Helper()
 	pending := slices.Clone(ms)
 	for cyc := 0; len(pending) > 0; cyc++ {
-		delivered, res := e.RunCycle(pending)
-		hist := e.histories(e.scr.flights)
+		delivered, res, hist := e.runCycleTraced(pending)
 		want := r.cycle(pending)
 		if res != want.res || !slices.Equal(delivered, want.delivered) || !reflect.DeepEqual(hist, want.hist) {
 			t.Fatalf("cycle %d diverges from the reference\nref    %+v %v %v\nengine %+v %v %v",

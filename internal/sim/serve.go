@@ -16,7 +16,7 @@ const serveOfferBudget = 1 << 21
 // Deferrals and identical observer effects, but shaped for a serving daemon
 // answering one request per call on a persistent engine. It does not materialize the per-cycle
 // delivery profile (Stats.PerCycle stays nil, the only field of the result
-// that grows per call), so a warmed engine's whole request — validation,
+// that allocates), so a warmed engine's whole request — validation,
 // retry loop, latency batching, observer merges — performs zero heap
 // allocations; cmd/ftserve calls RunServe once per /v1/route request on the
 // tenant's persistent engine, and BenchmarkServeRoute pins the figure.

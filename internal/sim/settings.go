@@ -5,6 +5,7 @@ import (
 
 	"fattree/internal/concentrator"
 	"fattree/internal/core"
+	"fattree/internal/obsv"
 	"fattree/internal/sched"
 )
 
@@ -14,7 +15,9 @@ import (
 // schedule through the engine once and records every wire assignment; the
 // result is the compiled program a real off-line fat-tree would load —
 // per delivery cycle, per message, the exact wire held in every channel on
-// its path. Replay applies the settings with no concentrator logic at all
+// its path. The engine itself, like the switches it models, keeps no record
+// of the wires it granted, so the paths are read back from the event ring of
+// an observer attached for the compilation. Replay applies the settings with no concentrator logic at all
 // (the acknowledgment hardware can be omitted, "thereby reducing the
 // complexity of the design") and re-verifies the physical invariants.
 
@@ -53,8 +56,7 @@ func CompileSettings(t *core.FatTree, s *sched.Schedule) *Settings {
 	e := New(t, concentrator.KindIdeal, 0)
 	st := &Settings{Tree: t, Cycles: make([][]WirePath, len(s.Cycles))}
 	for ci, cyc := range s.Cycles {
-		delivered, res := e.runCycle(cyc)
-		paths := e.histories(e.scr.flights)
+		delivered, res, paths := e.runCycleTraced(cyc)
 		for i, ok := range delivered {
 			if !ok {
 				panic(fmt.Sprintf("sim: compile dropped message %v in cycle %d (%+v) — unverified schedule?",
@@ -64,6 +66,32 @@ func CompileSettings(t *core.FatTree, s *sched.Schedule) *Settings {
 		}
 	}
 	return st
+}
+
+// runCycleTraced is one delivery cycle of pending plus its wire paths:
+// paths[i] is message i's wire in each channel of its path, in path order,
+// and nil unless the message was delivered. The paths are read from the
+// inject and advance events of a per-level observer attached for the cycle,
+// whose ring is sized to hold every event the cycle can record: a start and
+// an end, and per flight an inject, at most 2·levels − 1 advances and a
+// deliver or block. A ring that overwrote an event panics. The engine must
+// have no observer of its own; it has none afterwards.
+func (e *Engine) runCycleTraced(pending core.MessageSet) ([]bool, CycleResult, [][]int) {
+	o := obsv.NewCompact(e.tree)
+	ring := o.EnableTrace(2 + len(pending)*(2*e.tree.Levels()+1))
+	e.SetObserver(o)
+	delivered, res := e.runCycle(pending)
+	e.SetObserver(nil)
+	if ring.Overwritten() > 0 {
+		panic(fmt.Sprintf("sim: event ring overwrote %d events; wire paths incomplete", ring.Overwritten()))
+	}
+	paths := make([][]int, len(pending))
+	ring.Do(func(ev obsv.Event) {
+		if (ev.Kind == obsv.EvInject || ev.Kind == obsv.EvAdvance) && delivered[ev.Flight] {
+			paths[ev.Flight] = append(paths[ev.Flight], int(ev.Wire))
+		}
+	})
+	return delivered, res, paths
 }
 
 // Replay validates and "executes" compiled settings without any switching

@@ -3,12 +3,23 @@ package sim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"fattree/internal/concentrator"
 	"fattree/internal/core"
 	"fattree/internal/sched"
 	"fattree/internal/workload"
 )
+
+// TestFlightSize pins the flight record at five ints (40 bytes on a 64-bit
+// host): a flight copies no message, which the hooks read from the cycle's
+// offer, and keeps no wire history, which only an observer's event ring
+// records. A field added back fails here.
+func TestFlightSize(t *testing.T) {
+	if size := unsafe.Sizeof(flight{}); size > 40 {
+		t.Fatalf("flight is %d bytes, want at most 40", size)
+	}
+}
 
 func TestSingleMessageDelivers(t *testing.T) {
 	ft := core.NewConstant(8, 1)

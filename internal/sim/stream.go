@@ -12,11 +12,13 @@ import (
 // fat-tree. Instead of per-node arrays (switch objects, a capacity table,
 // bucket lists, injection counters) it keeps sorted lists of (node, flight)
 // keys that it carries from one sweep step to the next, so engine memory is
-// O(messages × path length) — independent of the processor count. The wire
-// guards are bitsets, one bit per wire of the widest channel routed, so even
-// the 2^18-wire root channel of a 2^20-endpoint universal tree costs 32 KiB.
-// That network — topology plus a warmed engine — retains about 9 bytes per
-// endpoint, where per-node switch state would need gigabytes.
+// O(messages) — independent of the processor count. The wire guards are
+// bitsets, one bit per wire of the widest channel routed, so even the
+// 2^18-wire root channel of a 2^20-endpoint universal tree costs 32 KiB.
+// That network — topology plus a warmed engine — retains about 2.4 bytes
+// per endpoint, where per-node switch state would need gigabytes: per
+// admitted message a cycle keeps a 40-byte flight and its keys, and no
+// record of the wires the flight held before its current one.
 //
 // The carried lists follow the switch of Section II, whose up concentrators
 // combine a node's two child channels into its parent channel one level at a
@@ -39,9 +41,9 @@ import (
 //
 // On ideal switches without injected loss a step is one pass over its
 // request list (fuseUp, fuseDown): each flight of a node run gets its wire
-// by its switch's rule, claims its guard bit, records its history and is
-// sorted into the next list, all at once; the run's guard
-// bits are released and the run observed before its lone descents start.
+// by its switch's rule, claims its guard bit and is sorted into the next
+// list, all at once; the run's guard bits are released and the run observed
+// before its lone descents start.
 // Partial or lossy switches route each node run through a lazily built
 // switch first (routeStreamNode) and sort the winners after.
 //
@@ -109,7 +111,8 @@ import (
 //     sparse cycle the lone hops are recorded as they are routed — the lone
 //     pass right after injection, a lone descent right after its run — so
 //     the event ring is not in sweep order; every counter total and
-//     histogram is unchanged.
+//     histogram is unchanged, and each flight's events still come in path
+//     order, which is what the wire paths of settings.go are read from.
 //   - Lone hops: ideal and passThrough concentrators are positional and
 //     stateless, so a one-request run has one outcome wherever it is routed
 //     in the cycle; a lossy switch draws from a separate stream per output
@@ -545,8 +548,7 @@ func (e *Engine) runCycleStream(pending core.MessageSet) ([]bool, CycleResult) {
 // by (leaf, index) with sortByNode, which lines up every leaf's messages in
 // message-index order and makes "the first capAt(leaf) win, the rest defer"
 // identical to admission in message order; the winners are left in st.up and st.turn,
-// keyed by their leaf, for the lone pass and the first carryUp. A final pass
-// lays out the wire-history arena in message-index order.
+// keyed by their leaf, for the lone pass and the first carryUp.
 //
 //ftlint:hotpath
 func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
@@ -566,14 +568,13 @@ func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 	for i, m := range pending {
 		if m.Src == core.External {
 			if rootInjected >= rootCap {
-				flights[i] = flight{msg: m, state: flightLost}
+				flights[i] = flight{state: flightLost}
 				res.Deferred++
 				continue
 			}
 			flights[i] = flight{
-				msg: m, state: flightDown, node: 1, wire: rootInjected,
+				state: flightDown, node: 1, wire: rootInjected,
 				dstLeaf: t.Leaf(m.Dst),
-				histLen: 1,
 			}
 			desc = append(desc, 1<<32|uint64(uint32(i)))
 			rootInjected++
@@ -594,22 +595,18 @@ func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 			leaf, rank = v, 0
 			capLeaf = st.capAt(v)
 		}
-		m := pending[i]
 		if rank >= capLeaf {
-			flights[i] = flight{msg: m, state: flightLost}
+			flights[i] = flight{state: flightLost}
 			res.Deferred++
 			rank++
 			continue
 		}
 		lca, dstLeaf := 0, 0 // sentinel: exits through the root interface
-		if m.Dst != core.External {
-			dstLeaf = n + m.Dst
+		if dst := pending[i].Dst; dst != core.External {
+			dstLeaf = n + dst
 			lca = v >> uint(bits.Len(uint(v^dstLeaf)))
 		}
-		flights[i] = flight{
-			msg: m, state: flightUp, node: v, wire: rank,
-			lca: lca, dstLeaf: dstLeaf, histLen: 1,
-		}
+		flights[i] = flight{state: flightUp, node: v, wire: rank, lca: lca, dstLeaf: dstLeaf}
 		if lca == v>>1 {
 			turn = append(turn, k)
 		} else {
@@ -618,25 +615,6 @@ func (e *Engine) injectStream(pending core.MessageSet) ([]flight, CycleResult) {
 		rank++
 	}
 	st.keys, st.up, st.turn = keys, up, turn
-
-	// Arena layout in message-index order: each admitted flight reserves its
-	// exact path length and records its injection wire.
-	levels := st.levels
-	arenaLen := 0
-	for i := range flights {
-		f := &flights[i]
-		if f.state == flightLost {
-			continue
-		}
-		pathLen := levels + 1 // external input or output: leaf/root to root
-		if f.lca != 0 {
-			pathLen = 2 * (levels - (bits.Len(uint(f.lca)) - 1))
-		}
-		f.histOff = arenaLen
-		arenaLen += pathLen
-		scr.histArena = grow(scr.histArena, arenaLen)
-		scr.histArena[f.histOff] = f.wire
-	}
 	return flights, res
 }
 
@@ -700,10 +678,9 @@ func (st *streamState) sweepUp(level int) {
 // channel is at least as wide as its two feeders (a right-child wire
 // offset by the left child's width), Ideal otherwise (rank j wins wire j,
 // the rest lose), the selection NewSwitch makes — with the
-// widened-right-child panic, its guard claim, its history entry and its new
-// node. It is then sorted as a climber, a turner, or a lone turner whose
-// descent waits until the run's guard bits are released and the run is
-// observed. A positional run releases its guards by clearing the winners'
+// widened-right-child panic, its guard claim and its new node. It is then
+// sorted as a climber, a turner, or a lone turner whose descent waits until
+// the run's guard bits are released and the run is observed. A positional run releases its guards by clearing the winners'
 // words, a pass-through run by walking its winners (releaseRun).
 //
 // The sort does not jump on the climb bit (LCA above the parent): up and
@@ -719,7 +696,6 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 	sh := &st.sh
 	keys := st.keys
 	flights := st.e.scr.flights
-	hist := st.e.scr.histArena
 	up, turn = grow(st.up[:0], len(keys)), grow(st.turn[:0], len(keys))
 	lone := st.lone[:0]
 	nu, nt := 0, 0
@@ -755,10 +731,8 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 			}
 			sh.claimUp(w, capParent)
 			f.wire, f.node = w, int(v)
-			hist[f.histOff+f.histLen] = w
-			f.histLen++
 			won++
-			if root && f.msg.Dst == core.External {
+			if root && f.dstLeaf == 0 {
 				// The root up channel is the external interface: delivered.
 				f.state = flightDone
 				continue
@@ -860,7 +834,6 @@ func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 	sh := &st.sh
 	keys := st.keys
 	flights := st.e.scr.flights
-	hist := st.e.scr.histArena
 	desc, right = grow(st.desc[:0], len(keys)), grow(st.up[:0], len(keys))
 	lone := st.lone[:0]
 	nd := 0
@@ -899,8 +872,6 @@ func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 			child := int(2*v) + side
 			sh.claimDown(side, j, caps[side])
 			f.wire, f.node = j, child
-			hist[f.histOff+f.histLen] = j
-			f.histLen++
 			if last {
 				f.state = flightDone
 				continue
@@ -982,7 +953,6 @@ func (st *streamState) switchDown(level int) (desc, right []uint64) {
 func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep bool) {
 	sh := &st.sh
 	flights := st.e.scr.flights
-	hist := st.e.scr.histArena
 	shift := uint(st.levels - vLevel - 1)
 	capParent := st.capAt(v)
 	caps := [2]int{st.capAt(2 * v), st.capAt(2*v + 1)} // each down channel's own width
@@ -1032,7 +1002,7 @@ func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep 
 		if upSweep {
 			sh.claimUp(w, capParent)
 			f.node = v // now holds a wire in the up channel above v
-			if v == 1 && f.msg.Dst == core.External {
+			if v == 1 && f.dstLeaf == 0 {
 				// The root up channel is the external interface: delivered.
 				f.state = flightDone
 			}
@@ -1049,8 +1019,6 @@ func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep 
 		}
 		won[side]++
 		f.wire = w
-		hist[f.histOff+f.histLen] = w
-		f.histLen++
 	}
 	sh.drops += drops
 	sh.releaseRun(flights, run, upSweep)
@@ -1227,16 +1195,15 @@ func (st *streamState) inlineHops() bool {
 // widened-right-child check, wire first as in fuseUp, and claims and
 // releases its guard bit. Every capacity is at least 1 (core.New and
 // SetChannelCapacity reject less), so a lone ideal hop always wins. The
-// history goes straight into the arena; the flight's node, wire and
-// history length live in locals and are stored once. An observer records
-// each hop as a one-request run.
+// flight's node and wire live in locals and are stored once. An observer
+// records each hop as a one-request run.
 //
 //ftlint:hotpath
 func (st *streamState) climbIdeal(i, s int) {
 	sh := &st.sh
 	f := &st.e.scr.flights[i]
-	hist := st.e.scr.histArena
-	node, wire, h := f.node, f.wire, f.histOff+f.histLen
+	node, wire := f.node, f.wire
+	out := f.dstLeaf == 0 // leaves through the root's external interface
 	for l := st.levels - 1; l > s; l-- {
 		v := node >> 1
 		capParent, capChild := st.levelCaps[l], st.levelCaps[l+1]
@@ -1250,15 +1217,13 @@ func (st *streamState) climbIdeal(i, s int) {
 		sh.upUsed.fit(capParent)
 		sh.claimUp(wire, capParent)
 		sh.upUsed[wire>>6] = 0
-		hist[h] = wire
-		h++
 		node = v
 		if st.e.obs != nil {
-			st.e.observeHop(i, v, v, int(core.Up), wire, v == 1 && f.msg.Dst == core.External)
+			st.e.observeHop(i, v, v, int(core.Up), wire, v == 1 && out)
 		}
 	}
-	f.node, f.wire, f.histLen = node, wire, h-f.histOff
-	if node == 1 && f.msg.Dst == core.External {
+	f.node, f.wire = node, wire
+	if node == 1 && out {
 		// The root up channel is the external interface: delivered.
 		f.state = flightDone
 	}
@@ -1273,9 +1238,8 @@ func (st *streamState) climbIdeal(i, s int) {
 func (st *streamState) descendIdeal(i, d int) {
 	sh := &st.sh
 	f := &st.e.scr.flights[i]
-	hist := st.e.scr.histArena
 	levels := st.levels
-	dst, h := f.dstLeaf, f.histOff+f.histLen
+	dst := f.dstLeaf
 	turning := f.state == flightUp
 	for l := d; l < levels; l++ {
 		child := dst >> uint(levels-l-1)
@@ -1292,13 +1256,11 @@ func (st *streamState) descendIdeal(i, d int) {
 		sh.downUsed[side].fit(capChild)
 		sh.claimDown(side, 0, capChild)
 		sh.downUsed[side][0] = 0
-		hist[h] = 0
-		h++
 		if st.e.obs != nil {
 			st.e.observeHop(i, child>>1, child, int(core.Down), 0, l+1 == levels)
 		}
 	}
-	f.node, f.wire, f.histLen, f.state = dst, 0, h-f.histOff, flightDone
+	f.node, f.wire, f.state = dst, 0, flightDone
 }
 
 // loneHop routes flight i alone through node v at level vLevel on a

@@ -160,7 +160,7 @@ func (sc *streamScenario) ref() *refEngine {
 // TestStreamMatchesDense pins the headline equivalence: for every scenario
 // the streaming plane reproduces the dense reference engine bit for bit —
 // Stats including the per-cycle delivery profile, every cycle's delivered
-// flags and wire histories, and a per-node observer's per-switch requests,
+// flags and wire paths, and a per-node observer's per-switch requests,
 // drops, matching rounds and faults. Attaching an observer must not perturb
 // the run, and a per-level observer must report the per-node observer's
 // per-level aggregation.
@@ -200,7 +200,7 @@ func TestStreamMatchesDense(t *testing.T) {
 // checkLoneGates runs ms with the lone pass forced on every cycle and on
 // none. Detection may miss a lone hop but never invents one, so both runs
 // must equal the reference: Stats, and every cycle's delivered flags and
-// wire histories. At the gate's own density tiny trees never take the
+// wire paths. At the gate's own density tiny trees never take the
 // pass, and sparse ones always do.
 func checkLoneGates(t *testing.T, mk func() *Engine, mkRef func() *refEngine, ms core.MessageSet, want Stats) {
 	t.Helper()
@@ -254,7 +254,7 @@ func TestRadixByNode(t *testing.T) {
 	}
 }
 
-// TestStreamCompiledSettings pins wire-history equivalence: compiling a
+// TestStreamCompiledSettings pins wire-path equivalence: compiling a
 // schedule on the streaming plane must produce the reference engine's
 // per-message wire paths, cycle by cycle.
 func TestStreamCompiledSettings(t *testing.T) {
@@ -384,15 +384,13 @@ func TestStreamFusedGuardRelease(t *testing.T) {
 	// (up runs) or turns there towards leaf (down runs).
 	setup := func(ft *core.FatTree, v, count int, wire func(j int) int) (*Engine, []uint64) {
 		e := New(ft, concentrator.KindIdeal, 0)
-		levels := ft.Levels()
 		e.scr.flights = make([]flight, count)
-		e.scr.histArena = make([]int, count*(2*levels+1))
 		run := make([]uint64, count)
 		for j := range run {
 			child := 2*v + j%2
 			e.scr.flights[j] = flight{
 				state: flightUp, node: child, wire: wire(j), lca: v,
-				dstLeaf: ft.Processors() + j%ft.Processors(), histOff: j * (2*levels + 1), histLen: 1,
+				dstLeaf: ft.Processors() + j%ft.Processors(),
 			}
 			run[j] = uint64(v)<<32 | uint64(j)
 		}
@@ -428,7 +426,7 @@ func TestStreamFusedGuardRelease(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				for j := range e.scr.flights {
 					f := &e.scr.flights[j]
-					f.state, f.node, f.wire, f.histLen = flightUp, 2+j%2, tc.wire(j), 1
+					f.state, f.node, f.wire = flightUp, 2+j%2, tc.wire(j)
 				}
 				st.keys = run
 				if tc.up {

@@ -68,7 +68,7 @@ func TestSoakLargeUniversality(t *testing.T) {
 // memory-guard: a 2^20-endpoint universal fat-tree simulated to
 // completion in bounded time, with three pinned properties. First, the
 // retained heap for the topology plus a warmed streaming engine stays under a
-// hard bytes/endpoint ceiling (the measured figure is ~9 B/endpoint, see
+// hard bytes/endpoint ceiling (the measured figure is ~2.4 B/endpoint, see
 // EXPERIMENTS.md §A6; the ceiling leaves room for allocator jitter, not for a
 // per-node table — any O(n) state blows through it immediately). Second,
 // a fresh engine with a per-level observer attached reproduces the
@@ -81,7 +81,7 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	}
 	const (
 		n       = 1 << 20
-		ceiling = 16.0 // bytes/endpoint, under 2x the measured steady state
+		ceiling = 5.0 // bytes/endpoint, about 2x the measured steady state
 	)
 	ms := fattree.Random(n, n/64, 3)
 
@@ -123,15 +123,16 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 // TestSoakImplicitHugeSetupAlloc is the set-up half of the memory guard: a
 // fresh serial engine on a 2^20-endpoint tree with 2^18 root wires, running
 // its first RunOnline on 1024 random messages, must allocate in proportion to
-// that traffic, not to the channel widths (~2 MiB). Wire guards sized at 8
-// bytes per wire of every routed channel allocated ~128 MiB here.
+// that traffic, not to the channel widths (~0.5 MiB). Wire guards sized at 8
+// bytes per wire of every routed channel allocated ~128 MiB here, and a
+// per-flight wire-history arena ~1.6 MiB.
 func TestSoakImplicitHugeSetupAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
 	const (
 		n       = 1 << 20
-		ceiling = 4 << 20 // bytes
+		ceiling = 1 << 20 // bytes
 	)
 	ms := fattree.Random(n, n/1024, 11)
 
