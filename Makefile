@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race lint lint-extra loc fuzz bench-json bench-diff bench-pair serve trace-demo perfbench check
+.PHONY: all build fmt test race lint lint-extra loc fuzz bench bench-diff bench-pair serve trace-demo perfbench check
 
 all: check
 
@@ -52,25 +52,25 @@ lint-extra:
 		echo "govulncheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-# Delivery-engine micro-benchmarks (EXPERIMENTS.md §A4/§A6) as
-# machine-readable JSON: ns/op, B/op, allocs/op for RouteCycleSerial and
-# OffLineSchedule at n = 256, 1024, 4096, the large-n streaming row
-# RouteCycleImplicit at n = 2^16, 2^18, 2^20 with bytes/endpoint, plus run
-# metadata (go version, GOOS/GOARCH, CPU count, timestamp) so snapshots are
-# comparable across machines and PRs.
-bench-json:
-	$(GO) run ./cmd/ftbench -bench -json > BENCH_8.json
+# Delivery-engine micro-benchmarks (EXPERIMENTS.md §A4/§A6), the same run as
+# CI's bench job, written to bench.txt in Go's benchmark text format: ns/op,
+# B/op and allocs/op for RouteCycleSerial, OffLineSchedule and RunOnline at
+# n = 256, 1024, 4096, RouteCycleImplicit at n = 2^16, 2^18, 2^20 with
+# B/endpoint, RunOnlineImplicit and ServeRoute.
+BENCH_RE = RouteCycle|OffLineSchedule|RunOnline|ServeRoute
+bench:
+	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem . > bench.txt
+	cat bench.txt
 
-# Compare a fresh benchmark run against the committed baseline and flag
-# ns/op regressions above 10% (and any allocs/op increase). Advisory: the
-# report always exits 0; CI additionally holds the OffLineSchedule and
-# RouteCycle/Implicit families to -strict (they are allocation-free, so the
-# allocs/op half is noise-immune, and the ns/op half gets a wide band). Use
-# `go run ./cmd/ftbenchdiff -strict old.json new.json` to fail on any
-# regression.
-bench-diff:
-	$(GO) run ./cmd/ftbench -bench -json > /tmp/bench-current.json
-	$(GO) run ./cmd/ftbenchdiff BENCH_8.json /tmp/bench-current.json
+# Compare a fresh benchmark run against the committed baseline BENCH_8.txt
+# and flag ns/op regressions above 10% (and any allocs/op increase).
+# Advisory: the report always exits 0; CI additionally holds the
+# OffLineSchedule and RouteCycle/Implicit families to -strict (they are
+# allocation-free, so the allocs/op half is noise-immune, and the ns/op half
+# gets a wide band). Use `go run ./cmd/ftbenchdiff -strict BENCH_8.txt
+# bench.txt` to fail on any regression or missing row.
+bench-diff: bench
+	$(GO) run ./cmd/ftbenchdiff BENCH_8.txt bench.txt
 
 # Paired end-to-end comparison with another revision: BASE is checked out
 # into a temporary git worktree, and each tree's own perfbench/run.sh runs

@@ -9,8 +9,11 @@
 //	ftbench -quick          # smaller sizes
 //	ftbench -run E8,E9      # selected experiments
 //	ftbench -list           # list experiment ids
-//	ftbench -bench -json    # delivery-engine micro-benchmarks as JSON
-//	ftbench -bench -profile cpu,mem  # with pprof profiles of the run
+//	ftbench -json           # experiment tables as JSON
+//	ftbench -profile cpu,mem  # with pprof profiles of the run
+//
+// The delivery-cycle and scheduler micro-benchmarks are in bench_test.go at
+// the repository root: `go test -run '^$' -bench . -benchmem`.
 //
 // Exit status: 0 success, 1 runtime failure, 2 usage error.
 package main
@@ -38,10 +41,6 @@ func run() (code int) {
 	list := flag.Bool("list", false, "list experiments and exit")
 	seed := flag.Int64("seed", 1, "random seed for all experiments")
 	asJSON := flag.Bool("json", false, "emit results as JSON")
-	bench := flag.Bool("bench", false,
-		"run the delivery-engine micro-benchmarks (ns/op, B/op, allocs/op) instead of the experiment suite")
-	hist := flag.Bool("hist", false,
-		"with -bench: attach an observer to the serial delivery cycle and report its latency/congestion histograms")
 	profile := flag.String("profile", "", "comma-separated profiles to record: cpu|mem|trace")
 	profileOut := flag.String("profile-out", "ftbench", "base path for -profile output files")
 	flag.Parse()
@@ -70,18 +69,6 @@ func run() (code int) {
 			}
 			fmt.Printf("profiles written to %s.*\n", *profileOut)
 		}()
-	}
-
-	if *hist && !*bench {
-		fmt.Fprintln(os.Stderr, "ftbench: -hist requires -bench")
-		return 2
-	}
-	if *bench {
-		if err := runMicroBenchmarks(*asJSON, *hist); err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	all := experiments.All()

@@ -1,22 +1,28 @@
-// Command ftbenchdiff compares two BENCH_*.json micro-benchmark snapshots
-// (written by `ftbench -bench -json` / `make bench-json`) and flags ns/op
-// regressions above a threshold, plus any allocs/op increase. It accepts both
-// the current {"meta": ..., "benchmarks": [...]} shape and the bare array
-// emitted before the meta header existed.
+// Command ftbenchdiff compares two micro-benchmark runs in Go's benchmark
+// text format — the output of `go test -bench -benchmem` (`make bench`
+// writes one) — and flags ns/op regressions above a threshold, plus any
+// allocs/op increase. BENCH_8.txt is the committed baseline.
+//
+// A file holds `key: value` header lines (goos, goarch, pkg, cpu, ...) and
+// result rows `BenchmarkName[-P] iterations value unit [value unit ...]`;
+// any other line (PASS, ok, test logs) is skipped. Rows are matched by name
+// with the -P GOMAXPROCS suffix stripped, so a run on a many-core runner
+// compares against a baseline recorded at GOMAXPROCS 1. Every row must carry
+// ns/op and allocs/op (go test -benchmem).
 //
 // Usage:
 //
-//	ftbenchdiff old.json new.json             # report, always exit 0
-//	ftbenchdiff -threshold 5 old.json new.json
-//	ftbenchdiff -strict old.json new.json     # exit 1 if regressions found
-//	ftbenchdiff -only OffLineSchedule old.json new.json
+//	ftbenchdiff old.txt new.txt             # report, always exit 0
+//	ftbenchdiff -threshold 5 old.txt new.txt
+//	ftbenchdiff -strict old.txt new.txt     # exit 1 if regressions found
+//	ftbenchdiff -only OffLineSchedule old.txt new.txt
 //
 // The default mode is advisory (exit 0 even with regressions) so CI can run
 // it on shared, noisy runners without failing the build; -strict turns
-// regressions into a nonzero exit for environments with stable timing.
-// -only restricts the comparison to benchmarks whose name matches the given
-// regular expression, so CI can hold one stable family to -strict while the
-// noisier ones stay advisory.
+// regressions, and baseline rows missing from the new run, into a nonzero
+// exit for environments with stable timing. -only restricts the comparison
+// to benchmarks whose name matches the given regular expression, so CI can
+// hold one stable family to -strict while the noisier ones stay advisory.
 //
 // Exit status: 0 success (or advisory regressions), 1 runtime failure or
 // regressions under -strict, 2 usage error.
@@ -24,41 +30,40 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
+	"strconv"
+	"strings"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// benchMeta and benchResult mirror the ftbench -json output; unknown fields
-// (embedded histograms, future additions) are ignored.
-type benchMeta struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	Timestamp  string `json:"timestamp_utc"`
-}
-
+// benchResult is one result row; only the two gated metrics are kept.
 type benchResult struct {
-	Name        string  `json:"name"`
-	N           int     `json:"n"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Name        string
+	NsPerOp     float64
+	AllocsPerOp int64
 }
 
-type benchDoc struct {
-	Meta       benchMeta     `json:"meta"`
-	Benchmarks []benchResult `json:"benchmarks"`
+// benchRun is one parsed file: its header lines in order, then its rows.
+type benchRun struct {
+	Header     []string
+	Benchmarks []benchResult
 }
+
+// procSuffix is the -P GOMAXPROCS suffix go test appends to a row's name
+// when P is not 1.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// headerLine matches a `key: value` configuration line: the key starts with
+// a lowercase letter and holds no space or uppercase letter.
+var headerLine = regexp.MustCompile(`^[a-z][^\sA-Z]*:\s`)
 
 // filterBench keeps only the results whose name matches re.
 func filterBench(rs []benchResult, re *regexp.Regexp) []benchResult {
@@ -71,33 +76,58 @@ func filterBench(rs []benchResult, re *regexp.Regexp) []benchResult {
 	return out
 }
 
-// readBench loads one snapshot, accepting either JSON shape.
-func readBench(path string) (benchDoc, error) {
+// readBench loads one run. A file without result rows and a row without
+// ns/op or allocs/op are errors: each would leave a gate comparing less than
+// it claims to.
+func readBench(path string) (benchRun, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return benchDoc{}, err
+		return benchRun{}, err
 	}
-	trimmed := bytes.TrimLeft(raw, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var doc benchDoc
-		if err := json.Unmarshal(raw, &doc.Benchmarks); err != nil {
-			return benchDoc{}, fmt.Errorf("%s: %v", path, err)
+	var run benchRun
+	for i, text := range strings.Split(string(raw), "\n") {
+		if headerLine.MatchString(text) {
+			k, v, _ := strings.Cut(text, ":")
+			run.Header = append(run.Header, k+"="+strings.TrimSpace(v))
+			continue
 		}
-		return doc, nil
+		fields := strings.Fields(text)
+		if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.Atoi(fields[1]); err != nil {
+			continue // a failed benchmark: "BenchmarkX-P --- FAIL: BenchmarkX-P"
+		}
+		res := benchResult{Name: procSuffix.ReplaceAllString(fields[0], "")}
+		var hasNs, hasAllocs bool
+		for j := 2; j+1 < len(fields); j += 2 {
+			v, err := strconv.ParseFloat(fields[j], 64)
+			if err != nil {
+				return benchRun{}, fmt.Errorf("%s:%d: %s: bad value %q", path, i+1, res.Name, fields[j])
+			}
+			switch fields[j+1] {
+			case "ns/op":
+				res.NsPerOp, hasNs = v, true
+			case "allocs/op":
+				res.AllocsPerOp, hasAllocs = int64(v), true
+			}
+		}
+		if !hasNs || !hasAllocs {
+			return benchRun{}, fmt.Errorf("%s:%d: %s lacks ns/op or allocs/op (run go test with -benchmem)", path, i+1, res.Name)
+		}
+		run.Benchmarks = append(run.Benchmarks, res)
 	}
-	var doc benchDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return benchDoc{}, fmt.Errorf("%s: %v", path, err)
+	if len(run.Benchmarks) == 0 {
+		return benchRun{}, fmt.Errorf("%s: no benchmark rows", path)
 	}
-	return doc, nil
+	return run, nil
 }
 
-func metaLine(m benchMeta) string {
-	if m == (benchMeta{}) {
-		return "(no metadata: pre-PR-5 snapshot)"
+func headerText(h []string) string {
+	if len(h) == 0 {
+		return "(no header lines)"
 	}
-	return fmt.Sprintf("%s %s/%s gomaxprocs=%d cpus=%d at %s",
-		m.GoVersion, m.GOOS, m.GOARCH, m.GOMAXPROCS, m.NumCPU, m.Timestamp)
+	return strings.Join(h, " ")
 }
 
 // run is the testable entry point; it returns the process exit code. The
@@ -119,10 +149,10 @@ func diff(args []string, stdout, stderr *bytes.Buffer) int {
 	fs := flag.NewFlagSet("ftbenchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 10, "flag ns/op regressions above this percentage")
-	strict := fs.Bool("strict", false, "exit 1 when regressions are flagged (default is advisory)")
+	strict := fs.Bool("strict", false, "exit 1 when regressions or missing rows are flagged (default is advisory)")
 	only := fs.String("only", "", "compare only benchmarks whose name matches this regexp")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: ftbenchdiff [-threshold pct] [-strict] [-only regexp] old.json new.json")
+		fmt.Fprintln(stderr, "usage: ftbenchdiff [-threshold pct] [-strict] [-only regexp] old.txt new.txt")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -132,8 +162,10 @@ func diff(args []string, stdout, stderr *bytes.Buffer) int {
 		fs.Usage()
 		return 2
 	}
-	if *threshold < 0 {
-		fmt.Fprintf(stderr, "ftbenchdiff: -threshold must be non-negative (got %v)\n", *threshold)
+	// No delta exceeds a NaN or +Inf threshold, so either would pass any
+	// regression.
+	if t := *threshold; math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+		fmt.Fprintf(stderr, "ftbenchdiff: -threshold must be a finite non-negative percentage (got %v)\n", *threshold)
 		return 2
 	}
 	var filter *regexp.Regexp
@@ -164,30 +196,25 @@ func diff(args []string, stdout, stderr *bytes.Buffer) int {
 		}
 	}
 
-	fmt.Fprintf(stdout, "old: %s\nnew: %s\n\n", metaLine(old.Meta), metaLine(cur.Meta))
-	fmt.Fprintf(stdout, "%-22s %6s %14s %14s %9s %11s\n",
-		"benchmark", "n", "old ns/op", "new ns/op", "delta", "allocs/op")
+	fmt.Fprintf(stdout, "old: %s\nnew: %s\n\n", headerText(old.Header), headerText(cur.Header))
+	fmt.Fprintf(stdout, "%-40s %14s %14s %9s %11s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "allocs/op")
 
-	type key struct {
-		name string
-		n    int
-	}
-	oldBy := make(map[key]benchResult, len(old.Benchmarks))
+	oldBy := make(map[string]benchResult, len(old.Benchmarks))
 	for _, r := range old.Benchmarks {
-		oldBy[key{r.Name, r.N}] = r
+		oldBy[r.Name] = r
 	}
 
 	regressions := 0
-	matched := make(map[key]bool, len(cur.Benchmarks))
+	matched := make(map[string]bool, len(cur.Benchmarks))
 	for _, now := range cur.Benchmarks {
-		k := key{now.Name, now.N}
-		was, ok := oldBy[k]
+		was, ok := oldBy[now.Name]
 		if !ok {
-			fmt.Fprintf(stdout, "%-22s %6d %14s %14.0f %9s %11d  (new benchmark)\n",
-				now.Name, now.N, "-", now.NsPerOp, "-", now.AllocsPerOp)
+			fmt.Fprintf(stdout, "%-40s %14s %14.0f %9s %11d  (new benchmark)\n",
+				now.Name, "-", now.NsPerOp, "-", now.AllocsPerOp)
 			continue
 		}
-		matched[k] = true
+		matched[now.Name] = true
 		delta := 0.0
 		if was.NsPerOp > 0 {
 			delta = 100 * (now.NsPerOp - was.NsPerOp) / was.NsPerOp
@@ -201,23 +228,25 @@ func diff(args []string, stdout, stderr *bytes.Buffer) int {
 			flags += fmt.Sprintf("  REGRESSION: allocs/op %d -> %d", was.AllocsPerOp, now.AllocsPerOp)
 			regressions++
 		}
-		fmt.Fprintf(stdout, "%-22s %6d %14.0f %14.0f %+8.1f%% %5d -> %-4d%s\n",
-			now.Name, now.N, was.NsPerOp, now.NsPerOp, delta, was.AllocsPerOp, now.AllocsPerOp, flags)
+		fmt.Fprintf(stdout, "%-40s %14.0f %14.0f %+8.1f%% %5d -> %-4d%s\n",
+			now.Name, was.NsPerOp, now.NsPerOp, delta, was.AllocsPerOp, now.AllocsPerOp, flags)
 	}
+	missing := 0
 	for _, was := range old.Benchmarks {
-		if !matched[key{was.Name, was.N}] {
-			fmt.Fprintf(stdout, "%-22s %6d %14.0f %14s %9s %11s  (dropped benchmark)\n",
-				was.Name, was.N, was.NsPerOp, "-", "-", "-")
+		if !matched[was.Name] {
+			fmt.Fprintf(stdout, "%-40s %14.0f %14s %9s %11s  (dropped benchmark)\n",
+				was.Name, was.NsPerOp, "-", "-", "-")
+			missing++
 		}
 	}
 
-	if regressions > 0 {
-		fmt.Fprintf(stdout, "\n%d regression(s) flagged (threshold %.0f%% ns/op; any allocs/op increase)\n",
-			regressions, *threshold)
+	if regressions > 0 || missing > 0 {
+		fmt.Fprintf(stdout, "\n%d regression(s) flagged (threshold %.0f%% ns/op; any allocs/op increase), %d baseline row(s) missing from the new run\n",
+			regressions, *threshold, missing)
 		if *strict {
 			return 1
 		}
-		fmt.Fprintln(stdout, "advisory mode: exiting 0 (use -strict to fail on regressions)")
+		fmt.Fprintln(stdout, "advisory mode: exiting 0 (use -strict to fail on regressions and missing rows)")
 		return 0
 	}
 	fmt.Fprintf(stdout, "\nno regressions above %.0f%% ns/op, no allocs/op increases\n", *threshold)

@@ -169,7 +169,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ftload bad concurrency", "ftload", []string{"-tenants", "alpha", "-requests", "1", "-concurrency", "0"}, 2},
 		{"ftload bad batch", "ftload", []string{"-tenants", "alpha", "-requests", "1", "-batch", "0"}, 2},
 		{"ftload positional args", "ftload", []string{"-tenants", "alpha", "-requests", "1", "extra"}, 2},
-		{"ftbench hist without bench", "ftbench", []string{"-hist"}, 2},
+		// The micro-benchmarks live in bench_test.go: -bench is refused.
+		{"ftbench bench flag refused", "ftbench", []string{"-bench"}, 2},
 		{"ftdesign bad n", "ftdesign", []string{"-n", "0", "-radix", "36", "-budget", "100"}, 2},
 		{"ftdesign bad oversub", "ftdesign", []string{"-n", "64", "-radix", "36", "-budget", "100", "-oversub", "0.5"}, 2},
 		{"ftdesign infeasible budget", "ftdesign", []string{"-n", "1024", "-radix", "36", "-budget", "1"}, 2},
@@ -178,14 +179,16 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ftsim kary offline policy", "ftsim", []string{"-kary", "4,4;1,1;1,1", "-policy", "offline"}, 2},
 		{"ftsim kary partial switches", "ftsim", []string{"-kary", "4,4;1,1;1,1", "-switches", "partial"}, 2},
 		{"ftbenchdiff no args", "ftbenchdiff", nil, 2},
-		{"ftbenchdiff bad threshold", "ftbenchdiff", []string{"-threshold", "-1", "a.json", "b.json"}, 2},
+		{"ftbenchdiff bad threshold", "ftbenchdiff", []string{"-threshold", "-1", "a.txt", "b.txt"}, 2},
+		{"ftbenchdiff NaN threshold", "ftbenchdiff", []string{"-strict", "-threshold", "NaN", "a.txt", "b.txt"}, 2},
+		{"ftbenchdiff Inf threshold", "ftbenchdiff", []string{"-strict", "-threshold", "+Inf", "a.txt", "b.txt"}, 2},
 
 		// Runtime failures exit 1.
 		{"ftsim missing schedule", "ftsim", []string{"-n", "16", "-load-schedule", "/nonexistent/s.json"}, 1},
 		{"ftload unreachable server", "ftload", []string{"-addr", "127.0.0.1:9", "-tenants", "alpha",
 			"-requests", "2", "-scrape", "0", "-timeout", "2s"}, 1},
 		{"ftserve unlistenable addr", "ftserve", []string{"-addr", "256.256.256.256:0"}, 1},
-		{"ftbenchdiff missing file", "ftbenchdiff", []string{"/nonexistent/a.json", "/nonexistent/b.json"}, 1},
+		{"ftbenchdiff missing file", "ftbenchdiff", []string{"/nonexistent/a.txt", "/nonexistent/b.txt"}, 1},
 
 		// Success exits 0.
 		{"ftsim counters run", "ftsim", []string{"-n", "16", "-policy", "online", "-counters"}, 0},

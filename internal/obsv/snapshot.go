@@ -177,8 +177,7 @@ func subCounters(a, b *Counters) Counters {
 
 // WriteHistSummary renders the snapshot's histograms as a compact text
 // report: one line of count/sum/quantiles per distribution, then the bucket
-// row, then one utilization line per tree level. The same summary backs
-// `ftsim -hist` and `ftbench -bench -hist`.
+// row, then one utilization line per tree level. It backs `ftsim -hist`.
 func (s Snapshot) WriteHistSummary(w io.Writer) error {
 	write := func(name, unit string, h HistSnap) error {
 		if _, err := fmt.Fprintf(w, "%-28s %s\n", name+":", quantileLine(h, unit)); err != nil {
