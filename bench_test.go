@@ -129,22 +129,32 @@ func BenchmarkScheduleOfflineBig(b *testing.B) {
 // BenchmarkRunOnline measures the whole greedy retry loop (RunOnline) on a
 // reused engine: a random permutation on ideal switches, delivered over as
 // many cycles as contention needs. Recorded in EXPERIMENTS.md under "A3 —
-// engine execution".
+// engine execution". The partial/n=64 row runs 256 random messages on the
+// paper's partial concentrators, where every node run is routed through
+// its materialized switch.
 func BenchmarkRunOnline(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run("n="+itoa(n), func(b *testing.B) {
 			ft := fattree.NewUniversal(n, n/4)
-			ms := fattree.RandomPermutation(n, 1)
-			e := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
-			fattree.RunOnline(e, ms) // warm the scratch arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if stats := fattree.RunOnline(e, ms); stats.Delivered != len(ms) {
-					b.Fatalf("delivered %d of %d", stats.Delivered, len(ms))
-				}
-			}
+			benchRunOnline(b, fattree.NewEngine(ft, fattree.SwitchIdeal, 0), fattree.RandomPermutation(n, 1))
 		})
+	}
+	b.Run("partial/n=64", func(b *testing.B) {
+		ft := fattree.NewUniversal(64, 16)
+		benchRunOnline(b, fattree.NewEngine(ft, fattree.SwitchPartial, 0), fattree.Random(64, 256, 1))
+	})
+}
+
+// benchRunOnline is one BenchmarkRunOnline row: RunOnline of ms on e,
+// warmed once so the measured loop is steady state.
+func benchRunOnline(b *testing.B, e *fattree.Engine, ms fattree.MessageSet) {
+	fattree.RunOnline(e, ms) // warm the scratch arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if stats := fattree.RunOnline(e, ms); stats.Delivered != len(ms) {
+			b.Fatalf("delivered %d of %d", stats.Delivered, len(ms))
+		}
 	}
 }
 

@@ -163,13 +163,14 @@ func (e *Engine) observeStreamRun(v int, run []uint64, upSweep bool, won [2]int,
 }
 
 // observeHop records a lone hop of flight i through node v onto a wire of
-// the channel (chanNode, dir): a one-request run with no drop, which
-// delivers the flight when done.
+// the channel (chanNode, dir): a one-request run with no drop and the hop's
+// switch counter deltas (0 on ideal switches), which delivers the flight
+// when done.
 //
 //ftlint:hotpath
-func (e *Engine) observeHop(i, v, chanNode, dir, wire int, done bool) {
+func (e *Engine) observeHop(i, v, chanNode, dir, wire int, done bool, dRounds, dFaults int64) {
 	o := e.obs
-	o.SwitchDelta(v, 1, 0, 0, 0)
+	o.SwitchDelta(v, 1, 0, dRounds, dFaults)
 	if !o.Tracing() {
 		o.Use(chanNode, dir, 1)
 		return

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -39,13 +40,15 @@ import (
 //     above — emitted per node as left-child winners, then right-child
 //     winners, so already ascending — with the level's turn list.
 //
-// On ideal switches without injected loss a step is one pass over its
-// request list (fuseUp, fuseDown): each flight of a node run gets its wire
-// by its switch's rule, claims its guard bit and is sorted into the next
-// list, all at once; the run's guard bits are released and the run observed
-// before its lone descents start.
-// Partial or lossy switches route each node run through a lazily built
-// switch first (routeStreamNode) and sort the winners after.
+// A step is one pass over its request list (fuseUp, fuseDown): each flight
+// of a node run gets its wire, claims its guard bit and is sorted into the
+// next list, all at once; the run's guard bits are released and the run
+// observed before its lone descents start. Only the wire's source depends
+// on the switches, and it is chosen once per engine: ideal lossless
+// switches give it by their rule (rank, or pass-through offset), computed
+// inline; partial or lossy ones route the whole run through its lazily
+// built switch first (routeRun), which leaves each flight's output wire in
+// the flight, -1 when lost.
 //
 // The choices those passes make per flight follow address bits — the
 // destination's side going down, the arrival child and whether the LCA is
@@ -77,12 +80,12 @@ import (
 //     gives sdown[i] the same way. A flight about to enter a down contest above
 //     sdown[i] — a turner at its LCA, or a winner of a down step — descends
 //     alone to its leaf as soon as its run is done.
-//   - A lone hop is a one-request node run. With ideal switches and no
-//     injected loss, climbIdeal and descendIdeal route a flight's lone hops
-//     in one straight loop each, with the fused rule for rank 0, its
-//     widened-child checks and a claim and release of every wire guard bit;
-//     partial or lossy hops route the one-key run through routeStreamNode
-//     (loneHop).
+//   - A lone hop is a one-request node run. loneClimb and loneDescend route
+//     a flight's lone hops in one straight loop each, with a claim and
+//     release of every wire guard bit. On ideal lossless switches a hop
+//     takes the fused rule for rank 0 and its widened-child checks; on
+//     partial or lossy ones it is one request to its switch, and a loss
+//     ends the climb or descent.
 //
 // Dense cycles skip detection and the pass; the sweeps test the cycle's
 // gate flag before they look at sdown.
@@ -166,14 +169,13 @@ type streamState struct {
 	// arrTurn[l] collect the lone climbers that meet another flight at level
 	// l, keyed by their node at level l+1: the ones that climb on and the
 	// ones that turn at level l. merged is carryUp's buffer for folding them
-	// in, one is a lone hop's one-key run, and lone holds a fused node run's
-	// lone descenders until the run is released and observed.
+	// in, and lone holds a node run's lone descenders until the run is
+	// released and observed.
 	sparse         bool
 	sdown          []int8
 	dkeys          []uint64
 	arrUp, arrTurn [][]uint64
 	merged         []uint64
-	one            [1]uint64
 	lone           []uint64
 
 	// loneGate overrides the loneSparsity gate for tests: +1 runs the lone
@@ -214,6 +216,12 @@ type streamShard struct {
 
 	// reqs is the reusable request list for special-switch routing.
 	reqs []concentrator.Request
+
+	// rounds and faults are the matching rounds and fault drops of the
+	// switch that routed the last run or lone hop, since that switch's
+	// previous observed contest; set only when observed, and 0 on an engine
+	// that never routes through a switch.
+	rounds, faults int64
 
 	// Per-run wire guards, one bit per wire, grown to the widest channel
 	// routed. They check the hardware invariant that no channel wire is
@@ -529,10 +537,13 @@ func (e *Engine) runCycleStream(pending core.MessageSet) ([]bool, CycleResult) {
 	st.turns = st.turns[:0]
 	st.carryUp(st.levels-1, st.up, st.turn)
 	for level := st.levels - 1; level >= 0; level-- {
-		st.sweepUp(level)
+		st.fuseUp(level)
 	}
 	for level := 0; level < st.levels; level++ {
-		st.sweepDown(level)
+		// The descenders carried from the step above and the level's turn
+		// list merge into the down step's request list.
+		st.keys = mergeKeys(st.keys[:0], st.desc, st.turns[st.turnOff[level+1]:st.turnOff[level]])
+		st.fuseDown(level)
 	}
 	res.Dropped, st.sh.drops = st.sh.drops, 0
 	delivered := e.collect(pending, flights, &res)
@@ -655,33 +666,21 @@ func (st *streamState) arrive(list []uint64, arr *[]uint64) []uint64 {
 	return st.merged
 }
 
-// sweepUp runs the up step at level: it routes each node run of the request
-// list and sorts the winners into the flights that keep climbing and the
-// flights that turn at the parent, then carries both to the level above.
-//
-//ftlint:hotpath
-func (st *streamState) sweepUp(level int) {
-	var up, turn []uint64
-	if st.inlineHops() {
-		up, turn = st.fuseUp(level)
-	} else {
-		up, turn = st.switchUp(level)
-	}
-	if level > 0 {
-		st.carryUp(level-1, up, turn)
-	}
-}
-
-// fuseUp is the up step on ideal lossless switches: one pass over the
-// request list routes and sorts every flight of each node run. A flight
-// gets the wire rule of its switch's parent port — passThrough when the up
-// channel is at least as wide as its two feeders (a right-child wire
-// offset by the left child's width), Ideal otherwise (rank j wins wire j,
-// the rest lose), the selection NewSwitch makes — with the
-// widened-right-child panic, its guard claim and its new node. It is then
-// sorted as a climber, a turner, or a lone turner whose descent waits until
-// the run's guard bits are released and the run is observed. A positional run releases its guards by clearing the winners'
-// words, a pass-through run by walking its winners (releaseRun).
+// fuseUp is the up step at level: one pass over the request list routes
+// every flight of each node run and sorts the winners into the flights that
+// keep climbing and the flights that turn at the parent, which carryUp then
+// hands to the level above. On ideal lossless switches a flight gets the
+// wire rule of its switch's parent port — passThrough when the up channel
+// is at least as wide as its two feeders (a right-child wire offset by the
+// left child's width), Ideal otherwise (rank j wins wire j, the rest lose),
+// the selection NewSwitch makes — with the widened-right-child panic. On
+// partial or lossy switches the run is routed through its switch first
+// (routeRun), and each flight takes the output wire the switch left in
+// f.wire, lost when negative. A winner then claims its guard bit and takes its new node, and
+// is sorted as a climber, a turner, or a lone turner whose descent waits
+// until the run's guard bits are released and the run is observed. A
+// positional ideal run releases its guards by clearing the winners' words;
+// a pass-through or switch-routed run walks its winners (releaseRun).
 //
 // The sort does not jump on the climb bit (LCA above the parent): up and
 // turn are sized to the request list, the key goes to both, and the bit
@@ -692,14 +691,15 @@ func (st *streamState) sweepUp(level int) {
 // well-formed tree, before the child bit.
 //
 //ftlint:hotpath
-func (st *streamState) fuseUp(level int) (up, turn []uint64) {
+func (st *streamState) fuseUp(level int) {
 	sh := &st.sh
 	keys := st.keys
 	flights := st.e.scr.flights
-	up, turn = grow(st.up[:0], len(keys)), grow(st.turn[:0], len(keys))
+	up, turn := grow(st.up[:0], len(keys)), grow(st.turn[:0], len(keys))
 	lone := st.lone[:0]
 	nu, nt := 0, 0
 	sparse, sdown := st.sparse, st.sdown
+	routed := st.routed()
 	capParent, capChild := st.levelCaps[level], st.levelCaps[level+1]
 	sh.upUsed.fit(capParent)
 	for p := 0; p < len(keys); {
@@ -708,7 +708,12 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 			capParent, capChild = st.capAt(int(v)), st.capAt(int(2*v))
 			sh.upUsed.fit(capParent)
 		}
-		pass := capParent >= 2*capChild
+		widest := capChild // a right child's widest input wire
+		if routed {
+			st.routeRun(int(v), keys[start:runEnd(keys, start)], 0, true)
+			widest = math.MaxInt // the switch has checked, and f.wire is its output
+		}
+		pass := capParent >= 2*capChild && !routed
 		off := capChild * b2i(pass) // a right child's wire offset
 		root, parent := v == 1, int(v>>1)
 		lone = lone[:0]
@@ -718,16 +723,18 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 			i := int(uint32(k))
 			f := &flights[i]
 			w := f.wire
-			if w >= capChild && f.node&1 == 1 {
+			if w >= widest && f.node&1 == 1 {
 				panic(errUpWidened)
 			}
 			w += f.node & 1 * off
 			if !pass {
-				if p-start >= capParent {
+				if !routed {
+					w = p - start
+				}
+				if uint(w) >= uint(capParent) { // a rank past the channel, or -1
 					f.state = flightLost
 					continue
 				}
-				w = p - start
 			}
 			sh.claimUp(w, capParent)
 			f.wire, f.node = w, int(v)
@@ -747,80 +754,37 @@ func (st *streamState) fuseUp(level int) (up, turn []uint64) {
 			nt += 1 - climb
 		}
 		run := keys[start:p]
-		if pass {
+		if pass || routed {
 			sh.releaseRun(flights, run, true)
 		} else {
 			clear(sh.upUsed[:(won+63)>>6])
 		}
 		sh.drops += len(run) - won
 		if st.e.obs != nil {
-			st.e.observeStreamRun(int(v), run, true, [2]int{won}, len(run)-won, 0, 0)
+			st.e.observeStreamRun(int(v), run, true, [2]int{won}, len(run)-won, sh.rounds, sh.faults)
 		}
 		for _, k := range lone {
 			st.loneDescend(int(uint32(k)), level-1)
 		}
 	}
 	st.lone = lone
-	return up[:nu], turn[:nt]
-}
-
-// switchUp is the up step on partial or lossy switches: each node run is
-// routed through its switch (routeStreamNode), then its winners are sorted.
-//
-//ftlint:hotpath
-func (st *streamState) switchUp(level int) (up, turn []uint64) {
-	keys := st.keys
-	flights := st.e.scr.flights
-	up, turn = st.up[:0], st.turn[:0]
-	for start := 0; start < len(keys); {
-		v, end := int(keys[start]>>32), runEnd(keys, start)
-		run := keys[start:end]
-		start = end
-		st.routeStreamNode(v, run, level, true)
-		for _, k := range run {
-			i := int(uint32(k))
-			f := &flights[i]
-			if f.state != flightUp { // dropped, or delivered out of the root
-				continue
-			}
-			if f.lca == v>>1 {
-				if st.sparse && level-1 > int(st.sdown[i]) {
-					st.loneDescend(i, level-1)
-				} else {
-					turn = append(turn, k)
-				}
-			} else {
-				up = append(up, k)
-			}
-		}
+	if level > 0 {
+		st.carryUp(level-1, up[:nu], turn[:nt])
 	}
-	return up, turn
 }
 
-// sweepDown runs the down step at level: the descenders carried from the
-// step above merge with the level's turn list into the request list, and
-// each node run's winners are carried down, left child's first. The up list
-// is idle in the down sweep and holds each run's right-child winners.
-//
-//ftlint:hotpath
-func (st *streamState) sweepDown(level int) {
-	st.keys = mergeKeys(st.keys[:0], st.desc, st.turns[st.turnOff[level+1]:st.turnOff[level]])
-	var desc, right []uint64
-	if st.inlineHops() {
-		desc, right = st.fuseDown(level)
-	} else {
-		desc, right = st.switchDown(level)
-	}
-	st.desc, st.up = desc, right[:0]
-}
-
-// fuseDown is the down step on ideal lossless switches: one pass over the
-// request list routes and carries every flight of each node run. Both down
-// ports are Ideal and sized by the left child: the rank-j request for a
-// port wins wire j below that width and loses from there on. A turner on a
-// child-side wire wider than the port panics, and each claim is checked
-// against the child's own capacity. The guards are released by clearing the
-// words the winners used; lone descenders wait, as in fuseUp.
+// fuseDown is the down step at level: one pass over the request list routes
+// every flight of each node run and carries the winners down in desc, each
+// run's left child's first. The up list is idle in the down sweep and holds
+// each run's right-child winners. Both down ports are sized by the left
+// child. On ideal lossless switches both are Ideal: the rank-j request for
+// a port wins wire j below that width and loses from there on, and a turner
+// on a child-side wire wider than the port panics. On partial or lossy
+// switches the run is routed through its switch first and takes the
+// switch's wires, as in fuseUp. Each claim is checked against the child's
+// own capacity. A positional ideal run releases its guards by clearing the
+// words the winners used, a switch-routed run by walking its winners; lone
+// descenders wait, as in fuseUp.
 //
 // The side bit of the destination chooses the list without a jump: desc
 // and the right scratch are sized to the request list, each carried
@@ -830,14 +794,15 @@ func (st *streamState) sweepDown(level int) {
 // before the state, as in fuseUp.
 //
 //ftlint:hotpath
-func (st *streamState) fuseDown(level int) (desc, right []uint64) {
+func (st *streamState) fuseDown(level int) {
 	sh := &st.sh
 	keys := st.keys
 	flights := st.e.scr.flights
-	desc, right = grow(st.desc[:0], len(keys)), grow(st.up[:0], len(keys))
+	desc, right := grow(st.desc[:0], len(keys)), grow(st.up[:0], len(keys))
 	lone := st.lone[:0]
 	nd := 0
 	sparse, sdown := st.sparse, st.sdown
+	routed := st.routed()
 	capPort := st.levelCaps[level+1]
 	caps := [2]int{capPort, capPort}
 	sh.downUsed[0].fit(capPort)
@@ -852,9 +817,14 @@ func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 			sh.downUsed[0].fit(caps[0])
 			sh.downUsed[1].fit(caps[1])
 		}
+		if routed {
+			// f.wire becomes the switch's output, below capPort or -1, so the
+			// widened-turner check below cannot fire on it.
+			st.routeRun(int(v), keys[start:runEnd(keys, start)], shift, false)
+		}
 		lone = lone[:0]
 		nr := 0
-		var ranks [2]int
+		var ranks, lost [2]int
 		for ; p < len(keys) && keys[p]>>32 == v; p++ {
 			k := keys[p]
 			i := int(uint32(k))
@@ -865,7 +835,11 @@ func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 			side := f.dstLeaf >> shift & 1
 			j := ranks[side]
 			ranks[side]++
-			if j >= capPort {
+			if routed {
+				j = f.wire
+			}
+			if uint(j) >= uint(capPort) { // a rank past the port, or -1
+				lost[side]++
 				f.state = flightLost
 				continue
 			}
@@ -888,149 +862,82 @@ func (st *streamState) fuseDown(level int) (desc, right []uint64) {
 		}
 		nd += copy(desc[nd:], right[:nr])
 		run := keys[start:p]
-		won := [2]int{min(ranks[0], capPort), min(ranks[1], capPort)}
-		clear(sh.downUsed[0][:(won[0]+63)>>6])
-		clear(sh.downUsed[1][:(won[1]+63)>>6])
-		drops := len(run) - won[0] - won[1]
+		won := [2]int{ranks[0] - lost[0], ranks[1] - lost[1]}
+		if routed {
+			sh.releaseRun(flights, run, false)
+		} else {
+			clear(sh.downUsed[0][:(won[0]+63)>>6])
+			clear(sh.downUsed[1][:(won[1]+63)>>6])
+		}
+		drops := lost[0] + lost[1]
 		sh.drops += drops
 		if st.e.obs != nil {
-			st.e.observeStreamRun(int(v), run, false, won, drops, 0, 0)
+			st.e.observeStreamRun(int(v), run, false, won, drops, sh.rounds, sh.faults)
 		}
 		for _, k := range lone {
 			st.loneDescend(int(uint32(k)), level+1)
 		}
 	}
 	st.lone = lone
-	return desc[:nd], right
+	st.desc, st.up = desc[:nd], right[:0]
 }
 
-// switchDown is the down step on partial or lossy switches: each node run
-// is routed through its switch (routeStreamNode), then its winners are
-// carried down. On a sparse cycle a winner alone below this level descends
-// at once.
+// routed reports whether node runs and lone hops take their wires from
+// materialized switches: partial concentrators, or injected loss. Ideal
+// lossless switches are stateless and positional, so the fused loops and
+// the lone hops compute their wires inline.
 //
 //ftlint:hotpath
-func (st *streamState) switchDown(level int) (desc, right []uint64) {
-	keys := st.keys
-	flights := st.e.scr.flights
-	carry := level+1 < st.levels // the last step delivers every winner
-	desc, right = st.desc[:0], st.up[:0]
-	for start := 0; start < len(keys); {
-		v, end := int(keys[start]>>32), runEnd(keys, start)
-		run := keys[start:end]
-		start = end
-		st.routeStreamNode(v, run, level, false)
-		if !carry {
-			continue
-		}
-		right = right[:0]
-		for _, k := range run {
-			i := int(uint32(k))
-			if f := &flights[i]; f.state == flightDown {
-				if st.sparse && level+1 > int(st.sdown[i]) {
-					st.loneDescend(i, level+1)
-					continue
-				}
-				k = uint64(f.node)<<32 | k&keyIndex
-				if f.node&1 == 0 {
-					desc = append(desc, k)
-				} else {
-					right = append(right, k)
-				}
-			}
-		}
-		desc = append(desc, right...)
-	}
-	return desc, right
+func (st *streamState) routed() bool {
+	return st.kind != concentrator.KindIdeal || st.lossOn
 }
 
-// routeStreamNode contests node v, at level vLevel, with the flights of run
-// on a partial or lossy switch: the node's switch is materialized lazily and
-// routes the run as a concentrator request list. (Ideal lossless runs are
-// routed by fuseUp, fuseDown and the straight-line lone hops.)
+// routeRun contests node v with the flights of run on its switch
+// (switchRoute) and leaves in each flight's wire the output wire the switch
+// gives it, -1 when lost. Climbing or turning at its LCA, a flight requests
+// from its wire on its child's channel; descending, from its parent-side
+// down wire. A down request asks for the port on its destination's side,
+// the bit at shift.
 //
 //ftlint:hotpath
-func (st *streamState) routeStreamNode(v int, run []uint64, vLevel int, upSweep bool) {
-	sh := &st.sh
+func (st *streamState) routeRun(v int, run []uint64, shift uint, upSweep bool) {
 	flights := st.e.scr.flights
-	shift := uint(st.levels - vLevel - 1)
-	capParent := st.capAt(v)
-	caps := [2]int{st.capAt(2 * v), st.capAt(2*v + 1)} // each down channel's own width
-	if upSweep {
-		sh.upUsed.fit(capParent)
-	} else {
-		sh.downUsed[0].fit(caps[0])
-		sh.downUsed[1].fit(caps[1])
-	}
-
-	reqs := sh.reqs[:0]
+	reqs := st.sh.reqs[:0]
 	for _, k := range run {
 		f := &flights[int(uint32(k))]
-		// Climbing or turning at its LCA, a flight holds a child-side wire;
-		// descending, the parent-side down wire.
-		in := concentrator.Parent
+		in, out := concentrator.Parent, concentrator.Parent
 		if upSweep || f.state == flightUp {
-			in = concentrator.Left
-			if f.node == 2*v+1 {
-				in = concentrator.Right
-			}
+			in = concentrator.Left + concentrator.Port(f.node&1)
 		}
-		out := concentrator.Parent
 		if !upSweep {
-			out = concentrator.Left
-			if f.dstLeaf>>shift&1 == 1 {
-				out = concentrator.Right
-			}
+			out = concentrator.Left + concentrator.Port(f.dstLeaf>>shift&1)
 		}
 		reqs = append(reqs, concentrator.Request{In: in, InWire: f.wire, Out: out})
 	}
-	sh.reqs = reqs
+	for j, w := range st.switchRoute(v, reqs) {
+		flights[int(uint32(run[j]))].wire = w
+	}
+}
 
+// switchRoute contests node v with reqs on its switch, built on the node's
+// first contest (switchFor), and returns the output wire the switch gives
+// each request, -1 when lost; the slice is the switch's scratch, valid until
+// its next Route. reqs is kept as the request scratch. With an observer
+// attached the switch's counter deltas since its last observed contest are
+// left in sh.rounds and sh.faults.
+//
+//ftlint:hotpath
+func (st *streamState) switchRoute(v int, reqs []concentrator.Request) []int {
+	sh := &st.sh
+	sh.reqs = reqs
 	ss := sh.switchFor(st, v)
-	outWires, _ := ss.sw.Route(reqs)
-	var won [2]int
-	drops := 0
-	for j, k := range run {
-		f := &flights[int(uint32(k))]
-		w := outWires[j]
-		if w < 0 {
-			f.state = flightLost
-			drops++
-			continue
-		}
-		side := 0
-		if upSweep {
-			sh.claimUp(w, capParent)
-			f.node = v // now holds a wire in the up channel above v
-			if v == 1 && f.dstLeaf == 0 {
-				// The root up channel is the external interface: delivered.
-				f.state = flightDone
-			}
-		} else {
-			if reqs[j].Out == concentrator.Right {
-				side = 1
-			}
-			sh.claimDown(side, w, caps[side])
-			f.node = 2*v + side
-			f.state = flightDown
-			if vLevel+1 == st.levels {
-				f.state = flightDone
-			}
-		}
-		won[side]++
-		f.wire = w
-	}
-	sh.drops += drops
-	sh.releaseRun(flights, run, upSweep)
+	wires, _ := ss.sw.Route(reqs)
 	if st.e.obs != nil {
-		r := ss.sw.MatchingRounds()
-		dRounds := r - ss.lastRounds
-		ss.lastRounds = r
-		fd := ss.sw.FaultDrops()
-		dFaults := fd - ss.lastFaults
-		ss.lastFaults = fd
-		st.e.observeStreamRun(v, run, upSweep, won, drops, dRounds, dFaults)
+		r, fd := ss.sw.MatchingRounds(), ss.sw.FaultDrops()
+		sh.rounds, sh.faults = r-ss.lastRounds, fd-ss.lastFaults
+		ss.lastRounds, ss.lastFaults = r, fd
 	}
+	return wires
 }
 
 // The widened-child panics. A materialized concentrator rejects an input
@@ -1053,9 +960,9 @@ const (
 // admitted destinations (sortByNode; they are appended in flight-index
 // order). A lone climber that meets another flight joins that level's
 // carried lists through arrUp or arrTurn; a turner alone below its LCA
-// descends to its leaf. On ideal lossless switches the hops are the
-// straight-line loops of climbIdeal and descendIdeal. Going up, sources
-// deferred at their leaf count as neighbours, and flights dropped later count both ways, so detection errs
+// descends to its leaf. The hops are the straight-line loops of loneClimb
+// and loneDescend. Going up, sources deferred at their leaf count as
+// neighbours, and flights dropped later count both ways, so detection errs
 // towards the carried lists, whose outcome for a one-request run is the
 // same.
 //
@@ -1130,78 +1037,28 @@ func (st *streamState) shareLevel(keys []uint64, p int) int {
 }
 
 // loneClimb routes flight i from its leaf up through the levels below s
-// alone, then hands it to level s: as an arrival there, or, when it turns
-// at level s and is alone below, straight down to its leaf.
+// alone, one hop per ancestor, then hands it to level s: as an arrival
+// there, or, when it turns at level s and is alone below, straight down to
+// its leaf.
+//
+// On ideal lossless switches a hop takes fuseUp's rule for a one-request
+// run: it passes its wire through (a right child's offset by the left
+// child's width) when the parent channel is at least twice the child's, and
+// wins wire 0 otherwise — by arithmetic, not a jump: the wire plus the
+// child bit times the child's width, times the pass-through bit — after the
+// widened-right-child check, wire first as in fuseUp. Every capacity is at
+// least 1 (core.New and SetChannelCapacity reject less), so a lone ideal
+// hop always wins. On partial or lossy switches a hop is one request to the
+// node's switch, and the climb stops when the switch loses it. Each hop
+// claims and releases its guard bit; the flight's node and wire live in
+// locals and are stored once. An observer records each hop as a
+// one-request run.
 //
 //ftlint:hotpath
 func (st *streamState) loneClimb(i, s int) {
-	f := &st.e.scr.flights[i]
-	if st.inlineHops() {
-		st.climbIdeal(i, s)
-	} else {
-		for l := st.levels - 1; l > s && f.state == flightUp; l-- {
-			st.loneHop(i, f.node>>1, l, true)
-		}
-	}
-	if f.state != flightUp { // dropped, or delivered out of the root
-		return
-	}
-	key := uint64(f.node)<<32 | uint64(uint32(i))
-	switch {
-	case f.lca != f.node>>1:
-		st.arrUp[s] = append(st.arrUp[s], key)
-	case s > int(st.sdown[i]):
-		st.loneDescend(i, s)
-	default:
-		st.arrTurn[s] = append(st.arrTurn[s], key)
-	}
-}
-
-// loneDescend routes flight i down from level d, its next down contest, to
-// its leaf: alone at every level from d on.
-//
-//ftlint:hotpath
-func (st *streamState) loneDescend(i, d int) {
-	f := &st.e.scr.flights[i]
-	if st.inlineHops() {
-		st.descendIdeal(i, d)
-		return
-	}
-	for l := d; l < st.levels; l++ {
-		st.loneHop(i, f.dstLeaf>>uint(st.levels-l), l, false)
-		if f.state != flightDown { // dropped, or delivered into the leaf
-			return
-		}
-	}
-}
-
-// inlineHops reports whether node runs and lone hops are routed inline:
-// ideal switches and no injected loss, so a run has no switch to build and
-// no RNG to draw from. Node runs then take fuseUp and fuseDown, lone hops
-// the straight-line loops of climbIdeal and descendIdeal; an observer, if
-// attached, is told per run and per hop.
-//
-//ftlint:hotpath
-func (st *streamState) inlineHops() bool {
-	return st.kind == concentrator.KindIdeal && !st.lossOn
-}
-
-// climbIdeal routes flight i up alone through the levels below s, one hop
-// per ancestor, with fuseUp's rule for a one-request run: the hop passes
-// its wire through (a right child's offset by the left child's width) when
-// the parent channel is at least twice the child's, and wins wire 0
-// otherwise — by arithmetic, not a jump: the wire plus the child bit times
-// the child's width, times the pass-through bit. Each hop keeps the
-// widened-right-child check, wire first as in fuseUp, and claims and
-// releases its guard bit. Every capacity is at least 1 (core.New and
-// SetChannelCapacity reject less), so a lone ideal hop always wins. The
-// flight's node and wire live in locals and are stored once. An observer
-// records each hop as a one-request run.
-//
-//ftlint:hotpath
-func (st *streamState) climbIdeal(i, s int) {
 	sh := &st.sh
 	f := &st.e.scr.flights[i]
+	routed := st.routed()
 	node, wire := f.node, f.wire
 	out := f.dstLeaf == 0 // leaves through the root's external interface
 	for l := st.levels - 1; l > s; l-- {
@@ -1210,36 +1067,58 @@ func (st *streamState) climbIdeal(i, s int) {
 		if st.ov != nil {
 			capParent, capChild = st.capAt(v), st.capAt(2*v)
 		}
-		if wire >= capChild && node&1 == 1 {
-			panic(errUpWidened)
+		if routed {
+			in := concentrator.Left + concentrator.Port(node&1)
+			if wire = st.switchHop(i, v, in, wire, concentrator.Parent); wire < 0 {
+				return
+			}
+		} else {
+			if wire >= capChild && node&1 == 1 {
+				panic(errUpWidened)
+			}
+			wire = (wire + node&1*capChild) * b2i(capParent >= 2*capChild)
 		}
-		wire = (wire + node&1*capChild) * b2i(capParent >= 2*capChild)
 		sh.upUsed.fit(capParent)
 		sh.claimUp(wire, capParent)
 		sh.upUsed[wire>>6] = 0
 		node = v
 		if st.e.obs != nil {
-			st.e.observeHop(i, v, v, int(core.Up), wire, v == 1 && out)
+			st.e.observeHop(i, v, v, int(core.Up), wire, v == 1 && out, sh.rounds, sh.faults)
 		}
 	}
 	f.node, f.wire = node, wire
 	if node == 1 && out {
 		// The root up channel is the external interface: delivered.
 		f.state = flightDone
+		return
+	}
+	key := uint64(node)<<32 | uint64(uint32(i))
+	switch {
+	case f.lca != node>>1:
+		st.arrUp[s] = append(st.arrUp[s], key)
+	case s > int(st.sdown[i]):
+		st.loneDescend(i, s)
+	default:
+		st.arrTurn[s] = append(st.arrTurn[s], key)
 	}
 }
 
-// descendIdeal routes flight i down alone from level d to its leaf. A lone
-// request is rank 0 at its down port, so by fuseDown's rule each hop wins
-// wire 0, checked against the port width (a turner's first hop) and
-// claimed and released against the child's own capacity.
+// loneDescend routes flight i down alone from level d, its next down
+// contest, to its leaf. On ideal lossless switches a lone request is rank 0
+// at its down port, so by fuseDown's rule each hop wins wire 0, checked
+// against the port width (a turner's first hop). On partial or lossy
+// switches a hop is one request to the node's switch — from the turner's
+// child side on the first hop, from the parent side after — and the descent
+// stops when the switch loses it. Each hop claims and releases its guard
+// bit against the child's own capacity.
 //
 //ftlint:hotpath
-func (st *streamState) descendIdeal(i, d int) {
+func (st *streamState) loneDescend(i, d int) {
 	sh := &st.sh
 	f := &st.e.scr.flights[i]
+	routed := st.routed()
 	levels := st.levels
-	dst := f.dstLeaf
+	dst, wire := f.dstLeaf, f.wire
 	turning := f.state == flightUp
 	for l := d; l < levels; l++ {
 		child := dst >> uint(levels-l-1)
@@ -1249,27 +1128,46 @@ func (st *streamState) descendIdeal(i, d int) {
 			// A switch sizes both down ports by its left child.
 			capPort, capChild = st.capAt(child&^1), st.capAt(child)
 		}
-		if turning && f.wire >= capPort {
-			panic(errDownWidened)
+		if routed {
+			in := concentrator.Parent
+			if turning {
+				in = concentrator.Left + concentrator.Port(f.node&1)
+			}
+			out := concentrator.Left + concentrator.Port(side)
+			if wire = st.switchHop(i, child>>1, in, wire, out); wire < 0 {
+				return
+			}
+		} else {
+			if turning && wire >= capPort {
+				panic(errDownWidened)
+			}
+			wire = 0
 		}
 		turning = false
 		sh.downUsed[side].fit(capChild)
-		sh.claimDown(side, 0, capChild)
-		sh.downUsed[side][0] = 0
+		sh.claimDown(side, wire, capChild)
+		sh.downUsed[side][wire>>6] = 0
 		if st.e.obs != nil {
-			st.e.observeHop(i, child>>1, child, int(core.Down), 0, l+1 == levels)
+			st.e.observeHop(i, child>>1, child, int(core.Down), wire, l+1 == levels, sh.rounds, sh.faults)
 		}
 	}
-	f.node, f.wire, f.state = dst, 0, flightDone
+	f.node, f.wire, f.state = dst, wire, flightDone
 }
 
-// loneHop routes flight i alone through node v at level vLevel on a
-// partial or lossy engine: a one-key run through routeStreamNode, so the
-// switch is built and drawn from as on the carried path, and the observer
-// records the run.
-//
-//ftlint:hotpath
-func (st *streamState) loneHop(i, v, vLevel int, upSweep bool) {
-	st.one[0] = uint64(v)<<32 | uint64(uint32(i))
-	st.routeStreamNode(v, st.one[:], vLevel, upSweep)
+// switchHop routes flight i's lone hop through node v's switch as one
+// request, in on port in's wire and out on port out, and returns the wire
+// it wins. When the switch loses it the flight is dropped, the hop is
+// recorded as a one-request run with one drop, and the wire is -1.
+func (st *streamState) switchHop(i, v int, in concentrator.Port, wire int, out concentrator.Port) int {
+	e, sh := st.e, &st.sh
+	w := st.switchRoute(v, append(sh.reqs[:0], concentrator.Request{In: in, InWire: wire, Out: out}))[0]
+	if w < 0 {
+		e.scr.flights[i].state = flightLost
+		sh.drops++
+		if o := e.obs; o != nil {
+			o.SwitchDelta(v, 1, 1, sh.rounds, sh.faults)
+			o.Block(i, e.scr.pending[i], v)
+		}
+	}
+	return w
 }

@@ -23,6 +23,7 @@ type streamScenario struct {
 	kind concentrator.Kind
 	seed int64
 	loss float64
+	warm bool // run ms once before the loss is injected, onto built switches
 }
 
 // universalTree builds a universal fat-tree with the given overrides.
@@ -73,6 +74,14 @@ func streamScenarios() []streamScenario {
 	out = append(out, streamScenario{
 		name: "universal-lossy", ft: ft,
 		ms: randomMessages(16, 40, 3, true), kind: concentrator.KindIdeal, seed: 13, loss: 0.08,
+	})
+
+	// Loss injected between two runs: InjectLoss must wrap the partial
+	// switches the first run built as the reference wraps its eager ones.
+	ft = universalTree(32, 8, nil)
+	out = append(out, streamScenario{
+		name: "partial-warm-lossy", ft: ft,
+		ms: randomMessages(32, 80, 10, true), kind: concentrator.KindPartial, seed: 43, loss: 0.08, warm: true,
 	})
 
 	// Narrowing overrides on both children of node 2 and on a leaf channel:
@@ -131,6 +140,13 @@ func streamScenarios() []streamScenario {
 		kind: concentrator.KindIdeal, seed: 41,
 	})
 
+	// The cycle's only source sends to the external world: it climbs alone
+	// to the root and is delivered through the root's up channel.
+	out = append(out, streamScenario{
+		name: "sparse-root-output", ft: universalTree(1024, 128, nil),
+		ms: core.MessageSet{{Src: 700, Dst: core.External}}, kind: concentrator.KindIdeal, seed: 47,
+	})
+
 	// Tiny tree: a single level of switches.
 	out = append(out, streamScenario{
 		name: "two-leaves", ft: core.NewConstant(2, 3),
@@ -141,8 +157,16 @@ func streamScenarios() []streamScenario {
 	return out
 }
 
-func (sc *streamScenario) engine() *Engine {
+func (sc *streamScenario) engine() *Engine { return sc.observed(nil) }
+
+// observed builds the scenario's engine with o attached from the start, so
+// o counts a warm scenario's first run as the reference's counters do.
+func (sc *streamScenario) observed(o *obsv.Observer) *Engine {
 	e := New(sc.ft, sc.kind, sc.seed)
+	e.SetObserver(o)
+	if sc.warm {
+		e.Run(sc.ms)
+	}
 	if sc.loss > 0 {
 		e.InjectLoss(sc.loss, sc.seed+1)
 	}
@@ -151,6 +175,9 @@ func (sc *streamScenario) engine() *Engine {
 
 func (sc *streamScenario) ref() *refEngine {
 	r := newRefEngine(sc.ft, sc.kind, sc.seed)
+	if sc.warm {
+		r.run(sc.ms)
+	}
 	if sc.loss > 0 {
 		r.injectLoss(sc.loss, sc.seed+1)
 	}
@@ -175,9 +202,7 @@ func TestStreamMatchesDense(t *testing.T) {
 			checkCycles(t, sc.engine(), sc.ref(), sc.ms)
 
 			oDense := obsv.New(sc.ft)
-			eD := sc.engine()
-			eD.SetObserver(oDense)
-			if got := eD.Run(sc.ms); !reflect.DeepEqual(got, want) {
+			if got := sc.observed(oDense).Run(sc.ms); !reflect.DeepEqual(got, want) {
 				t.Fatalf("observer perturbed the stream run")
 			}
 			checkSwitchCounters(t, oDense, ref)
@@ -185,9 +210,7 @@ func TestStreamMatchesDense(t *testing.T) {
 			// A per-level observer must report what the per-node one does,
 			// in O(levels) memory.
 			oLevel := obsv.NewCompact(sc.ft)
-			eL := sc.engine()
-			eL.SetObserver(oLevel)
-			if got := eL.Run(sc.ms); !reflect.DeepEqual(got, want) {
+			if got := sc.observed(oLevel).Run(sc.ms); !reflect.DeepEqual(got, want) {
 				t.Fatalf("per-level observer perturbed the stream run")
 			}
 			checkSameLevels(t, sc.ft, oDense, oLevel)
@@ -457,6 +480,51 @@ func TestStreamFusedGuardRelease(t *testing.T) {
 		e.stream.keys = run
 		e.stream.fuseUp(0)
 	})
+}
+
+// TestStreamWidenedChildPanics pins the widened-child panics. Node 5's
+// channel is widened past its sibling's, and its children's with it, so an
+// up request from node 5 into node 2 (the up cases) or a turner at node 2
+// coming up from node 5 (the down case) holds a wire beyond the switch's
+// child-side width. Ideal switches must panic with the engine's own
+// message, partial switches in their concentrator, which checks the same
+// width. With the lone gate at -1 every case panics in a node run; at +1
+// the lone message of "up-alone" and "down" panics on a lone hop.
+func TestStreamWidenedChildPanics(t *testing.T) {
+	ft := core.NewUniversal(16, 2)
+	ft.SetChannelCapacity(5, 8)
+	ft.SetChannelCapacity(10, 4)
+	ft.SetChannelCapacity(11, 4)
+	for _, tc := range []struct {
+		name           string
+		ms             core.MessageSet
+		ideal, partial string
+	}{
+		{"up", core.MessageSet{{Src: 4, Dst: 12}, {Src: 5, Dst: 13}, {Src: 6, Dst: 14}, {Src: 7, Dst: 15}, {Src: 4, Dst: 13}},
+			errUpWidened, "wire 1 out of range on port right"},
+		{"up-alone", core.MessageSet{{Src: 6, Dst: 15}}, errUpWidened, "wire 4 out of range on port right"},
+		{"down", core.MessageSet{{Src: 6, Dst: 0}}, errDownWidened, "wire 4 out of range on port right"},
+	} {
+		for _, kind := range []concentrator.Kind{concentrator.KindIdeal, concentrator.KindPartial} {
+			want, kindName := tc.ideal, "ideal"
+			if kind == concentrator.KindPartial {
+				want, kindName = tc.partial, "partial"
+			}
+			for _, gate := range []int8{1, -1} {
+				t.Run(fmt.Sprintf("%s/%s/gate%+d", tc.name, kindName, gate), func(t *testing.T) {
+					e := New(ft, kind, 3)
+					e.stream.loneGate = gate
+					defer func() {
+						r := recover()
+						if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, want) {
+							t.Fatalf("recovered %v, want a panic naming %q", r, want)
+						}
+					}()
+					e.Run(tc.ms)
+				})
+			}
+		}
+	}
 }
 
 // TestStreamHugeTopology exercises the headline capability at a size no
