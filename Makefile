@@ -55,7 +55,8 @@ lint-extra:
 # Delivery-engine micro-benchmarks (EXPERIMENTS.md §A4/§A6), the same run as
 # CI's bench job, written to bench.txt in Go's benchmark text format: ns/op,
 # B/op and allocs/op for RouteCycleSerial, OffLineSchedule and RunOnline at
-# n = 256, 1024, 4096, RunOnline on partial switches at n = 64,
+# n = 256, 1024, 4096, RunOnline on partial switches at n = 64 and on a
+# radix-16 tree at n = 4096,
 # RouteCycleImplicit at n = 2^16, 2^18, 2^20 with B/endpoint,
 # RunOnlineImplicit and ServeRoute.
 BENCH_RE = RouteCycle|OffLineSchedule|RunOnline|ServeRoute

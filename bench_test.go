@@ -131,7 +131,10 @@ func BenchmarkScheduleOfflineBig(b *testing.B) {
 // many cycles as contention needs. Recorded in EXPERIMENTS.md under "A3 —
 // engine execution". The partial/n=64 row runs 256 random messages on the
 // paper's partial concentrators, where every node run is routed through
-// its materialized switch.
+// its materialized switch. The kary/n=4096 row runs the permutation on a
+// radix-16 tree (three tiers of 16 children) whose channels follow the
+// universal profile of the n=4096 row, where every down step places its
+// winners for up to 16 children and every merge is 16-way.
 func BenchmarkRunOnline(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run("n="+itoa(n), func(b *testing.B) {
@@ -142,6 +145,16 @@ func BenchmarkRunOnline(b *testing.B) {
 	b.Run("partial/n=64", func(b *testing.B) {
 		ft := fattree.NewUniversal(64, 16)
 		benchRunOnline(b, fattree.NewEngine(ft, fattree.SwitchPartial, 0), fattree.Random(64, 256, 1))
+	})
+	b.Run("kary/n=4096", func(b *testing.B) {
+		const n = 4096
+		desc := fattree.KaryDesc{Down: []int{16, 16, 16}, Up: make([]int, 3), Parallel: []int{1, 1, 1},
+			Root: fattree.UniversalCapacity(n, n/4, 0)}
+		for i := range desc.Up {
+			desc.Up[i] = fattree.UniversalCapacity(n, n/4, 4*(i+1)) // a tier spans four binary levels
+		}
+		ft := fattree.NewKary(desc)
+		benchRunOnline(b, fattree.NewEngine(ft, fattree.SwitchIdeal, 0), fattree.RandomPermutation(n, 1))
 	})
 }
 

@@ -88,9 +88,9 @@ func main() {
 	var obs *fattree.Observer
 	var stopProfiles func() error
 
-	// Every binary tree, -kary ones included, routes on the streaming plane
-	// and takes the Theorem 1 scheduler and partial switches; other arities
-	// take neither. Under -implicit the two visualizations that walk
+	// Every tree routes on the engine's one data plane. Binary ones, -kary
+	// ones included, also take the Theorem 1 scheduler and partial switches;
+	// other arities take neither. Under -implicit the two visualizations that walk
 	// per-node state are skipped (they would build exactly the O(n) tables
 	// -implicit exists to avoid): vizTree stays nil. It stays nil for a
 	// non-binary tree too (the viz walkers are binary).

@@ -37,10 +37,10 @@ import (
 // Core topology types.
 type (
 	// FatTree is the fat-tree routing network, described per tier by level
-	// tables in O(levels) memory. The binary constructors (New,
-	// NewUniversal, ...) build the paper's tree, which the simulation engine
-	// routes on the streaming plane (sorted flight keys carried from level
-	// to level, so 2^20-endpoint networks simulate in bounded memory) and
+	// tables in O(levels) memory. The simulation engine routes every tree on
+	// one data plane (sorted flight keys carried from level to level, so
+	// 2^20-endpoint networks simulate in bounded memory). The binary
+	// constructors (New, NewUniversal, ...) build the paper's tree, which
 	// the Theorem 1 scheduler accepts. NewKary builds any other arity, with
 	// arbitrary radix and oversubscription; the engine routes it with inline
 	// ideal concentrators, and it schedules with ScheduleGreedy.
@@ -98,7 +98,7 @@ func UniversalCapacity(n, w, level int) int { return core.UniversalCapacity(n, w
 // NewImplicitUniversal is NewUniversal.
 //
 // Deprecated: every FatTree is computed from its per-level profile and
-// routes on the streaming plane; use NewUniversal.
+// routes in bounded memory; use NewUniversal.
 func NewImplicitUniversal(n, w int) *FatTree { return core.NewUniversal(n, w) }
 
 // NewKary builds a fat-tree from a per-tier descriptor; n is the product of

@@ -42,7 +42,7 @@ func (e *Engine) deliver(initial core.MessageSet, arrive func(c int) core.Messag
 		panic(err)
 	}
 	stallLimit := 1
-	if shuffle != nil || (e.stream != nil && e.stream.lossOn) {
+	if shuffle != nil || e.stream.lossOn {
 		stallLimit = maxZeroStreak
 	}
 	pending := append(e.scr.pendA[:0], initial...)

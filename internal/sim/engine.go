@@ -14,20 +14,21 @@
 // stripped one per switch, and the payload follows, so a cycle lasts
 // O(lg n + payload) ticks.
 //
-// # The data planes
+// # The data plane
 //
-// A binary fat-tree (core.HeapIndexed) routes on the streaming plane of
-// stream.go: each sweep step carries sorted (node, flight) key lists to the
-// next, so a cycle does O(flights × path length) work and engine memory is
-// independent of the processor count. Ideal switches are computed inline
-// from the capacity profile; partial or lossy switches are built lazily the
-// first time their node is contested. A fat-tree of any other arity routes
-// on the level-table plane of kary.go. Both planes keep every transient —
-// the flight table, the key lists or buckets and the wire guards — in a
-// per-engine scratch arena reused from cycle to cycle: the first cycle after
-// construction (or after a growth in problem size) warms the arena, and
-// later cycles allocate nothing. See DESIGN.md "Scratch-arena ownership" for
-// the reuse rules.
+// Every fat-tree, binary or of any other arity, routes on the one data
+// plane of stream.go: each sweep step carries sorted (node, flight) key
+// lists to the next, so a cycle does O(flights × path length) work and
+// engine memory is independent of the processor count. Nodes are named by
+// padded ids, in which each level's child digit takes a fixed number of
+// bits: a binary tree's are its heap ids, and every step navigates with
+// per-level shifts and masks. Ideal switches are computed inline from the
+// capacity profile; partial or lossy switches, binary Section IV hardware
+// refused on other arities, are built lazily on their node's first contest.
+// Every transient — the flight table, the key lists, the wire guards —
+// lives in a per-engine scratch arena: the first cycle after construction
+// or a growth in problem size warms it, and later cycles allocate nothing
+// (DESIGN.md "Scratch-arena ownership").
 //
 // Like a switch of Section II, the engine keeps no record of the wires it
 // granted: a flight holds only the wire of the channel it occupies now. The
@@ -88,15 +89,13 @@ type Engine struct {
 
 	scr scratch
 
-	// Exactly one plane is set. stream is the plane of every binary fat-tree
-	// (stream.go): it carries sorted (node, flight) key lists from one sweep
-	// step to the next, so memory is O(messages), independent of n. kary is
-	// the level-table plane of a non-binary tree (kary.go).
+	// stream is the data plane (stream.go): it carries sorted (node, flight)
+	// key lists from one sweep step to the next, so memory is O(messages),
+	// independent of n.
 	stream *streamState
-	kary   *karyState
 }
 
-// scratch is the engine's reusable per-cycle arena, shared by both planes.
+// scratch is the engine's reusable per-cycle arena.
 // Every slice grows to the high-water mark of the scenarios routed so far and
 // is then reused without allocation; see DESIGN.md "Scratch-arena ownership".
 type scratch struct {
@@ -130,17 +129,12 @@ func New(t *core.FatTree, kind concentrator.Kind, seed int64) *Engine {
 	return NewWithOptions(t, kind, seed, Options{})
 }
 
-// NewWithOptions is New with explicit Options. A binary tree
-// (core.HeapIndexed) selects the streaming plane (stream.go); any other
-// arity selects the level-table plane (kary.go), which routes with inline
-// ideal concentrators.
+// NewWithOptions is New with explicit Options. A tree that is not binary
+// (core.HeapIndexed) routes with inline ideal concentrators only: partial
+// concentrators model the binary Section IV hardware, and asking for them
+// panics.
 func NewWithOptions(t *core.FatTree, kind concentrator.Kind, seed int64, opts Options) *Engine {
-	var e *Engine
-	if core.HeapIndexed(t) {
-		e = newStreamEngine(t, kind, seed)
-	} else {
-		e = newKaryEngine(t, kind)
-	}
+	e := newEngine(t, kind, seed)
 	if opts.Observer != nil {
 		e.SetObserver(opts.Observer)
 	}
@@ -154,12 +148,20 @@ func (e *Engine) Tree() *core.FatTree { return e.tree }
 // message is independently corrupted with the given rate and must be retried
 // (Section VII's fault-tolerance concern, absorbed by the Section II
 // acknowledgment protocol). Each switch draws from its own RNG stream seeded
-// by (seed, node), so fault patterns are reproducible.
+// by (seed, node), so fault patterns are reproducible. Like partial
+// concentrators it models binary hardware: on any other arity it panics.
 func (e *Engine) InjectLoss(rate float64, seed int64) {
-	if e.kary != nil {
+	if !e.stream.heapIDs {
 		panic("sim: loss injection is not supported on k-ary topologies (ideal concentrators only)")
 	}
-	e.stream.injectLoss(rate, seed)
+	st := e.stream
+	st.lossOn, st.lossRate, st.lossSeed = true, rate, seed
+	// The switches built so far are wrapped now, later ones when they are
+	// built, with the same per-node seeds, seed+3v. Lossy concentrators draw
+	// only per routed message, so the wrapping order is immaterial.
+	for v, ss := range st.special {
+		ss.sw.InjectLoss(rate, seed+int64(3*v))
+	}
 }
 
 // CycleResult reports one delivery cycle.
@@ -241,18 +243,4 @@ func (e *Engine) collect(pending core.MessageSet, flights []flight, res *CycleRe
 		}
 	}
 	return delivered
-}
-
-// runCycle is one delivery cycle on the engine's plane.
-//
-//ftlint:hotpath
-func (e *Engine) runCycle(pending core.MessageSet) (delivered []bool, res CycleResult) {
-	e.scr.pending = pending
-	if e.kary != nil {
-		delivered, res = e.runCycleKary(pending)
-	} else {
-		delivered, res = e.runCycleStream(pending)
-	}
-	e.scr.pending = nil
-	return delivered, res
 }

@@ -64,22 +64,22 @@ var engineFuzzSeeds = [][]byte{
 	{0x8c, 0x23, 17, 240, 33, 100, 101, 100, 180, 2, 5, 6, 77, 150},
 }
 
-// FuzzEnginePlaneEquivalence cross-checks the engine's data planes on
-// fuzz-generated scenarios: for any tree shape, switch kind, and loss rate,
-// the streaming plane, and on ideal lossless switches the k-ary plane built
-// directly on the same tree, must reproduce the dense reference engine
+// FuzzEnginePlaneEquivalence cross-checks the engine's data plane on
+// fuzz-generated scenarios: for any binary tree shape, switch kind, and loss
+// rate, and on ideal lossless switches for a non-binary tree picked by the
+// seed, the engine must reproduce the dense reference engine
 // (reference_test.go) bit for bit — total cycle count, per-cycle delivery
-// profile, drops, deferrals, delivered flags, and per-switch observer
-// counters. It also checks that attaching an observer does not perturb a
-// run, that the conservation law holds, that a ring-attached observer counts
-// what a ring-less one does, that on every plane a per-level observer
+// profile, drops, deferrals, delivered flags, wire paths, and per-switch
+// observer counters. It also checks that attaching an observer does not
+// perturb a run, that the conservation law holds, that a ring-attached
+// observer counts what a ring-less one does, that a per-level observer
 // reports what a per-node one does, that a fully delivered set takes at
 // least ⌈λ⌉ cycles (exactly one for a one-cycle set on ideal lossless
-// switches), and
-// that a reused engine matches a fresh one. This is the engine-level complement of sched's FuzzSchedule
-// and the machine-checked form of the determinism contract in DESIGN.md:
-// all per-switch randomness is seeded by (seed, node), and each switch sees
-// its requests in message-index order.
+// switches), that forcing the lone pass on or off changes nothing, and that
+// a reused engine matches a fresh one. This is the engine-level complement
+// of sched's FuzzSchedule and the machine-checked form of the determinism
+// contract in DESIGN.md: all per-switch randomness is seeded by (seed,
+// node), and each switch sees its requests in message-index order.
 func FuzzEnginePlaneEquivalence(f *testing.F) {
 	for _, seed := range engineFuzzSeeds {
 		f.Add(seed)
@@ -194,32 +194,14 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 			t.Fatalf("reused RunCycle diverges: ref %+v %v, stream %+v %v", rc.res, rc.delivered, rsr, rsd)
 		}
 
-		// K-ary phase, part 1: the level-table plane, built directly on the
-		// same binary tree, must reproduce the reference bit for bit on ideal
-		// lossless switches — the concentrator rules collapse to the same
-		// wire assignment when every tier is binary.
-		if kind == concentrator.KindIdeal && loss == 0 {
-			perNode, perLevel := obsv.New(ft), obsv.NewCompact(ft)
-			for _, o := range []*obsv.Observer{perNode, perLevel} {
-				e := newKaryEngine(ft, concentrator.KindIdeal)
-				e.SetObserver(o)
-				if stats := e.Run(ms); !reflect.DeepEqual(stats, want) {
-					t.Fatalf("k-ary plane diverges from the reference\nref  %+v\nkary %+v", want, stats)
-				}
-			}
-			checkSameLevels(t, ft, perNode, perLevel)
+		// K-ary phase: on a non-binary tree picked by the fuzzed seed, its
+		// channels degraded for every other shape pick, the engine on ideal
+		// lossless switches must reproduce the reference bit for bit. The
+		// message set is folded into the smaller address space.
+		kt := core.NewKary(karyShapes[int(seed)%len(karyShapes)])
+		if seed/int64(len(karyShapes))%2 == 1 {
+			core.DegradeChannels(kt, 0.5, 0.5, seed)
 		}
-
-		// K-ary phase, part 2: on genuinely non-binary topologies the observed
-		// counters obey the conservation law and a reused engine matches a
-		// fresh one. The profile is picked by the fuzz seed; the message set
-		// is folded into the smaller address space.
-		kdesc := []core.KaryDesc{
-			{Down: []int{3, 4}, Up: []int{2, 1}, Parallel: []int{1, 1}},
-			{Down: []int{4, 2, 3}, Up: []int{3, 2, 1}, Parallel: []int{1, 1, 1}},
-			{Down: []int{5, 5}, Up: []int{2, 1}, Parallel: []int{3, 2}, Root: 7},
-		}[int(seed)%3]
-		kt := core.NewKary(kdesc)
 		kn := kt.Processors()
 		var kms core.MessageSet
 		for _, m := range ms {
@@ -227,20 +209,9 @@ func FuzzEnginePlaneEquivalence(f *testing.F) {
 				kms = append(kms, core.Message{Src: s, Dst: d})
 			}
 		}
-		karyRef := obsv.New(kt)
-		ek := NewWithOptions(kt, concentrator.KindIdeal, seed, Options{Observer: karyRef})
-		karyStats := ek.Run(kms)
-		if c := &karyRef.C; c.Offered != c.Delivered+c.Dropped+c.Deferred {
-			t.Fatalf("k-ary conservation broken: offered %d != delivered %d + dropped %d + deferred %d",
-				c.Offered, c.Delivered, c.Dropped, c.Deferred)
+		checkIdealAgainstRef(t, kt, kms)
+		if again := New(kt, concentrator.KindIdeal, 0); !reflect.DeepEqual(again.Run(kms), again.Run(kms)) {
+			t.Fatalf("reused k-ary engine diverges")
 		}
-		if again := ek.Run(kms); !reflect.DeepEqual(again, karyStats) {
-			t.Fatalf("reused k-ary engine diverges\nfirst  %+v\nsecond %+v", karyStats, again)
-		}
-		karyLevel := obsv.NewCompact(kt)
-		ek = NewWithOptions(kt, concentrator.KindIdeal, seed, Options{Observer: karyLevel})
-		ek.Run(kms)
-		ek.Run(kms)
-		checkSameLevels(t, kt, karyRef, karyLevel)
 	})
 }

@@ -199,9 +199,9 @@ func TestObserverReuseAndReset(t *testing.T) {
 	}
 }
 
-// TestCompactObserverOnFatTree pins that either granularity attaches to
-// either plane: on the binary streaming plane and on non-binary k-ary trees,
-// a per-level observer reports what a per-node one does on the same run.
+// TestCompactObserverOnFatTree pins that either granularity attaches to an
+// engine of any arity: on binary and on non-binary k-ary trees, a per-level
+// observer reports what a per-node one does on the same run.
 func TestCompactObserverOnFatTree(t *testing.T) {
 	ft := core.NewUniversal(64, 16)
 	ms := workload.Random(64, 256, 5)

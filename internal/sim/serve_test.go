@@ -99,9 +99,10 @@ func TestRetryLoopAllocs(t *testing.T) {
 }
 
 // TestEngineWorkersIgnored pins that Options.Workers no longer changes how an
-// engine runs: streaming and k-ary engines built with eight workers route every
-// level on the calling goroutine, so a warmed RunCycle and RunServe allocate
-// nothing. A goroutine per switch would allocate on every level.
+// engine runs: engines on binary and k-ary trees built with eight workers
+// route every level on the calling goroutine, so a warmed RunCycle and
+// RunServe allocate nothing. A goroutine per switch would allocate on every
+// level.
 func TestEngineWorkersIgnored(t *testing.T) {
 	n := 64
 	binary := core.NewUniversal(n, 16)

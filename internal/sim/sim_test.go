@@ -256,10 +256,10 @@ func TestLocalTrafficUsesShortCycles(t *testing.T) {
 	}
 }
 
-// TestBinaryKaryRoutesOnStreamPlane pins plane dispatch by shape: NewKary on
-// the all-binary descriptor of a profile builds the profile's tree, so it
-// routes on the streaming plane, takes partial switches and loss injection,
-// and runs exactly as the profile-built tree does.
+// TestBinaryKaryRoutesOnStreamPlane pins that shape, not constructor, is
+// what the engine sees: NewKary on the all-binary descriptor of a profile
+// builds the profile's tree, so it takes partial switches and loss
+// injection, and runs exactly as the profile-built tree does.
 func TestBinaryKaryRoutesOnStreamPlane(t *testing.T) {
 	ft := core.NewUniversal(16, 4)
 	caps := ft.LevelCapTable()
@@ -271,9 +271,6 @@ func TestBinaryKaryRoutesOnStreamPlane(t *testing.T) {
 	ms := workload.Random(16, 64, 3)
 	run := func(tree *core.FatTree) Stats {
 		e := New(tree, concentrator.KindPartial, 5)
-		if e.stream == nil {
-			t.Fatalf("%v did not route on the streaming plane", tree)
-		}
 		e.InjectLoss(0.05, 6)
 		return e.Run(ms)
 	}

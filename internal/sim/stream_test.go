@@ -240,6 +240,24 @@ func checkLoneGates(t *testing.T, mk func() *Engine, mkRef func() *refEngine, ms
 	}
 }
 
+// TestLonePassKary checks that the lone pass finds the lone hops of a
+// non-binary tree: on Down 16,16,16 the only flight of a cycle, from
+// processor 0 to 16 (LCA at level 1) or to 256 (LCA at the root), climbs
+// and descends alone, leaving the carried lists empty.
+func TestLonePassKary(t *testing.T) {
+	kt := core.NewKary(core.KaryDesc{Down: []int{16, 16, 16}, Up: []int{4, 2, 1}, Parallel: []int{1, 1, 1}})
+	for _, dst := range []int{16, 256} {
+		e := New(kt, concentrator.KindIdeal, 0)
+		st := e.stream
+		e.injectStream(core.MessageSet{{Src: 0, Dst: dst}})
+		st.lonePass()
+		if f := e.scr.flights[0]; len(st.up)+len(st.turn) != 0 || f.state != flightDone {
+			t.Fatalf("dst %d: %d climbers and %d turners left to the carried lists, flight state %d; want none, done",
+				dst, len(st.up), len(st.turn), f.state)
+		}
+	}
+}
+
 // TestRadixByNode checks sortByNode against slices.Sort on keys appended
 // in ascending index order: empty, single and the sizes around radixMin,
 // random leaves, every key on one leaf, and leaves already sorted or
@@ -249,7 +267,7 @@ func checkLoneGates(t *testing.T, mk func() *Engine, mkRef func() *refEngine, ms
 func TestRadixByNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, levels := range []int{1, 8, 11, 12, 20} {
-		st := &streamState{levels: levels}
+		st := &streamState{leafBits: levels}
 		span := 1 << levels
 		inputs := []struct {
 			name string
@@ -328,7 +346,7 @@ func TestStreamEngineReuse(t *testing.T) {
 	}
 }
 
-// TestStreamWireGuard drives the node-run scratch's wire guards directly. A
+// TestStreamWireGuard drives the engine state's wire guards directly. A
 // wire assigned twice in one run must panic, on the up side and on each down
 // side.
 // The same wire assigned in consecutive runs must not panic: releaseRun has
@@ -339,18 +357,18 @@ func TestStreamWireGuard(t *testing.T) {
 		name   string
 		upward bool
 		node   int // the winner's f.node after the claim
-		claim  func(sh *streamShard, w int)
+		claim  func(st *streamState, w int)
 	}{
-		{"up", true, 5, func(sh *streamShard, w int) { sh.claimUp(w, width) }},
-		{"down-left", false, 10, func(sh *streamShard, w int) { sh.claimDown(0, w, width) }},
-		{"down-right", false, 11, func(sh *streamShard, w int) { sh.claimDown(1, w, width) }},
+		{"up", true, 5, func(st *streamState, w int) { st.upUsed.claim(w, width, errUpGuard) }},
+		{"down-left", false, 10, func(st *streamState, w int) { st.down[0].used.claim(w, width, errDownGuard) }},
+		{"down-right", false, 11, func(st *streamState, w int) { st.down[1].used.claim(w, width, errDownGuard) }},
 	}
-	newShard := func() *streamShard {
-		sh := &streamShard{}
-		sh.upUsed.fit(width)
-		sh.downUsed[0].fit(width)
-		sh.downUsed[1].fit(width)
-		return sh
+	newState := func() *streamState {
+		st := &streamState{down: make([]downPort, 2)}
+		for _, s := range []*wireSet{&st.upUsed, &st.down[0].used, &st.down[1].used} {
+			s.fit(width)
+		}
+		return st
 	}
 	mustPanic := func(t *testing.T, what string, fn func()) {
 		t.Helper()
@@ -365,23 +383,23 @@ func TestStreamWireGuard(t *testing.T) {
 	for _, sd := range sides {
 		t.Run(sd.name, func(t *testing.T) {
 			mustPanic(t, "twice in one run", func() {
-				sh := newShard()
-				sd.claim(sh, w)
-				sd.claim(sh, w)
+				st := newState()
+				sd.claim(st, w)
+				sd.claim(st, w)
 			})
 
 			// A winner on w, reused by consecutive runs, and a dropped flight
 			// whose stale wire lies beyond every bitset: releaseRun must skip it.
-			sh := newShard()
+			st := newState()
 			flights := []flight{
 				{state: flightUp, node: sd.node, wire: w},
 				{state: flightLost, node: sd.node, wire: 1 << 20},
 			}
 			run := []uint64{0, 1}
 			for rep := 0; rep < 3; rep++ {
-				sd.claim(sh, w)
-				sh.releaseRun(flights, run, sd.upward)
-				for _, s := range [][]uint64{sh.upUsed, sh.downUsed[0], sh.downUsed[1]} {
+				sd.claim(st, w)
+				st.releaseRun(flights, run, sd.upward, 1)
+				for _, s := range [][]uint64{st.upUsed, st.down[0].used, st.down[1].used} {
 					for i, word := range s {
 						if word != 0 {
 							t.Fatalf("rep %d: word %d = %#x after releaseRun, want 0", rep, i, word)
@@ -398,9 +416,10 @@ func TestStreamWireGuard(t *testing.T) {
 // included, every guard word is zero. The positional runs (a constant tree:
 // rank j wins wire j) release by clearing the winners' words; the
 // pass-through up runs (a doubling tree: the parent channel carries both
-// children's wires) walk their winners. Each run has more than 64 winners,
-// so the release spans several words. A duplicate wire inside a
-// pass-through run must still panic.
+// children's wires) walk their winners, which a positional clear would not
+// reach when the run is narrower than the channel. Each run has more than
+// 64 winners, so the release spans several words. A duplicate wire inside
+// a pass-through run must still panic.
 func TestStreamFusedGuardRelease(t *testing.T) {
 	// setup builds an engine on ft and a run of count flights at node v,
 	// alternating children: each holds wire wire(j) on its child's channel
@@ -421,7 +440,7 @@ func TestStreamFusedGuardRelease(t *testing.T) {
 	}
 	zero := func(t *testing.T, what string, st *streamState) {
 		t.Helper()
-		for name, s := range map[string]wireSet{"up": st.sh.upUsed, "down-left": st.sh.downUsed[0], "down-right": st.sh.downUsed[1]} {
+		for name, s := range map[string]wireSet{"up": st.upUsed, "down-left": st.down[0].used, "down-right": st.down[1].used} {
 			for i, word := range s {
 				if word != 0 {
 					t.Fatalf("%s: %s guard word %d = %#x after the run, want 0", what, name, i, word)
@@ -441,6 +460,9 @@ func TestStreamFusedGuardRelease(t *testing.T) {
 	}{
 		{"up-positional", constant, 200, func(j int) int { return j / 2 }, true},
 		{"up-pass-through", doubling, 256, func(j int) int { return j / 2 }, true},
+		// 66 winners: a positional clear would zero wires 0-127 only and
+		// leave the right child's, which pass through onto 128-160.
+		{"up-pass-through-narrow", doubling, 66, func(j int) int { return j / 2 }, true},
 		{"down-positional", constant, 250, func(int) int { return 0 }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -457,8 +479,8 @@ func TestStreamFusedGuardRelease(t *testing.T) {
 				} else {
 					st.fuseDown(0)
 				}
-				won := tc.count - st.sh.drops
-				st.sh.drops = 0
+				won := tc.count - st.drops
+				st.drops = 0
 				if won <= 64 {
 					t.Fatalf("rep %d: %d winners, want more than one guard word's worth", rep, won)
 				}
@@ -489,7 +511,9 @@ func TestStreamFusedGuardRelease(t *testing.T) {
 // child-side width. Ideal switches must panic with the engine's own
 // message, partial switches in their concentrator, which checks the same
 // width. With the lone gate at -1 every case panics in a node run; at +1
-// the lone message of "up-alone" and "down" panics on a lone hop.
+// the lone message of "up-alone" and "down" panics on a lone hop. Other
+// arities size each child port by its own child and never panic:
+// TestKaryMatchesReference routes their widened children.
 func TestStreamWidenedChildPanics(t *testing.T) {
 	ft := core.NewUniversal(16, 2)
 	ft.SetChannelCapacity(5, 8)
@@ -527,6 +551,36 @@ func TestStreamWidenedChildPanics(t *testing.T) {
 	}
 }
 
+// TestEngineRefusals pins the trees and models the engine refuses up front,
+// with their messages: partial concentrators and loss injection on a
+// non-binary tree (binary Section IV hardware), and a tree whose padded
+// leaf ids need more than a key's 32 node bits (16 tiers of 3 children
+// take two bits each).
+func TestEngineRefusals(t *testing.T) {
+	kt := core.NewKary(core.KaryDesc{Down: []int{3, 4}, Up: []int{2, 1}, Parallel: []int{1, 1}})
+	deep := core.KaryDesc{Down: make([]int, 16), Up: make([]int, 16), Parallel: make([]int, 16)}
+	for i := range deep.Down {
+		deep.Down[i], deep.Up[i], deep.Parallel[i] = 3, 1, 1
+	}
+	for _, tc := range []struct {
+		name, want string
+		call       func()
+	}{
+		{"kary-partial", "k-ary topologies route with ideal concentrators only", func() { New(kt, concentrator.KindPartial, 1) }},
+		{"kary-loss", "loss injection is not supported on k-ary topologies", func() { New(kt, concentrator.KindIdeal, 1).InjectLoss(0.1, 2) }},
+		{"wide-ids", "needs 33-bit node ids; the engine's keys hold 32", func() { New(core.NewKary(deep), concentrator.KindIdeal, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := fmt.Sprint(recover()); !strings.Contains(got, tc.want) {
+					t.Fatalf("recovered %q, want a panic containing %q", got, tc.want)
+				}
+			}()
+			tc.call()
+		})
+	}
+}
+
 // TestStreamHugeTopology exercises the headline capability at a size no
 // per-node engine could materialize cheaply: 2^20 endpoints. The message
 // set is small — the point is that engine construction and routing cost are
@@ -545,41 +599,56 @@ func TestStreamHugeTopology(t *testing.T) {
 	}
 }
 
-// TestStreamRunCycleAllocs pins the scratch-arena contract on the streaming
-// path: after warm-up, a serial ideal-kind RunCycle allocates nothing, with
-// or without a per-node observer attached (tenant engines run observed).
+// TestStreamRunCycleAllocs pins the scratch-arena contract: after warm-up,
+// a serial ideal-kind RunCycle allocates nothing, with or without a
+// per-node observer attached (tenant engines run observed), on the binary
+// universal tree and on a radix-16 tree of the same size.
 func TestStreamRunCycleAllocs(t *testing.T) {
-	for _, observed := range []bool{false, true} {
-		ft := core.NewUniversal(1<<16, 256)
-		ms := randomMessages(1<<16, 512, 51, false)
-		e := New(ft, concentrator.KindIdeal, 0)
-		if observed {
-			e.SetObserver(obsv.New(ft))
-		}
-		e.RunCycle(ms) // warm the arena to its high-water mark
-		if avg := testing.AllocsPerRun(10, func() { e.RunCycle(ms) }); avg != 0 {
-			t.Fatalf("observed=%v: steady-state stream RunCycle allocates: %v allocs/op", observed, avg)
+	const n = 1 << 16
+	radix16 := core.KaryDesc{Down: []int{16, 16, 16, 16}, Up: make([]int, 4), Parallel: []int{1, 1, 1, 1},
+		Root: core.UniversalCapacity(n, 256, 0)}
+	for i := range radix16.Up {
+		radix16.Up[i] = core.UniversalCapacity(n, 256, 4*(i+1))
+	}
+	for _, ft := range []*core.FatTree{core.NewUniversal(n, 256), core.NewKary(radix16)} {
+		for _, observed := range []bool{false, true} {
+			ms := randomMessages(n, 512, 51, false)
+			e := New(ft, concentrator.KindIdeal, 0)
+			if observed {
+				e.SetObserver(obsv.New(ft))
+			}
+			e.RunCycle(ms) // warm the arena to its high-water mark
+			if avg := testing.AllocsPerRun(10, func() { e.RunCycle(ms) }); avg != 0 {
+				t.Fatalf("%v observed=%v: steady-state RunCycle allocates: %v allocs/op", ft, observed, avg)
+			}
 		}
 	}
 }
 
 // TestStreamCarryOrder checks the carried-list merges against a sort. Each
 // trial builds a step's winners the way the engine emits them — node by
-// node, each node's run ascending — for the children of one level; re-keyed
-// to the parents, every group is a left-child run then a right-child run,
-// and siblingMerge must order it exactly as slices.Sort does, after any
-// existing prefix of dst. The merged turn list then meets the descenders of
-// the same level, and mergeKeys must equal the sort of both.
+// node, each node's run ascending — for the children of a few consecutive
+// parents, whose child digit takes one to three bits: binary groups, and
+// groups of up to eight runs, which siblingMerge sorts.
+// Re-keyed to the parents, every group is its children's runs in child
+// order, and siblingMerge must order it exactly as slices.Sort does, after
+// any existing prefix of dst. The merged turn list then meets the
+// descenders of the parents' level, and mergeKeys must equal the sort of
+// both.
 func TestStreamCarryOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 300; trial++ {
-		level := 1 + rng.Intn(8) // parents at level-1, children at level
-		first := 1 << level
-		idx := rng.Perm(1 << 12) // distinct flight indices
+	for trial := 0; trial < 600; trial++ {
+		cbits := uint(1 + trial%3)
+		arity := 2 + rng.Intn(1<<cbits-1) // 2 .. 2^cbits children
+		firstParent := 1<<6 + rng.Intn(1<<6)
+		idx := rng.Perm(1 << 14) // distinct flight indices
 		run := func(dst []uint64, node int) []uint64 {
 			m := rng.Intn(5)
-			if rng.Intn(3) == 0 {
+			switch rng.Intn(6) {
+			case 0, 1:
 				m = 0 // leave some nodes empty
+			case 2:
+				m = rng.Intn(80) // a run spanning more than one guard word
 			}
 			part := idx[:m]
 			idx = idx[m:]
@@ -590,22 +659,22 @@ func TestStreamCarryOrder(t *testing.T) {
 			return dst
 		}
 		var held, desc []uint64
-		for c := first; c < 2*first; c++ {
-			held = run(held, c)
-		}
-		for p := first / 2; p < first; p++ {
+		for p := firstParent; p < firstParent+1+rng.Intn(12); p++ {
+			for c := 0; c < arity; c++ {
+				held = run(held, p<<cbits|c)
+			}
 			desc = run(desc, p)
 		}
 
 		prefix := []uint64{7, 3} // an earlier level's segment, left untouched
-		turns := siblingMerge(slices.Clone(prefix), held)
+		turns := siblingMerge(slices.Clone(prefix), held, cbits)
 		want := make([]uint64, 0, len(held))
 		for _, k := range held {
-			want = append(want, k>>33<<32|k&keyIndex)
+			want = append(want, k>>32>>cbits<<32|k&keyIndex)
 		}
 		slices.Sort(want)
 		if !slices.Equal(turns[:2], prefix) || !slices.Equal(turns[2:], want) {
-			t.Fatalf("trial %d: siblingMerge\n got %x\nwant %x (after prefix %x)", trial, turns, want, prefix)
+			t.Fatalf("trial %d (arity %d): siblingMerge\n got %x\nwant %x (after prefix %x)", trial, arity, turns, want, prefix)
 		}
 
 		merged := mergeKeys(nil, desc, turns[2:])

@@ -65,15 +65,17 @@ func TestSoakLargeUniversality(t *testing.T) {
 }
 
 // TestSoakImplicitHugeBoundedMemory is the bounded-memory soak and the CI
-// memory-guard: a 2^20-endpoint universal fat-tree simulated to
-// completion in bounded time, with three pinned properties. First, the
-// retained heap for the topology plus a warmed streaming engine stays under a
-// hard bytes/endpoint ceiling (the measured figure is ~2.4 B/endpoint, see
-// EXPERIMENTS.md §A6; the ceiling leaves room for allocator jitter, not for a
-// per-node table — any O(n) state blows through it immediately). Second,
-// a fresh engine with a per-level observer attached reproduces the
-// unobserved run. Third, the conservation law exported at /metrics holds on
-// the per-level observer's counters: every offered message is delivered, dropped, or
+// memory-guard: two 2^20-endpoint fat-trees, the binary universal tree and
+// a radix-32 tree (four tiers of 32 children) whose channels follow the
+// same universal profile, each simulated to completion in bounded time,
+// with three pinned properties. First, the retained heap for the topology
+// plus a warmed engine stays under a hard bytes/endpoint ceiling (the
+// measured figure is ~2.4 B/endpoint on the binary tree, see EXPERIMENTS.md
+// §A6; the ceiling leaves room for allocator jitter, not for a per-node
+// table — any O(n) state blows through it immediately). Second, a fresh
+// engine with a per-level observer attached reproduces the unobserved run.
+// Third, the conservation law exported at /metrics holds on the per-level
+// observer's counters: every offered message is delivered, dropped, or
 // deferred.
 func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	if testing.Short() {
@@ -81,42 +83,58 @@ func TestSoakImplicitHugeBoundedMemory(t *testing.T) {
 	}
 	const (
 		n       = 1 << 20
+		w       = n / 4
 		ceiling = 5.0 // bytes/endpoint, about 2x the measured steady state
 	)
+	radix32 := fattree.KaryDesc{Down: []int{32, 32, 32, 32}, Up: make([]int, 4), Parallel: []int{1, 1, 1, 1},
+		Root: fattree.UniversalCapacity(n, w, 0)}
+	for i := range radix32.Up {
+		radix32.Up[i] = fattree.UniversalCapacity(n, w, 5*(i+1)) // a tier spans five binary levels
+	}
 	ms := fattree.Random(n, n/64, 3)
+	for _, tc := range []struct {
+		name  string
+		build func() *fattree.FatTree
+	}{
+		{"universal", func() *fattree.FatTree { return fattree.NewUniversal(n, w) }},
+		{"radix32", func() *fattree.FatTree { return fattree.NewKary(radix32) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			ft := tc.build()
+			serial := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
+			serial.RunCycle(ms) // warm the scratch arena to its high-water mark
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perEndpoint := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+			if perEndpoint > ceiling {
+				t.Fatalf("engine retains %.1f bytes/endpoint at n=2^20, ceiling %.0f", perEndpoint, ceiling)
+			}
+			t.Logf("n=2^20: %.1f bytes/endpoint retained (ceiling %.0f)", perEndpoint, ceiling)
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	ft := fattree.NewUniversal(n, n/4)
-	serial := fattree.NewEngine(ft, fattree.SwitchIdeal, 0)
-	serial.RunCycle(ms) // warm the scratch arena to its high-water mark
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perEndpoint := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
-	if perEndpoint > ceiling {
-		t.Fatalf("engine retains %.1f bytes/endpoint at n=2^20, ceiling %.0f", perEndpoint, ceiling)
-	}
-	t.Logf("n=2^20: %.1f bytes/endpoint retained (ceiling %.0f)", perEndpoint, ceiling)
-
-	// Random sets contend (ideal switches resolve arbitration by dropping,
-	// and Run retries), so full delivery — not zero drops — is the invariant.
-	ref := serial.Run(ms)
-	if ref.Delivered != len(ms) {
-		t.Fatalf("serial huge run incomplete: %+v", ref)
-	}
-	o := fattree.NewObserverCompact(ft)
-	e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Observer: o})
-	if stats := e.Run(ms); !reflect.DeepEqual(stats, ref) {
-		t.Fatalf("observed run diverges\nplain    %+v\nobserved %+v", ref, stats)
-	}
-	c := &o.C
-	if c.Offered != c.Delivered+c.Dropped+c.Deferred {
-		t.Fatalf("conservation broken: offered %d != delivered %d + dropped %d + deferred %d",
-			c.Offered, c.Delivered, c.Dropped, c.Deferred)
-	}
-	if int(c.Delivered) != len(ms) {
-		t.Fatalf("observer counted %d deliveries, want %d", c.Delivered, len(ms))
+			// Random sets contend (ideal switches resolve arbitration by
+			// dropping, and Run retries), so full delivery — not zero drops —
+			// is the invariant.
+			ref := serial.Run(ms)
+			if ref.Delivered != len(ms) {
+				t.Fatalf("serial huge run incomplete: %+v", ref)
+			}
+			o := fattree.NewObserverCompact(ft)
+			e := fattree.NewEngineWithOptions(ft, fattree.SwitchIdeal, 0, fattree.Options{Observer: o})
+			if stats := e.Run(ms); !reflect.DeepEqual(stats, ref) {
+				t.Fatalf("observed run diverges\nplain    %+v\nobserved %+v", ref, stats)
+			}
+			c := &o.C
+			if c.Offered != c.Delivered+c.Dropped+c.Deferred {
+				t.Fatalf("conservation broken: offered %d != delivered %d + dropped %d + deferred %d",
+					c.Offered, c.Delivered, c.Dropped, c.Deferred)
+			}
+			if int(c.Delivered) != len(ms) {
+				t.Fatalf("observer counted %d deliveries, want %d", c.Delivered, len(ms))
+			}
+		})
 	}
 }
 
